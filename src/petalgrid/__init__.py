@@ -48,7 +48,7 @@ from .grid import (
 from .invariants import (
     LaurentPolynomial,
     alexander_from_closure,
-    alexander_from_pd,
+    alexander_from_grid,
     bareiss_determinant,
     conjugate_band_braid,
     equal_up_to_units,

@@ -24,15 +24,15 @@ from .braid import (
     word_to_json,
     words_equal,
 )
-from .grid import build_petal_grid, render_ascii, to_planar_diagram, validate_petal_grid, write_svg
+from .grid import build_petal_grid, render_ascii, validate_petal_grid, write_svg
 from .invariants import (
     alexander_from_closure,
-    alexander_from_pd,
+    alexander_from_grid,
     conjugate_band_braid,
     equal_up_to_units,
     torus_alexander,
 )
-from .petal import PetalPermutation, classify, petal_to_json, synthesize
+from .petal import PetalPermutation, classify, length_bound, petal_to_json, synthesize
 
 SCHEMA = 1
 
@@ -64,7 +64,7 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     if problem:
         return _fail(problem)
     pp = synthesize(args.n, args.s)
-    bound = 2 * args.s - 2 * (args.s // args.n) + 1
+    bound = length_bound(args.n, args.s)
     if args.json:
         payload = petal_to_json(pp, args.n, args.s)
         payload["bound"] = bound
@@ -93,8 +93,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return deadline is not None and time.monotonic() > deadline
 
     pp = synthesize(n, s)
-    grid_report = validate_petal_grid(build_petal_grid(pp))
-    bound = 2 * s - 2 * (s // n) + 1
+    grid = build_petal_grid(pp)
+    grid_report = validate_petal_grid(grid)
+    bound = length_bound(n, s)
     payload["petal_permutation"] = list(pp.entries)
     payload["length"] = pp.p
     payload["bound"] = bound
@@ -114,9 +115,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if out_of_time():
             timed_out = True
         else:
-            from_pd = alexander_from_pd(to_planar_diagram(build_petal_grid(pp)))
-            payload["alexander_from_grid"] = str(from_pd)
-            checks.append(equal_up_to_units(from_pd, closed_form))
+            from_grid = alexander_from_grid(grid)
+            payload["alexander_from_grid"] = str(from_grid)
+            checks.append(equal_up_to_units(from_grid, closed_form))
     if args.pipeline in ("burau", "both") and not timed_out:
         if out_of_time():
             timed_out = True

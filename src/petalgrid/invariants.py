@@ -5,18 +5,16 @@ Alexander polynomials are defined only up to multiplication by units
 +-t^k, so every comparison here goes through normalize_up_to_units, which
 shifts the lowest exponent to zero and makes its coefficient positive.
 
-The planar-diagram pipeline builds the crossing/arc matrix from the
-Wirtinger relations (one row per crossing with entries drawn from
-{1-t, t, -1} or {t-1, 1, -t} by crossing sign), deletes the last row and
-column, and takes a fraction-free Bareiss determinant.  The braid pipeline
-evaluates the reduced Burau matrices and rescales det(B - I) by
+The grid pipeline fills a p x p matrix with t^w, w the knot's winding
+number around each cell centre of a size-p grid diagram, takes its
+fraction-free Bareiss determinant and divides out (1-t)^(p-1).  The braid
+pipeline evaluates the reduced Burau matrices and rescales det(B - I) by
 (1-t)/(1-t^n).  The torus closed form (t^{ns}-1)(t-1)/((t^n-1)(t^s-1))
 serves as the independent ground truth for both.
 """
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,11 +25,15 @@ from .braid import (
     round_trip_product,
     band_indices,
 )
-from .grid import PlanarDiagram, build_petal_grid, to_planar_diagram, validate_petal_grid
+from .grid import (
+    GridDiagram,
+    _oriented_edges,
+    build_petal_grid,
+    to_planar_diagram,
+    validate_petal_grid,
+)
 from .perm import IndexSubset
-from .petal import STRONGLY_BRAIDED, classify, synthesize
-
-DEFAULT_MAX_CROSSINGS = 400
+from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
 @dataclass(frozen=True)
@@ -254,46 +256,36 @@ def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynom
     return det if sign == 1 else -det
 
 
-# --- Alexander polynomial from a planar diagram -------------------------------
+# --- Alexander polynomial from a grid diagram ---------------------------------
 
 
-def max_pd_crossings() -> int:
-    value = os.environ.get("PETALGRID_MAX_CROSSINGS")
-    return int(value) if value else DEFAULT_MAX_CROSSINGS
+def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
+    """The normalized Alexander polynomial of a one-component grid diagram.
 
-
-def alexander_from_pd(d: PlanarDiagram) -> LaurentPolynomial:
-    """The normalized Alexander polynomial of a one-component diagram.
-
-    One Wirtinger row per crossing: at a positive crossing the outgoing
-    under-arc is the over-conjugate of the incoming one, giving abelianized
-    Fox derivatives (over: 1-t, in: t, out: -1); a negative crossing gives
-    (over: t-1, in: 1, out: -t).  The last row and column are deleted.
+    With w(i, j) the winding number of the knot around the cell centre
+    (i+1/2, j+1/2), 0 <= i, j < p, the p x p matrix (t^w) has determinant
+    +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).  The division by
+    (1-t)^(p-1) raises unless it is exact.
     """
-    if d.components != 1:
+    cycles = _oriented_edges(g)
+    if len(cycles) != 1:
         raise ValueError("not a knot")
-    c = len(d.crossings)
-    if c == 0:
-        return LaurentPolynomial.one()
-    limit = max_pd_crossings()
-    if c > limit:
-        raise ValueError(
-            f"diagram has {c} crossings (limit {limit}): use the braid-closure pipeline"
-        )
-    t = LaurentPolynomial.term(1, 1)
-    one = LaurentPolynomial.one()
-    rows = []
-    for x in d.crossings:
-        row = [LaurentPolynomial.zero()] * d.n_arcs
-        if x.sign > 0:
-            entries = ((x.over_arc, one - t), (x.under_in_arc, t), (x.under_out_arc, -one))
-        else:
-            entries = ((x.over_arc, t - one), (x.under_in_arc, one), (x.under_out_arc, -t))
-        for arc, val in entries:
-            row[arc] = row[arc] + val
-        rows.append(row)
-    minor = [row[: c - 1] for row in rows[: c - 1]]
-    return bareiss_determinant(minor).normalize_up_to_units()
+    p = g.size
+    winding = [[0] * p for _ in range(p)]
+    for u, v in cycles[0]:
+        (x, y1), (x2, y2) = g.nodes[u], g.nodes[v]
+        if x != x2:
+            continue
+        # A vertical edge moves the winding number of every centre to its left.
+        step = 1 if y2 > y1 else -1
+        for j in range(min(y1, y2), max(y1, y2)):
+            for i in range(x):
+                winding[i][j] += step
+    low = min(map(min, winding))
+    matrix = [[LaurentPolynomial.term(1, w - low) for w in row] for row in winding]
+    one_minus_t = LaurentPolynomial.one() - LaurentPolynomial.term(1, 1)
+    det = bareiss_determinant(matrix)
+    return det.divide_exact(one_minus_t ** (p - 1)).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------
@@ -393,18 +385,17 @@ def verify_torus_petal(n: int, s: int) -> dict:
     knots pairwise but is not a complete invariant.
     """
     pp = synthesize(n, s)
-    bound = 2 * s - 2 * (s // n) + 1
+    bound = length_bound(n, s)
     grid = build_petal_grid(pp)
     report = validate_petal_grid(grid)
-    pd = to_planar_diagram(grid)
-    from_pd = alexander_from_pd(pd)
+    from_grid = alexander_from_grid(grid)
     from_braid = alexander_from_closure(conjugate_band_braid(n, s))
     closed_form = torus_alexander(n, s)
     all_match = (
         pp.p == bound
         and classify(pp) == STRONGLY_BRAIDED
         and report.valid
-        and equal_up_to_units(from_pd, closed_form)
+        and equal_up_to_units(from_grid, closed_form)
         and equal_up_to_units(from_braid, closed_form)
     )
     return {
@@ -416,8 +407,8 @@ def verify_torus_petal(n: int, s: int) -> dict:
         "strongly_braided": classify(pp) == STRONGLY_BRAIDED,
         "grid_valid": report.valid,
         "grid_violations": list(report.violations),
-        "crossings": len(pd.crossings),
-        "alexander_from_grid": str(from_pd),
+        "crossings": len(to_planar_diagram(grid).crossings),
+        "alexander_from_grid": str(from_grid),
         "alexander_from_braid": str(from_braid),
         "alexander_closed_form": str(closed_form),
         "all_match": all_match,

@@ -136,8 +136,13 @@ def u_indices(n: int, s: int) -> list[int]:
     return out
 
 
+def length_bound(n: int, s: int) -> int:
+    """The length 2s - 2*floor(s/n) + 1 that synthesize(n, s) realizes."""
+    return 2 * s - 2 * (s // n) + 1
+
+
 def synthesize(n: int, s: int) -> PetalPermutation:
-    """A strongly braided petal permutation of T(n, s) realizing length 2s - 2*floor(s/n) + 1."""
+    """A strongly braided petal permutation of T(n, s) realizing length_bound(n, s)."""
     pp = base_petal(n)
     for k in u_indices(n, s):
         pp = stabilize(pp, k)

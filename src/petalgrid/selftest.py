@@ -37,7 +37,7 @@ from .braid import (
 from .grid import build_petal_grid, validate_petal_grid
 from .invariants import verify_torus_petal
 from .perm import IndexSubset, Permutation, residue_perm
-from .petal import STRONGLY_BRAIDED, classify, stabilize, stabilize_fast, synthesize
+from .petal import STRONGLY_BRAIDED, classify, length_bound, stabilize, stabilize_fast, synthesize
 
 DEFAULT_SEED = 70311
 
@@ -306,7 +306,7 @@ def suite_synthesis(max_s: int) -> SuiteResult:
                 continue
             pp = synthesize(n, s)
             ok = (
-                pp.p == 2 * s - 2 * (s // n) + 1
+                pp.p == length_bound(n, s)
                 and classify(pp) == STRONGLY_BRAIDED
                 and validate_petal_grid(build_petal_grid(pp)).valid
             )

@@ -1,12 +1,13 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Nothing here goes through the code paths it checks: word equality is decided
-by exhaustive rewriting, determinants by cofactor expansion, and grid
-crossings by scanning lattice points.
+by exhaustive rewriting, determinants by cofactor expansion, grid crossings
+by scanning lattice points, and Alexander polynomials of small diagrams from
+the Wirtinger presentation of their crossings.
 """
 from petalgrid.braid import BraidWord, left_normal_form
-from petalgrid.grid import GridDiagram
-from petalgrid.invariants import LaurentPolynomial
+from petalgrid.grid import GridDiagram, PlanarDiagram
+from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -90,3 +91,33 @@ def lattice_crossings(g: GridDiagram) -> set[tuple[int, int]]:
             if in_v and in_h:
                 found.add((x, y))
     return found
+
+
+def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
+    """The normalized Alexander polynomial of a one-component diagram.
+
+    One Wirtinger row per crossing: at a positive crossing the outgoing
+    under-arc is the over-conjugate of the incoming one, giving abelianized
+    Fox derivatives (over: 1-t, in: t, out: -1); a negative crossing gives
+    (over: t-1, in: 1, out: -t).  The last row and column are deleted.  The
+    matrix has one row per crossing, so keep to small diagrams.
+    """
+    if d.components != 1:
+        raise ValueError("not a knot")
+    c = len(d.crossings)
+    if c == 0:
+        return LaurentPolynomial.one()
+    t = LaurentPolynomial.term(1, 1)
+    one = LaurentPolynomial.one()
+    rows = []
+    for x in d.crossings:
+        row = [LaurentPolynomial.zero()] * d.n_arcs
+        if x.sign > 0:
+            entries = ((x.over_arc, one - t), (x.under_in_arc, t), (x.under_out_arc, -one))
+        else:
+            entries = ((x.over_arc, t - one), (x.under_in_arc, one), (x.under_out_arc, -t))
+        for arc, val in entries:
+            row[arc] = row[arc] + val
+        rows.append(row)
+    minor = [row[: c - 1] for row in rows[: c - 1]]
+    return bareiss_determinant(minor).normalize_up_to_units()

@@ -11,10 +11,10 @@ from contextlib import contextmanager
 from oracles import positive_words_agree_with_bfs
 from petalgrid import selftest
 from petalgrid.braid import torus_conjugacy_witness
-from petalgrid.grid import build_petal_grid, to_planar_diagram, validate_petal_grid
+from petalgrid.grid import build_petal_grid, validate_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
-    alexander_from_pd,
+    alexander_from_grid,
     conjugate_band_braid,
     equal_up_to_units,
     torus_alexander,
@@ -35,12 +35,11 @@ def certification_results() -> dict:
         results = {}
         for n, s in CERTIFICATION_PAIRS:
             t0 = time.monotonic()
-            pd = to_planar_diagram(build_petal_grid(synthesize(n, s)))
-            from_pd = alexander_from_pd(pd)
+            from_grid = alexander_from_grid(build_petal_grid(synthesize(n, s)))
             from_braid = alexander_from_closure(conjugate_band_braid(n, s))
             closed_form = torus_alexander(n, s)
             results[(n, s)] = {
-                "from_pd": from_pd,
+                "from_grid": from_grid,
                 "from_braid": from_braid,
                 "closed_form": closed_form,
                 "seconds": time.monotonic() - t0,
@@ -131,7 +130,7 @@ def test_criterion_6_knot_certification():
     with criterion(6, "knot-certification", budget=30.0 * len(CERTIFICATION_PAIRS)):
         for (n, s), result in certification_results().items():
             assert result["seconds"] < 30.0, (n, s, result["seconds"])
-            assert equal_up_to_units(result["from_pd"], result["closed_form"]), (n, s)
+            assert equal_up_to_units(result["from_grid"], result["closed_form"]), (n, s)
             assert equal_up_to_units(result["from_braid"], result["closed_form"]), (n, s)
 
 
@@ -151,7 +150,7 @@ def test_criterion_7_property_suites():
 
         produced = []
         for result in certification_results().values():
-            produced += [result["from_pd"], result["from_braid"], result["closed_form"]]
+            produced += [result["from_grid"], result["from_braid"], result["closed_form"]]
         for n, s in coprime_pairs(11, 12):
             produced.append(torus_alexander(n, s))
         assert len(produced) > 50

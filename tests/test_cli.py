@@ -48,6 +48,20 @@ def test_verify_exit_codes(capsys):
     assert code == 2 and "not coprime" in err
 
 
+def test_verify_past_former_crossing_cap(capsys):
+    # T(2,41) has a 43-entry petal grid with 440 crossings; the grid
+    # pipeline once refused diagrams over 400 crossings with exit 2.
+    code, out, _ = run(capsys, "verify", "2", "41", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_match"] is True
+    assert payload["length"] == 2 * 41 - 2 * (41 // 2) + 1
+    closed_form = " ".join(
+        f"{'+' if e % 2 == 0 else '-'} t^{e}" for e in range(39, 1, -1)
+    )
+    assert payload["alexander_from_grid"] == f"t^40 {closed_form} - t + 1"
+
+
 def test_verify_single_pipeline(capsys):
     code, out, _ = run(capsys, "verify", "5", "8", "--pipeline", "burau", "--json")
     assert code == 0

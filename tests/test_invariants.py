@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from oracles import wirtinger_alexander
 from petalgrid.braid import BraidWord, delta, sigma
-from petalgrid.grid import build_petal_grid, to_planar_diagram
+from petalgrid.grid import GridDiagram, build_petal_grid, to_planar_diagram
 from petalgrid.invariants import (
     LaurentPolynomial,
     alexander_from_closure,
-    alexander_from_pd,
+    alexander_from_grid,
     bareiss_determinant,
     conjugate_band_braid,
     equal_up_to_units,
@@ -110,22 +111,38 @@ def test_bareiss_matches_cofactor_expansion():
         assert got == want
 
 
-def test_alexander_from_pd_examples():
-    unknot = to_planar_diagram(build_petal_grid(PetalPermutation((2, 3, 1))))
-    assert alexander_from_pd(unknot) == ONE
+def test_alexander_from_grid_examples():
+    unknot = build_petal_grid(PetalPermutation((2, 3, 1)))
+    assert alexander_from_grid(unknot) == ONE
+    assert wirtinger_alexander(to_planar_diagram(unknot)) == ONE
 
-    trefoil = to_planar_diagram(build_petal_grid(PetalPermutation((3, 5, 2, 4, 1))))
-    assert alexander_from_pd(trefoil) == torus_alexander(2, 3)
+    trefoil = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    assert alexander_from_grid(trefoil) == torus_alexander(2, 3)
+    assert wirtinger_alexander(to_planar_diagram(trefoil)) == torus_alexander(2, 3)
 
-    pd34 = to_planar_diagram(build_petal_grid(synthesize(3, 4)))
-    assert equal_up_to_units(alexander_from_pd(pd34), torus_alexander(3, 4))
+    grid34 = build_petal_grid(synthesize(3, 4))
+    assert equal_up_to_units(alexander_from_grid(grid34), torus_alexander(3, 4))
+    assert equal_up_to_units(wirtinger_alexander(to_planar_diagram(grid34)), torus_alexander(3, 4))
 
 
-def test_alexander_pd_crossing_guard(monkeypatch):
-    monkeypatch.setenv("PETALGRID_MAX_CROSSINGS", "2")
-    trefoil = to_planar_diagram(build_petal_grid(PetalPermutation((3, 5, 2, 4, 1))))
-    with pytest.raises(ValueError, match="braid-closure pipeline"):
-        alexander_from_pd(trefoil)
+def test_alexander_from_grid_matches_wirtinger_oracle():
+    rng = random.Random(303)
+    for _ in range(300):
+        p = rng.choice(range(3, 16, 2))
+        entries = list(range(1, p + 1))
+        rng.shuffle(entries)
+        grid = build_petal_grid(PetalPermutation(tuple(entries)))
+        assert alexander_from_grid(grid) == wirtinger_alexander(to_planar_diagram(grid)), entries
+
+
+def test_alexander_from_grid_rejects_links():
+    # Two disjoint 2x2 squares: a two-component unlink.
+    nodes = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4))
+    link = GridDiagram(
+        4, nodes, ((0, 2), (1, 3), (4, 6), (5, 7)), ((0, 1), (2, 3), (4, 5), (6, 7)), (0, 1, 3, 2)
+    )
+    with pytest.raises(ValueError, match="not a knot"):
+        alexander_from_grid(link)
 
 
 def test_reduced_burau():
@@ -183,8 +200,9 @@ def test_every_three_petal_permutation_is_the_unknot():
     import itertools
 
     for entries in itertools.permutations((1, 2, 3)):
-        pd = to_planar_diagram(build_petal_grid(PetalPermutation(entries)))
-        assert alexander_from_pd(pd) == ONE, entries
+        grid = build_petal_grid(PetalPermutation(entries))
+        assert alexander_from_grid(grid) == ONE, entries
+        assert wirtinger_alexander(to_planar_diagram(grid)) == ONE, entries
 
 
 def test_random_petal_knots_have_symmetric_alexander():
@@ -193,8 +211,7 @@ def test_random_petal_knots_have_symmetric_alexander():
         p = rng.choice((5, 7, 9, 11, 13))
         entries = list(range(1, p + 1))
         rng.shuffle(entries)
-        pd = to_planar_diagram(build_petal_grid(PetalPermutation(tuple(entries))))
-        a = alexander_from_pd(pd)
+        a = alexander_from_grid(build_petal_grid(PetalPermutation(tuple(entries))))
         assert a.substitute_inverse().normalize_up_to_units() == a
         assert abs(a.evaluate(1)) == 1
 
@@ -215,7 +232,7 @@ def test_band_insertion_closures_match_grids():
         for k in ks:
             pp = stabilize(pp, k)
             braid = braid * round_trip(n, k)
-        from_grid = alexander_from_pd(to_planar_diagram(build_petal_grid(pp)))
+        from_grid = alexander_from_grid(build_petal_grid(pp))
         assert equal_up_to_units(from_grid, alexander_from_closure(braid)), (n, ks)
 
 
