@@ -3,9 +3,9 @@ Petal permutations and petal grid diagrams of torus knots.
 
 For coprime 2 <= n < s, `synthesize(n, s)` produces a strongly braided
 petal permutation of the (n, s) torus knot with 2s - 2*floor(s/n) + 1
-entries; `verify_torus_petal(n, s)` certifies the output through a grid
-diagram, two Alexander-polynomial pipelines, and an explicit braid
-conjugacy checked in Garside normal form.
+entries; `certify(n, s)` certifies the output through a grid diagram, two
+Alexander-polynomial pipelines, and an explicit braid conjugacy checked in
+Garside normal form.
 """
 
 from .braid import (
@@ -14,6 +14,7 @@ from .braid import (
     NormalForm,
     ascending_run,
     band_indices,
+    conjugate_band_braid,
     decompose_permutation_braid,
     delta,
     delta_power_conjugacy,
@@ -50,11 +51,10 @@ from .invariants import (
     alexander_from_closure,
     alexander_from_grid,
     bareiss_determinant,
-    conjugate_band_braid,
+    certify,
     equal_up_to_units,
     reduced_burau,
     torus_alexander,
-    verify_torus_petal,
 )
 from .perm import (
     IndexSubset,
@@ -74,7 +74,6 @@ from .petal import (
     classify,
     petal_to_json,
     stabilize,
-    stabilize_fast,
     synthesize,
     u_indices,
 )

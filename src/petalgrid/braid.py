@@ -235,28 +235,6 @@ def _append_factor(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -
         j -= 1
 
 
-def _sweep_to_fixpoint(factors: list[tuple[int, ...]], n: int) -> None:
-    # Safety net: reapply pairwise weighting until no pair changes.  The
-    # incremental comb normally leaves nothing to do, and the potential
-    # sum_j j*len(F_j) strictly drops with every slide, so this terminates.
-    changed = True
-    while changed:
-        changed = False
-        j = 0
-        while j < len(factors) - 1:
-            f2, g2 = _left_weight(factors[j], factors[j + 1], n)
-            if f2 != factors[j]:
-                changed = True
-                factors[j] = f2
-                if _is_id(g2):
-                    del factors[j + 1]
-                else:
-                    factors[j + 1] = g2
-                j = max(0, j - 1)
-            else:
-                j += 1
-
-
 @dataclass(frozen=True)
 class NormalForm:
     """Left-greedy Garside form Delta^delta_power F_1 ... F_r."""
@@ -309,11 +287,6 @@ def left_normal_form(w: BraidWord) -> NormalForm:
         while factors and factors[0] == w0:
             del factors[0]
             power += 1
-
-    _sweep_to_fixpoint(factors, n)
-    while factors and factors[0] == w0:
-        del factors[0]
-        power += 1
     return NormalForm(n, power, tuple(Permutation(f) for f in factors))
 
 
@@ -367,9 +340,30 @@ def ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def check_pair(n: int, s: int) -> None:
+    """Raise ValueError unless 2 <= n < s and n, s are coprime."""
+    if not 2 <= n < s:
+        raise ValueError(f"need 2 <= n < s, got n={n}, s={s}")
+    if math.gcd(n, s) != 1:
+        raise ValueError("not coprime")
+
+
 def band_indices(n: int, k: int) -> list[int]:
     """The band subscripts ceil(n*i/k) for i = 1..k-1."""
     return [ceil_div(n * i, k) for i in range(1, k)]
+
+
+def conjugate_band_braid(n: int, s: int) -> BraidWord:
+    """The band form delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}} for s = nm + k.
+
+    With a_i = ceil(n*i/k); for s < n this is delta U_{a_1}...U_{a_{s-1}}.
+    """
+    m, k = divmod(s, n)
+    return (
+        delta(n)
+        * round_trip_product(IndexSubset.of(n, range(2, n + 1))) ** m
+        * round_trip_product(IndexSubset.of(n, band_indices(n, k)))
+    )
 
 
 def delta_power_conjugacy(n: int, k: int) -> ConjugacyWitness:
@@ -384,7 +378,7 @@ def delta_power_conjugacy(n: int, k: int) -> ConjugacyWitness:
     if math.gcd(n, k) != 1:
         raise ValueError("not coprime")
     conj = permutation_braid(residue_perm(n, k))
-    rhs = delta(n) * round_trip_product(IndexSubset.of(n, band_indices(n, k)))
+    rhs = conjugate_band_braid(n, k)
     lhs = conj.inverse() * delta(n) ** k * conj
     return ConjugacyWitness(n, conj, k, rhs, words_equal(lhs, rhs))
 
@@ -394,22 +388,12 @@ def torus_conjugacy_witness(n: int, s: int) -> ConjugacyWitness:
 
     The closure of either side is the (n, s) torus knot; verification is by
     normal-form equality of conjugator^-1 delta^s conjugator and the band
-    product form.
+    product form.  For k = 1 the residue permutation is the identity, so the
+    conjugator is the empty word.
     """
-    if not 2 <= n < s:
-        raise ValueError(f"need 2 <= n < s, got n={n}, s={s}")
-    if math.gcd(n, s) != 1:
-        raise ValueError("not coprime")
-    m, k = divmod(s, n)
-    if k == 1:
-        conj = BraidWord.identity(n)
-    else:
-        conj = permutation_braid(residue_perm(n, k))
-    rhs = (
-        delta(n)
-        * round_trip_product(IndexSubset.of(n, range(2, n + 1))) ** m
-        * round_trip_product(IndexSubset.of(n, band_indices(n, k)))
-    )
+    check_pair(n, s)
+    conj = permutation_braid(residue_perm(n, s % n))
+    rhs = conjugate_band_braid(n, s)
     lhs = conj.inverse() * delta(n) ** s * conj
     return ConjugacyWitness(n, conj, s, rhs, words_equal(lhs, rhs))
 

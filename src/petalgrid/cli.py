@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -24,14 +23,8 @@ from .braid import (
     word_to_json,
     words_equal,
 )
-from .grid import build_petal_grid, render_ascii, validate_petal_grid, write_svg
-from .invariants import (
-    alexander_from_closure,
-    alexander_from_grid,
-    conjugate_band_braid,
-    equal_up_to_units,
-    torus_alexander,
-)
+from .grid import build_petal_grid, render_ascii, write_svg
+from .invariants import PIPELINES, certify
 from .petal import PetalPermutation, classify, length_bound, petal_to_json, synthesize
 
 SCHEMA = 1
@@ -51,18 +44,7 @@ def _fail(message: str) -> int:
     return EXIT_USAGE
 
 
-def _check_pair(n: int, s: int) -> str | None:
-    if not 2 <= n < s:
-        return f"need 2 <= n < s, got n={n}, s={s}"
-    if math.gcd(n, s) != 1:
-        return "not coprime"
-    return None
-
-
 def cmd_synthesize(args: argparse.Namespace) -> int:
-    problem = _check_pair(args.n, args.s)
-    if problem:
-        return _fail(problem)
     pp = synthesize(args.n, args.s)
     bound = length_bound(args.n, args.s)
     if args.json:
@@ -81,62 +63,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    problem = _check_pair(args.n, args.s)
-    if problem:
-        return _fail(problem)
     deadline = time.monotonic() + args.timeout if args.timeout else None
-    n, s = args.n, args.s
-    payload: dict = {"n": n, "s": s, "pipeline": args.pipeline}
-    checks: list[bool] = []
-
-    def out_of_time() -> bool:
-        return deadline is not None and time.monotonic() > deadline
-
-    pp = synthesize(n, s)
-    grid = build_petal_grid(pp)
-    grid_report = validate_petal_grid(grid)
-    bound = length_bound(n, s)
-    payload["petal_permutation"] = list(pp.entries)
-    payload["length"] = pp.p
-    payload["bound"] = bound
-    payload["grid_valid"] = grid_report.valid
-    checks += [pp.p == bound, grid_report.valid]
-
-    witness = torus_conjugacy_witness(n, s)
-    payload["conjugacy_verified"] = witness.verified
-    payload["conjugator"] = format_word(witness.conjugator)
-    payload["conjugate_band_form"] = format_word(witness.rhs)
-    checks.append(witness.verified)
-
-    closed_form = torus_alexander(n, s)
-    payload["alexander_closed_form"] = str(closed_form)
-    timed_out = False
-    if args.pipeline in ("pd", "both") and not timed_out:
-        if out_of_time():
-            timed_out = True
-        else:
-            from_grid = alexander_from_grid(grid)
-            payload["alexander_from_grid"] = str(from_grid)
-            checks.append(equal_up_to_units(from_grid, closed_form))
-    if args.pipeline in ("burau", "both") and not timed_out:
-        if out_of_time():
-            timed_out = True
-        else:
-            from_braid = alexander_from_closure(conjugate_band_braid(n, s))
-            payload["alexander_from_braid"] = str(from_braid)
-            checks.append(equal_up_to_units(from_braid, closed_form))
-
-    if timed_out:
-        payload["timeout"] = True
-        _emit_json(payload) if args.json else print("timed out; partial report:", payload)
+    report = certify(args.n, args.s, args.pipeline, deadline)
+    if report.get("timeout"):
+        _emit_json(report) if args.json else print("timed out; partial report:", report)
         return EXIT_TIMEOUT
-    payload["all_match"] = all(checks)
     if args.json:
-        _emit_json(payload)
+        _emit_json(report)
     else:
-        for key, value in payload.items():
+        for key, value in report.items():
             print(f"{key}: {value}")
-    return EXIT_OK if all(checks) else EXIT_CHECK_FAILED
+    return EXIT_OK if report["all_match"] else EXIT_CHECK_FAILED
 
 
 def cmd_braid(args: argparse.Namespace) -> int:
@@ -196,9 +133,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         if args.n is None or args.s is None:
             return _fail("give either --perm or a coprime pair n s")
-        problem = _check_pair(args.n, args.s)
-        if problem:
-            return _fail(problem)
         pp = synthesize(args.n, args.s)
     grid = build_petal_grid(pp)
     if args.svg:
@@ -248,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify the synthesized diagram represents T(n,s)")
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
-    p.add_argument("--pipeline", choices=["pd", "burau", "both"], default="both")
+    p.add_argument("--pipeline", choices=PIPELINES, default="both")
     p.add_argument("--timeout", type=float, metavar="SEC")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -11,28 +11,25 @@ fraction-free Bareiss determinant and divides out (1-t)^(p-1).  The braid
 pipeline evaluates the reduced Burau matrices and rescales det(B - I) by
 (1-t)/(1-t^n).  The torus closed form (t^{ns}-1)(t-1)/((t^n-1)(t^s-1))
 serves as the independent ground truth for both.
+
+End-to-end certification: certify(n, s) is the one certifier behind
+`petalgrid verify`, selftest and the acceptance tests.
 """
 from __future__ import annotations
 
-import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .braid import (
     BraidWord,
-    delta,
+    check_pair,
+    format_word,
     induced_permutation,
-    round_trip_product,
-    band_indices,
+    torus_conjugacy_witness,
 )
-from .grid import (
-    GridDiagram,
-    _oriented_edges,
-    build_petal_grid,
-    to_planar_diagram,
-    validate_petal_grid,
-)
-from .perm import IndexSubset
+from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
+from .grid import GridDiagram, _oriented_edges, build_petal_grid, validate_petal_grid
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
@@ -207,10 +204,7 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
 
     The degree of the result is (n-1)(s-1).
     """
-    if not 2 <= n < s:
-        raise ValueError(f"need 2 <= n < s, got n={n}, s={s}")
-    if math.gcd(n, s) != 1:
-        raise ValueError("not coprime")
+    check_pair(n, s)
     num = _t_power_minus_one(n * s) * _t_power_minus_one(1)
     den = _t_power_minus_one(n) * _t_power_minus_one(s)
     return num.divide_exact(den).normalize_up_to_units()
@@ -219,12 +213,20 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
 # --- Determinants -------------------------------------------------------------
 
 
-def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+def _check_deadline(deadline: float | None) -> None:
+    if deadline is not None and time.monotonic() > deadline:
+        raise TimeoutError("deadline passed")
+
+
+def bareiss_determinant(
+    matrix: list[list[LaurentPolynomial]], deadline: float | None = None
+) -> LaurentPolynomial:
     """Fraction-free determinant over Laurent polynomials, up to a unit t^k.
 
     Rows are first rescaled by powers of t so all entries are ordinary
     polynomials; each elimination step divides exactly by the previous
-    pivot, so all arithmetic stays in Z[t].
+    pivot, so all arithmetic stays in Z[t].  With a `time.monotonic()`
+    deadline, raises TimeoutError at the first pivot taken after it.
     """
     size = len(matrix)
     if size == 0:
@@ -241,6 +243,7 @@ def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynom
     sign = 1
     prev = LaurentPolynomial.one()
     for k in range(size - 1):
+        _check_deadline(deadline)
         if m[k][k].is_zero():
             swap = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
             if swap is None:
@@ -259,7 +262,7 @@ def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynom
 # --- Alexander polynomial from a grid diagram ---------------------------------
 
 
-def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
+def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
     With w(i, j) the winding number of the knot around the cell centre
@@ -284,7 +287,7 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     low = min(map(min, winding))
     matrix = [[LaurentPolynomial.term(1, w - low) for w in row] for row in winding]
     one_minus_t = LaurentPolynomial.one() - LaurentPolynomial.term(1, 1)
-    det = bareiss_determinant(matrix)
+    det = bareiss_determinant(matrix, deadline)
     return det.divide_exact(one_minus_t ** (p - 1)).normalize_up_to_units()
 
 
@@ -345,7 +348,7 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
     return out
 
 
-def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
+def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
     Computed as det(reduced Burau - I) * (1-t)/(1-t^n).
@@ -356,60 +359,90 @@ def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     one = LaurentPolynomial.one()
     for i in range(len(m)):
         m[i][i] = m[i][i] - one
-    det = bareiss_determinant(m)
+    det = bareiss_determinant(m, deadline)
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 
 
 # --- End-to-end certification --------------------------------------------------
 
-
-def conjugate_band_braid(n: int, s: int) -> BraidWord:
-    """The band form delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}} conjugate to delta^s."""
-    m, k = divmod(s, n)
-    return (
-        delta(n)
-        * round_trip_product(IndexSubset.of(n, range(2, n + 1))) ** m
-        * round_trip_product(IndexSubset.of(n, band_indices(n, k)))
-    )
+PIPELINES = ("pd", "burau", "both")
 
 
-def verify_torus_petal(n: int, s: int) -> dict:
+def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = None) -> dict:
     """Certify that the synthesized petal permutation represents T(n, s).
 
-    Checks the length bound 2s - 2*floor(s/n) + 1, strong braidedness, grid
-    validity, and that the Alexander polynomials from the grid diagram, from
-    the conjugate braid closure, and from the torus closed form agree up to
-    units.  Alexander agreement plus the explicit conjugacy witness is the
+    Stages, in order: synthesize; build and validate the petal grid;
+    check strong braidedness; verify the conjugacy witness carrying delta^s
+    to its band form; the torus closed form; then the Alexander polynomial
+    of the grid ("pd" or "both") and of the witness's band-form closure
+    ("burau" or "both"), each compared with the closed form up to units.
+    Alexander agreement plus the explicit conjugacy witness is the
     certification standard; the Alexander polynomial alone separates torus
     knots pairwise but is not a complete invariant.
+
+    Returns the report `petalgrid verify --json` prints, without "schema".
+    An invalid pair or pipeline raises ValueError before any stage runs.
+    Past the `time.monotonic()` deadline, checked before each stage and at
+    each determinant pivot, the report so far is returned with
+    "timeout": True and no "all_match".  A stage that raises ValueError or
+    ArithmeticError fails the certificate: "error" holds "<stage>: <message>"
+    and "all_match" is False.
     """
-    pp = synthesize(n, s)
-    bound = length_bound(n, s)
-    grid = build_petal_grid(pp)
-    report = validate_petal_grid(grid)
-    from_grid = alexander_from_grid(grid)
-    from_braid = alexander_from_closure(conjugate_band_braid(n, s))
-    closed_form = torus_alexander(n, s)
-    all_match = (
-        pp.p == bound
-        and classify(pp) == STRONGLY_BRAIDED
-        and report.valid
-        and equal_up_to_units(from_grid, closed_form)
-        and equal_up_to_units(from_braid, closed_form)
-    )
-    return {
-        "n": n,
-        "s": s,
-        "petal_permutation": list(pp.entries),
-        "length": pp.p,
-        "bound": bound,
-        "strongly_braided": classify(pp) == STRONGLY_BRAIDED,
-        "grid_valid": report.valid,
-        "grid_violations": list(report.violations),
-        "crossings": len(to_planar_diagram(grid).crossings),
-        "alexander_from_grid": str(from_grid),
-        "alexander_from_braid": str(from_braid),
-        "alexander_closed_form": str(closed_form),
-        "all_match": all_match,
-    }
+    check_pair(n, s)
+    if pipeline not in PIPELINES:
+        raise ValueError(f"pipeline must be one of {', '.join(PIPELINES)}, got {pipeline!r}")
+    report: dict = {"n": n, "s": s, "pipeline": pipeline}
+    checks: list[bool] = []
+    stage = ""
+
+    def enter(name: str) -> None:
+        nonlocal stage
+        _check_deadline(deadline)
+        stage = name
+
+    try:
+        enter("synthesize")
+        pp = synthesize(n, s)
+        bound = length_bound(n, s)
+        report.update(petal_permutation=list(pp.entries), length=pp.p, bound=bound)
+        checks.append(pp.p == bound)
+
+        enter("grid")
+        grid = build_petal_grid(pp)
+        report["grid_valid"] = validate_petal_grid(grid).valid
+        checks.append(report["grid_valid"])
+
+        enter("strongly_braided")
+        report["strongly_braided"] = classify(pp) == STRONGLY_BRAIDED
+        checks.append(report["strongly_braided"])
+
+        enter("witness")
+        witness = torus_conjugacy_witness(n, s)
+        report["conjugacy_verified"] = witness.verified
+        report["conjugator"] = format_word(witness.conjugator)
+        report["conjugate_band_form"] = format_word(witness.rhs)
+        checks.append(witness.verified)
+
+        enter("closed_form")
+        closed_form = torus_alexander(n, s)
+        report["alexander_closed_form"] = str(closed_form)
+
+        if pipeline in ("pd", "both"):
+            enter("alexander_grid")
+            from_grid = alexander_from_grid(grid, deadline)
+            report["alexander_from_grid"] = str(from_grid)
+            checks.append(equal_up_to_units(from_grid, closed_form))
+        if pipeline in ("burau", "both"):
+            enter("alexander_braid")
+            from_braid = alexander_from_closure(witness.rhs, deadline)
+            report["alexander_from_braid"] = str(from_braid)
+            checks.append(equal_up_to_units(from_braid, closed_form))
+    except TimeoutError:
+        report["timeout"] = True
+        return report
+    except (ValueError, ArithmeticError) as exc:
+        report["error"] = f"{stage}: {exc}"
+        checks.append(False)
+    report["all_match"] = all(checks)
+    return report

@@ -10,9 +10,9 @@ yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .braid import band_indices, check_pair
 from .perm import Permutation, interleave
 
 GENERIC = "generic"
@@ -101,37 +101,15 @@ def stabilize(pp: PetalPermutation, k: int) -> PetalPermutation:
     return PetalPermutation(tuple(out))
 
 
-def stabilize_fast(pp: PetalPermutation, k: int) -> PetalPermutation:
-    """Stabilization specialized to strongly braided input.
-
-    Bumps every even entry by one and inserts the new maximum p+2 at the
-    k-th position from the right of the even subsequence; the odd entries
-    are rebuilt as (n+2, n+1, ..., 1).  Agrees with stabilize(pp, k).
-    """
-    if classify(pp) != STRONGLY_BRAIDED:
-        raise ValueError("input is not strongly braided")
-    n = pp.half
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= {n}, got {k}")
-    even = [a + 1 for a in pp.even_part]
-    even.insert(len(even) - k + 1, 2 * n + 3)
-    odd = tuple(range(n + 2, 0, -1))
-    return PetalPermutation.from_parts(odd, tuple(even))
-
-
 def u_indices(n: int, s: int) -> list[int]:
     """Band subscripts to stabilize along for T(n, s), sorted descending.
 
     With s = nm + k, the multiset is m-1 copies of each of 2..n plus
     ceil(n*i/k) for i = 1..k-1, in total s - n - m subscripts.
     """
-    if not 2 <= n < s:
-        raise ValueError(f"need 2 <= n < s, got n={n}, s={s}")
-    if math.gcd(n, s) != 1:
-        raise ValueError("not coprime")
+    check_pair(n, s)
     m, k = divmod(s, n)
-    out = list(range(2, n + 1)) * (m - 1)
-    out.extend(-(-n * i // k) for i in range(1, k))
+    out = list(range(2, n + 1)) * (m - 1) + band_indices(n, k)
     out.sort(reverse=True)
     return out
 
@@ -143,8 +121,9 @@ def length_bound(n: int, s: int) -> int:
 
 def synthesize(n: int, s: int) -> PetalPermutation:
     """A strongly braided petal permutation of T(n, s) realizing length_bound(n, s)."""
+    bands = u_indices(n, s)  # validates the pair before base_petal sees n
     pp = base_petal(n)
-    for k in u_indices(n, s):
+    for k in bands:
         pp = stabilize(pp, k)
     return pp
 

@@ -35,9 +35,9 @@ from .braid import (
     words_equal,
 )
 from .grid import build_petal_grid, validate_petal_grid
-from .invariants import verify_torus_petal
+from .invariants import certify
 from .perm import IndexSubset, Permutation, residue_perm
-from .petal import STRONGLY_BRAIDED, classify, length_bound, stabilize, stabilize_fast, synthesize
+from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 DEFAULT_SEED = 70311
 
@@ -314,22 +314,6 @@ def suite_synthesis(max_s: int) -> SuiteResult:
     return res
 
 
-def suite_stabilization(rng: random.Random, trials: int) -> SuiteResult:
-    """The fast strongly-braided stabilization agrees with the definition."""
-    res = SuiteResult("stabilization-fast")
-    for _ in range(trials):
-        n = rng.randint(2, 12)
-        pp = synthesize(n, n + 1)
-        for _ in range(rng.randint(0, 3)):
-            pp = stabilize(pp, rng.randint(1, pp.half))
-        k = rng.randint(1, pp.half)
-        res.check(
-            stabilize_fast(pp, k) == stabilize(pp, k),
-            f"fast stabilization mismatch at n={n}, k={k}, pp={pp.entries}",
-        )
-    return res
-
-
 def _rewrite_once(rng: random.Random, w: BraidWord) -> BraidWord | None:
     """Apply one braid relation (commutation or triple move) at a random spot."""
     spots: list[tuple[str, int]] = []
@@ -371,10 +355,10 @@ def suite_normal_form_rewrites(rng: random.Random, trials: int, max_n: int = 8) 
 
 
 def suite_certification(pairs: list[tuple[int, int]] | None = None) -> SuiteResult:
-    """Grid, braid-closure, and closed-form Alexander polynomials agree."""
+    """The full certificate: length, grid, strong braidedness, witness, Alexander."""
     res = SuiteResult("knot-certification")
     for n, s in pairs or [(2, 3), (2, 5), (3, 4), (3, 5)]:
-        report = verify_torus_petal(n, s)
+        report = certify(n, s)
         res.check(report["all_match"], f"certification failed at n={n}, s={s}: {report}")
     return res
 
@@ -407,7 +391,6 @@ def run_all(
         suite_residue_conjugacy(max_n),
         suite_torus_witness(max_n, max_s),
         suite_synthesis(max_s),
-        suite_stabilization(rng, min(trials, 200)),
         suite_normal_form_rewrites(rng, min(trials, 500), min(max_n, 8)),
         suite_certification(),
     ]

@@ -2,12 +2,14 @@
 
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, determinants by cofactor expansion, grid crossings
-by scanning lattice points, and Alexander polynomials of small diagrams from
-the Wirtinger presentation of their crossings.
+by scanning lattice points, Alexander polynomials of small diagrams from
+the Wirtinger presentation of their crossings, and stabilizations of
+strongly braided permutations from the closed form of their result.
 """
 from petalgrid.braid import BraidWord, left_normal_form
 from petalgrid.grid import GridDiagram, PlanarDiagram
 from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
+from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -121,3 +123,22 @@ def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
         rows.append(row)
     minor = [row[: c - 1] for row in rows[: c - 1]]
     return bareiss_determinant(minor).normalize_up_to_units()
+
+
+def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:
+    """stabilize(pp, k) on a strongly braided pp, against its closed form.
+
+    The result is strongly braided with length p + 2, which fixes its odd
+    part as (n+2, n+1, ..., 1); its even part is pp's even part with every
+    entry raised by one and the new maximum p + 2 inserted k-th from the
+    right.
+    """
+    assert classify(pp) == STRONGLY_BRAIDED, pp.entries
+    out = stabilize(pp, k)
+    even = [a + 1 for a in pp.even_part]
+    even.insert(len(even) - k + 1, pp.p + 2)
+    return (
+        classify(out) == STRONGLY_BRAIDED
+        and out.p == pp.p + 2
+        and list(out.even_part) == even
+    )

@@ -8,44 +8,21 @@ import random
 import time
 from contextlib import contextmanager
 
-from oracles import positive_words_agree_with_bfs
+from oracles import positive_words_agree_with_bfs, strongly_braided_stabilization_holds
 from petalgrid import selftest
-from petalgrid.braid import torus_conjugacy_witness
+from petalgrid.braid import conjugate_band_braid, torus_conjugacy_witness
 from petalgrid.grid import build_petal_grid, validate_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
     alexander_from_grid,
-    conjugate_band_braid,
-    equal_up_to_units,
+    certify,
     torus_alexander,
 )
-from petalgrid.petal import STRONGLY_BRAIDED, classify, synthesize
+from petalgrid.petal import STRONGLY_BRAIDED, classify, stabilize, synthesize
 
 SEED = selftest.DEFAULT_SEED
 
 CERTIFICATION_PAIRS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6), (5, 7)]
-
-_certification_cache: dict | None = None
-
-
-def certification_results() -> dict:
-    """Alexander polynomials from all three pipelines, with per-pair timings."""
-    global _certification_cache
-    if _certification_cache is None:
-        results = {}
-        for n, s in CERTIFICATION_PAIRS:
-            t0 = time.monotonic()
-            from_grid = alexander_from_grid(build_petal_grid(synthesize(n, s)))
-            from_braid = alexander_from_closure(conjugate_band_braid(n, s))
-            closed_form = torus_alexander(n, s)
-            results[(n, s)] = {
-                "from_grid": from_grid,
-                "from_braid": from_braid,
-                "closed_form": closed_form,
-                "seconds": time.monotonic() - t0,
-            }
-        _certification_cache = results
-    return _certification_cache
 
 
 @contextmanager
@@ -128,10 +105,15 @@ def test_criterion_5_identity_suite():
 
 def test_criterion_6_knot_certification():
     with criterion(6, "knot-certification", budget=30.0 * len(CERTIFICATION_PAIRS)):
-        for (n, s), result in certification_results().items():
-            assert result["seconds"] < 30.0, (n, s, result["seconds"])
-            assert equal_up_to_units(result["from_grid"], result["closed_form"]), (n, s)
-            assert equal_up_to_units(result["from_braid"], result["closed_form"]), (n, s)
+        for n, s in CERTIFICATION_PAIRS:
+            t0 = time.monotonic()
+            report = certify(n, s)
+            seconds = time.monotonic() - t0
+            assert seconds < 30.0, (n, s, seconds)
+            assert report["all_match"], (n, s, report)
+            expected = str(torus_alexander(n, s))
+            for key in ("alexander_from_grid", "alexander_from_braid", "alexander_closed_form"):
+                assert report[key] == expected, (n, s, key, report[key])
 
 
 def test_criterion_7_property_suites():
@@ -145,12 +127,21 @@ def test_criterion_7_property_suites():
             for length in range(1, 7):
                 positive_words_agree_with_bfs(n, length)
 
-        fast = selftest.suite_stabilization(rng, 500)
-        assert fast.cases == 500 and fast.passed, fast.failures[:3]
+        for _ in range(500):
+            n = rng.randint(2, 12)
+            pp = synthesize(n, n + 1)
+            for _ in range(rng.randint(0, 3)):
+                pp = stabilize(pp, rng.randint(1, pp.half))
+            k = rng.randint(1, pp.half)
+            assert strongly_braided_stabilization_holds(pp, k), (n, k, pp.entries)
 
         produced = []
-        for result in certification_results().values():
-            produced += [result["from_grid"], result["from_braid"], result["closed_form"]]
+        for n, s in CERTIFICATION_PAIRS:
+            produced += [
+                alexander_from_grid(build_petal_grid(synthesize(n, s))),
+                alexander_from_closure(conjugate_band_braid(n, s)),
+                torus_alexander(n, s),
+            ]
         for n, s in coprime_pairs(11, 12):
             produced.append(torus_alexander(n, s))
         assert len(produced) > 50

@@ -1,6 +1,9 @@
 import json
+import time
 
+import petalgrid.invariants as invariants
 from petalgrid.cli import main
+from petalgrid.invariants import certify
 
 
 def run(capsys, *argv):
@@ -43,9 +46,33 @@ def test_verify_exit_codes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["all_match"] and payload["conjugacy_verified"]
+    assert payload["strongly_braided"] is True
 
     code, _, err = run(capsys, "verify", "3", "6")
     assert code == 2 and "not coprime" in err
+
+
+def test_verify_json_is_the_certify_report(capsys):
+    for n, s, options in ((2, 3, ()), (3, 5, ()), (5, 7, ()), (7, 10, ("--pipeline", "burau"))):
+        code, out, _ = run(capsys, "verify", str(n), str(s), *options, "--json")
+        assert code == 0
+        report = certify(n, s, *options[1:])
+        assert out == json.dumps({"schema": 1, **report}, separators=(", ", ": ")) + "\n"
+        assert report["strongly_braided"] is True
+        keys = list(report)
+        assert keys[keys.index("grid_valid") + 1] == "strongly_braided"
+
+
+def test_verify_failed_stage_exits_1(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("not divisible")
+
+    monkeypatch.setattr(invariants, "alexander_from_grid", fail)
+    code, out, _ = run(capsys, "verify", "3", "5", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_match"] is False
+    assert payload["error"] == "alexander_grid: not divisible"
 
 
 def test_verify_past_former_crossing_cap(capsys):
@@ -54,7 +81,7 @@ def test_verify_past_former_crossing_cap(capsys):
     code, out, _ = run(capsys, "verify", "2", "41", "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["all_match"] is True
+    assert payload["all_match"] is True and payload["strongly_braided"] is True
     assert payload["length"] == 2 * 41 - 2 * (41 // 2) + 1
     closed_form = " ".join(
         f"{'+' if e % 2 == 0 else '-'} t^{e}" for e in range(39, 1, -1)
@@ -68,6 +95,7 @@ def test_verify_single_pipeline(capsys):
     payload = json.loads(out)
     assert "alexander_from_braid" in payload
     assert "alexander_from_grid" not in payload
+    assert payload["strongly_braided"] is True
     assert payload["petal_permutation"][1::2] == [13, 12, 14, 11, 10, 15, 9]
 
     code, out, _ = run(capsys, "verify", "7", "10", "--pipeline", "burau", "--json")
@@ -81,6 +109,16 @@ def test_verify_timeout(capsys):
     code, out, _ = run(capsys, "verify", "3", "4", "--timeout", "1e-9", "--json")
     assert code == 3
     assert json.loads(out)["timeout"] is True
+
+
+def test_verify_timeout_interrupts_the_determinant(capsys):
+    # The grid determinant of T(11,25) alone takes several seconds.
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify", "11", "25", "--timeout", "0.3", "--json")
+    elapsed = time.monotonic() - t0
+    assert code == 3
+    assert json.loads(out)["timeout"] is True
+    assert elapsed < 2.0, elapsed
 
 
 def test_braid_equal(capsys):

@@ -1,21 +1,21 @@
 import math
 import random
+import time
 
 import pytest
 
 from oracles import wirtinger_alexander
-from petalgrid.braid import BraidWord, delta, sigma
+from petalgrid.braid import BraidWord, conjugate_band_braid, delta, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid, to_planar_diagram
 from petalgrid.invariants import (
     LaurentPolynomial,
     alexander_from_closure,
     alexander_from_grid,
     bareiss_determinant,
-    conjugate_band_braid,
+    certify,
     equal_up_to_units,
     reduced_burau,
     torus_alexander,
-    verify_torus_petal,
 )
 from petalgrid.petal import PetalPermutation, synthesize
 
@@ -109,6 +109,9 @@ def test_bareiss_matches_cofactor_expansion():
         got = bareiss_determinant(m).normalize_up_to_units()
         want = naive_cofactor_det(m).normalize_up_to_units()
         assert got == want
+
+    with pytest.raises(TimeoutError):
+        bareiss_determinant(m, deadline=time.monotonic() - 1)
 
 
 def test_alexander_from_grid_examples():
@@ -236,12 +239,12 @@ def test_band_insertion_closures_match_grids():
         assert equal_up_to_units(from_grid, alexander_from_closure(braid)), (n, ks)
 
 
-def test_verify_torus_petal_report():
-    report = verify_torus_petal(2, 3)
+def test_certify_report():
+    report = certify(2, 3)
     assert report["all_match"] and report["length"] == 5
 
-    report = verify_torus_petal(5, 7)
+    report = certify(5, 7)
     assert report["all_match"] and report["length"] == 13 == report["bound"]
 
-    report = verify_torus_petal(5, 9)
+    report = certify(5, 9)
     assert report["all_match"] and report["length"] == 17

@@ -11,7 +11,6 @@ from petalgrid.petal import (
     base_petal,
     classify,
     stabilize,
-    stabilize_fast,
     synthesize,
     u_indices,
 )
@@ -73,21 +72,6 @@ def test_stabilize_preserves_strongly_braided():
         for _ in range(rng.randint(1, 4)):
             pp = stabilize(pp, rng.randint(1, pp.half))
             assert classify(pp) == STRONGLY_BRAIDED
-
-
-def test_stabilize_fast_matches_general():
-    rng = random.Random(37)
-    for _ in range(200):
-        pp = base_petal(rng.randint(2, 12))
-        for _ in range(rng.randint(0, 3)):
-            pp = stabilize(pp, rng.randint(1, pp.half))
-        k = rng.randint(1, pp.half)
-        assert stabilize_fast(pp, k) == stabilize(pp, k)
-
-
-def test_stabilize_fast_rejects_generic_input():
-    with pytest.raises(ValueError, match="strongly braided"):
-        stabilize_fast(PetalPermutation((4, 8, 3, 7, 2, 6, 1, 9, 5)), 2)
 
 
 def test_u_indices():
