@@ -17,7 +17,6 @@ from .braid import (
     conjugate_band_braid,
     decompose_permutation_braid,
     delta,
-    delta_power_conjugacy,
     descending_run,
     format_word,
     half_twist,
@@ -35,15 +34,11 @@ from .braid import (
     words_equal,
 )
 from .grid import (
-    Crossing,
     GridDiagram,
-    PlanarDiagram,
     ValidationReport,
     build_petal_grid,
-    pd_to_json,
     render_ascii,
     render_svg,
-    to_planar_diagram,
     validate_petal_grid,
 )
 from .invariants import (
@@ -59,9 +54,7 @@ from .invariants import (
 from .perm import (
     IndexSubset,
     Permutation,
-    compose,
     interleave,
-    inverse,
     order_bijection,
     residue_perm,
 )

@@ -58,9 +58,6 @@ class BraidWord:
     def inverse(self) -> BraidWord:
         return BraidWord(self.n, tuple(-g for g in reversed(self.letters)))
 
-    def is_positive(self) -> bool:
-        return all(g > 0 for g in self.letters)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -331,7 +328,6 @@ class ConjugacyWitness:
 
     n: int
     conjugator: BraidWord
-    lhs_power: int
     rhs: BraidWord
     verified: bool
 
@@ -366,36 +362,20 @@ def conjugate_band_braid(n: int, s: int) -> BraidWord:
     )
 
 
-def delta_power_conjugacy(n: int, k: int) -> ConjugacyWitness:
-    """Conjugate delta^k to delta times a product of round-trip bands.
+def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
+    """Conjugate delta^k in B_n to its band form conjugate_band_braid(n, k).
 
-    For coprime 2 <= k <= n-1 the conjugator is the permutation braid of
-    the residue permutation i -> k*i mod n, and the right-hand side is
-    delta * U_{a_1} ... U_{a_{k-1}} with a_i = ceil(n*i/k).
+    Any coprime n, k >= 2 with n != k is accepted, since T(n, k) = T(k, n).
+    The conjugator is the permutation braid of the residue permutation
+    i -> k*i mod n, empty when k = 1 mod n.  The closure of either side is
+    the (n, k) torus knot; verification is by normal-form equality of
+    conjugator^-1 delta^k conjugator and the band form.
     """
-    if not 2 <= k <= n - 1:
-        raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-    if math.gcd(n, k) != 1:
-        raise ValueError("not coprime")
-    conj = permutation_braid(residue_perm(n, k))
+    check_pair(min(n, k), max(n, k))
+    conj = permutation_braid(residue_perm(n, k % n))
     rhs = conjugate_band_braid(n, k)
     lhs = conj.inverse() * delta(n) ** k * conj
-    return ConjugacyWitness(n, conj, k, rhs, words_equal(lhs, rhs))
-
-
-def torus_conjugacy_witness(n: int, s: int) -> ConjugacyWitness:
-    """Conjugate delta^s to delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}} for s = nm+k.
-
-    The closure of either side is the (n, s) torus knot; verification is by
-    normal-form equality of conjugator^-1 delta^s conjugator and the band
-    product form.  For k = 1 the residue permutation is the identity, so the
-    conjugator is the empty word.
-    """
-    check_pair(n, s)
-    conj = permutation_braid(residue_perm(n, s % n))
-    rhs = conjugate_band_braid(n, s)
-    lhs = conj.inverse() * delta(n) ** s * conj
-    return ConjugacyWitness(n, conj, s, rhs, words_equal(lhs, rhs))
+    return ConjugacyWitness(n, conj, rhs, words_equal(lhs, rhs))
 
 
 # --- Text and JSON forms ------------------------------------------------------

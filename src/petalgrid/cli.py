@@ -15,7 +15,6 @@ import time
 
 from . import selftest
 from .braid import (
-    delta_power_conjugacy,
     format_word,
     left_normal_form,
     parse_word,
@@ -55,10 +54,6 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     else:
         print(f"petal permutation of T({args.n},{args.s}): {pp.entries}")
         print(f"length {pp.p} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
-    if args.grid:
-        print(render_ascii(build_petal_grid(pp)))
-    if args.svg:
-        write_svg(build_petal_grid(pp), args.svg)
     return EXIT_OK
 
 
@@ -99,11 +94,9 @@ def cmd_braid(args: argparse.Namespace) -> int:
         equal = words_equal(w1, w2)
         print("equal" if equal else "not equal")
         return EXIT_OK if equal else EXIT_CHECK_FAILED
-    # conjugacy: a power below the braid index gets the plain band form,
-    # a larger power additionally carries full-twist blocks.
     n, k = args.braid_n, args.braid_k
     try:
-        witness = delta_power_conjugacy(n, k) if k < n else torus_conjugacy_witness(n, k)
+        witness = torus_conjugacy_witness(n, k)
     except ValueError as exc:
         return _fail(str(exc))
     if args.json:
@@ -175,8 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--grid", action="store_true", help="also print the ASCII grid")
-    p.add_argument("--svg", metavar="PATH", help="write the grid as SVG")
     p.set_defaults(func=cmd_synthesize)
 
     p = sub.add_parser("verify", help="certify the synthesized diagram represents T(n,s)")

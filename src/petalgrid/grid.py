@@ -1,6 +1,5 @@
 """
-Petal grid diagrams: construction, validation, planar-diagram extraction,
-and rendering.
+Petal grid diagrams: construction, validation and rendering.
 
 Coordinates are 1-indexed with x increasing rightward and y upward.  A grid
 diagram of size p has 2p nodes, p horizontal and p vertical edges, two nodes
@@ -33,26 +32,6 @@ class GridDiagram:
 
 
 @dataclass(frozen=True)
-class Crossing:
-    over_arc: int
-    under_in_arc: int
-    under_out_arc: int
-    sign: int
-    position: Point  # (x of the vertical edge, y of the horizontal edge)
-
-
-@dataclass(frozen=True)
-class PlanarDiagram:
-    crossings: tuple[Crossing, ...]
-    n_arcs: int
-    components: int
-
-    @property
-    def writhe(self) -> int:
-        return sum(c.sign for c in self.crossings)
-
-
-@dataclass(frozen=True)
 class ValidationReport:
     valid: bool
     violations: tuple[str, ...]
@@ -63,7 +42,7 @@ def build_petal_grid(pp: PetalPermutation) -> GridDiagram:
     """The petal grid diagram of a petal permutation.
 
     The traversal is stored starting at node p, so the first step runs along
-    the inflection edge; that anchors downstream arc numbering.
+    the inflection edge.
     """
     p = pp.p
     heights = pp.entries + pp.entries
@@ -196,118 +175,6 @@ def _oriented_edges(g: GridDiagram) -> list[list[tuple[int, int]]]:
                 raise ValueError("malformed grid")
         cycles.append(cycle)
     return cycles
-
-
-def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
-    """Extract the oriented crossing diagram; vertical strands cross over.
-
-    A crossing occurs where a vertical edge's open span contains a
-    horizontal edge's row and vice versa.  A crossing is +1 when rotating
-    the over-strand direction a quarter turn counterclockwise gives the
-    under-strand direction.
-    """
-    for a, b in g.v_edges:
-        x, (y1, y2) = g.nodes[a][0], sorted((g.nodes[a][1], g.nodes[b][1]))
-        for c, d in g.h_edges:
-            y, (x1, x2) = g.nodes[c][1], sorted((g.nodes[c][0], g.nodes[d][0]))
-            # An edge endpoint inside the other edge's interior is a
-            # T-intersection, not a crossing.
-            if y in (y1, y2) and x1 < x < x2:
-                raise ValueError("malformed grid")
-            if x in (x1, x2) and y1 < y < y2:
-                raise ValueError("malformed grid")
-
-    cycles = _oriented_edges(g)
-    v_index = {frozenset(e): i for i, e in enumerate(g.v_edges)}
-    h_index = {frozenset(e): i for i, e in enumerate(g.h_edges)}
-    # Passages: walk every cycle, recording for each crossing the walk
-    # position of its over (vertical) and under (horizontal) passage.
-    over_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    under_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    directions: dict[tuple[tuple[int, int], int], int] = {}
-    cycle_events: list[list[tuple[int, tuple[int, int]]]] = []
-
-    for ci, cycle in enumerate(cycles):
-        pos = 0
-        events: list[tuple[int, tuple[int, int]]] = []
-        for u, v in cycle:
-            (x1, y1), (x2, y2) = g.nodes[u], g.nodes[v]
-            if x1 == x2:  # vertical, over
-                lo, hi = sorted((y1, y2))
-                hits = []
-                for hj, (c, d) in enumerate(g.h_edges):
-                    y = g.nodes[c][1]
-                    xl, xr = sorted((g.nodes[c][0], g.nodes[d][0]))
-                    if lo < y < hi and xl < x1 < xr:
-                        hits.append((y, hj))
-                hits.sort(reverse=(y2 < y1))
-                vj = v_index[frozenset((u, v))]
-                for _, hj in hits:
-                    over_pos[(vj, hj)] = (ci, pos)
-                    directions[((vj, hj), 0)] = 1 if y2 > y1 else -1
-                    pos += 1
-            else:  # horizontal, under
-                lo, hi = sorted((x1, x2))
-                hits = []
-                for vj, (c, d) in enumerate(g.v_edges):
-                    x = g.nodes[c][0]
-                    yl, yh = sorted((g.nodes[c][1], g.nodes[d][1]))
-                    if lo < x < hi and yl < y1 < yh:
-                        hits.append((x, vj))
-                hits.sort(reverse=(x2 < x1))
-                hj = h_index[frozenset((u, v))]
-                for _, vj in hits:
-                    under_pos[(vj, hj)] = (ci, pos)
-                    directions[((vj, hj), 1)] = 1 if x2 > x1 else -1
-                    events.append((pos, (vj, hj)))
-                    pos += 1
-        cycle_events.append(events)
-
-    # Arcs: each cycle is cut at its under passages; a cycle without any
-    # under passage is a single closed arc.
-    arc_base: list[int] = []
-    n_arcs = 0
-    for events in cycle_events:
-        arc_base.append(n_arcs)
-        n_arcs += max(1, len(events))
-
-    def arc_of(ci: int, pos: int) -> int:
-        events = cycle_events[ci]
-        if not events:
-            return arc_base[ci]
-        # Arc j ends at event j; positions after event j-1 up to event j lie on arc j.
-        for j, (epos, _) in enumerate(events):
-            if pos <= epos:
-                return arc_base[ci] + j
-        return arc_base[ci]  # wraps past the last event
-
-    crossings: list[Crossing] = []
-    for key in sorted(over_pos):
-        vj, hj = key
-        ci_u, pos_u = under_pos[key]
-        ci_o, pos_o = over_pos[key]
-        events = cycle_events[ci_u]
-        j = next(j for j, (epos, _) in enumerate(events) if epos == pos_u)
-        under_in = arc_base[ci_u] + j
-        under_out = arc_base[ci_u] + (j + 1) % len(events)
-        dy = directions[(key, 0)]
-        dx = directions[(key, 1)]
-        position = (g.nodes[g.v_edges[vj][0]][0], g.nodes[g.h_edges[hj][0]][1])
-        crossings.append(
-            Crossing(arc_of(ci_o, pos_o), under_in, under_out, -dy * dx, position)
-        )
-    return PlanarDiagram(tuple(crossings), n_arcs, len(cycles))
-
-
-def pd_to_json(d: PlanarDiagram) -> dict:
-    return {
-        "components": d.components,
-        "arcs": d.n_arcs,
-        "writhe": d.writhe,
-        "crossings": [
-            [c.over_arc, c.under_in_arc, c.under_out_arc, c.sign] for c in d.crossings
-        ],
-    }
 
 
 # --- Rendering ----------------------------------------------------------------

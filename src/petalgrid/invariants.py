@@ -8,9 +8,10 @@ shifts the lowest exponent to zero and makes its coefficient positive.
 The grid pipeline fills a p x p matrix with t^w, w the knot's winding
 number around each cell centre of a size-p grid diagram, takes its
 fraction-free Bareiss determinant and divides out (1-t)^(p-1).  The braid
-pipeline evaluates the reduced Burau matrices and rescales det(B - I) by
-(1-t)/(1-t^n).  The torus closed form (t^{ns}-1)(t-1)/((t^n-1)(t^s-1))
-serves as the independent ground truth for both.
+pipeline builds the reduced Burau matrix B of a word, one column update per
+letter, and rescales det(B - I) by (1-t)/(1-t^n).  The torus closed form
+(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
+for both.
 
 End-to-end certification: certify(n, s) is the one certifier behind
 `petalgrid verify`, selftest and the acceptance tests.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import (
     BraidWord,
@@ -96,7 +96,11 @@ class LaurentPolynomial:
         return LaurentPolynomial.from_coeffs(lo, out)
 
     def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial(self.min_exp, tuple(-c for c in self.coeffs)) if self.coeffs else self
+        # From a list, not a generator: CPython sizes tuple(generator) by a
+        # guess and then resizes it, so each negation moves a block between
+        # the tuple free lists and the long Burau and Bareiss loops of
+        # subtractions grow the process's memory from one run to the next.
+        return LaurentPolynomial(self.min_exp, tuple([-c for c in self.coeffs])) if self.coeffs else self
 
     def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         return self + (-other)
@@ -142,20 +146,6 @@ class LaurentPolynomial:
         if any(rem):
             raise ValueError("not divisible")
         return LaurentPolynomial.from_coeffs(self.min_exp - other.min_exp, out)
-
-    def substitute_inverse(self) -> LaurentPolynomial:
-        """Replace t by 1/t."""
-        if self.is_zero():
-            return self
-        return LaurentPolynomial(-self.max_exp, tuple(reversed(self.coeffs)))
-
-    def evaluate(self, t: int) -> Fraction:
-        if t == 0:
-            raise ZeroDivisionError("cannot evaluate at t = 0 with negative exponents")
-        total = Fraction(0)
-        for i, c in enumerate(self.coeffs):
-            total += c * Fraction(t) ** (self.min_exp + i)
-        return total
 
     def normalize_up_to_units(self) -> LaurentPolynomial:
         """The representative with lowest exponent 0 and positive lowest coefficient."""
@@ -294,57 +284,33 @@ def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> Lauren
 # --- Reduced Burau and braid closures -----------------------------------------
 
 
-def _identity_matrix(size: int) -> list[list[LaurentPolynomial]]:
-    return [
-        [LaurentPolynomial.one() if i == j else LaurentPolynomial.zero() for j in range(size)]
-        for i in range(size)
-    ]
-
-
-def _matmul(a, b):
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = LaurentPolynomial.zero()
-            for k in range(size):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
-    """The reduced Burau image of one signed Artin generator, size (n-1)x(n-1)."""
-    i = abs(letter)
-    t = LaurentPolynomial.term(1, 1)
-    tinv = LaurentPolynomial.term(1, -1)
-    one = LaurentPolynomial.one()
-    m = _identity_matrix(n - 1)
-    if letter > 0:
-        m[i - 1][i - 1] = -t
-        if i > 1:
-            m[i - 2][i - 1] = t
-        if i < n - 1:
-            m[i][i - 1] = one
-    else:
-        m[i - 1][i - 1] = -tinv
-        if i > 1:
-            m[i - 2][i - 1] = one
-        if i < n - 1:
-            m[i][i - 1] = tinv
-    return m
+def _times_t(p: LaurentPolynomial, e: int) -> LaurentPolynomial:
+    return LaurentPolynomial(p.min_exp + e, p.coeffs) if p.coeffs else p
 
 
 def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
-    """The reduced Burau matrix of a word; multiplicative over concatenation."""
+    """The reduced Burau matrix of a word; multiplicative over concatenation.
+
+    The image of a generator differs from the identity only in column
+    j = |g| - 1, so right-multiplying by it replaces that column c[j] by
+    t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
+    c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
+    either edge read as zero).
+    """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
-    out = _identity_matrix(w.n - 1)
+    zero, one = LaurentPolynomial.zero(), LaurentPolynomial.one()
+    last = w.n - 2
+    out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
     for g in w.letters:
-        out = _matmul(out, _burau_generator(w.n, g))
+        j = abs(g) - 1
+        for row in out:
+            left = row[j - 1] if j > 0 else zero
+            right = row[j + 1] if j < last else zero
+            if g > 0:
+                row[j] = _times_t(left - row[j], 1) + right
+            else:
+                row[j] = left + _times_t(right - row[j], -1)
     return out
 
 
@@ -366,7 +332,7 @@ def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> Laure
 
 # --- End-to-end certification --------------------------------------------------
 
-PIPELINES = ("pd", "burau", "both")
+PIPELINES = ("grid", "burau", "both")
 
 
 def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = None) -> dict:
@@ -375,7 +341,7 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
     Stages, in order: synthesize; build and validate the petal grid;
     check strong braidedness; verify the conjugacy witness carrying delta^s
     to its band form; the torus closed form; then the Alexander polynomial
-    of the grid ("pd" or "both") and of the witness's band-form closure
+    of the grid ("grid" or "both") and of the witness's band-form closure
     ("burau" or "both"), each compared with the closed form up to units.
     Alexander agreement plus the explicit conjugacy witness is the
     certification standard; the Alexander polynomial alone separates torus
@@ -428,7 +394,7 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
         closed_form = torus_alexander(n, s)
         report["alexander_closed_form"] = str(closed_form)
 
-        if pipeline in ("pd", "both"):
+        if pipeline in ("grid", "both"):
             enter("alexander_grid")
             from_grid = alexander_from_grid(grid, deadline)
             report["alexander_from_grid"] = str(from_grid)

@@ -41,15 +41,6 @@ class Permutation:
     def identity(n: int) -> Permutation:
         return Permutation(tuple(range(1, n + 1)))
 
-    @staticmethod
-    def transposition(n: int, i: int) -> Permutation:
-        """The adjacent transposition swapping i and i+1."""
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"transposition index {i} out of range for degree {n}")
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return Permutation(tuple(images))
-
     def __call__(self, i: int) -> int:
         return self.images[i - 1]
 
@@ -79,10 +70,6 @@ class Permutation:
             if images[i] > images[j]
         )
 
-    def descents(self) -> list[int]:
-        """Positions i with p(i) > p(i+1); the right descent set."""
-        return [i for i in range(1, self.n) if self.images[i - 1] > self.images[i]]
-
     def is_single_cycle(self) -> bool:
         """Whether the permutation is one n-cycle (so a braid closure is a knot)."""
         seen = 1
@@ -91,15 +78,6 @@ class Permutation:
             j = self.images[j - 1]
             seen += 1
         return seen == self.n
-
-
-def compose(p1: Permutation, p2: Permutation) -> Permutation:
-    """Left-action composition: compose(p1, p2)(i) = p1(p2(i))."""
-    return p1 * p2
-
-
-def inverse(p: Permutation) -> Permutation:
-    return p.inverse()
 
 
 def interleave(p1: Sequence[int], p2: Sequence[int]) -> tuple[int, ...]:

@@ -52,9 +52,6 @@ class PetalPermutation:
     def even_part(self) -> tuple[int, ...]:
         return self.entries[1::2]
 
-    def to_permutation(self) -> Permutation:
-        return Permutation(self.entries)
-
 
 def classify(pp: PetalPermutation) -> str:
     """The strongest of strongly_braided > braided > generic that applies.
@@ -128,18 +125,12 @@ def synthesize(n: int, s: int) -> PetalPermutation:
     return pp
 
 
-def petal_to_json(pp: PetalPermutation, n: int | None = None, s: int | None = None) -> dict:
-    out: dict = {}
-    if n is not None:
-        out["n"] = n
-    if s is not None:
-        out["s"] = s
-    out.update(
-        {
-            "length": pp.p,
-            "petal_permutation": list(pp.entries),
-            "odd": list(pp.odd_part),
-            "even": list(pp.even_part),
-        }
-    )
-    return out
+def petal_to_json(pp: PetalPermutation, n: int, s: int) -> dict:
+    return {
+        "n": n,
+        "s": s,
+        "length": pp.p,
+        "petal_permutation": list(pp.entries),
+        "odd": list(pp.odd_part),
+        "even": list(pp.even_part),
+    }

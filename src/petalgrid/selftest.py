@@ -18,7 +18,6 @@ from .braid import (
     ascending_run,
     band_indices,
     delta,
-    delta_power_conjugacy,
     descending_run,
     decompose_permutation_braid,
     half_twist,
@@ -271,7 +270,7 @@ def suite_residue_conjugacy(max_n: int) -> SuiteResult:
                 f"tau(X)^-1 delta^(k-1) X is not pure at n={n}, k={k}",
             )
             res.check(
-                delta_power_conjugacy(n, k).verified,
+                torus_conjugacy_witness(n, k).verified,
                 f"conjugacy equality failed at n={n}, k={k}",
             )
     for n in range(2, max_n + 1):

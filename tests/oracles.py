@@ -3,11 +3,15 @@
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, determinants by cofactor expansion, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
-the Wirtinger presentation of their crossings, and stabilizations of
-strongly braided permutations from the closed form of their result.
+the Wirtinger presentation of the crossings of their planar diagrams, the
+reduced Burau images of generators from their written-out matrices, and
+stabilizations of strongly braided permutations from the closed form of
+their result.
 """
+from dataclasses import dataclass
+
 from petalgrid.braid import BraidWord, left_normal_form
-from petalgrid.grid import GridDiagram, PlanarDiagram
+from petalgrid.grid import GridDiagram, Point, _oriented_edges
 from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 
@@ -75,6 +79,32 @@ def naive_cofactor_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     return total
 
 
+def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
+    """The reduced Burau image of one signed Artin generator, written out.
+
+    The (n-1) x (n-1) identity, except in column i-1 for i = |letter|:
+    (t, -t, 1) for a positive letter and (1, -t^-1, t^-1) for a negative
+    one, on rows i-2, i-1 and i where those rows exist.
+    """
+    i = abs(letter)
+    t = LaurentPolynomial.term(1, 1)
+    tinv = LaurentPolynomial.term(1, -1)
+    one = LaurentPolynomial.one()
+    m = [[one if r == c else LaurentPolynomial.zero() for c in range(n - 1)] for r in range(n - 1)]
+    if letter > 0:
+        m[i - 1][i - 1] = -t
+        if i > 1:
+            m[i - 2][i - 1] = t
+        if i < n - 1:
+            m[i][i - 1] = one
+    else:
+        m[i - 1][i - 1] = -tinv
+        if i > 1:
+            m[i - 2][i - 1] = one
+        if i < n - 1:
+            m[i][i - 1] = tinv
+    return m
+
 def lattice_crossings(g: GridDiagram) -> set[tuple[int, int]]:
     """Scan every lattice point for a strict vertical and horizontal interior."""
     found = set()
@@ -93,6 +123,123 @@ def lattice_crossings(g: GridDiagram) -> set[tuple[int, int]]:
             if in_v and in_h:
                 found.add((x, y))
     return found
+
+
+@dataclass(frozen=True)
+class Crossing:
+    over_arc: int
+    under_in_arc: int
+    under_out_arc: int
+    sign: int
+    position: Point  # (x of the vertical edge, y of the horizontal edge)
+
+
+@dataclass(frozen=True)
+class PlanarDiagram:
+    crossings: tuple[Crossing, ...]
+    n_arcs: int
+    components: int
+
+
+def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
+    """Extract the oriented crossing diagram; vertical strands cross over.
+
+    A crossing occurs where a vertical edge's open span contains a
+    horizontal edge's row and vice versa.  A crossing is +1 when rotating
+    the over-strand direction a quarter turn counterclockwise gives the
+    under-strand direction.
+    """
+    for a, b in g.v_edges:
+        x, (y1, y2) = g.nodes[a][0], sorted((g.nodes[a][1], g.nodes[b][1]))
+        for c, d in g.h_edges:
+            y, (x1, x2) = g.nodes[c][1], sorted((g.nodes[c][0], g.nodes[d][0]))
+            # An edge endpoint inside the other edge's interior is a
+            # T-intersection, not a crossing.
+            if y in (y1, y2) and x1 < x < x2:
+                raise ValueError("malformed grid")
+            if x in (x1, x2) and y1 < y < y2:
+                raise ValueError("malformed grid")
+
+    cycles = _oriented_edges(g)
+    v_index = {frozenset(e): i for i, e in enumerate(g.v_edges)}
+    h_index = {frozenset(e): i for i, e in enumerate(g.h_edges)}
+    # Passages: walk every cycle, recording for each crossing the walk
+    # position of its over (vertical) and under (horizontal) passage.
+    over_pos: dict[tuple[int, int], tuple[int, int]] = {}
+    under_pos: dict[tuple[int, int], tuple[int, int]] = {}
+    directions: dict[tuple[tuple[int, int], int], int] = {}
+    cycle_events: list[list[tuple[int, tuple[int, int]]]] = []
+
+    for ci, cycle in enumerate(cycles):
+        pos = 0
+        events: list[tuple[int, tuple[int, int]]] = []
+        for u, v in cycle:
+            (x1, y1), (x2, y2) = g.nodes[u], g.nodes[v]
+            if x1 == x2:  # vertical, over
+                lo, hi = sorted((y1, y2))
+                hits = []
+                for hj, (c, d) in enumerate(g.h_edges):
+                    y = g.nodes[c][1]
+                    xl, xr = sorted((g.nodes[c][0], g.nodes[d][0]))
+                    if lo < y < hi and xl < x1 < xr:
+                        hits.append((y, hj))
+                hits.sort(reverse=(y2 < y1))
+                vj = v_index[frozenset((u, v))]
+                for _, hj in hits:
+                    over_pos[(vj, hj)] = (ci, pos)
+                    directions[((vj, hj), 0)] = 1 if y2 > y1 else -1
+                    pos += 1
+            else:  # horizontal, under
+                lo, hi = sorted((x1, x2))
+                hits = []
+                for vj, (c, d) in enumerate(g.v_edges):
+                    x = g.nodes[c][0]
+                    yl, yh = sorted((g.nodes[c][1], g.nodes[d][1]))
+                    if lo < x < hi and yl < y1 < yh:
+                        hits.append((x, vj))
+                hits.sort(reverse=(x2 < x1))
+                hj = h_index[frozenset((u, v))]
+                for _, vj in hits:
+                    under_pos[(vj, hj)] = (ci, pos)
+                    directions[((vj, hj), 1)] = 1 if x2 > x1 else -1
+                    events.append((pos, (vj, hj)))
+                    pos += 1
+        cycle_events.append(events)
+
+    # Arcs: each cycle is cut at its under passages; a cycle without any
+    # under passage is a single closed arc.
+    arc_base: list[int] = []
+    n_arcs = 0
+    for events in cycle_events:
+        arc_base.append(n_arcs)
+        n_arcs += max(1, len(events))
+
+    def arc_of(ci: int, pos: int) -> int:
+        events = cycle_events[ci]
+        if not events:
+            return arc_base[ci]
+        # Arc j ends at event j; positions after event j-1 up to event j lie on arc j.
+        for j, (epos, _) in enumerate(events):
+            if pos <= epos:
+                return arc_base[ci] + j
+        return arc_base[ci]  # wraps past the last event
+
+    crossings: list[Crossing] = []
+    for key in sorted(over_pos):
+        vj, hj = key
+        ci_u, pos_u = under_pos[key]
+        ci_o, pos_o = over_pos[key]
+        events = cycle_events[ci_u]
+        j = next(j for j, (epos, _) in enumerate(events) if epos == pos_u)
+        under_in = arc_base[ci_u] + j
+        under_out = arc_base[ci_u] + (j + 1) % len(events)
+        dy = directions[(key, 0)]
+        dx = directions[(key, 1)]
+        position = (g.nodes[g.v_edges[vj][0]][0], g.nodes[g.h_edges[hj][0]][1])
+        crossings.append(
+            Crossing(arc_of(ci_o, pos_o), under_in, under_out, -dy * dx, position)
+        )
+    return PlanarDiagram(tuple(crossings), n_arcs, len(cycles))
 
 
 def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:

@@ -146,6 +146,5 @@ def test_criterion_7_property_suites():
             produced.append(torus_alexander(n, s))
         assert len(produced) > 50
         for p in produced:
-            normalized = p.normalize_up_to_units()
-            assert p.substitute_inverse().normalize_up_to_units() == normalized
-            assert abs(p.evaluate(1)) == 1
+            assert p.coeffs == p.coeffs[::-1]
+            assert abs(sum(p.coeffs)) == 1

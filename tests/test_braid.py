@@ -7,7 +7,6 @@ from petalgrid.braid import (
     ascending_run,
     decompose_permutation_braid,
     delta,
-    delta_power_conjugacy,
     descending_run,
     format_word,
     half_twist,
@@ -281,12 +280,15 @@ def test_conjugacy_witnesses():
     expected = delta(5) * round_trip_product(IndexSubset.of(5, (2, 3, 4, 5)))
     assert w.rhs == expected
 
-    assert delta_power_conjugacy(7, 3).verified
+    assert torus_conjugacy_witness(7, 3).verified
+    # T(5, 4) = T(4, 5): a power below the braid index is a valid pair.
+    assert torus_conjugacy_witness(5, 4).verified
 
     with pytest.raises(ValueError, match="not coprime"):
         torus_conjugacy_witness(4, 6)
-    with pytest.raises(ValueError):
-        torus_conjugacy_witness(5, 4)
+    for n, k in ((5, 5), (7, 1)):
+        with pytest.raises(ValueError, match="need 2 <= n < s"):
+            torus_conjugacy_witness(n, k)
 
 
 def test_central_power_commutes():

@@ -34,13 +34,6 @@ def test_synthesize_human_readable(capsys):
     assert "= 5" in out
 
 
-def test_synthesize_svg(tmp_path, capsys):
-    target = tmp_path / "grid.svg"
-    code, _, _ = run(capsys, "synthesize", "2", "3", "--svg", str(target))
-    assert code == 0
-    assert target.read_text().startswith("<?xml")
-
-
 def test_verify_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "3", "5", "--json")
     assert code == 0
@@ -97,6 +90,13 @@ def test_verify_single_pipeline(capsys):
     assert "alexander_from_grid" not in payload
     assert payload["strongly_braided"] is True
     assert payload["petal_permutation"][1::2] == [13, 12, 14, 11, 10, 15, 9]
+
+    code, out, _ = run(capsys, "verify", "5", "7", "--pipeline", "grid", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert "alexander_from_grid" in payload
+    assert "alexander_from_braid" not in payload
+    assert payload["all_match"] is True
 
     code, out, _ = run(capsys, "verify", "7", "10", "--pipeline", "burau", "--json")
     assert code == 0
@@ -158,7 +158,8 @@ def test_render(capsys, tmp_path):
 
     target = tmp_path / "t57.svg"
     code, _, _ = run(capsys, "render", "5", "7", "--svg", str(target))
-    assert code == 0 and target.exists()
+    assert code == 0
+    assert target.read_text().startswith("<?xml")
 
     code, out, _ = run(capsys, "render", "--perm", "1,2,3")
     assert code == 0

@@ -5,7 +5,6 @@ import pytest
 from petalgrid.perm import (
     IndexSubset,
     Permutation,
-    compose,
     interleave,
     order_bijection,
     residue_perm,
@@ -14,16 +13,16 @@ from petalgrid.perm import (
 
 def test_compose_involution_and_inverse():
     swap = Permutation((2, 1))
-    assert compose(swap, swap) == Permutation.identity(2)
+    assert swap * swap == Permutation.identity(2)
 
     rotate = Permutation((5, 1, 2, 3, 4))
-    assert compose(rotate, rotate.inverse()) == Permutation.identity(5)
-    assert compose(rotate, rotate) == Permutation((4, 5, 1, 2, 3))
+    assert rotate * rotate.inverse() == Permutation.identity(5)
+    assert rotate * rotate == Permutation((4, 5, 1, 2, 3))
 
 
 def test_compose_degree_mismatch():
     with pytest.raises(ValueError, match="degree mismatch"):
-        compose(Permutation((2, 1)), Permutation((1, 2, 3)))
+        Permutation((2, 1)) * Permutation((1, 2, 3))
 
 
 def test_compose_inverse_is_identity_randomized():
