@@ -136,14 +136,8 @@ def permutation_braid(p: Permutation) -> BraidWord:
     return BraidWord(p.n, tuple(reversed(swaps)))
 
 
-def subset_braid(a: IndexSubset, b: IndexSubset, barred: bool = False) -> BraidWord:
-    """The permutation braid routing heights b to heights a order-preservingly.
-
-    With barred=True, returns instead the inverse of subset_braid(b, a):
-    the same strand routing with every crossing negative.
-    """
-    if barred:
-        return subset_braid(b, a).inverse()
+def subset_braid(a: IndexSubset, b: IndexSubset) -> BraidWord:
+    """The permutation braid routing heights b to heights a order-preservingly."""
     return permutation_braid(order_bijection(a, b))
 
 
@@ -169,15 +163,9 @@ def tau(w: BraidWord) -> BraidWord:
 
 # --- Garside left normal form ------------------------------------------------
 #
-# Factors are raw 1-indexed image tuples during computation.  The two local
-# moves are: slide a crossing from the head of the right factor into the tail
-# of the left factor (left-weighting), and flip a factor by the half twist
-# when a delta power passes through it.
-
-
-def _flip(f: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # Delta F Delta^-1 on permutations: reverse positions and values.
-    return tuple(n + 1 - f[n - 1 - i] for i in range(n))
+# Factors are raw 1-indexed image tuples during computation.  The local move
+# slides a crossing from the head of the right factor into the tail of the
+# left factor (left-weighting).
 
 
 def _left_weight(
@@ -260,26 +248,26 @@ class NormalForm:
 def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.
 
-    Negative letters are rewritten as Delta^-1 times a permutation braid
-    before the greedy pass, so the delta power may be negative.
+    Each negative letter sigma_i^-1 is rewritten as Delta^-1 P, P the braid
+    of pi_Delta o tau_i, and every Delta^-1 is carried to the front, so the
+    delta power may be negative.  Carrying one Delta^-1 past a letter
+    conjugates it by Delta, sigma_i -> sigma_{n-i}; Delta^2 is central, so a
+    letter's index flips exactly when an odd number of negative letters
+    follow it.
     """
     n = w.n
     w0 = tuple(range(n, 0, -1))
-    power = 0
+    later = sum(1 for g in w.letters if g < 0)
+    power = -later
     factors: list[tuple[int, ...]] = []
 
     for g in w.letters:
-        i = abs(g)
+        if g < 0:
+            later -= 1
+        i = abs(g) if later % 2 == 0 else n - abs(g)
         transp = list(range(1, n + 1))
         transp[i - 1], transp[i] = transp[i], transp[i - 1]
-        if g > 0:
-            f = tuple(transp)
-        else:
-            # sigma_i^-1 = Delta^-1 P with P the braid of pi_Delta o tau_i;
-            # carrying Delta^-1 to the front flips every existing factor.
-            f = tuple(w0[j - 1] for j in transp)
-            factors = [_flip(x, n) for x in factors]
-            power -= 1
+        f = tuple(transp) if g > 0 else tuple([n + 1 - j for j in transp])
         _append_factor(factors, f, n)
         while factors and factors[0] == w0:
             del factors[0]

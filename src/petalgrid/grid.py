@@ -1,22 +1,31 @@
 """
 Petal grid diagrams: construction, validation and rendering.
 
-Coordinates are 1-indexed with x increasing rightward and y upward.  A grid
-diagram of size p has 2p nodes, p horizontal and p vertical edges, two nodes
-on every grid line, and vertical edges always cross over horizontal ones.
+Coordinates are 1-indexed with x increasing rightward and y upward, and
+vertical edges always cross over horizontal ones.  A grid diagram of size p
+is two permutations of 1..p, one entry per column: the knot runs along
+column x from row starts[x-1] to row ends[x-1], then along that row to the
+column that starts there.  Every row and column then holds exactly two
+nodes, joined by one edge.
 
-The grid of a petal permutation (a_1, ..., a_p) places node i at
-(ceil(i/2), a_i) for i = 1..2p with a_{p+i} = a_i; horizontal edges join
-nodes i and p+i, vertical edges join nodes 2i-1 and 2i.  The knot traverses
-... -> 2i-1 -> 2i -> p+2i -> p+2i+1 -> 2i+1 -> ..., and the vertical edge
-joining nodes p and p+1 is the unique inflection edge: the one whose two
-adjacent horizontal edges leave it on opposite sides.
+The grid of a petal permutation (a_1, ..., a_p) reads its columns off the
+doubled sequence a_1, ..., a_p, a_1, ..., a_p two entries at a time: column
+i runs from row a_{2i-1} to row a_{2i} (indices mod p).  Its middle column,
+x = (p+1)/2, is the unique inflection edge: the one whose two adjacent
+horizontal edges leave it on opposite sides.
+
+>>> g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+>>> g.starts, g.ends
+((3, 2, 1, 5, 4), (5, 4, 3, 2, 1))
+>>> g.columns_in_order(2)
+[2, 0, 3, 1, 4]
 """
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 
+from .perm import Permutation
 from .petal import PetalPermutation
 
 Point = tuple[int, int]
@@ -24,11 +33,34 @@ Point = tuple[int, int]
 
 @dataclass(frozen=True)
 class GridDiagram:
-    size: int
-    nodes: tuple[Point, ...]
-    h_edges: tuple[tuple[int, int], ...]
-    v_edges: tuple[tuple[int, int], ...]
-    traversal: tuple[int, ...]
+    """Where the knot enters (starts) and leaves (ends) each column."""
+
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
+
+    def __post_init__(self):
+        if Permutation(self.starts).n != Permutation(self.ends).n:
+            raise ValueError("starts and ends must be permutations of the same degree")
+        for x, (y1, y2) in enumerate(zip(self.starts, self.ends), 1):
+            if y1 == y2:
+                raise ValueError(f"column x={x} starts and ends on row {y1}")
+
+    @property
+    def size(self) -> int:
+        return len(self.starts)
+
+    def next_columns(self) -> list[int]:
+        """For each column (0-based), the column the knot runs into after it."""
+        column_starting_at = {y: x for x, y in enumerate(self.starts)}
+        return [column_starting_at[y] for y in self.ends]
+
+    def columns_in_order(self, first: int = 0) -> list[int]:
+        """The columns (0-based) of the component through `first`, in knot order."""
+        following = self.next_columns()
+        order = [first]
+        while following[order[-1]] != first:
+            order.append(following[order[-1]])
+        return order
 
 
 @dataclass(frozen=True)
@@ -39,142 +71,48 @@ class ValidationReport:
 
 
 def build_petal_grid(pp: PetalPermutation) -> GridDiagram:
-    """The petal grid diagram of a petal permutation.
-
-    The traversal is stored starting at node p, so the first step runs along
-    the inflection edge.
-    """
-    p = pp.p
-    heights = pp.entries + pp.entries
-    nodes = tuple(((i + 2) // 2, heights[i]) for i in range(2 * p))
-    h_edges = tuple((i, p + i) for i in range(p))
-    v_edges = tuple((2 * i, 2 * i + 1) for i in range(p))
-
-    h_partner = {}
-    v_partner = {}
-    for a, b in h_edges:
-        h_partner[a], h_partner[b] = b, a
-    for a, b in v_edges:
-        v_partner[a], v_partner[b] = b, a
-
-    walk = [p - 1]
-    vertical_next = True
-    for _ in range(2 * p - 1):
-        cur = walk[-1]
-        walk.append(v_partner[cur] if vertical_next else h_partner[cur])
-        vertical_next = not vertical_next
-    return GridDiagram(p, nodes, h_edges, v_edges, tuple(walk))
-
-
-def _edge_span(g: GridDiagram, edge: tuple[int, int]) -> tuple[Point, Point]:
-    return g.nodes[edge[0]], g.nodes[edge[1]]
+    """The petal grid diagram of a petal permutation."""
+    heights = pp.entries * 2
+    return GridDiagram(heights[0::2], heights[1::2])
 
 
 def validate_petal_grid(g: GridDiagram) -> ValidationReport:
     """Check the petal grid conditions, reporting violations instead of raising.
 
-    Besides the two-nodes-per-line grid conditions, a petal grid of size
-    p = 2n+1 must have exactly one inflection edge whose adjacent horizontal
-    edges both have length n, while every other vertical edge has adjacent
-    horizontal lengths n and n+1.
+    A petal grid of size p = 2n+1 must have exactly one inflection edge
+    whose adjacent horizontal edges both have length n, while every other
+    vertical edge has adjacent horizontal lengths n and n+1.
     """
-    bad: list[str] = []
     p = g.size
     if p % 2 == 0 or p < 3:
-        bad.append(f"size {p} is not an odd integer >= 3")
-    if len(g.nodes) != 2 * p:
-        bad.append(f"expected {2 * p} nodes, found {len(g.nodes)}")
-    for x, y in g.nodes:
-        if not (1 <= x <= p and 1 <= y <= p):
-            bad.append(f"node {(x, y)} outside the {p}x{p} grid")
-    for k in range(1, p + 1):
-        rows = sum(1 for _, y in g.nodes if y == k)
-        cols = sum(1 for x, _ in g.nodes if x == k)
-        if rows != 2:
-            bad.append(f"row y={k} has {rows} nodes, expected 2")
-        if cols != 2:
-            bad.append(f"column x={k} has {cols} nodes, expected 2")
+        return ValidationReport(False, (f"size {p} is not an odd integer >= 3",), None)
 
-    touched: dict[int, list[str]] = {}
-    for kind, edges in (("h", g.h_edges), ("v", g.v_edges)):
-        for a, b in edges:
-            (x1, y1), (x2, y2) = g.nodes[a], g.nodes[b]
-            if kind == "h" and y1 != y2:
-                bad.append(f"horizontal edge {a}-{b} has uneven heights {y1}, {y2}")
-            if kind == "v" and x1 != x2:
-                bad.append(f"vertical edge {a}-{b} has uneven columns {x1}, {x2}")
-            for e in (a, b):
-                touched.setdefault(e, []).append(kind)
-    for i in range(len(g.nodes)):
-        if sorted(touched.get(i, [])) != ["h", "v"]:
-            bad.append(f"node {i} is not the endpoint of exactly one edge of each kind")
-
-    if bad:
-        return ValidationReport(False, tuple(bad), None)
-
+    bad: list[str] = []
     n = (p - 1) // 2
-    h_at: dict[int, tuple[int, int]] = {}
-    for a, b in g.h_edges:
-        h_at[a] = h_at[b] = (a, b)
-    inflections: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for a, b in g.v_edges:
-        x = g.nodes[a][0]
-        sides = []
-        lengths = []
-        for endpoint in (a, b):
-            ha, hb = h_at[endpoint]
-            other = hb if ha == endpoint else ha
-            ox = g.nodes[other][0]
-            sides.append(1 if ox > x else -1)
-            lengths.append(abs(ox - x))
-        if sides[0] != sides[1]:
-            inflections.append(((a, b), tuple(lengths)))
+    following = g.next_columns()
+    preceding = [0] * p
+    for x, y in enumerate(following):
+        preceding[y] = x
+    inflections: list[int] = []
+    for x in range(p):
+        lengths = [abs(preceding[x] - x), abs(following[x] - x)]
+        if (preceding[x] > x) != (following[x] > x):
+            inflections.append(x)
             if lengths != [n, n]:
                 bad.append(
-                    f"inflection edge x={x} has horizontal lengths {lengths}, expected [{n}, {n}]"
+                    f"inflection edge x={x + 1} has horizontal lengths {lengths}, expected [{n}, {n}]"
                 )
         elif sorted(lengths) != [n, n + 1]:
             bad.append(
-                f"vertical edge x={x} has horizontal lengths {lengths}, expected {{{n}, {n + 1}}}"
+                f"vertical edge x={x + 1} has horizontal lengths {lengths}, expected {{{n}, {n + 1}}}"
             )
     if len(inflections) != 1:
         bad.append(f"found {len(inflections)} inflection edges, expected exactly 1")
     inflection = None
     if len(inflections) == 1:
-        (a, b), _ = inflections[0]
-        inflection = (g.nodes[a], g.nodes[b])
+        x = inflections[0]
+        inflection = ((x + 1, g.starts[x]), (x + 1, g.ends[x]))
     return ValidationReport(not bad, tuple(bad), inflection)
-
-
-def _oriented_edges(g: GridDiagram) -> list[list[tuple[int, int]]]:
-    """Edges as ordered node pairs along each traversal cycle."""
-    h_partner = {}
-    v_partner = {}
-    for a, b in g.h_edges:
-        h_partner[a], h_partner[b] = b, a
-    for a, b in g.v_edges:
-        v_partner[a], v_partner[b] = b, a
-    cycles: list[list[tuple[int, int]]] = []
-    unvisited = set(range(len(g.nodes)))
-    start_order = list(g.traversal) + sorted(unvisited)
-    for start in start_order:
-        if start not in unvisited:
-            continue
-        cycle: list[tuple[int, int]] = []
-        cur = start
-        vertical_next = True
-        while True:
-            nxt = v_partner[cur] if vertical_next else h_partner[cur]
-            cycle.append((cur, nxt))
-            unvisited.discard(cur)
-            vertical_next = not vertical_next
-            cur = nxt
-            if cur == start and vertical_next:
-                break
-            if len(cycle) > 2 * len(g.nodes):
-                raise ValueError("malformed grid")
-        cycles.append(cycle)
-    return cycles
 
 
 # --- Rendering ----------------------------------------------------------------
@@ -183,66 +121,60 @@ def _oriented_edges(g: GridDiagram) -> list[list[tuple[int, int]]]:
 def render_ascii(g: GridDiagram) -> str:
     """One character cell per half lattice unit; vertical strands run unbroken."""
     p = g.size
-    size = 2 * p - 1
-    canvas = [[" "] * size for _ in range(size)]
-
-    def cell(x: int, y: int) -> tuple[int, int]:
-        return 2 * (p - y), 2 * (x - 1)
-
-    for a, b in g.h_edges:
-        (x1, y), (x2, _) = _edge_span(g, (a, b))
-        r, _ = cell(x1, y)
-        for c in range(2 * (min(x1, x2) - 1), 2 * (max(x1, x2) - 1) + 1):
-            canvas[r][c] = "-"
-    for a, b in g.v_edges:
-        (x, y1), (_, y2) = _edge_span(g, (a, b))
-        _, c = cell(x, y1)
+    canvas = [[" "] * (2 * p - 1) for _ in range(2 * p - 1)]
+    # Grid point (x, y) is canvas row 2(p - y), canvas column 2(x - 1).
+    for x, (y, x2) in enumerate(zip(g.ends, g.next_columns())):
+        for c in range(2 * min(x, x2), 2 * max(x, x2) + 1):
+            canvas[2 * (p - y)][c] = "-"
+    for x, (y1, y2) in enumerate(zip(g.starts, g.ends)):
         for r in range(2 * (p - max(y1, y2)), 2 * (p - min(y1, y2)) + 1):
-            canvas[r][c] = "|"
-    for x, y in g.nodes:
-        r, c = cell(x, y)
-        canvas[r][c] = "+"
+            canvas[r][2 * x] = "|"
+        canvas[2 * (p - y1)][2 * x] = canvas[2 * (p - y2)][2 * x] = "+"
     return "\n".join("".join(row).rstrip() for row in canvas)
 
 
 def render_svg(g: GridDiagram) -> str:
-    """SVG 1.1 with one path per edge; horizontal paths gap under crossings."""
+    """SVG 1.1 with one path per edge in knot order from the middle column.
+
+    Each edge's arrow points along the knot; horizontal paths gap under
+    crossings.
+    """
     p = g.size
     scale, margin, gap = 40, 30, 7
     width = 2 * margin + (p - 1) * scale
 
     def pt(x: int, y: float) -> tuple[float, float]:
-        return margin + (x - 1) * scale, margin + (p - y) * scale
+        return margin + x * scale, margin + (p - y) * scale
 
-    oriented = [e for cyc in _oriented_edges(g) for e in cyc]
+    order: list[int] = []
+    for x in ((p - 1) // 2, *range(p)):
+        if x not in order:
+            order += g.columns_in_order(x)
+    following = g.next_columns()
     paths = []
-    for u, v in oriented:
-        (x1, y1), (x2, y2) = g.nodes[u], g.nodes[v]
-        if y1 == y2:  # horizontal: split at crossing columns
-            cols = []
-            for a, b in g.v_edges:
-                x = g.nodes[a][0]
-                yl, yh = sorted((g.nodes[a][1], g.nodes[b][1]))
-                if min(x1, x2) < x < max(x1, x2) and yl < y1 < yh:
-                    cols.append(x)
-            cols.sort(reverse=(x2 < x1))
-            segments = []
-            sx, _ = pt(x1, y1)
-            ex, ey = pt(x2, y2)
-            cur = sx
-            step = 1 if ex > sx else -1
-            for x in cols:
-                cx, _ = pt(x, y1)
-                segments.append((cur, cx - step * gap))
-                cur = cx + step * gap
-            segments.append((cur, ex))
-            d = " ".join(f"M {a:g} {ey:g} L {b:g} {ey:g}" for a, b in segments)
-        else:
-            (ax, ay), (bx, by) = pt(x1, y1), pt(x2, y2)
-            d = f"M {ax:g} {ay:g} L {bx:g} {by:g}"
-        paths.append(f'<path d="{d}" marker-end="url(#arrow)"/>')
+    for x1 in order:
+        (ax, ay), (bx, by) = pt(x1, g.starts[x1]), pt(x1, g.ends[x1])
+        paths.append(f"M {ax:g} {ay:g} L {bx:g} {by:g}")
+        # The horizontal edge leaving column x1, split at crossing columns.
+        y, x2 = g.ends[x1], following[x1]
+        cols = [
+            x
+            for x, (yl, yh) in enumerate(zip(g.starts, g.ends))
+            if min(x1, x2) < x < max(x1, x2) and min(yl, yh) < y < max(yl, yh)
+        ]
+        cols.sort(reverse=(x2 < x1))
+        ex, ey = pt(x2, y)
+        cur = bx
+        step = 1 if ex > bx else -1
+        segments = []
+        for x in cols:
+            cx, _ = pt(x, y)
+            segments.append((cur, cx - step * gap))
+            cur = cx + step * gap
+        segments.append((cur, ex))
+        paths.append(" ".join(f"M {a:g} {ey:g} L {b:g} {ey:g}" for a, b in segments))
 
-    body = "\n".join(paths)
+    body = "\n".join(f'<path d="{d}" marker-end="url(#arrow)"/>' for d in paths)
     return (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -29,7 +29,7 @@ from .braid import (
     torus_conjugacy_witness,
 )
 from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
-from .grid import GridDiagram, _oriented_edges, build_petal_grid, validate_petal_grid
+from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
@@ -177,9 +177,6 @@ class LaurentPolynomial:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
 
-    def to_json(self) -> dict:
-        return {"min_exp": self.min_exp, "coeffs": list(self.coeffs)}
-
 
 def equal_up_to_units(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return a.normalize_up_to_units() == b.normalize_up_to_units()
@@ -260,15 +257,11 @@ def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> Lauren
     +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).  The division by
     (1-t)^(p-1) raises unless it is exact.
     """
-    cycles = _oriented_edges(g)
-    if len(cycles) != 1:
-        raise ValueError("not a knot")
     p = g.size
+    if len(g.columns_in_order()) != p:
+        raise ValueError("not a knot")
     winding = [[0] * p for _ in range(p)]
-    for u, v in cycles[0]:
-        (x, y1), (x2, y2) = g.nodes[u], g.nodes[v]
-        if x != x2:
-            continue
+    for x, (y1, y2) in enumerate(zip(g.starts, g.ends), 1):
         # A vertical edge moves the winding number of every centre to its left.
         step = 1 if y2 > y1 else -1
         for j in range(min(y1, y2), max(y1, y2)):

@@ -3,7 +3,8 @@
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, determinants by cofactor expansion, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
-the Wirtinger presentation of the crossings of their planar diagrams, the
+the Wirtinger presentation of the crossings of their planar diagrams (both
+read a grid as its 2p nodes and their own walk of its cycles), the
 reduced Burau images of generators from their written-out matrices, and
 stabilizations of strongly braided permutations from the closed form of
 their result.
@@ -11,7 +12,7 @@ their result.
 from dataclasses import dataclass
 
 from petalgrid.braid import BraidWord, left_normal_form
-from petalgrid.grid import GridDiagram, Point, _oriented_edges
+from petalgrid.grid import GridDiagram, Point
 from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 
@@ -105,8 +106,46 @@ def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
             m[i][i - 1] = tinv
     return m
 
+
+@dataclass(frozen=True)
+class NodeGrid:
+    """A grid as 2p nodes, its edges as node pairs, and its oriented cycles.
+
+    Column x (0-based) holds node 2x at (x+1, starts[x]) and node 2x+1 at
+    (x+1, ends[x]).  Each cycle lists one component's edges as (from, to)
+    node pairs in the order the knot runs along them.
+    """
+
+    size: int
+    nodes: tuple[Point, ...]
+    h_edges: tuple[tuple[int, int], ...]
+    v_edges: tuple[tuple[int, int], ...]
+    cycles: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def node_grid(g: GridDiagram) -> NodeGrid:
+    """The nodes, edges and cycles of a (starts, ends) grid, walked here afresh."""
+    p = g.size
+    nodes = tuple(node for x in range(p) for node in ((x + 1, g.starts[x]), (x + 1, g.ends[x])))
+    start_node = {y: 2 * x for x, y in enumerate(g.starts)}
+    v_edges = tuple((2 * x, 2 * x + 1) for x in range(p))
+    h_edges = tuple((2 * x + 1, start_node[y]) for x, y in enumerate(g.ends))
+    cycles = []
+    unvisited = set(range(p))
+    for x in range(p):
+        cycle: list[tuple[int, int]] = []
+        while x in unvisited:
+            unvisited.remove(x)
+            cycle += [v_edges[x], h_edges[x]]
+            x = h_edges[x][1] // 2
+        if cycle:
+            cycles.append(tuple(cycle))
+    return NodeGrid(p, nodes, h_edges, v_edges, tuple(cycles))
+
+
 def lattice_crossings(g: GridDiagram) -> set[tuple[int, int]]:
     """Scan every lattice point for a strict vertical and horizontal interior."""
+    g = node_grid(g)
     found = set()
     for x in range(1, g.size + 1):
         for y in range(1, g.size + 1):
@@ -149,6 +188,7 @@ def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
     the over-strand direction a quarter turn counterclockwise gives the
     under-strand direction.
     """
+    g = node_grid(g)
     for a, b in g.v_edges:
         x, (y1, y2) = g.nodes[a][0], sorted((g.nodes[a][1], g.nodes[b][1]))
         for c, d in g.h_edges:
@@ -160,7 +200,7 @@ def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
             if x in (x1, x2) and y1 < y < y2:
                 raise ValueError("malformed grid")
 
-    cycles = _oriented_edges(g)
+    cycles = g.cycles
     v_index = {frozenset(e): i for i, e in enumerate(g.v_edges)}
     h_index = {frozenset(e): i for i, e in enumerate(g.h_edges)}
     # Passages: walk every cycle, recording for each crossing the walk

@@ -120,7 +120,7 @@ def test_subset_braid_examples():
 def test_subset_braid_barred_is_negative_mirror():
     a = IndexSubset.of(6, (2, 5))
     b = IndexSubset.of(6, (3, 4))
-    barred = subset_braid(a, b, barred=True)
+    barred = subset_braid(b, a).inverse()
     assert all(g < 0 for g in barred.letters)
     assert words_equal(barred * subset_braid(b, a), BraidWord.identity(6))
 

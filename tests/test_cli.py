@@ -2,6 +2,8 @@ import json
 import time
 
 import petalgrid.invariants as invariants
+import petalgrid.selftest as selftest
+from petalgrid.braid import half_twist, round_trip, words_equal
 from petalgrid.cli import main
 from petalgrid.invariants import certify
 
@@ -177,10 +179,15 @@ def test_selftest_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_selftest_fault_injection(capsys):
-    code, out, _ = run(
-        capsys, "selftest", "--max-n", "4", "--max-s", "6", "--trials", "2", "--inject-fault"
+def test_selftest_fault_injection(capsys, monkeypatch):
+    # A deliberately false identity, as a negative control.
+    failing = selftest.SuiteResult("injected-fault")
+    failing.check(
+        words_equal(round_trip(3, 2), half_twist(3) ** 2),
+        "expected failure: a single band is not the full twist",
     )
+    monkeypatch.setattr(selftest, "run_all", lambda *args, **kwargs: [failing])
+    code, out, _ = run(capsys, "selftest", "--max-n", "4", "--max-s", "6", "--trials", "2")
     assert code == 1
     assert "FAIL" in out and "injected-fault" in out
 

@@ -6,6 +6,7 @@ import pytest
 from oracles import lattice_crossings, to_planar_diagram
 from petalgrid.grid import (
     GridDiagram,
+    ValidationReport,
     build_petal_grid,
     render_ascii,
     render_svg,
@@ -22,24 +23,37 @@ def random_petal(rng, max_p=21):
 
 
 def test_build_petal_grid_figure_example():
+    # Nodes (1,3) (1,5) (2,2) (2,4) (3,1) (3,3) (4,5) (4,2) (5,4) (5,1) of the figure.
     g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
-    assert g.nodes == (
-        (1, 3), (1, 5), (2, 2), (2, 4), (3, 1),
-        (3, 3), (4, 5), (4, 2), (5, 4), (5, 1),
-    )
-    assert g.h_edges == ((0, 5), (1, 6), (2, 7), (3, 8), (4, 9))
-    assert g.v_edges == ((0, 1), (2, 3), (4, 5), (6, 7), (8, 9))
+    assert g.starts == (3, 2, 1, 5, 4)
+    assert g.ends == (5, 4, 3, 2, 1)
+    assert g.size == 5
+
+
+def test_grid_diagram_rejects_malformed_columns():
+    with pytest.raises(ValueError, match="not a permutation"):
+        GridDiagram((1, 2, 2), (2, 3, 1))
+    with pytest.raises(ValueError, match="not a permutation"):
+        GridDiagram((1, 2, 3), (2, 3, 4))
+    with pytest.raises(ValueError, match="same degree"):
+        GridDiagram((1, 2, 3), (2, 1))
+    with pytest.raises(ValueError, match="column x=2 starts and ends on row 3"):
+        GridDiagram((1, 3, 2), (2, 3, 1))
 
 
 def test_horizontal_edge_lengths():
+    # The edge leaving column c (0-based) runs n+1 columns right for c < n
+    # and n columns left otherwise, ending where the next column starts.
     rng = random.Random(2)
     for _ in range(50):
         pp = random_petal(rng)
         g = build_petal_grid(pp)
         n = pp.half
-        for i, (a, b) in enumerate(g.h_edges):
-            length = abs(g.nodes[a][0] - g.nodes[b][0])
-            assert length == (n if (i + 1) % 2 == 1 else n + 1)
+        following = g.next_columns()
+        for c, y in enumerate(g.ends):
+            target = c + n + 1 if c < n else c - n
+            assert following[c] == target
+            assert g.starts[target] == y
 
 
 def test_grid_structure_randomized():
@@ -47,12 +61,11 @@ def test_grid_structure_randomized():
     for _ in range(200):
         pp = random_petal(rng)
         g = build_petal_grid(pp)
-        assert len(g.nodes) == 2 * pp.p
-        for k in range(1, pp.p + 1):
-            assert sum(1 for _, y in g.nodes if y == k) == 2
-            assert sum(1 for x, _ in g.nodes if x == k) == 2
-        assert len(g.traversal) == 2 * pp.p
-        assert sorted(g.traversal) == list(range(2 * pp.p))
+        assert sorted(g.starts) == sorted(g.ends) == list(range(1, pp.p + 1))
+        for first in range(pp.p):
+            walk = g.columns_in_order(first)
+            assert walk[0] == first
+            assert sorted(walk) == list(range(pp.p))  # one component through every column
 
 
 def test_validate_petal_grid():
@@ -66,12 +79,19 @@ def test_validate_petal_grid():
 
 def test_validate_rejects_corrupted_grid():
     g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
-    nodes = list(g.nodes)
-    nodes[3] = (2, 5)  # move one node off its row
-    bad = GridDiagram(g.size, tuple(nodes), g.h_edges, g.v_edges, g.traversal)
-    report = validate_petal_grid(bad)
+    ends = list(g.ends)
+    ends[0], ends[1] = ends[1], ends[0]  # columns 1 and 2 trade their ends
+    report = validate_petal_grid(GridDiagram(g.starts, tuple(ends)))
     assert not report.valid
-    assert report.violations
+    assert report.violations == (
+        "vertical edge x=1 has horizontal lengths [2, 4], expected {2, 3}",
+        "vertical edge x=2 has horizontal lengths [2, 2], expected {2, 3}",
+        "vertical edge x=4 has horizontal lengths [2, 2], expected {2, 3}",
+        "vertical edge x=5 has horizontal lengths [4, 2], expected {2, 3}",
+    )
+
+    report = validate_petal_grid(GridDiagram((1, 2, 3, 4), (2, 3, 4, 1)))
+    assert report == ValidationReport(False, ("size 4 is not an odd integer >= 3",), None)
 
 
 def test_planar_diagram_trefoil():
@@ -99,15 +119,6 @@ def test_crossings_match_lattice_oracle():
         assert len(pd.crossings) == len(lattice_crossings(g))
     g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
     assert lattice_crossings(g) == {(2, 3), (3, 2), (4, 4)}
-
-
-def test_malformed_grid_rejected():
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
-    nodes = list(g.nodes)
-    nodes[5] = (2, 3)  # vertical edge tip now ends inside a horizontal edge
-    bad = GridDiagram(g.size, tuple(nodes), g.h_edges, g.v_edges, g.traversal)
-    with pytest.raises(ValueError, match="malformed grid"):
-        to_planar_diagram(bad)
 
 
 def test_render_ascii_box():
@@ -162,3 +173,29 @@ def test_render_svg_well_formed():
     paths = group.findall(f"{ns}path")
     assert len(paths) == 2 * g.size  # one path per edge
     assert render_svg(g) == svg  # deterministic
+
+
+TREFOIL_SVG = """\
+<?xml version="1.0" encoding="UTF-8"?>
+<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="220" height="220" viewBox="0 0 220 220">
+<defs><marker id="arrow" viewBox="0 0 10 10" refX="9" refY="5" markerWidth="6" markerHeight="6" orient="auto"><path d="M 0 0 L 10 5 L 0 10 z"/></marker></defs>
+<g stroke="black" stroke-width="2" fill="none">
+<path d="M 110 190 L 110 110" marker-end="url(#arrow)"/>
+<path d="M 110 110 L 77 110 M 63 110 L 30 110" marker-end="url(#arrow)"/>
+<path d="M 30 110 L 30 30" marker-end="url(#arrow)"/>
+<path d="M 30 30 L 150 30" marker-end="url(#arrow)"/>
+<path d="M 150 30 L 150 150" marker-end="url(#arrow)"/>
+<path d="M 150 150 L 117 150 M 103 150 L 70 150" marker-end="url(#arrow)"/>
+<path d="M 70 150 L 70 70" marker-end="url(#arrow)"/>
+<path d="M 70 70 L 143 70 M 157 70 L 190 70" marker-end="url(#arrow)"/>
+<path d="M 190 70 L 190 190" marker-end="url(#arrow)"/>
+<path d="M 190 190 L 110 190" marker-end="url(#arrow)"/>
+</g>
+</svg>
+"""
+
+
+def test_render_svg_golden_trefoil():
+    # Paths run in knot order from the middle column; arrows point along the
+    # knot, and horizontal paths gap 7 units either side of each crossing.
+    assert render_svg(build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))) == TREFOIL_SVG

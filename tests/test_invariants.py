@@ -143,10 +143,7 @@ def test_alexander_from_grid_matches_wirtinger_oracle():
 
 def test_alexander_from_grid_rejects_links():
     # Two disjoint 2x2 squares: a two-component unlink.
-    nodes = ((1, 1), (1, 2), (2, 1), (2, 2), (3, 3), (3, 4), (4, 3), (4, 4))
-    link = GridDiagram(
-        4, nodes, ((0, 2), (1, 3), (4, 6), (5, 7)), ((0, 1), (2, 3), (4, 5), (6, 7)), (0, 1, 3, 2)
-    )
+    link = GridDiagram((1, 2, 3, 4), (2, 1, 4, 3))
     with pytest.raises(ValueError, match="not a knot"):
         alexander_from_grid(link)
 
