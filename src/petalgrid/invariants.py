@@ -13,6 +13,20 @@ letter, and rescales det(B - I) by (1-t)/(1-t^n).  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
 for both.
 
+Both determinants run through one fraction-free Bareiss kernel whose
+entries are plain (lowest exponent, coefficients, height) triples.  Each
+update (x*pivot - a*y) / prev is one Python-integer computation at
+t = X = 2^w (Kronecker substitution): the operands are packed by Horner's
+rule, multiplied, subtracted and divided by prev(X), and the quotient is
+read back as its balanced base-X digits q.  A nonzero remainder means the
+division is not exact.  w is chosen so the numerator's coefficients stay
+below X/4, and q is accepted only when min(len q, len prev) * max|q| *
+max|prev| < X/2.  Then q*prev minus the numerator is an integer polynomial
+whose coefficients are smaller than X and which has X as a root; a nonzero
+integer polynomial with root X is (t - X) times another and so has a
+coefficient of size at least X, so q*prev equals the numerator exactly.
+When the test fails, w doubles.
+
 End-to-end certification: certify(n, s) is the one certifier behind
 `petalgrid verify`, selftest and the acceptance tests.
 """
@@ -98,8 +112,8 @@ class LaurentPolynomial:
     def __neg__(self) -> LaurentPolynomial:
         # From a list, not a generator: CPython sizes tuple(generator) by a
         # guess and then resizes it, so each negation moves a block between
-        # the tuple free lists and the long Burau and Bareiss loops of
-        # subtractions grow the process's memory from one run to the next.
+        # the tuple free lists and the long Burau loop of subtractions grows
+        # the process's memory from one run to the next.
         return LaurentPolynomial(self.min_exp, tuple([-c for c in self.coeffs])) if self.coeffs else self
 
     def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
@@ -205,44 +219,134 @@ def _check_deadline(deadline: float | None) -> None:
         raise TimeoutError("deadline passed")
 
 
+# Inside bareiss_determinant an entry is (lowest exponent, coefficients from
+# that exponent up, height), the height being the largest |coefficient|.  The
+# coefficients are trimmed at both ends; the zero entry has none.
+_Entry = tuple[int, tuple[int, ...], int]
+_ZERO: _Entry = (0, (), 0)
+
+
+def _entry(p: LaurentPolynomial) -> _Entry:
+    return (p.min_exp, p.coeffs, max(map(abs, p.coeffs), default=0))
+
+
+def _pack(coeffs: tuple[int, ...], width: int) -> int:
+    """The value at t = 2^width of the polynomial with these coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def _packed(coeffs: tuple[int, ...], width: int, memo: dict) -> int:
+    key = (coeffs, width)
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = _pack(coeffs, width)
+    return value
+
+
+def _digits(value: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of value, lowest first.
+
+    Each digit lies in [-2^(width-1), 2^(width-1)) and the last is nonzero,
+    so _pack(digits, width) == value.
+    """
+    base = 1 << width
+    half, mask = base >> 1, base - 1
+    out = []
+    while value:
+        digit = value & mask
+        value >>= width
+        if digit >= half:
+            digit -= base
+            value += 1
+        out.append(digit)
+    return out
+
+
+def _bareiss_update(x: _Entry, pivot: _Entry, a: _Entry, y: _Entry, prev: _Entry, memo: dict) -> _Entry:
+    """The exact quotient (x*pivot - a*y) / prev of one Bareiss step.
+
+    The width w is the least with 2^(w-2) above both the numerator's
+    coefficient bound and prev's height; the module docstring shows why an
+    accepted quotient is exact.  Once X/2 passes the test's value for the
+    largest exact quotient Mignotte's bound allows, a rejected quotient is
+    not exact, so the doubling ends there with ValueError("not divisible").
+    memo maps (coefficients, width) to the packed value, so each operand
+    the step shares is packed once per width.
+    """
+    (xl, xc, xh), (pl, pc, ph), (al, ac, ah), (yl, yc, yh), (ql, qc, qh) = x, pivot, a, y, prev
+    left = min(len(xc), len(pc)) * xh * ph
+    right = min(len(ac), len(yc)) * ah * yh
+    if left and right:
+        low = min(xl + pl, al + yl)
+    elif left or right:
+        low = xl + pl if left else al + yl
+    else:
+        return _ZERO
+    width = max(left + right, qh).bit_length() + 2
+    while True:
+        num = 0
+        if left:
+            num = _pack(xc, width) * _packed(pc, width, memo) << width * (xl + pl - low)
+        if right:
+            num -= _packed(ac, width, memo) * _packed(yc, width, memo) << width * (al + yl - low)
+        if not num:
+            return _ZERO
+        quotient, remainder = divmod(num, _packed(qc, width, memo))
+        if remainder:
+            raise ValueError("not divisible")
+        digits = _digits(quotient, width)
+        height = max(map(abs, digits))
+        if min(len(digits), len(qc)) * height * qh < 1 << (width - 1):
+            skip = 0
+            while not digits[skip]:
+                skip += 1
+            return (low - ql + skip, tuple(digits[skip:]), height)
+        # Bounds on the numerator's length and on an exact quotient's; by
+        # Mignotte, |quotient| <= 2^(span-1) * sqrt(length) * (left + right).
+        length = len(xc) + len(pc) + len(ac) + len(yc) + abs(xl + pl - al - yl)
+        span = max(length - len(qc) + 1, 1)
+        if 1 << (width - 1) > min(span, len(qc)) * ((left + right) * length * qh << (span - 1)):
+            raise ValueError("not divisible")
+        width *= 2
+
+
 def bareiss_determinant(
     matrix: list[list[LaurentPolynomial]], deadline: float | None = None
 ) -> LaurentPolynomial:
-    """Fraction-free determinant over Laurent polynomials, up to a unit t^k.
+    """Fraction-free determinant over Laurent polynomials.
 
-    Rows are first rescaled by powers of t so all entries are ordinary
-    polynomials; each elimination step divides exactly by the previous
-    pivot, so all arithmetic stays in Z[t].  With a `time.monotonic()`
-    deadline, raises TimeoutError at the first pivot taken after it.
+    Step k replaces each entry (i, j) below and right of the pivot by
+    (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
+    Sylvester's identity every such quotient is exact.  Each quotient is
+    one _bareiss_update.  With a `time.monotonic()` deadline, raises
+    TimeoutError at the first pivot taken after it.
     """
     size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix is not square")
     if size == 0:
         return LaurentPolynomial.one()
-    m = []
-    for row in matrix:
-        if len(row) != size:
-            raise ValueError("matrix is not square")
-        shift = -min((p.min_exp for p in row if not p.is_zero()), default=0)
-        shift = max(shift, 0)
-        unit = LaurentPolynomial.term(1, shift)
-        m.append([p * unit for p in row])
-
+    m = [[_entry(p) for p in row] for row in matrix]
     sign = 1
-    prev = LaurentPolynomial.one()
+    prev = (0, (1,), 1)
     for k in range(size - 1):
         _check_deadline(deadline)
-        if m[k][k].is_zero():
-            swap = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
+        if not m[k][k][1]:
+            swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
             if swap is None:
                 return LaurentPolynomial.zero()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, size):
+        top, memo = m[k], {}
+        for row in m[k + 1 :]:
             for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).divide_exact(prev)
-            m[i][k] = LaurentPolynomial.zero()
-        prev = m[k][k]
-    det = m[size - 1][size - 1]
+                row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, memo)
+        prev = top[k]
+    lo, coeffs, _ = m[-1][-1]
+    det = LaurentPolynomial(lo, coeffs)
     return det if sign == 1 else -det
 
 
@@ -281,14 +385,15 @@ def _times_t(p: LaurentPolynomial, e: int) -> LaurentPolynomial:
     return LaurentPolynomial(p.min_exp + e, p.coeffs) if p.coeffs else p
 
 
-def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
+def reduced_burau(w: BraidWord, deadline: float | None = None) -> list[list[LaurentPolynomial]]:
     """The reduced Burau matrix of a word; multiplicative over concatenation.
 
     The image of a generator differs from the identity only in column
     j = |g| - 1, so right-multiplying by it replaces that column c[j] by
     t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
     c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
-    either edge read as zero).
+    either edge read as zero).  With a `time.monotonic()` deadline, raises
+    TimeoutError at the first letter taken after it.
     """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
@@ -296,6 +401,7 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
     last = w.n - 2
     out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
     for g in w.letters:
+        _check_deadline(deadline)
         j = abs(g) - 1
         for row in out:
             left = row[j - 1] if j > 0 else zero
@@ -314,7 +420,7 @@ def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> Laure
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    m = reduced_burau(w)
+    m = reduced_burau(w, deadline)
     one = LaurentPolynomial.one()
     for i in range(len(m)):
         m[i][i] = m[i][i] - one

@@ -189,17 +189,6 @@ def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
     under-strand direction.
     """
     g = node_grid(g)
-    for a, b in g.v_edges:
-        x, (y1, y2) = g.nodes[a][0], sorted((g.nodes[a][1], g.nodes[b][1]))
-        for c, d in g.h_edges:
-            y, (x1, x2) = g.nodes[c][1], sorted((g.nodes[c][0], g.nodes[d][0]))
-            # An edge endpoint inside the other edge's interior is a
-            # T-intersection, not a crossing.
-            if y in (y1, y2) and x1 < x < x2:
-                raise ValueError("malformed grid")
-            if x in (x1, x2) and y1 < y < y2:
-                raise ValueError("malformed grid")
-
     cycles = g.cycles
     v_index = {frozenset(e): i for i, e in enumerate(g.v_edges)}
     h_index = {frozenset(e): i for i, e in enumerate(g.h_edges)}

@@ -5,6 +5,7 @@ import time
 import pytest
 
 from oracles import burau_generator, to_planar_diagram, wirtinger_alexander
+from petalgrid import invariants
 from petalgrid.braid import BraidWord, conjugate_band_braid, delta, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
@@ -106,15 +107,65 @@ def test_bareiss_matches_cofactor_expansion():
     from oracles import naive_cofactor_det
 
     rng = random.Random(77)
-    for _ in range(100):
-        size = 5
-        m = [[random_laurent(rng, 2, 2, 3) for _ in range(size)] for _ in range(size)]
-        got = bareiss_determinant(m).normalize_up_to_units()
-        want = naive_cofactor_det(m).normalize_up_to_units()
-        assert got == want
+    for size in range(7):
+        for trial in range(40 if size < 6 else 8):
+            # Three ranges of exponent (negative ones included) and coefficient.
+            max_exp, max_coeff = ((2, 3), (4, 10**6), (3, 40))[trial % 3]
+            m = [[random_laurent(rng, 3, max_exp, max_coeff) for _ in range(size)] for _ in range(size)]
+            if size >= 2 and trial % 4 == 1:
+                m[-1] = list(m[0])  # a repeated row: singular
+            if size >= 2 and trial % 4 == 2:
+                m[0][0] = LaurentPolynomial.zero()  # the first pivot needs a row swap
+            got = bareiss_determinant(m)
+            assert got == naive_cofactor_det(m), (size, trial)
+            if size >= 2 and trial % 4 == 1:
+                assert got.is_zero()
 
     with pytest.raises(TimeoutError):
         bareiss_determinant(m, deadline=time.monotonic() - 1)
+
+
+def divide_step(x, pivot, a, y, prev):
+    """(x*pivot - a*y) / prev through one update of the Bareiss kernel."""
+    e = invariants._entry
+    lo, coeffs, height = invariants._bareiss_update(e(x), e(pivot), e(a), e(y), e(prev), {})
+    assert height == max(map(abs, coeffs), default=0)
+    return LaurentPolynomial(lo, coeffs)
+
+
+def test_bareiss_update_divides_exactly():
+    zero = LaurentPolynomial.zero()
+    assert divide_step(T * T, ONE, ONE, ONE, T - ONE) == T + ONE  # (t^2-1)/(t-1)
+    assert divide_step(T - ONE, T - ONE, zero, zero, ONE) == poly((1, 2), (-2, 1), (1, 0))
+    # Laurent exponents: (t^-3 - t^-1) / (t^-2 + t^-1) = t^-1 - 1.
+    assert divide_step(poly((1, -3)), ONE, poly((1, -1)), ONE, poly((1, -2), (1, -1))) == poly((1, -1), (-1, 0))
+    assert divide_step(T, ONE, T, ONE, T + ONE).is_zero()
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_step(T, ONE, zero, zero, LaurentPolynomial.term(2))  # t / 2
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_step(T, ONE, -ONE, ONE, T - ONE)  # (t+1)/(t-1)
+
+
+def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
+    widths = []
+    digits = invariants._digits
+
+    def spy(value, width):
+        widths.append(width)
+        return digits(value, width)
+
+    monkeypatch.setattr(invariants, "_digits", spy)
+    # The first width reads (1+t)^16 correctly, but its test cannot prove it.
+    got = divide_step((ONE - T * T) ** 16, ONE, LaurentPolynomial.zero(), ONE, (ONE - T) ** 16)
+    assert got == (ONE + T) ** 16
+    assert len(widths) > 1 and widths == sorted(set(widths))
+
+    # t / 2 with a numerator (t+1) - 1 whose value at every X = 2^w is
+    # divisible by 2: the doubling must stop and raise.
+    widths.clear()
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_step(T + ONE, ONE, ONE, ONE, LaurentPolynomial.term(2))
+    assert len(widths) > 1
 
 
 def test_alexander_from_grid_examples():
@@ -156,6 +207,15 @@ def test_reduced_burau():
     for i in range(3):
         for j in range(3):
             assert ident[i][j] == (ONE if i == j else LaurentPolynomial.zero())
+
+
+def test_reduced_burau_deadline():
+    past = time.monotonic() - 1
+    with pytest.raises(TimeoutError):
+        reduced_burau(BraidWord(4, (1, 2, 3)), deadline=past)
+    # A 1 x 1 Burau matrix has no Bareiss pivot, so only the product can time out.
+    with pytest.raises(TimeoutError):
+        alexander_from_closure(BraidWord(2, (1, 1, 1)), deadline=past)
 
 
 def test_reduced_burau_generators_match_written_out_matrices():
@@ -255,3 +315,10 @@ def test_certify_report():
 
     report = certify(5, 9)
     assert report["all_match"] and report["length"] == 17
+
+
+def test_certify_large_pair():
+    # p = 57: both pipelines, with the grid determinant of order 57.
+    report = certify(13, 30)
+    assert report["all_match"] and report["length"] == 57
+    assert report["alexander_from_grid"] == str(torus_alexander(13, 30))
