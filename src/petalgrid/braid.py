@@ -163,9 +163,16 @@ def tau(w: BraidWord) -> BraidWord:
 
 # --- Garside left normal form ------------------------------------------------
 #
-# Factors are raw 1-indexed image tuples during computation.  The local move
-# slides a crossing from the head of the right factor into the tail of the
-# left factor (left-weighting).
+# Factors are raw 1-indexed image tuples during computation.  A word is read
+# as maximal runs of same-sign letters whose induced permutation stays simple
+# (no two strands cross twice), and each run enters as one factor: a positive
+# run Y as the permutation braid of Y, a negative run Y^-1 as Delta^-1 times
+# the permutation braid of Delta Y^-1.  Appending a factor combs it leftwards:
+# the local move slides a crossing from the head of the right factor into the
+# tail of the left factor (left-weighting).  When combing fills a left factor
+# up to Delta, that Delta is stripped where it forms: F Delta = Delta tau(F),
+# so every earlier factor is conjugated by Delta and the Delta power rises
+# by one.
 
 
 def _left_weight(
@@ -190,7 +197,8 @@ def _left_weight(
             gl[p1], gl[p2] = gl[p2], gl[p1]
             ginv[s], ginv[s + 1] = p2, p1
             changed = True
-            s = max(0, s - 1)
+            if s:
+                s -= 1
         else:
             s += 1
     if not changed:
@@ -198,26 +206,59 @@ def _left_weight(
     return tuple(fl), tuple(gl)
 
 
-def _is_id(f: tuple[int, ...]) -> bool:
-    return all(v == i + 1 for i, v in enumerate(f))
+def _conjugate_by_delta(f: tuple[int, ...], n: int) -> tuple[int, ...]:
+    # Delta^-1 F Delta: the generator sigma_i becomes sigma_{n-i}.
+    return tuple([n + 1 - f[n - 1 - i] for i in range(n)])
 
 
-def _append_factor(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -> None:
-    # Append one permutation-braid factor and comb it leftwards.
-    if _is_id(g):
-        return
+def _append_factor(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -> int:
+    """Append one permutation-braid factor, comb it leftwards, strip any Delta.
+
+    Returns the number of Delta factors stripped, 0 or 1.
+    """
+    w0 = tuple(range(n, 0, -1))
+    identity = tuple(range(1, n + 1))
+    if g == w0:
+        factors[:] = [_conjugate_by_delta(f, n) for f in factors]
+        return 1
+    if g == identity:
+        return 0
     factors.append(g)
     j = len(factors) - 2
     while j >= 0:
         f2, g2 = _left_weight(factors[j], factors[j + 1], n)
         if f2 == factors[j]:
             break
-        factors[j] = f2
-        if _is_id(g2):
+        if g2 == identity:
             del factors[j + 1]
         else:
             factors[j + 1] = g2
+        if f2 == w0:
+            del factors[j]
+            factors[:j] = [_conjugate_by_delta(f, n) for f in factors[:j]]
+            return 1
+        factors[j] = f2
         j -= 1
+    return 0
+
+
+def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
+    """Cut the word into maximal same-sign runs with simple induced permutations.
+
+    Each run is (negative, images of its letters' permutation); a letter
+    joins the current run while it has the run's sign and adds an inversion.
+    """
+    runs: list[tuple[bool, list[int]]] = []
+    im: list[int] = []
+    negative = False
+    for g in w.letters:
+        i = abs(g)
+        if not im or (g < 0) != negative or im[i - 1] > im[i]:
+            negative = g < 0
+            im = list(range(1, w.n + 1))
+            runs.append((negative, im))
+        im[i - 1], im[i] = im[i], im[i - 1]
+    return runs
 
 
 @dataclass(frozen=True)
@@ -248,31 +289,34 @@ class NormalForm:
 def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.
 
-    Each negative letter sigma_i^-1 is rewritten as Delta^-1 P, P the braid
-    of pi_Delta o tau_i, and every Delta^-1 is carried to the front, so the
-    delta power may be negative.  Carrying one Delta^-1 past a letter
-    conjugates it by Delta, sigma_i -> sigma_{n-i}; Delta^2 is central, so a
-    letter's index flips exactly when an odd number of negative letters
-    follow it.
+    The word is cut into maximal runs of same-sign letters whose induced
+    permutation stays simple.  A positive run is one factor; a negative run
+    Y^-1 is Delta^-1 times the factor Delta Y^-1, and every Delta^-1 is
+    carried to the front, so the delta power may be negative.  Carrying one
+    Delta^-1 past a letter conjugates it by Delta, sigma_i -> sigma_{n-i};
+    Delta^2 is central, so a run's letters flip exactly when an odd number
+    of negative runs follow it.  A Delta formed while combing a new factor
+    in is stripped at once and counted in the power.
+
+    >>> nf = left_normal_form(half_twist(4).inverse())
+    >>> nf.delta_power, nf.factors
+    (-1, ())
+    >>> left_normal_form(BraidWord(3, (1, 2, 2))).factors
+    (Permutation(images=(2, 3, 1)), Permutation(images=(1, 3, 2)))
     """
     n = w.n
-    w0 = tuple(range(n, 0, -1))
-    later = sum(1 for g in w.letters if g < 0)
+    runs = _simple_runs(w)
+    later = sum(1 for negative, _ in runs if negative)
     power = -later
     factors: list[tuple[int, ...]] = []
-
-    for g in w.letters:
-        if g < 0:
+    for negative, im in runs:
+        if negative:
             later -= 1
-        i = abs(g) if later % 2 == 0 else n - abs(g)
-        transp = list(range(1, n + 1))
-        transp[i - 1], transp[i] = transp[i], transp[i - 1]
-        f = tuple(transp) if g > 0 else tuple([n + 1 - j for j in transp])
-        _append_factor(factors, f, n)
-        while factors and factors[0] == w0:
-            del factors[0]
-            power += 1
-    return NormalForm(n, power, tuple(Permutation(f) for f in factors))
+        f = tuple([n + 1 - v for v in im]) if negative else tuple(im)
+        if later % 2:
+            f = _conjugate_by_delta(f, n)
+        power += _append_factor(factors, f, n)
+    return NormalForm(n, power, tuple([Permutation(f) for f in factors]))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

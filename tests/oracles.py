@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
 Nothing here goes through the code paths it checks: word equality is decided
-by exhaustive rewriting, determinants by cofactor expansion, grid crossings
+by exhaustive rewriting, normal forms also letter by letter with a Delta
+stripped only once it reaches the front, determinants by cofactor expansion, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
@@ -11,9 +12,10 @@ their result.
 """
 from dataclasses import dataclass
 
-from petalgrid.braid import BraidWord, left_normal_form
+from petalgrid.braid import BraidWord, NormalForm, left_normal_form
 from petalgrid.grid import GridDiagram, Point
 from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
+from petalgrid.perm import Permutation
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 
 
@@ -63,6 +65,82 @@ def positive_words_agree_with_bfs(n: int, length: int) -> None:
     for key, roots in by_nf.items():
         assert len(roots) == 1, f"normal form class {key} splits under rewrites"
     assert len(by_nf) == len({find(i) for i in range(len(words))})
+
+
+def _letterwise_left_weight(
+    f: tuple[int, ...], g: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # Slide crossings from the head of g into the tail of f, one at a time.
+    fl = list(f)
+    gl = list(g)
+    ginv = [0] * n
+    for pos, v in enumerate(gl):
+        ginv[v - 1] = pos
+    s = 0
+    changed = False
+    while s < n - 1:
+        if ginv[s] > ginv[s + 1] and fl[s] < fl[s + 1]:
+            fl[s], fl[s + 1] = fl[s + 1], fl[s]
+            p1, p2 = ginv[s], ginv[s + 1]
+            gl[p1], gl[p2] = gl[p2], gl[p1]
+            ginv[s], ginv[s + 1] = p2, p1
+            changed = True
+            s = max(0, s - 1)
+        else:
+            s += 1
+    if not changed:
+        return f, g
+    return tuple(fl), tuple(gl)
+
+
+def _is_id(f: tuple[int, ...]) -> bool:
+    return all(v == i + 1 for i, v in enumerate(f))
+
+
+def _letterwise_append(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -> None:
+    # Append one permutation-braid factor and comb it leftwards.
+    if _is_id(g):
+        return
+    factors.append(g)
+    j = len(factors) - 2
+    while j >= 0:
+        f2, g2 = _letterwise_left_weight(factors[j], factors[j + 1], n)
+        if f2 == factors[j]:
+            break
+        factors[j] = f2
+        if _is_id(g2):
+            del factors[j + 1]
+        else:
+            factors[j + 1] = g2
+        j -= 1
+
+
+def letterwise_normal_form(w: BraidWord) -> NormalForm:
+    """The left normal form built one letter at a time.
+
+    Each letter is its own factor: sigma_i^-1 becomes Delta^-1 times the
+    factor of Delta sigma_i^-1, a letter's index flips when an odd number of
+    negative letters follow it, and a Delta is stripped only once combing
+    carries it to the front of the factor list.
+    """
+    n = w.n
+    w0 = tuple(range(n, 0, -1))
+    later = sum(1 for g in w.letters if g < 0)
+    power = -later
+    factors: list[tuple[int, ...]] = []
+
+    for g in w.letters:
+        if g < 0:
+            later -= 1
+        i = abs(g) if later % 2 == 0 else n - abs(g)
+        transp = list(range(1, n + 1))
+        transp[i - 1], transp[i] = transp[i], transp[i - 1]
+        f = tuple(transp) if g > 0 else tuple([n + 1 - j for j in transp])
+        _letterwise_append(factors, f, n)
+        while factors and factors[0] == w0:
+            del factors[0]
+            power += 1
+    return NormalForm(n, power, tuple(Permutation(f) for f in factors))
 
 
 def naive_cofactor_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:

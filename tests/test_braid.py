@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from oracles import letterwise_normal_form
 
 from petalgrid.braid import (
+    NormalForm,
     BraidWord,
     ascending_run,
     decompose_permutation_braid,
@@ -23,6 +25,7 @@ from petalgrid.braid import (
     torus_conjugacy_witness,
     words_equal,
 )
+from petalgrid.braid import _append_factor, _conjugate_by_delta, _simple_runs
 from petalgrid.perm import IndexSubset, Permutation, residue_perm
 
 
@@ -30,6 +33,10 @@ def random_permutation(rng, n):
     images = list(range(1, n + 1))
     rng.shuffle(images)
     return Permutation(tuple(images))
+
+
+def random_word(rng, n, length):
+    return BraidWord(n, tuple([rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)]))
 
 
 def test_named_braids():
@@ -162,6 +169,71 @@ def test_left_normal_form_examples():
     for n in range(3, 7):
         nf = left_normal_form(delta(n) ** n)
         assert nf.delta_power == 2 and nf.factors == ()
+
+
+def test_normal_form_matches_letterwise_oracle():
+    rng = random.Random(2024)
+    words = [random_word(rng, rng.randint(2, 12), rng.randint(0, 80)) for _ in range(2000)]
+    words += [random_word(rng, 14, 200) for _ in range(20)]
+    for w in words:
+        nf, expected = left_normal_form(w), letterwise_normal_form(w)
+        assert (nf.delta_power, nf.factors) == (expected.delta_power, expected.factors), w
+
+
+def test_normal_form_of_empty_words_and_b2():
+    for n in range(0, 7):
+        assert left_normal_form(BraidWord.identity(n)) == NormalForm(n, 0, ())
+    for k in range(-6, 7):
+        w = sigma(2, 1) ** k
+        assert left_normal_form(w) == NormalForm(2, k, ())
+        assert len(_simple_runs(w)) == abs(k)
+    w = BraidWord(2, (1, -1, -1, 1, 1, 1))
+    assert left_normal_form(w) == NormalForm(2, 2, ())
+
+
+def test_half_twists_are_single_runs():
+    for n in range(2, 10):
+        assert _simple_runs(half_twist(n)) == [(False, list(range(n, 0, -1)))]
+        assert _simple_runs(half_twist(n).inverse()) == [(True, list(range(n, 0, -1)))]
+        assert left_normal_form(half_twist(n)) == NormalForm(n, 1, ())
+        assert left_normal_form(half_twist(n).inverse()) == NormalForm(n, -1, ())
+        assert left_normal_form(half_twist(n) ** 3) == NormalForm(n, 3, ())
+
+
+def test_normal_form_of_negative_delta_powers():
+    for n in range(2, 8):
+        for k in range(0, 2 * n + 2):
+            nf = left_normal_form(delta(n) ** -k)
+            assert nf == letterwise_normal_form(delta(n) ** -k), (n, k)
+            assert left_normal_form(delta(n) ** k * delta(n) ** -k).is_trivial()
+            if k % n == 0:
+                assert nf == NormalForm(n, -2 * (k // n), ()), (n, k)
+
+
+def test_delta_formed_mid_list_is_stripped_and_conjugates_earlier_factors():
+    # Append to F_1 ... F_j the complement g of F_j, so that F_j g = Delta:
+    # combing forms Delta at F_j's index, not at the front.
+    rng = random.Random(97)
+    n = 7
+    nf = left_normal_form(BraidWord(n, tuple([rng.randint(1, n - 1) for _ in range(60)])))
+    assert nf.canonical_length() >= 4
+    j = 3
+    head = [f.images for f in nf.factors[:j]]
+    complement = nf.factors[j - 1].inverse() * Permutation(tuple(range(n, 0, -1)))
+    factors = list(head)
+    assert _append_factor(factors, complement.images, n) == 1
+    conjugated = [_conjugate_by_delta(f, n) for f in head[: j - 1]]
+    assert factors == conjugated and factors != head[: j - 1]
+
+    # The same product as a word: the Delta power rises by one.
+    w = half_twist(n) ** nf.delta_power
+    for f in nf.factors[:j]:
+        w = w * permutation_braid(f)
+    w = w * permutation_braid(complement)
+    result = left_normal_form(w)
+    assert result.delta_power == nf.delta_power + 1
+    assert [f.images for f in result.factors] == conjugated
+    assert result == letterwise_normal_form(w)
 
 
 def test_words_equal_examples():

@@ -114,12 +114,16 @@ def test_verify_timeout(capsys):
 
 
 def test_verify_timeout_interrupts_the_determinant(capsys):
-    # The grid determinant of T(11,25) alone takes several seconds.
+    # The grid determinant of T(17,40) alone takes about 9 s; the closed form
+    # is its last stage before it, so the deadline lands inside it.
     t0 = time.monotonic()
-    code, out, _ = run(capsys, "verify", "11", "25", "--timeout", "0.3", "--json")
+    code, out, _ = run(capsys, "verify", "17", "40", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
     assert code == 3
-    assert json.loads(out)["timeout"] is True
+    payload = json.loads(out)
+    assert payload["timeout"] is True
+    assert "alexander_closed_form" in payload
+    assert "alexander_from_grid" not in payload
     assert elapsed < 2.0, elapsed
 
 
