@@ -57,8 +57,19 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _seconds(text: str) -> float:
+    """An argparse type: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not value > 0:
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    deadline = time.monotonic() + args.timeout if args.timeout else None
+    deadline = time.monotonic() + args.timeout if args.timeout is not None else None
     report = certify(args.n, args.s, args.pipeline, deadline)
     if report.get("timeout"):
         _emit_json(report) if args.json else print("timed out; partial report:", report)
@@ -157,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--pipeline", choices=PIPELINES, default="both")
-    p.add_argument("--timeout", type=float, metavar="SEC")
+    p.add_argument("--timeout", type=_seconds, metavar="SEC")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 

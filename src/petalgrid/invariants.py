@@ -5,9 +5,12 @@ Alexander polynomials are defined only up to multiplication by units
 +-t^k, so every comparison here goes through normalize_up_to_units, which
 shifts the lowest exponent to zero and makes its coefficient positive.
 
-The grid pipeline fills a p x p matrix with t^w, w the knot's winding
-number around each cell centre of a size-p grid diagram, takes its
-fraction-free Bareiss determinant and divides out (1-t)^(p-1).  The braid
+The grid pipeline starts from the p x p matrix (t^w), w the knot's winding
+number around each cell centre of a size-p grid diagram, whose determinant
+is +-t^a (1-t)^(p-1) Delta(t).  It builds instead the matrix of differences
+of adjacent rows, each with its factor (1-t) and a unit taken out: row i
+is zero off the span of one vertical edge and t^w on it.  Its fraction-free
+Bareiss determinant is +-t^b Delta(t), with no division after it.  The braid
 pipeline builds the reduced Burau matrix B of a word, one column update per
 letter, and rescales det(B - I) by (1-t)/(1-t^n).  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
@@ -128,14 +131,6 @@ class LaurentPolynomial:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return LaurentPolynomial.from_coeffs(self.min_exp + other.min_exp, out)
-
-    def __pow__(self, e: int) -> LaurentPolynomial:
-        if e < 0:
-            raise ValueError("negative power")
-        acc = LaurentPolynomial.one()
-        for _ in range(e):
-            acc = acc * self
-        return acc
 
     def divide_exact(self, other: LaurentPolynomial) -> LaurentPolynomial:
         """Exact division; raises when the quotient is not a Laurent polynomial."""
@@ -353,29 +348,48 @@ def bareiss_determinant(
 # --- Alexander polynomial from a grid diagram ---------------------------------
 
 
+def _differenced_grid_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
+    """The winding-number matrix (t^w(i, j)) with each row less the next, over 1-t.
+
+    w(i, j) is the winding number of the knot around the cell centre
+    (i+1/2, j+1/2), 0 <= i, j < p.  Rows i and i+1 differ only where j lies
+    between the ends of the vertical edge at x = i+1, and there
+    w(i, j) = w(i+1, j) + step, step = +1 for an upward edge and -1 for a
+    downward one.  So row i minus row i+1 is (t^step - 1) t^w(i+1, j) on
+    that span and zero off it, and t^step - 1 is a unit (-1 or t^-1) times
+    1-t.  Row i here is t^w(i+1, j) on the span; the last row is unchanged.
+    So the determinant is det(t^w) / (1-t)^(p-1) up to +-t^k.  One running
+    row of winding numbers is swept from the right edge leftwards.
+    """
+    p = g.size
+    term = LaurentPolynomial.term
+    running = [0] * p  # w(x, .) while the edge at x fills row x-1
+    matrix = [[LaurentPolynomial.zero()] * p for _ in range(p - 1)]
+    for x in range(p, 0, -1):
+        y1, y2 = g.starts[x - 1], g.ends[x - 1]
+        step = 1 if y2 > y1 else -1
+        for j in range(min(y1, y2), max(y1, y2)):
+            if x < p:
+                matrix[x - 1][j] = term(1, running[j])
+            running[j] += step
+        if x == p:
+            matrix.append([term(1, w) for w in running])
+    return matrix
+
+
 def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
-    With w(i, j) the winding number of the knot around the cell centre
-    (i+1/2, j+1/2), 0 <= i, j < p, the p x p matrix (t^w) has determinant
-    +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).  The division by
-    (1-t)^(p-1) raises unless it is exact.
+    The p x p matrix (t^w), w the winding number around each cell centre,
+    has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).
+    Subtracting each row's successor and taking the factor (1-t), times a
+    unit, out of every difference (_differenced_grid_matrix) leaves a
+    matrix whose determinant is +-t^b Delta(t) itself, so no division
+    follows.
     """
-    p = g.size
-    if len(g.columns_in_order()) != p:
+    if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    winding = [[0] * p for _ in range(p)]
-    for x, (y1, y2) in enumerate(zip(g.starts, g.ends), 1):
-        # A vertical edge moves the winding number of every centre to its left.
-        step = 1 if y2 > y1 else -1
-        for j in range(min(y1, y2), max(y1, y2)):
-            for i in range(x):
-                winding[i][j] += step
-    low = min(map(min, winding))
-    matrix = [[LaurentPolynomial.term(1, w - low) for w in row] for row in winding]
-    one_minus_t = LaurentPolynomial.one() - LaurentPolynomial.term(1, 1)
-    det = bareiss_determinant(matrix, deadline)
-    return det.divide_exact(one_minus_t ** (p - 1)).normalize_up_to_units()
+    return bareiss_determinant(_differenced_grid_matrix(g), deadline).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------

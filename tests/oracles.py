@@ -6,6 +6,7 @@ stripped only once it reaches the front, determinants by cofactor expansion, gri
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
+undifferenced winding-number matrix of a grid, the
 reduced Burau images of generators from their written-out matrices, and
 stabilizations of strongly braided permutations from the closed form of
 their result.
@@ -377,6 +378,26 @@ def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
         rows.append(row)
     minor = [row[: c - 1] for row in rows[: c - 1]]
     return bareiss_determinant(minor).normalize_up_to_units()
+
+
+def winding_number_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
+    """The p x p matrix (t^w), w the winding number around each cell centre.
+
+    w(i, j) is taken around (i+1/2, j+1/2), 0 <= i, j < p, by adding each
+    vertical edge's direction to every centre to its left; the exponents
+    are shifted so the lowest is 0.  Its determinant is
+    +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).
+    """
+    p = g.size
+    winding = [[0] * p for _ in range(p)]
+    for x, (y1, y2) in enumerate(zip(g.starts, g.ends), 1):
+        # A vertical edge moves the winding number of every centre to its left.
+        step = 1 if y2 > y1 else -1
+        for j in range(min(y1, y2), max(y1, y2)):
+            for i in range(x):
+                winding[i][j] += step
+    low = min(map(min, winding))
+    return [[LaurentPolynomial.term(1, w - low) for w in row] for row in winding]
 
 
 def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:

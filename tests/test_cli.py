@@ -113,11 +113,20 @@ def test_verify_timeout(capsys):
     assert json.loads(out)["timeout"] is True
 
 
+def test_verify_timeout_must_be_positive(capsys):
+    # Zero or a negative number of seconds is no deadline a run can meet.
+    for value in ("0", "-1"):
+        code, out, err = run(capsys, "verify", "3", "5", "--timeout", value, "--json")
+        assert code == 2, value
+        assert out == "" and "positive number of seconds" in err
+
+
 def test_verify_timeout_interrupts_the_determinant(capsys):
-    # The grid determinant of T(17,40) alone takes about 9 s; the closed form
-    # is its last stage before it, so the deadline lands inside it.
+    # The grid determinant of T(17,60) (p = 115) alone takes about 5 s, after
+    # about 5 ms of earlier stages; the closed form is the last stage before
+    # it, so the deadline lands inside it.
     t0 = time.monotonic()
-    code, out, _ = run(capsys, "verify", "17", "40", "--timeout", "0.3", "--json")
+    code, out, _ = run(capsys, "verify", "17", "60", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
     assert code == 3
     payload = json.loads(out)

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from oracles import burau_generator, to_planar_diagram, wirtinger_alexander
+from oracles import burau_generator, to_planar_diagram, winding_number_matrix, wirtinger_alexander
 from petalgrid import invariants
 from petalgrid.braid import BraidWord, conjugate_band_braid, delta, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
@@ -28,6 +28,13 @@ def poly(*pairs):
     out = LaurentPolynomial.zero()
     for coeff, exp in pairs:
         out = out + LaurentPolynomial.term(coeff, exp)
+    return out
+
+
+def power(base, e):
+    out = ONE
+    for _ in range(e):
+        out = out * base
     return out
 
 
@@ -156,8 +163,9 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
 
     monkeypatch.setattr(invariants, "_digits", spy)
     # The first width reads (1+t)^16 correctly, but its test cannot prove it.
-    got = divide_step((ONE - T * T) ** 16, ONE, LaurentPolynomial.zero(), ONE, (ONE - T) ** 16)
-    assert got == (ONE + T) ** 16
+    zero = LaurentPolynomial.zero()
+    got = divide_step(power(ONE - T * T, 16), ONE, zero, ONE, power(ONE - T, 16))
+    assert got == power(ONE + T, 16)
     assert len(widths) > 1 and widths == sorted(set(widths))
 
     # t / 2 with a numerator (t+1) - 1 whose value at every X = 2^w is
@@ -190,6 +198,34 @@ def test_alexander_from_grid_matches_wirtinger_oracle():
         rng.shuffle(entries)
         grid = build_petal_grid(PetalPermutation(tuple(entries)))
         assert alexander_from_grid(grid) == wirtinger_alexander(to_planar_diagram(grid)), entries
+
+
+def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_factor():
+    # Rows 0..p-2 are one monomial per cell of one edge's span; on
+    # petal grids (knots) and on random grids, links among them, the
+    # winding-number determinant is +-t^k (1-t)^(p-1) times the differenced one.
+    rng = random.Random(404)
+    for trial in range(240):
+        if trial % 2 == 0:
+            entries = list(range(1, rng.choice(range(3, 18, 2)) + 1))
+            rng.shuffle(entries)
+            grid = build_petal_grid(PetalPermutation(tuple(entries)))
+        else:
+            starts = list(range(1, rng.randint(2, 16) + 1))
+            ends = starts[:]
+            while any(a == b for a, b in zip(starts, ends)):
+                rng.shuffle(ends)
+            grid = GridDiagram(tuple(starts), tuple(ends))
+        p = grid.size
+        differenced = invariants._differenced_grid_matrix(grid)
+        for x, row in enumerate(differenced[:-1], 1):
+            y1, y2 = grid.starts[x - 1], grid.ends[x - 1]
+            support = [j for j, e in enumerate(row) if not e.is_zero()]
+            assert support == list(range(min(y1, y2), max(y1, y2)))
+            assert all(row[j].coeffs == (1,) for j in support)
+        full = bareiss_determinant(winding_number_matrix(grid))
+        factored = power(ONE - T, p - 1) * bareiss_determinant(differenced)
+        assert equal_up_to_units(full, factored), (grid.starts, grid.ends)
 
 
 def test_alexander_from_grid_rejects_links():
@@ -322,3 +358,10 @@ def test_certify_large_pair():
     report = certify(13, 30)
     assert report["all_match"] and report["length"] == 57
     assert report["alexander_from_grid"] == str(torus_alexander(13, 30))
+
+
+def test_certify_top_pair_on_the_grid():
+    # p = 77, the ladder's top pair: the differenced determinant takes about 1 s.
+    report = certify(17, 40, "grid")
+    assert report["all_match"] and report["length"] == 77
+    assert report["alexander_from_grid"] == str(torus_alexander(17, 40))
