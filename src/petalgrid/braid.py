@@ -168,11 +168,13 @@ def tau(w: BraidWord) -> BraidWord:
 # (no two strands cross twice), and each run enters as one factor: a positive
 # run Y as the permutation braid of Y, a negative run Y^-1 as Delta^-1 times
 # the permutation braid of Delta Y^-1.  Appending a factor combs it leftwards:
-# the local move slides a crossing from the head of the right factor into the
-# tail of the left factor (left-weighting).  When combing fills a left factor
-# up to Delta, that Delta is stripped where it forms: F Delta = Delta tau(F),
-# so every earlier factor is conjugated by Delta and the Delta power rises
-# by one.
+# each pair is left-weighted by one insertion pass, which moves every crossing
+# that can leave the head of the right factor into the tail of the left one.
+# When combing fills a factor up to Delta, that Delta is carried to the right
+# end: Delta F = tau(F) Delta, so only the factors after it, which combing has
+# just rewritten, are conjugated by Delta.  Delta^2 is central, so the Deltas
+# gathered at the right end are only counted, and the factors are conjugated
+# once at the end when their number is odd.
 
 
 def _left_weight(
@@ -180,29 +182,33 @@ def _left_weight(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Move crossings from the head of g into f until the pair is left-weighted.
 
-    A slide at position s is legal when s starts g (s appears after s+1 in
-    g's images) but does not finish f (f(s) < f(s+1)).
+    Position s holds the pair (f(s), g^-1(s)).  A slide at s swaps the pairs
+    at s and s+1; it is legal when s starts g (g^-1(s) > g^-1(s+1)) but does
+    not finish f (f(s) < f(s+1)).  A slide changes no pair to the right of the
+    one that moved, so the slides are done as one insertion pass: the pair at
+    i moves left past every neighbour it may slide over, and i is never
+    revisited.  The inputs are returned unchanged when nothing slides.
     """
-    fl = list(f)
-    gl = list(g)
     ginv = [0] * n
-    for pos, v in enumerate(gl):
+    for pos, v in enumerate(g):
         ginv[v - 1] = pos
-    s = 0  # 0-based position; tests generator index s+1
-    changed = False
-    while s < n - 1:
-        if ginv[s] > ginv[s + 1] and fl[s] < fl[s + 1]:
-            fl[s], fl[s + 1] = fl[s + 1], fl[s]
-            p1, p2 = ginv[s], ginv[s + 1]
-            gl[p1], gl[p2] = gl[p2], gl[p1]
-            ginv[s], ginv[s + 1] = p2, p1
-            changed = True
-            if s:
-                s -= 1
-        else:
-            s += 1
-    if not changed:
+    fl = f
+    for i in range(1, n):
+        x = fl[i]
+        y = ginv[i]
+        if fl[i - 1] < x and ginv[i - 1] > y:
+            if fl is f:
+                fl = list(f)
+            j = i - 1
+            while j and fl[j - 1] < x and ginv[j - 1] > y:
+                j -= 1
+            fl.insert(j, fl.pop(i))
+            ginv.insert(j, ginv.pop(i))
+    if fl is f:
         return f, g
+    gl = [0] * n
+    for v, pos in enumerate(ginv, 1):
+        gl[pos] = v
     return tuple(fl), tuple(gl)
 
 
@@ -211,18 +217,24 @@ def _conjugate_by_delta(f: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple([n + 1 - f[n - 1 - i] for i in range(n)])
 
 
-def _append_factor(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -> int:
-    """Append one permutation-braid factor, comb it leftwards, strip any Delta.
+def _append_factor(
+    factors: list[tuple[int, ...]],
+    g: tuple[int, ...],
+    w0: tuple[int, ...],
+    identity: tuple[int, ...],
+) -> int:
+    """Append one permutation-braid factor, comb it leftwards, carry any Delta right.
 
-    Returns the number of Delta factors stripped, 0 or 1.
+    w0 and identity are the images of Delta and of the identity.  Returns the
+    number of Deltas carried to the right end, 0 or 1: g itself when it is
+    Delta, or a factor that combing fills up to Delta, which is deleted after
+    the factors behind it are conjugated by Delta.
     """
-    w0 = tuple(range(n, 0, -1))
-    identity = tuple(range(1, n + 1))
     if g == w0:
-        factors[:] = [_conjugate_by_delta(f, n) for f in factors]
         return 1
     if g == identity:
         return 0
+    n = len(g)
     factors.append(g)
     j = len(factors) - 2
     while j >= 0:
@@ -235,7 +247,7 @@ def _append_factor(factors: list[tuple[int, ...]], g: tuple[int, ...], n: int) -
             factors[j + 1] = g2
         if f2 == w0:
             del factors[j]
-            factors[:j] = [_conjugate_by_delta(f, n) for f in factors[:j]]
+            factors[j:] = [_conjugate_by_delta(f, n) for f in factors[j:]]
             return 1
         factors[j] = f2
         j -= 1
@@ -296,7 +308,9 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     Delta^-1 past a letter conjugates it by Delta, sigma_i -> sigma_{n-i};
     Delta^2 is central, so a run's letters flip exactly when an odd number
     of negative runs follow it.  A Delta formed while combing a new factor
-    in is stripped at once and counted in the power.
+    in (or a run equal to Delta) is carried to the right end instead and
+    counted there; a run flips once more when that count is odd, and so do
+    all factors at the end.
 
     >>> nf = left_normal_form(half_twist(4).inverse())
     >>> nf.delta_power, nf.factors
@@ -305,18 +319,23 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     (Permutation(images=(2, 3, 1)), Permutation(images=(1, 3, 2)))
     """
     n = w.n
+    w0 = tuple(range(n, 0, -1))
+    identity = w0[::-1]
     runs = _simple_runs(w)
     later = sum(1 for negative, _ in runs if negative)
     power = -later
+    trailing = 0
     factors: list[tuple[int, ...]] = []
     for negative, im in runs:
         if negative:
             later -= 1
         f = tuple([n + 1 - v for v in im]) if negative else tuple(im)
-        if later % 2:
+        if (later + trailing) % 2:
             f = _conjugate_by_delta(f, n)
-        power += _append_factor(factors, f, n)
-    return NormalForm(n, power, tuple([Permutation(f) for f in factors]))
+        trailing += _append_factor(factors, f, w0, identity)
+    if trailing % 2:
+        factors = [_conjugate_by_delta(f, n) for f in factors]
+    return NormalForm(n, power + trailing, tuple([Permutation(f) for f in factors]))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

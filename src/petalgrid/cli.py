@@ -4,12 +4,14 @@ rendering, and the identity self-test.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage or
 input error, 3 timeout.  JSON payloads carry a top-level "schema": 1 and
-are byte-identical across runs for identical inputs.
+are byte-identical across runs for identical inputs.  A reader that closes
+stdout early does not change the exit code.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -34,8 +36,23 @@ EXIT_USAGE = 2
 EXIT_TIMEOUT = 3
 
 
+def _out(text: str) -> None:
+    """Print one line to stdout, the one place the commands write to it.
+
+    When the reader has closed the pipe (`petalgrid verify 5 7 | head -c 1`),
+    stdout is pointed at os.devnull instead of raising, so the command still
+    returns the exit code its checks earned.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": SCHEMA, **payload}, separators=(", ", ": ")))
+    _out(json.dumps({"schema": SCHEMA, **payload}, separators=(", ", ": ")))
 
 
 def _fail(message: str) -> int:
@@ -52,8 +69,8 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
         payload["classification"] = classify(pp)
         _emit_json(payload)
     else:
-        print(f"petal permutation of T({args.n},{args.s}): {pp.entries}")
-        print(f"length {pp.p} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
+        _out(f"petal permutation of T({args.n},{args.s}): {pp.entries}")
+        _out(f"length {pp.p} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
     return EXIT_OK
 
 
@@ -68,17 +85,32 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
+        return value
+
+    return parse
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.timeout if args.timeout is not None else None
     report = certify(args.n, args.s, args.pipeline, deadline)
     if report.get("timeout"):
-        _emit_json(report) if args.json else print("timed out; partial report:", report)
+        _emit_json(report) if args.json else _out(f"timed out; partial report: {report}")
         return EXIT_TIMEOUT
     if args.json:
         _emit_json(report)
     else:
         for key, value in report.items():
-            print(f"{key}: {value}")
+            _out(f"{key}: {value}")
     return EXIT_OK if report["all_match"] else EXIT_CHECK_FAILED
 
 
@@ -90,11 +122,11 @@ def cmd_braid(args: argparse.Namespace) -> int:
             _emit_json({"n": nf.n, "delta_power": nf.delta_power, "factors": factors})
         else:
             shown = " * ".join(f"P{tuple(f)}" for f in factors) if factors else "(no factors)"
-            print(f"Delta^{nf.delta_power} {shown}")
+            _out(f"Delta^{nf.delta_power} {shown}")
         return EXIT_OK
     if args.braid_command == "equal":
         equal = words_equal(parse_word(args.n, args.word1), parse_word(args.n, args.word2))
-        print("equal" if equal else "not equal")
+        _out("equal" if equal else "not equal")
         return EXIT_OK if equal else EXIT_CHECK_FAILED
     n, k = args.braid_n, args.braid_k
     witness = torus_conjugacy_witness(n, k)
@@ -109,9 +141,9 @@ def cmd_braid(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(f"conjugator X = {format_word(witness.conjugator)}")
-        print(f"rhs = {format_word(witness.rhs)}")
-        print("verified" if witness.verified else "NOT verified")
+        _out(f"conjugator X = {format_word(witness.conjugator)}")
+        _out(f"rhs = {format_word(witness.rhs)}")
+        _out("verified" if witness.verified else "NOT verified")
     return EXIT_OK if witness.verified else EXIT_CHECK_FAILED
 
 
@@ -126,7 +158,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     if args.svg:
         write_svg(grid, args.svg)
     else:
-        print(render_ascii(grid))
+        _out(render_ascii(grid))
     return EXIT_OK
 
 
@@ -142,12 +174,12 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     failed = []
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        print(f"{status}  {r.name:<{width}}  {r.cases} cases")
+        _out(f"{status}  {r.name:<{width}}  {r.cases} cases")
         if not r.passed:
             failed.append(r)
             for detail in r.failures[:3]:
-                print(f"      {detail}")
-    print(f"{len(results) - len(failed)}/{len(results)} suites passed in {time.monotonic() - t0:.1f}s")
+                _out(f"      {detail}")
+    _out(f"{len(results) - len(failed)}/{len(results)} suites passed in {time.monotonic() - t0:.1f}s")
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -196,9 +228,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the identity suites and print a table")
-    p.add_argument("--max-n", type=int, default=9)
-    p.add_argument("--max-s", type=int, default=20)
-    p.add_argument("--trials", type=int, default=200)
+    # Band relations need 3 strands and the smallest pair is T(2,3); a
+    # negative trial count would run nothing and pass.
+    p.add_argument("--max-n", type=_int_at_least(3), default=9)
+    p.add_argument("--max-s", type=_int_at_least(3), default=20)
+    p.add_argument("--trials", type=_int_at_least(0), default=200)
     p.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
     p.set_defaults(func=cmd_selftest)
     return parser

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import letterwise_normal_form
+from oracles import _letterwise_left_weight, letterwise_normal_form
 
 from petalgrid.braid import (
     NormalForm,
@@ -25,7 +25,7 @@ from petalgrid.braid import (
     torus_conjugacy_witness,
     words_equal,
 )
-from petalgrid.braid import _append_factor, _conjugate_by_delta, _simple_runs
+from petalgrid.braid import _append_factor, _conjugate_by_delta, _left_weight, _simple_runs
 from petalgrid.perm import IndexSubset, Permutation, residue_perm
 
 
@@ -210,6 +210,20 @@ def test_normal_form_of_negative_delta_powers():
                 assert nf == NormalForm(n, -2 * (k // n), ()), (n, k)
 
 
+def test_left_weight_matches_one_slide_oracle():
+    # The insertion pass gives the same pair as sliding one crossing at a time.
+    rng = random.Random(29)
+    for n in range(2, 17):
+        for _ in range(400):
+            f, g = random_permutation(rng, n), random_permutation(rng, n)
+            f2, g2 = _left_weight(f.images, g.images, n)
+            assert (f2, g2) == _letterwise_left_weight(f.images, g.images, n), (f, g)
+            assert Permutation(f2) * Permutation(g2) == f * g
+            assert _letterwise_left_weight(f2, g2, n)[0] == f2
+            if f2 == f.images:
+                assert f2 is f.images and g2 is g.images
+
+
 def test_delta_formed_mid_list_is_stripped_and_conjugates_earlier_factors():
     # Append to F_1 ... F_j the complement g of F_j, so that F_j g = Delta:
     # combing forms Delta at F_j's index, not at the front.
@@ -219,11 +233,31 @@ def test_delta_formed_mid_list_is_stripped_and_conjugates_earlier_factors():
     assert nf.canonical_length() >= 4
     j = 3
     head = [f.images for f in nf.factors[:j]]
-    complement = nf.factors[j - 1].inverse() * Permutation(tuple(range(n, 0, -1)))
-    factors = list(head)
-    assert _append_factor(factors, complement.images, n) == 1
+    w0 = tuple(range(n, 0, -1))
+    complement = nf.factors[j - 1].inverse() * Permutation(w0)
     conjugated = [_conjugate_by_delta(f, n) for f in head[: j - 1]]
-    assert factors == conjugated and factors != head[: j - 1]
+    assert conjugated != head[: j - 1]
+    # _append_factor counts the Delta and carries it to the right end: the
+    # factors before it stay, the factors after it (none here) flip.
+    factors = list(head)
+    assert _append_factor(factors, complement.images, w0, w0[::-1]) == 1
+    assert factors == head[: j - 1]
+    # Append complement * sigma_i instead (still simple, as complement(i) <
+    # complement(i+1)): F_j absorbs the complement, and the sigma_i left
+    # after the Delta flips to sigma_{n-i}.
+    i = next(i for i in range(1, n) if complement(i) < complement(i + 1))
+    longer = complement * induced_permutation(sigma(n, i))
+    assert longer.inversions() == complement.inversions() + 1
+    factors = list(head)
+    assert _append_factor(factors, longer.images, w0, w0[::-1]) == 1
+    assert factors == head[: j - 1] + [induced_permutation(sigma(n, n - i)).images]
+    product = BraidWord.identity(n)
+    for f in head + [longer.images]:
+        product = product * permutation_braid(Permutation(f))
+    kept = BraidWord.identity(n)
+    for f in factors:
+        kept = kept * permutation_braid(Permutation(f))
+    assert words_equal(product, kept * half_twist(n))
 
     # The same product as a word: the Delta power rises by one.
     w = half_twist(n) ** nf.delta_power

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import petalgrid
 import petalgrid.invariants as invariants
 import petalgrid.selftest as selftest
 from petalgrid.braid import half_twist, round_trip, words_equal
@@ -190,6 +195,36 @@ def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--max-n", "5", "--max-s", "8", "--trials", "5")
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+def test_selftest_rejects_ranges_that_run_nothing(capsys):
+    for option, value in (("--max-n", "2"), ("--max-n", "1"), ("--max-s", "2"), ("--trials", "-1")):
+        code, out, err = run(capsys, "selftest", option, value)
+        assert code == 2, (option, value)
+        assert out == "" and f"argument {option}: must be an integer >=" in err
+        assert "randrange" not in err
+
+
+def test_closed_stdout_keeps_the_exit_code():
+    # The reader closes the pipe before the command writes: no traceback,
+    # and the exit code is still the one the checks earned.
+    src = str(Path(petalgrid.__file__).resolve().parents[1])
+    code = "import sys; from petalgrid.cli import main; sys.exit(main(sys.argv[1:]))"
+    for argv, expected in (
+        (["verify", "5", "7", "--json"], 0),
+        (["braid", "equal", "-n", "3", "s1", "s2"], 1),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == expected, (argv, err)
+        assert err == b"", (argv, err)
 
 
 def test_selftest_fault_injection(capsys, monkeypatch):
