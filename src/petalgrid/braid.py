@@ -166,15 +166,17 @@ def tau(w: BraidWord) -> BraidWord:
 # Factors are raw 1-indexed image tuples during computation.  A word is read
 # as maximal runs of same-sign letters whose induced permutation stays simple
 # (no two strands cross twice), and each run enters as one factor: a positive
-# run Y as the permutation braid of Y, a negative run Y^-1 as Delta^-1 times
-# the permutation braid of Delta Y^-1.  Appending a factor combs it leftwards:
-# each pair is left-weighted by one insertion pass, which moves every crossing
-# that can leave the head of the right factor into the tail of the left one.
-# When combing fills a factor up to Delta, that Delta is carried to the right
-# end: Delta F = tau(F) Delta, so only the factors after it, which combing has
-# just rewritten, are conjugated by Delta.  Delta^2 is central, so the Deltas
-# gathered at the right end are only counted, and the factors are conjugated
-# once at the end when their number is odd.
+# run Y as the permutation braid of Y, a negative run Y^-1 as the permutation
+# braid of Y^-1 Delta followed by Delta^-1.  Appending a factor combs it
+# leftwards: each pair is left-weighted by one insertion pass, which moves
+# every crossing that can leave the head of the right factor into the tail of
+# the left one.  Every Delta^+-1 is carried to the right end: a negative run's
+# Delta^-1, and each Delta that combing fills a factor up to.  Delta F =
+# _conjugate_by_delta(F) Delta, so only the factors a Delta passes are
+# conjugated: those after a Delta formed by combing, which combing has just
+# rewritten.  Delta^2 is central, so the Deltas gathered at the right end are
+# only counted, with their signs; a factor that enters while the count is odd
+# is conjugated as it enters, and all factors once at the end if it is odd.
 
 
 def _left_weight(
@@ -302,15 +304,13 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.
 
     The word is cut into maximal runs of same-sign letters whose induced
-    permutation stays simple.  A positive run is one factor; a negative run
-    Y^-1 is Delta^-1 times the factor Delta Y^-1, and every Delta^-1 is
-    carried to the front, so the delta power may be negative.  Carrying one
-    Delta^-1 past a letter conjugates it by Delta, sigma_i -> sigma_{n-i};
-    Delta^2 is central, so a run's letters flip exactly when an odd number
-    of negative runs follow it.  A Delta formed while combing a new factor
-    in (or a run equal to Delta) is carried to the right end instead and
-    counted there; a run flips once more when that count is odd, and so do
-    all factors at the end.
+    permutation stays simple.  A positive run Y is one factor; a negative run
+    Y^-1 is the factor Y^-1 Delta, whose images are the run's reversed,
+    followed by Delta^-1.  Every Delta^+-1 is carried to the right end and
+    counted there with its sign: a negative run's Delta^-1, and each Delta
+    formed while combing a factor in.  A run that enters while the count is
+    odd is conjugated by Delta first, sigma_i -> sigma_{n-i}, and so are all
+    factors at the end when the count is odd; the count is the delta power.
 
     >>> nf = left_normal_form(half_twist(4).inverse())
     >>> nf.delta_power, nf.factors
@@ -321,21 +321,16 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     n = w.n
     w0 = tuple(range(n, 0, -1))
     identity = w0[::-1]
-    runs = _simple_runs(w)
-    later = sum(1 for negative, _ in runs if negative)
-    power = -later
-    trailing = 0
+    power = 0
     factors: list[tuple[int, ...]] = []
-    for negative, im in runs:
-        if negative:
-            later -= 1
-        f = tuple([n + 1 - v for v in im]) if negative else tuple(im)
-        if (later + trailing) % 2:
+    for negative, im in _simple_runs(w):
+        f = tuple(im[::-1] if negative else im)
+        if power % 2:
             f = _conjugate_by_delta(f, n)
-        trailing += _append_factor(factors, f, w0, identity)
-    if trailing % 2:
+        power += _append_factor(factors, f, w0, identity) - negative
+    if power % 2:
         factors = [_conjugate_by_delta(f, n) for f in factors]
-    return NormalForm(n, power + trailing, tuple([Permutation(f) for f in factors]))
+    return NormalForm(n, power, tuple([Permutation(f) for f in factors]))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

@@ -160,8 +160,7 @@ class LaurentPolynomial:
         """The representative with lowest exponent 0 and positive lowest coefficient."""
         if self.is_zero():
             return self
-        coeffs = self.coeffs if self.coeffs[0] > 0 else tuple(-c for c in self.coeffs)
-        return LaurentPolynomial(0, coeffs)
+        return LaurentPolynomial(0, (self if self.coeffs[0] > 0 else -self).coeffs)
 
     def __str__(self) -> str:
         if self.is_zero():

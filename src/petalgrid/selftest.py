@@ -61,11 +61,11 @@ def _random_subset(rng: random.Random, pool: list[int], size: int) -> tuple[int,
     return tuple(sorted(rng.sample(pool, size)))
 
 
-def _random_word(rng: random.Random, n: int, length: int, signed: bool = True) -> BraidWord:
+def _random_word(rng: random.Random, n: int, length: int) -> BraidWord:
     letters = []
     for _ in range(length):
         g = rng.randint(1, n - 1)
-        if signed and rng.random() < 0.5:
+        if rng.random() < 0.5:
             g = -g
         letters.append(g)
     return BraidWord(n, tuple(letters))
@@ -353,10 +353,10 @@ def suite_normal_form_rewrites(rng: random.Random, trials: int, max_n: int = 8) 
     return res
 
 
-def suite_certification(pairs: list[tuple[int, int]] | None = None) -> SuiteResult:
+def suite_certification() -> SuiteResult:
     """The full certificate: length, grid, strong braidedness, witness, Alexander."""
     res = SuiteResult("knot-certification")
-    for n, s in pairs or [(2, 3), (2, 5), (3, 4), (3, 5)]:
+    for n, s in [(2, 3), (2, 5), (3, 4), (3, 5)]:
         report = certify(n, s)
         res.check(report["all_match"], f"certification failed at n={n}, s={s}: {report}")
     return res

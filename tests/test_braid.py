@@ -175,6 +175,16 @@ def test_normal_form_matches_letterwise_oracle():
     rng = random.Random(2024)
     words = [random_word(rng, rng.randint(2, 12), rng.randint(0, 80)) for _ in range(2000)]
     words += [random_word(rng, 14, 200) for _ in range(20)]
+    # Whole half twists, their inverses and short signed runs interleaved, so a
+    # negative run's Delta^-1 and a Delta formed by combing alternate in a word.
+    for _ in range(300):
+        n = rng.randint(3, 10)
+        pieces = [half_twist(n), half_twist(n).inverse()]
+        letters = []
+        for _ in range(rng.randint(2, 8)):
+            k = rng.randrange(3)
+            letters += (pieces[k] if k < 2 else random_word(rng, n, rng.randint(1, 5))).letters
+        words.append(BraidWord(n, tuple(letters)))
     for w in words:
         nf, expected = left_normal_form(w), letterwise_normal_form(w)
         assert (nf.delta_power, nf.factors) == (expected.delta_power, expected.factors), w
