@@ -9,14 +9,17 @@ The grid pipeline starts from the p x p matrix (t^w), w the knot's winding
 number around each cell centre of a size-p grid diagram, whose determinant
 is +-t^a (1-t)^(p-1) Delta(t).  It builds instead the matrix of differences
 of adjacent rows, each with its factor (1-t) and a unit taken out: row i
-is zero off the span of one vertical edge and t^w on it.  Its fraction-free
-Bareiss determinant is +-t^b Delta(t), with no division after it.  The braid
+is zero off the span of one vertical edge and t^w on it.  Its determinant
+is +-t^b Delta(t), with no division after it.  Every nonzero entry is a
+unit, so one left-to-right sweep of row operations on unit pivots, with no
+scaling and no division, clears all but a remainder of order n-1 on the
+petal grid of T(n, s), and Bareiss runs on that remainder only.  The braid
 pipeline builds the reduced Burau matrix B of a word, one column update per
 letter, and rescales det(B - I) by (1-t)/(1-t^n).  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
 for both.
 
-Both determinants run through one fraction-free Bareiss kernel whose
+Both determinants end in one fraction-free Bareiss kernel whose
 entries are plain (lowest exponent, coefficients, height) triples.  Each
 update (x*pivot - a*y) / prev is one Python-integer computation at
 t = X = 2^w (Kronecker substitution): the operands are packed by Horner's
@@ -376,6 +379,64 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
     return matrix
 
 
+def _unit_pivot_remainder(
+    matrix: list[list[LaurentPolynomial]], deadline: float | None = None
+) -> list[list[LaurentPolynomial]]:
+    """A square matrix whose determinant is det(matrix) times some +-t^k.
+
+    One sweep over the columns, left to right.  Where some remaining row
+    holds a unit +-t^k in column j, the one with the fewest nonzero entries
+    is the pivot: every other row with an entry a there loses a*(+-t^-k)
+    times the pivot row, which clears column j, and the pivot's row and
+    column are dropped.  A unit pivot needs no scaling and no division, so
+    this is plain row reduction; the determinant changes only by the
+    pivot's unit and the sign of the dropped position.  Columns with no
+    unit entry stay, in their order, with the rows never taken as pivots.
+    Rows are dicts column -> entry and entries dicts exponent ->
+    coefficient, with no zero entries or coefficients.  With a
+    `time.monotonic()` deadline, raises TimeoutError at the first unit
+    pivot taken after it.
+    """
+    rows = {
+        i: {j: {p.min_exp + k: c for k, c in enumerate(p.coeffs) if c} for j, p in enumerate(row) if p.coeffs}
+        for i, row in enumerate(matrix)
+    }
+    kept = []
+    for j in range(len(matrix)):
+        units = [i for i, row in rows.items() if j in row and list(row[j].values()) in ([1], [-1])]
+        if not units:
+            kept.append(j)
+            continue
+        _check_deadline(deadline)
+        pivot = rows.pop(min(units, key=lambda i: (len(rows[i]), i)))
+        ((k, c),) = pivot.pop(j).items()
+        for row in rows.values():
+            if j not in row:
+                continue
+            # a * (+-t^-k) with the sign flipped, so the update is an addition.
+            factor = [(e - k, -c * v) for e, v in row.pop(j).items()]
+            for col, entry in pivot.items():
+                target = row.setdefault(col, {})
+                for e1, v1 in factor:
+                    for e2, v2 in entry.items():
+                        e = e1 + e2
+                        v = target.get(e, 0) + v1 * v2
+                        if v:
+                            target[e] = v
+                        else:
+                            del target[e]
+                if not target:
+                    del row[col]
+
+    def poly(entry: dict[int, int] | None) -> LaurentPolynomial:
+        if not entry:
+            return LaurentPolynomial.zero()
+        lo = min(entry)
+        return LaurentPolynomial.from_coeffs(lo, [entry.get(e, 0) for e in range(lo, max(entry) + 1)])
+
+    return [[poly(row.get(j)) for j in kept] for row in rows.values()]
+
+
 def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
@@ -384,11 +445,16 @@ def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> Lauren
     Subtracting each row's successor and taking the factor (1-t), times a
     unit, out of every difference (_differenced_grid_matrix) leaves a
     matrix whose determinant is +-t^b Delta(t) itself, so no division
-    follows.
+    follows.  Every nonzero entry of that matrix is a unit t^w, so one
+    sweep of unit pivots (_unit_pivot_remainder) clears most of it; on
+    the petal grid of T(n, s) it leaves a remainder of order n-1, whose
+    determinant Bareiss takes.  The deadline is checked at each unit pivot
+    and each Bareiss pivot.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return bareiss_determinant(_differenced_grid_matrix(g), deadline).normalize_up_to_units()
+    remainder = _unit_pivot_remainder(_differenced_grid_matrix(g), deadline)
+    return bareiss_determinant(remainder, deadline).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------

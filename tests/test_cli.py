@@ -127,11 +127,11 @@ def test_verify_timeout_must_be_positive(capsys):
 
 
 def test_verify_timeout_interrupts_the_determinant(capsys):
-    # The grid determinant of T(17,60) (p = 115) alone takes about 5 s, after
-    # about 5 ms of earlier stages; the closed form is the last stage before
-    # it, so the deadline lands inside it.
+    # The grid determinant of T(41,100) (p = 197) alone takes 4-5 s,
+    # after about 0.06 s of earlier stages; the closed form is the last stage
+    # before it, so the deadline lands inside it.
     t0 = time.monotonic()
-    code, out, _ = run(capsys, "verify", "17", "60", "--timeout", "0.3", "--json")
+    code, out, _ = run(capsys, "verify", "41", "100", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
     assert code == 3
     payload = json.loads(out)

@@ -228,6 +228,50 @@ def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_fac
         assert equal_up_to_units(full, factored), (grid.starts, grid.ends)
 
 
+def test_unit_pivots_keep_the_differenced_determinant():
+    # The unit sweep is row reduction by unit pivots, so the remainder's
+    # determinant is the full differenced determinant up to +-t^k.
+    rng = random.Random(505)
+    for _ in range(300):
+        entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
+        rng.shuffle(entries)
+        grid = build_petal_grid(PetalPermutation(tuple(entries)))
+        full = bareiss_determinant(invariants._differenced_grid_matrix(grid))
+        assert equal_up_to_units(alexander_from_grid(grid), full), entries
+
+
+def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
+    # Taking the lowest, the highest or the fullest candidate row as the
+    # pivot leaves the same order, so the order alone does not pin the rule.
+    for n in range(2, 12):
+        for s in range(n + 1, 40):
+            if math.gcd(n, s) != 1:
+                continue
+            differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
+            remainder = invariants._unit_pivot_remainder(differenced)
+            assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
+
+
+def test_unit_pivots_take_the_sparsest_row():
+    # The fill-in does pin it: with the fewest-entries rule the remainder at
+    # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
+    # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
+    differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
+    remainder = invariants._unit_pivot_remainder(differenced)
+    assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
+
+
+def test_alexander_from_grid_deadline_stops_the_unit_pivots(monkeypatch):
+    grid = build_petal_grid(synthesize(5, 12))
+
+    def no_bareiss(*args, **kwargs):
+        raise AssertionError("Bareiss reached past the deadline")
+
+    monkeypatch.setattr(invariants, "bareiss_determinant", no_bareiss)
+    with pytest.raises(TimeoutError):
+        alexander_from_grid(grid, deadline=time.monotonic() - 1)
+
+
 def test_alexander_from_grid_rejects_links():
     # Two disjoint 2x2 squares: a two-component unlink.
     link = GridDiagram((1, 2, 3, 4), (2, 1, 4, 3))
@@ -361,7 +405,15 @@ def test_certify_large_pair():
 
 
 def test_certify_top_pair_on_the_grid():
-    # p = 77, the ladder's top pair: the differenced determinant takes about 1 s.
+    # p = 77, the ladder's top pair: the grid determinant takes about 0.1 s.
     report = certify(17, 40, "grid")
     assert report["all_match"] and report["length"] == 77
     assert report["alexander_from_grid"] == str(torus_alexander(17, 40))
+
+
+@pytest.mark.parametrize("n, s, p", [(17, 60, 115), (23, 60, 117)])
+def test_certify_past_the_ladder_on_the_grid(n, s, p):
+    # The grid determinant takes 0.2-0.4 s here, against 5-9 s by Bareiss alone.
+    report = certify(n, s, "grid")
+    assert report["all_match"] and report["length"] == p
+    assert report["alexander_from_grid"] == str(torus_alexander(n, s))
