@@ -15,7 +15,6 @@ from .braid import (
     ascending_run,
     band_indices,
     conjugate_band_braid,
-    decompose_permutation_braid,
     delta,
     descending_run,
     format_word,
@@ -27,9 +26,6 @@ from .braid import (
     round_trip,
     round_trip_product,
     sigma,
-    split,
-    subset_braid,
-    tau,
     torus_conjugacy_witness,
     words_equal,
 )
@@ -55,7 +51,6 @@ from .perm import (
     IndexSubset,
     Permutation,
     interleave,
-    order_bijection,
     residue_perm,
 )
 from .petal import (

@@ -22,7 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .perm import IndexSubset, Permutation, order_bijection, residue_perm
+from .perm import IndexSubset, Permutation, residue_perm
 
 
 @dataclass(frozen=True)
@@ -134,31 +134,6 @@ def permutation_braid(p: Permutation) -> BraidWord:
                 swaps.append(i)
                 changed = True
     return BraidWord(p.n, tuple(reversed(swaps)))
-
-
-def subset_braid(a: IndexSubset, b: IndexSubset) -> BraidWord:
-    """The permutation braid routing heights b to heights a order-preservingly."""
-    return permutation_braid(order_bijection(a, b))
-
-
-def split(alpha: BraidWord, beta: BraidWord) -> BraidWord:
-    """Stack beta on top of alpha: beta's letter indices shift up by alpha.n."""
-    k = alpha.n
-    shifted = tuple(g + k if g > 0 else g - k for g in beta.letters)
-    return BraidWord(k + beta.n, alpha.letters + shifted)
-
-
-def tau(w: BraidWord) -> BraidWord:
-    """Conjugation by the descending cycle: delta^-1 w delta.
-
-    On generators tau shifts the index up by one, which is used as a
-    letterwise fast path whenever every letter index is at most n-2;
-    otherwise the conjugated word is returned literally and callers
-    reduce it via the normal form.
-    """
-    if all(abs(g) <= w.n - 2 for g in w.letters):
-        return BraidWord(w.n, tuple(g + 1 if g > 0 else g - 1 for g in w.letters))
-    return delta(w.n).inverse() * w * delta(w.n)
 
 
 # --- Garside left normal form ------------------------------------------------
@@ -338,31 +313,6 @@ def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
     if w1.n != w2.n:
         raise ValueError("index mismatch")
     return left_normal_form(w1) == left_normal_form(w2)
-
-
-def decompose_permutation_braid(
-    p: Permutation, k: int
-) -> tuple[BraidWord, BraidWord, IndexSubset]:
-    """Split the permutation braid of p as a stacked pair times a routing braid.
-
-    Returns (P1, P2, A) with P1 in B_k, P2 in B_{n-k} and A = p^-1({1..k}),
-    such that the braid of p equals split(P1, P2) * subset_braid(L, A) for
-    L = {1..k}.
-    """
-    n = p.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for degree {n}")
-    pinv = p.inverse()
-    a = IndexSubset.of(n, (pinv(i) for i in range(1, k + 1)))
-    low = IndexSubset.bottom(n, k)
-    q = p * order_bijection(a, low)
-    # q preserves {1..k}, so it splits into block permutations.
-    p1 = permutation_braid(Permutation(q.images[:k]))
-    if k < n:
-        p2 = permutation_braid(Permutation(tuple(v - k for v in q.images[k:])))
-    else:
-        p2 = BraidWord.identity(0)
-    return p1, p2, a
 
 
 # --- Conjugacy of delta powers to band products ------------------------------

@@ -60,16 +60,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(a == i for i, a in enumerate(self.images, start=1))
 
-    def inversions(self) -> int:
-        """Number of pairs i < j with p(i) > p(j); the Coxeter length."""
-        images = self.images
-        return sum(
-            1
-            for i in range(len(images))
-            for j in range(i + 1, len(images))
-            if images[i] > images[j]
-        )
-
     def is_single_cycle(self) -> bool:
         """Whether the permutation is one n-cycle (so a braid closure is a knot)."""
         seen = 1
@@ -117,41 +107,8 @@ class IndexSubset:
     def of(n: int, members: Iterable[int]) -> IndexSubset:
         return IndexSubset(n, tuple(sorted(set(members))))
 
-    @staticmethod
-    def bottom(n: int, k: int) -> IndexSubset:
-        """The k lowest indices {1, ..., k}."""
-        return IndexSubset(n, tuple(range(1, k + 1)))
-
-    @staticmethod
-    def top(n: int, k: int) -> IndexSubset:
-        """The k highest indices {n-k+1, ..., n}."""
-        return IndexSubset(n, tuple(range(n - k + 1, n + 1)))
-
     def __len__(self) -> int:
         return len(self.members)
-
-    def complement(self) -> IndexSubset:
-        inside = set(self.members)
-        return IndexSubset(self.n, tuple(i for i in range(1, self.n + 1) if i not in inside))
-
-
-def order_bijection(a: IndexSubset, b: IndexSubset) -> Permutation:
-    """The permutation sending b to a and the complements likewise, order-preservingly.
-
-    The i-th smallest member of b maps to the i-th smallest member of a, and
-    the complements correspond the same way, so order_bijection(b, a) is the
-    inverse.
-    """
-    if a.n != b.n:
-        raise ValueError("degree mismatch")
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: |A|={len(a)}, |B|={len(b)}")
-    images = [0] * a.n
-    for src, dst in zip(b.members, a.members):
-        images[src - 1] = dst
-    for src, dst in zip(b.complement().members, a.complement().members):
-        images[src - 1] = dst
-    return Permutation(tuple(images))
 
 
 def residue_perm(n: int, k: int) -> Permutation:

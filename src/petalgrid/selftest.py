@@ -1,11 +1,13 @@
 """
-Randomized verification suites for the word identities behind the synthesizer.
+Randomized verification suites for the shipped certifier.
 
-Each suite draws seeded random instances and checks one family of word
-equalities through the normal-form engine, so a single run re-derives every
-algebraic fact the petal-permutation construction relies on.  The functions
-return structured results rather than raising, so callers can render a
-pass/fail table.
+Each suite draws seeded instances and checks one family of facts about the
+code the certificate runs: the band identities and normal form, the residue
+permutation and conjugacy witness, synthesis, and `certify` itself.  The
+lemma algebra of the paper's proof (stacked and routing braids, conjugation
+by delta, splitting a permutation braid) is checked by the test suite, not
+here.  The functions return structured results rather than raising, so
+callers can render a pass/fail table.
 """
 from __future__ import annotations
 
@@ -19,23 +21,18 @@ from .braid import (
     band_indices,
     delta,
     descending_run,
-    decompose_permutation_braid,
     half_twist,
     induced_permutation,
     left_normal_form,
-    permutation_braid,
     round_trip,
     round_trip_product,
     sigma,
-    split,
-    subset_braid,
-    tau,
     torus_conjugacy_witness,
     words_equal,
 )
 from .grid import build_petal_grid, validate_petal_grid
 from .invariants import certify
-from .perm import IndexSubset, Permutation, residue_perm
+from .perm import IndexSubset, residue_perm
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 DEFAULT_SEED = 70311
@@ -127,120 +124,8 @@ def suite_band_relations(rng: random.Random, trials: int, max_n: int) -> SuiteRe
     return res
 
 
-def suite_routing_composition(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
-    """Top-to-subset routing composes with subset-to-bottom routing."""
-    res = SuiteResult("routing-composition")
-    for _ in range(trials):
-        n = rng.randint(2, max_n)
-        k = rng.randint(1, n)
-        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
-        low, top = IndexSubset.bottom(n, k), IndexSubset.top(n, k)
-        lhs = subset_braid(top, a) * subset_braid(a, low)
-        res.check(
-            words_equal(lhs, subset_braid(top, low)),
-            f"routing composition failed at n={n}, A={a.members}",
-        )
-    return res
-
-
-def suite_split_exchange(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
-    """The routing braid exchanges the two blocks of a stacked pair."""
-    res = SuiteResult("split-exchange")
-    for _ in range(trials):
-        n = rng.randint(2, max_n)
-        k = rng.randint(1, n - 1)
-        low, top = IndexSubset.bottom(n, k), IndexSubset.top(n, k)
-        x = subset_braid(top, low)
-        alpha = _random_word(rng, k, rng.randint(0, 6)) if k >= 2 else BraidWord.identity(k)
-        beta = (
-            _random_word(rng, n - k, rng.randint(0, 6))
-            if n - k >= 2
-            else BraidWord.identity(n - k)
-        )
-        res.check(
-            words_equal(x * split(alpha, beta), split(beta, alpha) * x),
-            f"split exchange failed at n={n}, k={k}",
-        )
-        res.check(
-            words_equal(delta(n) ** k * split(alpha, beta), split(beta, alpha) * delta(n) ** k),
-            f"delta-power exchange failed at n={n}, k={k}",
-        )
-    return res
-
-
-def suite_braid_splitting(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
-    """Any permutation braid splits as a stacked pair times a routing braid."""
-    res = SuiteResult("braid-splitting")
-    for _ in range(trials):
-        n = rng.randint(2, max_n)
-        k = rng.randint(1, n)
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        p = Permutation(tuple(images))
-        p1, p2, a = decompose_permutation_braid(p, k)
-        expected_a = tuple(sorted(p.inverse()(i) for i in range(1, k + 1)))
-        ok = a.members == expected_a and words_equal(
-            permutation_braid(p), split(p1, p2) * subset_braid(IndexSubset.bottom(n, k), a)
-        )
-        res.check(ok, f"splitting failed at n={n}, k={k}, p={p.images}")
-    return res
-
-
-def suite_band_conjugation(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
-    """Band products against routing braids and embedded full twists."""
-    res = SuiteResult("band-conjugation")
-    for _ in range(trials):
-        n = rng.randint(2, max_n)
-        k = rng.randint(1, n)
-        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
-        low, top = IndexSubset.bottom(n, k), IndexSubset.top(n, k)
-        twist = split(half_twist(k), BraidWord.identity(n - k))
-        d_prod = BraidWord.identity(n)
-        e_prod = BraidWord.identity(n)
-        for m in a.members:
-            d_prod = d_prod * descending_run(n, m)
-        for m in reversed(a.members):
-            e_prod = e_prod * ascending_run(n, m)
-        res.check(
-            words_equal(d_prod, subset_braid(a, low) * twist),
-            f"descending product form failed at n={n}, A={a.members}",
-        )
-        res.check(
-            words_equal(e_prod, twist * subset_braid(low, a)),
-            f"ascending product form failed at n={n}, A={a.members}",
-        )
-        res.check(
-            words_equal(
-                round_trip_product(a),
-                subset_braid(a, low) * twist * twist * subset_braid(low, a),
-            ),
-            f"band product form failed at n={n}, A={a.members}",
-        )
-        res.check(
-            words_equal(delta(n) ** k, subset_braid(top, low) * twist * twist),
-            f"delta power factorization failed at n={n}, k={k}",
-        )
-    return res
-
-
-def suite_band_to_delta(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
-    """U(A) equals the negatively routed conjugate of a delta power."""
-    res = SuiteResult("band-to-delta")
-    for _ in range(trials):
-        n = rng.randint(2, max_n)
-        k = rng.randint(1, n)
-        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
-        low, top = IndexSubset.bottom(n, k), IndexSubset.top(n, k)
-        rhs = subset_braid(top, a).inverse() * delta(n) ** k * subset_braid(low, a)
-        res.check(
-            words_equal(round_trip_product(a), rhs),
-            f"band-to-delta failed at n={n}, A={a.members}",
-        )
-    return res
-
-
 def suite_residue_conjugacy(max_n: int) -> SuiteResult:
-    """The residue-permutation conjugacy and its ingredients, all coprime 2 <= k < n."""
+    """The residue permutation and its conjugacy witness, all coprime 2 <= k < n."""
     res = SuiteResult("residue-conjugacy")
     for n in range(3, max_n + 1):
         for k in range(2, n):
@@ -257,17 +142,6 @@ def suite_residue_conjugacy(max_n: int) -> SuiteResult:
             res.check(
                 sorted(conjugated(a) for a in a_members) == list(range(n - k + 2, n + 1)),
                 f"conjugated band indices do not map to the top at n={n}, k={k}",
-            )
-            xk = permutation_braid(pk)
-            _, _, a_found = decompose_permutation_braid(pk, k - 1)
-            res.check(
-                list(a_found.members) == a_members,
-                f"splitting subset is not the band index set at n={n}, k={k}",
-            )
-            alpha = tau(xk).inverse() * delta(n) ** (k - 1) * xk
-            res.check(
-                induced_permutation(alpha).is_identity(),
-                f"tau(X)^-1 delta^(k-1) X is not pure at n={n}, k={k}",
             )
             res.check(
                 torus_conjugacy_witness(n, k).verified,
@@ -371,11 +245,6 @@ def run_all(
     rng = random.Random(seed)
     return [
         suite_band_relations(rng, trials, max_n),
-        suite_routing_composition(rng, trials, max_n),
-        suite_split_exchange(rng, trials, max_n),
-        suite_braid_splitting(rng, trials, max_n),
-        suite_band_conjugation(rng, trials, max_n),
-        suite_band_to_delta(rng, trials, max_n),
         suite_residue_conjugacy(max_n),
         suite_torus_witness(max_n, max_s),
         suite_synthesis(max_s),

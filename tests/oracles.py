@@ -10,14 +10,32 @@ undifferenced winding-number matrix of a grid, the
 reduced Burau images of generators from their written-out matrices, and
 stabilizations of strongly braided permutations from the closed form of
 their result.
+
+It also holds the lemma algebra of the paper's proof that delta^s is
+conjugate to its band form (stacked braids, routing braids, conjugation by
+delta, splitting a permutation braid) and the seeded suites that check its
+identities through the normal form.
 """
+import random
 from dataclasses import dataclass
 
-from petalgrid.braid import BraidWord, NormalForm, left_normal_form
+from petalgrid.braid import (
+    BraidWord,
+    NormalForm,
+    ascending_run,
+    delta,
+    descending_run,
+    half_twist,
+    left_normal_form,
+    permutation_braid,
+    round_trip_product,
+    words_equal,
+)
 from petalgrid.grid import GridDiagram, Point
 from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
-from petalgrid.perm import Permutation
+from petalgrid.perm import IndexSubset, Permutation
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
+from petalgrid.selftest import SuiteResult, _random_subset, _random_word
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -417,3 +435,217 @@ def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:
         and out.p == pp.p + 2
         and list(out.even_part) == even
     )
+
+
+# --- The lemma algebra of the band-form conjugacy ----------------------------
+#
+# The paper proves delta^s conjugate to its band form through these stacked
+# and routing braids; the certifier checks each pair's conjugacy directly, so
+# they live here, with the seeded suites that check their identities.
+
+
+def inversions(p: Permutation) -> int:
+    """Number of pairs i < j with p(i) > p(j); the Coxeter length."""
+    images = p.images
+    return sum(
+        1
+        for i in range(len(images))
+        for j in range(i + 1, len(images))
+        if images[i] > images[j]
+    )
+
+
+def bottom_subset(n: int, k: int) -> IndexSubset:
+    """The k lowest indices {1, ..., k}."""
+    return IndexSubset(n, tuple(range(1, k + 1)))
+
+
+def top_subset(n: int, k: int) -> IndexSubset:
+    """The k highest indices {n-k+1, ..., n}."""
+    return IndexSubset(n, tuple(range(n - k + 1, n + 1)))
+
+
+def complement(a: IndexSubset) -> IndexSubset:
+    inside = set(a.members)
+    return IndexSubset(a.n, tuple(i for i in range(1, a.n + 1) if i not in inside))
+
+
+def order_bijection(a: IndexSubset, b: IndexSubset) -> Permutation:
+    """The permutation sending b to a and the complements likewise, order-preservingly.
+
+    The i-th smallest member of b maps to the i-th smallest member of a, and
+    the complements correspond the same way, so order_bijection(b, a) is the
+    inverse.
+    """
+    if a.n != b.n:
+        raise ValueError("degree mismatch")
+    if len(a) != len(b):
+        raise ValueError(f"size mismatch: |A|={len(a)}, |B|={len(b)}")
+    images = [0] * a.n
+    for src, dst in zip(b.members, a.members):
+        images[src - 1] = dst
+    for src, dst in zip(complement(b).members, complement(a).members):
+        images[src - 1] = dst
+    return Permutation(tuple(images))
+
+
+def subset_braid(a: IndexSubset, b: IndexSubset) -> BraidWord:
+    """The permutation braid routing heights b to heights a order-preservingly."""
+    return permutation_braid(order_bijection(a, b))
+
+
+def split(alpha: BraidWord, beta: BraidWord) -> BraidWord:
+    """Stack beta on top of alpha: beta's letter indices shift up by alpha.n."""
+    k = alpha.n
+    shifted = tuple(g + k if g > 0 else g - k for g in beta.letters)
+    return BraidWord(k + beta.n, alpha.letters + shifted)
+
+
+def tau(w: BraidWord) -> BraidWord:
+    """Conjugation by the descending cycle: delta^-1 w delta.
+
+    On generators tau shifts the index up by one, which is used as a
+    letterwise fast path whenever every letter index is at most n-2;
+    otherwise the conjugated word is returned literally and callers
+    reduce it via the normal form.
+    """
+    if all(abs(g) <= w.n - 2 for g in w.letters):
+        return BraidWord(w.n, tuple(g + 1 if g > 0 else g - 1 for g in w.letters))
+    return delta(w.n).inverse() * w * delta(w.n)
+
+
+def decompose_permutation_braid(
+    p: Permutation, k: int
+) -> tuple[BraidWord, BraidWord, IndexSubset]:
+    """Split the permutation braid of p as a stacked pair times a routing braid.
+
+    Returns (P1, P2, A) with P1 in B_k, P2 in B_{n-k} and A = p^-1({1..k}),
+    such that the braid of p equals split(P1, P2) * subset_braid(L, A) for
+    L = {1..k}.
+    """
+    n = p.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k={k} out of range for degree {n}")
+    pinv = p.inverse()
+    a = IndexSubset.of(n, (pinv(i) for i in range(1, k + 1)))
+    low = bottom_subset(n, k)
+    q = p * order_bijection(a, low)
+    # q preserves {1..k}, so it splits into block permutations.
+    p1 = permutation_braid(Permutation(q.images[:k]))
+    if k < n:
+        p2 = permutation_braid(Permutation(tuple(v - k for v in q.images[k:])))
+    else:
+        p2 = BraidWord.identity(0)
+    return p1, p2, a
+
+
+def suite_routing_composition(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
+    """Top-to-subset routing composes with subset-to-bottom routing."""
+    res = SuiteResult("routing-composition")
+    for _ in range(trials):
+        n = rng.randint(2, max_n)
+        k = rng.randint(1, n)
+        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
+        low, top = bottom_subset(n, k), top_subset(n, k)
+        lhs = subset_braid(top, a) * subset_braid(a, low)
+        res.check(
+            words_equal(lhs, subset_braid(top, low)),
+            f"routing composition failed at n={n}, A={a.members}",
+        )
+    return res
+
+
+def suite_split_exchange(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
+    """The routing braid exchanges the two blocks of a stacked pair."""
+    res = SuiteResult("split-exchange")
+    for _ in range(trials):
+        n = rng.randint(2, max_n)
+        k = rng.randint(1, n - 1)
+        low, top = bottom_subset(n, k), top_subset(n, k)
+        x = subset_braid(top, low)
+        alpha = _random_word(rng, k, rng.randint(0, 6)) if k >= 2 else BraidWord.identity(k)
+        beta = (
+            _random_word(rng, n - k, rng.randint(0, 6))
+            if n - k >= 2
+            else BraidWord.identity(n - k)
+        )
+        res.check(
+            words_equal(x * split(alpha, beta), split(beta, alpha) * x),
+            f"split exchange failed at n={n}, k={k}",
+        )
+        res.check(
+            words_equal(delta(n) ** k * split(alpha, beta), split(beta, alpha) * delta(n) ** k),
+            f"delta-power exchange failed at n={n}, k={k}",
+        )
+    return res
+
+
+def suite_braid_splitting(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
+    """Any permutation braid splits as a stacked pair times a routing braid."""
+    res = SuiteResult("braid-splitting")
+    for _ in range(trials):
+        n = rng.randint(2, max_n)
+        k = rng.randint(1, n)
+        images = list(range(1, n + 1))
+        rng.shuffle(images)
+        p = Permutation(tuple(images))
+        p1, p2, a = decompose_permutation_braid(p, k)
+        expected_a = tuple(sorted(p.inverse()(i) for i in range(1, k + 1)))
+        ok = a.members == expected_a and words_equal(
+            permutation_braid(p), split(p1, p2) * subset_braid(bottom_subset(n, k), a)
+        )
+        res.check(ok, f"splitting failed at n={n}, k={k}, p={p.images}")
+    return res
+
+
+def suite_band_conjugation(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
+    """Band products against routing braids and embedded full twists."""
+    res = SuiteResult("band-conjugation")
+    for _ in range(trials):
+        n = rng.randint(2, max_n)
+        k = rng.randint(1, n)
+        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
+        low, top = bottom_subset(n, k), top_subset(n, k)
+        twist = split(half_twist(k), BraidWord.identity(n - k))
+        d_prod = BraidWord.identity(n)
+        e_prod = BraidWord.identity(n)
+        for m in a.members:
+            d_prod = d_prod * descending_run(n, m)
+        for m in reversed(a.members):
+            e_prod = e_prod * ascending_run(n, m)
+        res.check(
+            words_equal(d_prod, subset_braid(a, low) * twist),
+            f"descending product form failed at n={n}, A={a.members}",
+        )
+        res.check(
+            words_equal(e_prod, twist * subset_braid(low, a)),
+            f"ascending product form failed at n={n}, A={a.members}",
+        )
+        res.check(
+            words_equal(
+                round_trip_product(a),
+                subset_braid(a, low) * twist * twist * subset_braid(low, a),
+            ),
+            f"band product form failed at n={n}, A={a.members}",
+        )
+        res.check(
+            words_equal(delta(n) ** k, subset_braid(top, low) * twist * twist),
+            f"delta power factorization failed at n={n}, k={k}",
+        )
+    return res
+
+
+def suite_band_to_delta(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
+    """U(A) equals the negatively routed conjugate of a delta power."""
+    res = SuiteResult("band-to-delta")
+    for _ in range(trials):
+        n = rng.randint(2, max_n)
+        k = rng.randint(1, n)
+        a = IndexSubset(n, _random_subset(rng, list(range(1, n + 1)), k))
+        low, top = bottom_subset(n, k), top_subset(n, k)
+        rhs = subset_braid(top, a).inverse() * delta(n) ** k * subset_braid(low, a)
+        res.check(
+            words_equal(round_trip_product(a), rhs),
+            f"band-to-delta failed at n={n}, A={a.members}",
+        )
+    return res

@@ -8,6 +8,7 @@ import random
 import time
 from contextlib import contextmanager
 
+import oracles
 from oracles import positive_words_agree_with_bfs, strongly_braided_stabilization_holds
 from petalgrid import selftest
 from petalgrid.braid import conjugate_band_braid, torus_conjugacy_witness
@@ -91,15 +92,15 @@ def test_criterion_5_identity_suite():
     with criterion(5, "identity-suite", budget=60.0):
         rng = random.Random(SEED)
         suites = [
-            selftest.suite_band_relations(rng, 200, 9),
-            selftest.suite_routing_composition(rng, 200, 9),
-            selftest.suite_split_exchange(rng, 200, 9),
-            selftest.suite_braid_splitting(rng, 200, 9),
-            selftest.suite_band_conjugation(rng, 200, 9),
-            selftest.suite_band_to_delta(rng, 200, 9),
+            (selftest.suite_band_relations(rng, 200, 9), 1000),
+            (oracles.suite_routing_composition(rng, 200, 9), 200),
+            (oracles.suite_split_exchange(rng, 200, 9), 400),
+            (oracles.suite_braid_splitting(rng, 200, 9), 200),
+            (oracles.suite_band_conjugation(rng, 200, 9), 800),
+            (oracles.suite_band_to_delta(rng, 200, 9), 200),
         ]
-        for suite in suites:
-            assert suite.cases >= 200, suite.name
+        for suite, cases in suites:
+            assert suite.cases == cases, (suite.name, suite.cases)
             assert suite.passed, (suite.name, suite.failures[:3])
 
 

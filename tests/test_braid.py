@@ -1,13 +1,22 @@
+import math
 import random
 
 import pytest
-from oracles import _letterwise_left_weight, letterwise_normal_form
+from oracles import (
+    _letterwise_left_weight,
+    decompose_permutation_braid,
+    inversions,
+    letterwise_normal_form,
+    split,
+    subset_braid,
+    tau,
+)
 
 from petalgrid.braid import (
     NormalForm,
     BraidWord,
     ascending_run,
-    decompose_permutation_braid,
+    band_indices,
     delta,
     descending_run,
     format_word,
@@ -19,9 +28,6 @@ from petalgrid.braid import (
     round_trip,
     round_trip_product,
     sigma,
-    split,
-    subset_braid,
-    tau,
     torus_conjugacy_witness,
     words_equal,
 )
@@ -85,7 +91,7 @@ def test_permutation_braid_basics():
     assert len(word) == 3
     assert words_equal(word, half_twist(3))
     p = Permutation((2, 4, 1, 3, 6, 5, 7))
-    assert len(permutation_braid(p)) == 4 == p.inversions()
+    assert len(permutation_braid(p)) == 4 == inversions(p)
     assert induced_permutation(permutation_braid(p)) == p
 
 
@@ -95,7 +101,7 @@ def test_permutation_braid_roundtrip_randomized():
         p = random_permutation(rng, rng.randint(1, 10))
         w = permutation_braid(p)
         assert induced_permutation(w) == p
-        assert len(w) == p.inversions()
+        assert len(w) == inversions(p)
 
 
 def test_permutation_braid_no_double_crossings():
@@ -257,7 +263,7 @@ def test_delta_formed_mid_list_is_stripped_and_conjugates_earlier_factors():
     # after the Delta flips to sigma_{n-i}.
     i = next(i for i in range(1, n) if complement(i) < complement(i + 1))
     longer = complement * induced_permutation(sigma(n, i))
-    assert longer.inversions() == complement.inversions() + 1
+    assert inversions(longer) == inversions(complement) + 1
     factors = list(head)
     assert _append_factor(factors, longer.images, w0, w0[::-1]) == 1
     assert factors == head[: j - 1] + [induced_permutation(sigma(n, n - i)).images]
@@ -425,8 +431,6 @@ def test_delta_power_factorization_exhaustive():
 
 
 def test_residue_commutator_is_pure_up_to_12():
-    import math
-
     for n in range(3, 13):
         for k in range(2, n):
             if math.gcd(n, k) != 1:
@@ -434,6 +438,25 @@ def test_residue_commutator_is_pure_up_to_12():
             x = permutation_braid(residue_perm(n, k))
             alpha = tau(x).inverse() * delta(n) ** (k - 1) * x
             assert induced_permutation(alpha).is_identity(), (n, k)
+
+
+def test_residue_permutation_lemmas():
+    # For each coprime 2 <= k < n <= 9 (19 pairs): the subset that splits the
+    # residue permutation braid at k-1 strands is the band index set, and
+    # tau(X)^-1 delta^(k-1) X is a pure braid.
+    checks = 0
+    for n in range(3, 10):
+        for k in range(2, n):
+            if math.gcd(n, k) != 1:
+                continue
+            pk = residue_perm(n, k)
+            _, _, a_found = decompose_permutation_braid(pk, k - 1)
+            assert list(a_found.members) == band_indices(n, k), (n, k)
+            xk = permutation_braid(pk)
+            alpha = tau(xk).inverse() * delta(n) ** (k - 1) * xk
+            assert induced_permutation(alpha).is_identity(), (n, k)
+            checks += 2
+    assert checks == 38
 
 
 def test_parse_and_format():

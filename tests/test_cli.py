@@ -197,6 +197,24 @@ def test_selftest_quick(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_selftest_runs_the_shipped_suites(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    lines = out.splitlines()
+    rows = [line.split() for line in lines[:-1]]
+    assert [row[1] for row in rows] == [
+        "band-relations",
+        "residue-conjugacy",
+        "torus-witness",
+        "synthesis-length",
+        "normal-form-rewrites",
+        "knot-certification",
+    ]
+    for status, name, cases, unit in rows:
+        assert status == "PASS" and unit == "cases" and int(cases) > 0, name
+    assert lines[-1].startswith("6/6 suites passed")
+
+
 def test_selftest_rejects_ranges_that_run_nothing(capsys):
     for option, value in (("--max-n", "2"), ("--max-n", "1"), ("--max-s", "2"), ("--trials", "-1")):
         code, out, err = run(capsys, "selftest", option, value)

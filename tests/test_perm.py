@@ -1,14 +1,9 @@
 import random
 
 import pytest
+from oracles import order_bijection
 
-from petalgrid.perm import (
-    IndexSubset,
-    Permutation,
-    interleave,
-    order_bijection,
-    residue_perm,
-)
+from petalgrid.perm import IndexSubset, Permutation, interleave, residue_perm
 
 
 def test_compose_involution_and_inverse():
