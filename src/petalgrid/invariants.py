@@ -15,7 +15,10 @@ unit, so one left-to-right sweep of row operations on unit pivots, with no
 scaling and no division, clears all but a remainder of order n-1 on the
 petal grid of T(n, s), and Bareiss runs on that remainder only.  The braid
 pipeline builds the reduced Burau matrix B of a word, one column update per
-letter, and rescales det(B - I) by (1-t)/(1-t^n).  The torus closed form
+letter, and rescales det(B - I) by (1-t)/(1-t^n).  It takes det(B - I)
+through the same sweep and Bareiss: for the band form of T(n, s), B - I is
+lower Hessenberg with a unit on every superdiagonal entry, so the sweep
+leaves a remainder of order 1.  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
 for both.
 
@@ -437,6 +440,15 @@ def _unit_pivot_remainder(
     return [[poly(row.get(j)) for j in kept] for row in rows.values()]
 
 
+def _determinant_up_to_units(matrix: list[list[LaurentPolynomial]], deadline: float | None) -> LaurentPolynomial:
+    """det(matrix) times some +-t^k: unit pivots first, then Bareiss on the remainder.
+
+    Both Alexander pipelines take their determinant here.  The deadline is
+    checked at each unit pivot and each Bareiss pivot.
+    """
+    return bareiss_determinant(_unit_pivot_remainder(matrix, deadline), deadline)
+
+
 def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
@@ -453,8 +465,7 @@ def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> Lauren
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    remainder = _unit_pivot_remainder(_differenced_grid_matrix(g), deadline)
-    return bareiss_determinant(remainder, deadline).normalize_up_to_units()
+    return _determinant_up_to_units(_differenced_grid_matrix(g), deadline).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------
@@ -495,15 +506,18 @@ def reduced_burau(w: BraidWord, deadline: float | None = None) -> list[list[Laur
 def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).
+    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  The determinant
+    comes from the unit-pivot sweep and Bareiss on its remainder, so it is
+    known only up to +-t^k; the exact division and the normalization
+    absorb that unit.  The deadline is checked at each letter of the
+    Burau product, each unit pivot and each Bareiss pivot.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
     m = reduced_burau(w, deadline)
-    one = LaurentPolynomial.one()
-    for i in range(len(m)):
-        m[i][i] = m[i][i] - one
-    det = bareiss_determinant(m, deadline)
+    for i, row in enumerate(m):
+        row[i] -= LaurentPolynomial.one()
+    det = _determinant_up_to_units(m, deadline)
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 

@@ -107,9 +107,6 @@ class IndexSubset:
     def of(n: int, members: Iterable[int]) -> IndexSubset:
         return IndexSubset(n, tuple(sorted(set(members))))
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def residue_perm(n: int, k: int) -> Permutation:
     """The permutation i -> k*i mod n (representatives in 1..n, so n is fixed).

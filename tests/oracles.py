@@ -479,8 +479,8 @@ def order_bijection(a: IndexSubset, b: IndexSubset) -> Permutation:
     """
     if a.n != b.n:
         raise ValueError("degree mismatch")
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: |A|={len(a)}, |B|={len(b)}")
+    if len(a.members) != len(b.members):
+        raise ValueError(f"size mismatch: |A|={len(a.members)}, |B|={len(b.members)}")
     images = [0] * a.n
     for src, dst in zip(b.members, a.members):
         images[src - 1] = dst

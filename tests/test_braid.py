@@ -164,6 +164,14 @@ def test_tau():
     conjugated = permutation_braid(d.inverse() * residue_perm(7, 3) * d)
     assert words_equal(tau(x3), conjugated)
 
+    # Signed words with every |g| <= n-2 take the letterwise path, negative
+    # letters included.
+    rng = random.Random(515)
+    for _ in range(200):
+        n = rng.randint(3, 9)
+        w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 2) for _ in range(rng.randint(1, 20))))
+        assert words_equal(tau(w), delta(n).inverse() * w * delta(n)), w.letters
+
 
 def test_left_normal_form_examples():
     nf = left_normal_form(BraidWord(3, (1, -1)))

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import burau_generator, to_planar_diagram, winding_number_matrix, wirtinger_alexander
 from petalgrid import invariants
-from petalgrid.braid import BraidWord, conjugate_band_braid, delta, sigma
+from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
     LaurentPolynomial,
@@ -272,6 +272,52 @@ def test_alexander_from_grid_deadline_stops_the_unit_pivots(monkeypatch):
         alexander_from_grid(grid, deadline=time.monotonic() - 1)
 
 
+def burau_minus_identity(w):
+    m = reduced_burau(w)
+    for i, row in enumerate(m):
+        row[i] -= ONE
+    return m
+
+
+def test_unit_pivots_leave_an_order_1_remainder_of_the_band_burau_matrix():
+    # B - I is lower Hessenberg with unit superdiagonal entries +-t^k, so the
+    # sweep clears all but one row and column of it.
+    pairs = [(n, s) for n in range(2, 12) for s in range(n + 1, 40) if math.gcd(n, s) == 1]
+    assert len(pairs) == 202
+    for n, s in pairs + [(17, 60), (23, 60), (29, 70)]:
+        remainder = invariants._unit_pivot_remainder(burau_minus_identity(conjugate_band_braid(n, s)))
+        assert len(remainder) == 1 and len(remainder[0]) == 1, (n, s)
+
+
+def test_alexander_from_closure_matches_full_bareiss():
+    # Signed words, two-component closures left out: the sweep's determinant
+    # is the full Bareiss determinant of B - I up to +-t^k.
+    rng = random.Random(606)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 8)
+        w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))))
+        if not induced_permutation(w).is_single_cycle():
+            continue
+        full = bareiss_determinant(burau_minus_identity(w))
+        expected = (full * (ONE - T)).divide_exact(ONE - power(T, n))
+        assert equal_up_to_units(alexander_from_closure(w), expected), w.letters
+        checked += 1
+
+
+def test_alexander_from_closure_deadline_stops_the_unit_pivots(monkeypatch):
+    band = conjugate_band_braid(5, 12)
+    burau = invariants.reduced_burau
+
+    def no_bareiss(*args, **kwargs):
+        raise AssertionError("Bareiss reached past the deadline")
+
+    monkeypatch.setattr(invariants, "reduced_burau", lambda w, deadline=None: burau(w))
+    monkeypatch.setattr(invariants, "bareiss_determinant", no_bareiss)
+    with pytest.raises(TimeoutError):
+        alexander_from_closure(band, deadline=time.monotonic() - 1)
+
+
 def test_alexander_from_grid_rejects_links():
     # Two disjoint 2x2 squares: a two-component unlink.
     link = GridDiagram((1, 2, 3, 4), (2, 1, 4, 3))
@@ -417,3 +463,12 @@ def test_certify_past_the_ladder_on_the_grid(n, s, p):
     report = certify(n, s, "grid")
     assert report["all_match"] and report["length"] == p
     assert report["alexander_from_grid"] == str(torus_alexander(n, s))
+
+
+@pytest.mark.parametrize("n, s", [(29, 70), (41, 100)])
+def test_certify_past_the_ladder_on_the_braid(n, s):
+    # The Burau determinant goes through the unit sweep: 0.2-0.5 s here,
+    # against 3 s and 31 s by Bareiss on the whole (n-1) x (n-1) matrix.
+    report = certify(n, s, "burau")
+    assert report["all_match"]
+    assert report["alexander_from_braid"] == str(torus_alexander(n, s))
