@@ -74,30 +74,24 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _seconds(text: str) -> float:
-    """An argparse type: a positive number of seconds."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = None
-    if value is None or not value > 0:
-        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
-    return value
+def _number(kind: type, ok, want: str):
+    """An argparse type: kind(text) where ok() accepts it; otherwise "must be <want>"."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
+        return value
+
+    return parse
 
 
 def _int_at_least(low: int):
     """An argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            value = None
-        if value is None or value < low:
-            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text}")
-        return value
-
-    return parse
+    return _number(int, lambda value: value >= low, f"an integer >= {low}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -156,7 +150,10 @@ def cmd_render(args: argparse.Namespace) -> int:
         pp = synthesize(args.n, args.s)
     grid = build_petal_grid(pp)
     if args.svg:
-        write_svg(grid, args.svg)
+        try:
+            write_svg(grid, args.svg)
+        except OSError as exc:  # here, not in main: TimeoutError and BrokenPipeError are OSErrors too
+            return _fail(str(exc))
     else:
         _out(render_ascii(grid))
     return EXIT_OK
@@ -200,7 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--pipeline", choices=PIPELINES, default="both")
-    p.add_argument("--timeout", type=_seconds, metavar="SEC")
+    seconds = _number(float, lambda value: value > 0, "a positive number of seconds")
+    p.add_argument("--timeout", type=seconds, metavar="SEC")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -228,11 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the identity suites and print a table")
-    # Band relations need 3 strands and the smallest pair is T(2,3); a
-    # negative trial count would run nothing and pass.
+    # Band relations need 3 strands and the smallest pair is T(2,3); with
+    # no trials the band and rewrite suites would run nothing and pass.
     p.add_argument("--max-n", type=_int_at_least(3), default=9)
     p.add_argument("--max-s", type=_int_at_least(3), default=20)
-    p.add_argument("--trials", type=_int_at_least(0), default=200)
+    p.add_argument("--trials", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=selftest.DEFAULT_SEED)
     p.set_defaults(func=cmd_selftest)
     return parser

@@ -41,7 +41,9 @@ End-to-end certification: certify(n, s) is the one certifier behind
 """
 from __future__ import annotations
 
+import signal
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .braid import (
@@ -214,11 +216,6 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
 # --- Determinants -------------------------------------------------------------
 
 
-def _check_deadline(deadline: float | None) -> None:
-    if deadline is not None and time.monotonic() > deadline:
-        raise TimeoutError("deadline passed")
-
-
 # Inside bareiss_determinant an entry is (lowest exponent, coefficients from
 # that exponent up, height), the height being the largest |coefficient|.  The
 # coefficients are trimmed at both ends; the zero entry has none.
@@ -313,16 +310,13 @@ def _bareiss_update(x: _Entry, pivot: _Entry, a: _Entry, y: _Entry, prev: _Entry
         width *= 2
 
 
-def bareiss_determinant(
-    matrix: list[list[LaurentPolynomial]], deadline: float | None = None
-) -> LaurentPolynomial:
+def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     """Fraction-free determinant over Laurent polynomials.
 
     Step k replaces each entry (i, j) below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
     Sylvester's identity every such quotient is exact.  Each quotient is
-    one _bareiss_update.  With a `time.monotonic()` deadline, raises
-    TimeoutError at the first pivot taken after it.
+    one _bareiss_update.
     """
     size = len(matrix)
     if any(len(row) != size for row in matrix):
@@ -333,7 +327,6 @@ def bareiss_determinant(
     sign = 1
     prev = (0, (1,), 1)
     for k in range(size - 1):
-        _check_deadline(deadline)
         if not m[k][k][1]:
             swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
             if swap is None:
@@ -382,9 +375,7 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
     return matrix
 
 
-def _unit_pivot_remainder(
-    matrix: list[list[LaurentPolynomial]], deadline: float | None = None
-) -> list[list[LaurentPolynomial]]:
+def _unit_pivot_remainder(matrix: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
     """A square matrix whose determinant is det(matrix) times some +-t^k.
 
     One sweep over the columns, left to right.  Where some remaining row
@@ -396,9 +387,7 @@ def _unit_pivot_remainder(
     pivot's unit and the sign of the dropped position.  Columns with no
     unit entry stay, in their order, with the rows never taken as pivots.
     Rows are dicts column -> entry and entries dicts exponent ->
-    coefficient, with no zero entries or coefficients.  With a
-    `time.monotonic()` deadline, raises TimeoutError at the first unit
-    pivot taken after it.
+    coefficient, with no zero entries or coefficients.
     """
     rows = {
         i: {j: {p.min_exp + k: c for k, c in enumerate(p.coeffs) if c} for j, p in enumerate(row) if p.coeffs}
@@ -410,7 +399,6 @@ def _unit_pivot_remainder(
         if not units:
             kept.append(j)
             continue
-        _check_deadline(deadline)
         pivot = rows.pop(min(units, key=lambda i: (len(rows[i]), i)))
         ((k, c),) = pivot.pop(j).items()
         for row in rows.values():
@@ -440,16 +428,12 @@ def _unit_pivot_remainder(
     return [[poly(row.get(j)) for j in kept] for row in rows.values()]
 
 
-def _determinant_up_to_units(matrix: list[list[LaurentPolynomial]], deadline: float | None) -> LaurentPolynomial:
-    """det(matrix) times some +-t^k: unit pivots first, then Bareiss on the remainder.
-
-    Both Alexander pipelines take their determinant here.  The deadline is
-    checked at each unit pivot and each Bareiss pivot.
-    """
-    return bareiss_determinant(_unit_pivot_remainder(matrix, deadline), deadline)
+def _determinant_up_to_units(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """det(matrix) times some +-t^k, for both Alexander pipelines: unit pivots, then Bareiss."""
+    return bareiss_determinant(_unit_pivot_remainder(matrix))
 
 
-def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> LaurentPolynomial:
+def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
     The p x p matrix (t^w), w the winding number around each cell centre,
@@ -458,14 +442,12 @@ def alexander_from_grid(g: GridDiagram, deadline: float | None = None) -> Lauren
     unit, out of every difference (_differenced_grid_matrix) leaves a
     matrix whose determinant is +-t^b Delta(t) itself, so no division
     follows.  Every nonzero entry of that matrix is a unit t^w, so one
-    sweep of unit pivots (_unit_pivot_remainder) clears most of it; on
-    the petal grid of T(n, s) it leaves a remainder of order n-1, whose
-    determinant Bareiss takes.  The deadline is checked at each unit pivot
-    and each Bareiss pivot.
+    sweep of unit pivots (_unit_pivot_remainder) clears all but an order
+    n-1 remainder on the petal grid of T(n, s), for Bareiss to take.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return _determinant_up_to_units(_differenced_grid_matrix(g), deadline).normalize_up_to_units()
+    return _determinant_up_to_units(_differenced_grid_matrix(g)).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------
@@ -475,15 +457,14 @@ def _times_t(p: LaurentPolynomial, e: int) -> LaurentPolynomial:
     return LaurentPolynomial(p.min_exp + e, p.coeffs) if p.coeffs else p
 
 
-def reduced_burau(w: BraidWord, deadline: float | None = None) -> list[list[LaurentPolynomial]]:
+def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
     """The reduced Burau matrix of a word; multiplicative over concatenation.
 
     The image of a generator differs from the identity only in column
     j = |g| - 1, so right-multiplying by it replaces that column c[j] by
     t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
     c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
-    either edge read as zero).  With a `time.monotonic()` deadline, raises
-    TimeoutError at the first letter taken after it.
+    either edge read as zero).
     """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
@@ -491,7 +472,6 @@ def reduced_burau(w: BraidWord, deadline: float | None = None) -> list[list[Laur
     last = w.n - 2
     out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
     for g in w.letters:
-        _check_deadline(deadline)
         j = abs(g) - 1
         for row in out:
             left = row[j - 1] if j > 0 else zero
@@ -503,21 +483,20 @@ def reduced_burau(w: BraidWord, deadline: float | None = None) -> list[list[Laur
     return out
 
 
-def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> LaurentPolynomial:
+def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
     Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  The determinant
     comes from the unit-pivot sweep and Bareiss on its remainder, so it is
     known only up to +-t^k; the exact division and the normalization
-    absorb that unit.  The deadline is checked at each letter of the
-    Burau product, each unit pivot and each Bareiss pivot.
+    absorb that unit.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    m = reduced_burau(w, deadline)
+    m = reduced_burau(w)
     for i, row in enumerate(m):
         row[i] -= LaurentPolynomial.one()
-    det = _determinant_up_to_units(m, deadline)
+    det = _determinant_up_to_units(m)
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 
@@ -525,6 +504,31 @@ def alexander_from_closure(w: BraidWord, deadline: float | None = None) -> Laure
 # --- End-to-end certification --------------------------------------------------
 
 PIPELINES = ("grid", "burau", "both")
+
+
+@contextmanager
+def _alarm(deadline: float | None):
+    """Raise TimeoutError in the block once the `time.monotonic()` deadline passes.
+
+    One SIGALRM interval timer, armed for the time left clamped to [1 us,
+    1e9 s]: 0 would disarm it, and setitimer overflows past about 1e9 s.
+    """
+    if deadline is None:
+        yield
+        return
+
+    def ring(*_):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, ring)  # in before the timer is armed
+    try:
+        signal.setitimer(signal.ITIMER_REAL, min(max(deadline - time.monotonic(), 1e-6), 1e9))
+        yield
+    finally:
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        finally:  # out only once it is off, even if it rings in the line above
+            signal.signal(signal.SIGALRM, previous)
 
 
 def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = None) -> dict:
@@ -541,61 +545,57 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
 
     Returns the report `petalgrid verify --json` prints, without "schema".
     An invalid pair or pipeline raises ValueError before any stage runs.
-    Past the `time.monotonic()` deadline, checked before each stage and at
-    each determinant pivot, the report so far is returned with
-    "timeout": True and no "all_match".  A stage that raises ValueError or
-    ArithmeticError fails the certificate: "error" holds "<stage>: <message>"
-    and "all_match" is False.
+    At the `time.monotonic()` deadline a SIGALRM timer interrupts whichever
+    stage is running, and the report so far is returned with "timeout":
+    True and no "all_match".  The timer needs a POSIX system and the main
+    thread; elsewhere a deadline fails the "timer" stage.  A stage that
+    raises ValueError or ArithmeticError fails the certificate: "error"
+    holds "<stage>: <message>" and "all_match" is False.
     """
     check_pair(n, s)
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {', '.join(PIPELINES)}, got {pipeline!r}")
     report: dict = {"n": n, "s": s, "pipeline": pipeline}
     checks: list[bool] = []
-    stage = ""
-
-    def enter(name: str) -> None:
-        nonlocal stage
-        _check_deadline(deadline)
-        stage = name
-
+    stage = "timer"
     try:
-        enter("synthesize")
-        pp = synthesize(n, s)
-        bound = length_bound(n, s)
-        report.update(petal_permutation=list(pp.entries), length=pp.p, bound=bound)
-        checks.append(pp.p == bound)
+        with _alarm(deadline):
+            stage = "synthesize"
+            pp = synthesize(n, s)
+            bound = length_bound(n, s)
+            report.update(petal_permutation=list(pp.entries), length=pp.p, bound=bound)
+            checks.append(pp.p == bound)
 
-        enter("grid")
-        grid = build_petal_grid(pp)
-        report["grid_valid"] = validate_petal_grid(grid).valid
-        checks.append(report["grid_valid"])
+            stage = "grid"
+            grid = build_petal_grid(pp)
+            report["grid_valid"] = validate_petal_grid(grid).valid
+            checks.append(report["grid_valid"])
 
-        enter("strongly_braided")
-        report["strongly_braided"] = classify(pp) == STRONGLY_BRAIDED
-        checks.append(report["strongly_braided"])
+            stage = "strongly_braided"
+            report["strongly_braided"] = classify(pp) == STRONGLY_BRAIDED
+            checks.append(report["strongly_braided"])
 
-        enter("witness")
-        witness = torus_conjugacy_witness(n, s)
-        report["conjugacy_verified"] = witness.verified
-        report["conjugator"] = format_word(witness.conjugator)
-        report["conjugate_band_form"] = format_word(witness.rhs)
-        checks.append(witness.verified)
+            stage = "witness"
+            witness = torus_conjugacy_witness(n, s)
+            report["conjugacy_verified"] = witness.verified
+            report["conjugator"] = format_word(witness.conjugator)
+            report["conjugate_band_form"] = format_word(witness.rhs)
+            checks.append(witness.verified)
 
-        enter("closed_form")
-        closed_form = torus_alexander(n, s)
-        report["alexander_closed_form"] = str(closed_form)
+            stage = "closed_form"
+            closed_form = torus_alexander(n, s)
+            report["alexander_closed_form"] = str(closed_form)
 
-        if pipeline in ("grid", "both"):
-            enter("alexander_grid")
-            from_grid = alexander_from_grid(grid, deadline)
-            report["alexander_from_grid"] = str(from_grid)
-            checks.append(equal_up_to_units(from_grid, closed_form))
-        if pipeline in ("burau", "both"):
-            enter("alexander_braid")
-            from_braid = alexander_from_closure(witness.rhs, deadline)
-            report["alexander_from_braid"] = str(from_braid)
-            checks.append(equal_up_to_units(from_braid, closed_form))
+            if pipeline in ("grid", "both"):
+                stage = "alexander_grid"
+                from_grid = alexander_from_grid(grid)
+                report["alexander_from_grid"] = str(from_grid)
+                checks.append(equal_up_to_units(from_grid, closed_form))
+            if pipeline in ("burau", "both"):
+                stage = "alexander_braid"
+                from_braid = alexander_from_closure(witness.rhs)
+                report["alexander_from_braid"] = str(from_braid)
+                checks.append(equal_up_to_units(from_braid, closed_form))
     except TimeoutError:
         report["timeout"] = True
         return report

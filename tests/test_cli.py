@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -129,7 +130,7 @@ def test_verify_timeout_must_be_positive(capsys):
 def test_verify_timeout_interrupts_the_determinant(capsys):
     # The grid determinant of T(41,100) (p = 197) alone takes 4-5 s,
     # after about 0.06 s of earlier stages; the closed form is the last stage
-    # before it, so the deadline lands inside it.
+    # before it, so the timer rings inside it.
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
@@ -139,6 +140,68 @@ def test_verify_timeout_interrupts_the_determinant(capsys):
     assert "alexander_closed_form" in payload
     assert "alexander_from_grid" not in payload
     assert elapsed < 2.0, elapsed
+
+
+def test_verify_timeout_interrupts_the_normal_form(capsys, monkeypatch):
+    # No check runs inside the witness stage: only the timer can stop it.
+    witness = invariants.torus_conjugacy_witness
+
+    def slow_witness(n, s):
+        time.sleep(10)
+        return witness(n, s)
+
+    monkeypatch.setattr(invariants, "torus_conjugacy_witness", slow_witness)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify", "5", "7", "--timeout", "0.2", "--json")
+    elapsed = time.monotonic() - t0
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["timeout"] is True
+    assert "strongly_braided" in payload and "conjugacy_verified" not in payload
+    assert elapsed < 2.0, elapsed
+
+
+def test_verify_timeout_interrupts_the_burau_stage(capsys):
+    # The Burau stage of T(41,100) takes about 0.5 s, after about 0.05 s of
+    # earlier stages.
+    code, out, _ = run(capsys, "verify", "41", "100", "--pipeline", "burau", "--timeout", "0.2", "--json")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["timeout"] is True
+    assert "alexander_closed_form" in payload and "alexander_from_braid" not in payload
+
+
+def test_timer_leaves_nothing_behind(monkeypatch):
+    handler = signal.getsignal(signal.SIGALRM)
+
+    def broken(n, s):
+        raise ValueError("broken closed form")
+
+    def finished():
+        return certify(3, 5, deadline=time.monotonic() + 60)["all_match"] is True
+
+    def timed_out():
+        return certify(41, 100, deadline=time.monotonic() + 0.1).get("timeout") is True
+
+    def already_passed():  # the timer still rings, after its shortest interval
+        return certify(2, 3, deadline=time.monotonic() - 1).get("timeout") is True
+
+    def failed():
+        monkeypatch.setattr(invariants, "torus_alexander", broken)
+        return certify(3, 5, deadline=time.monotonic() + 60)["error"] == "closed_form: broken closed form"
+
+    for case in (finished, timed_out, already_passed, failed):
+        assert case(), case.__name__
+        assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0), case.__name__
+        assert signal.getsignal(signal.SIGALRM) is handler, case.__name__
+
+
+def test_verify_timeout_past_the_timer_range(capsys):
+    # setitimer overflows past about 1e9 s; such a deadline is no deadline.
+    for value in ("inf", "1e12"):
+        code, out, _ = run(capsys, "verify", "2", "3", "--timeout", value, "--json")
+        assert code == 0, value
+        assert json.loads(out)["all_match"] is True
 
 
 def test_braid_equal(capsys):
@@ -191,6 +254,12 @@ def test_render(capsys, tmp_path):
     assert code == 2
 
 
+def test_render_svg_to_a_missing_directory(capsys, tmp_path):
+    code, out, err = run(capsys, "render", "5", "7", "--svg", str(tmp_path / "missing" / "x.svg"))
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+
+
 def test_selftest_quick(capsys):
     code, out, _ = run(capsys, "selftest", "--max-n", "5", "--max-s", "8", "--trials", "5")
     assert code == 0
@@ -216,7 +285,8 @@ def test_selftest_runs_the_shipped_suites(capsys):
 
 
 def test_selftest_rejects_ranges_that_run_nothing(capsys):
-    for option, value in (("--max-n", "2"), ("--max-n", "1"), ("--max-s", "2"), ("--trials", "-1")):
+    cases = (("--max-n", "2"), ("--max-n", "1"), ("--max-s", "2"), ("--trials", "0"), ("--trials", "-1"))
+    for option, value in cases:
         code, out, err = run(capsys, "selftest", option, value)
         assert code == 2, (option, value)
         assert out == "" and f"argument {option}: must be an integer >=" in err

@@ -1,6 +1,5 @@
 import math
 import random
-import time
 
 import pytest
 
@@ -127,9 +126,6 @@ def test_bareiss_matches_cofactor_expansion():
             assert got == naive_cofactor_det(m), (size, trial)
             if size >= 2 and trial % 4 == 1:
                 assert got.is_zero()
-
-    with pytest.raises(TimeoutError):
-        bareiss_determinant(m, deadline=time.monotonic() - 1)
 
 
 def divide_step(x, pivot, a, y, prev):
@@ -261,17 +257,6 @@ def test_unit_pivots_take_the_sparsest_row():
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
-def test_alexander_from_grid_deadline_stops_the_unit_pivots(monkeypatch):
-    grid = build_petal_grid(synthesize(5, 12))
-
-    def no_bareiss(*args, **kwargs):
-        raise AssertionError("Bareiss reached past the deadline")
-
-    monkeypatch.setattr(invariants, "bareiss_determinant", no_bareiss)
-    with pytest.raises(TimeoutError):
-        alexander_from_grid(grid, deadline=time.monotonic() - 1)
-
-
 def burau_minus_identity(w):
     m = reduced_burau(w)
     for i, row in enumerate(m):
@@ -305,19 +290,6 @@ def test_alexander_from_closure_matches_full_bareiss():
         checked += 1
 
 
-def test_alexander_from_closure_deadline_stops_the_unit_pivots(monkeypatch):
-    band = conjugate_band_braid(5, 12)
-    burau = invariants.reduced_burau
-
-    def no_bareiss(*args, **kwargs):
-        raise AssertionError("Bareiss reached past the deadline")
-
-    monkeypatch.setattr(invariants, "reduced_burau", lambda w, deadline=None: burau(w))
-    monkeypatch.setattr(invariants, "bareiss_determinant", no_bareiss)
-    with pytest.raises(TimeoutError):
-        alexander_from_closure(band, deadline=time.monotonic() - 1)
-
-
 def test_alexander_from_grid_rejects_links():
     # Two disjoint 2x2 squares: a two-component unlink.
     link = GridDiagram((1, 2, 3, 4), (2, 1, 4, 3))
@@ -333,15 +305,6 @@ def test_reduced_burau():
     for i in range(3):
         for j in range(3):
             assert ident[i][j] == (ONE if i == j else LaurentPolynomial.zero())
-
-
-def test_reduced_burau_deadline():
-    past = time.monotonic() - 1
-    with pytest.raises(TimeoutError):
-        reduced_burau(BraidWord(4, (1, 2, 3)), deadline=past)
-    # A 1 x 1 Burau matrix has no Bareiss pivot, so only the product can time out.
-    with pytest.raises(TimeoutError):
-        alexander_from_closure(BraidWord(2, (1, 1, 1)), deadline=past)
 
 
 def test_reduced_burau_generators_match_written_out_matrices():
