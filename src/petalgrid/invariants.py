@@ -14,8 +14,15 @@ is +-t^b Delta(t), with no division after it.  Every nonzero entry is a
 unit, so one left-to-right sweep of row operations on unit pivots, with no
 scaling and no division, clears all but a remainder of order n-1 on the
 petal grid of T(n, s), and Bareiss runs on that remainder only.  The braid
-pipeline builds the reduced Burau matrix B of a word, one column update per
-letter, and rescales det(B - I) by (1-t)/(1-t^n).  It takes det(B - I)
+pipeline builds the reduced Burau matrix B of a word and rescales
+det(B - I) by (1-t)/(1-t^n).  Each entry of B is packed as one Python
+integer, its polynomial at t = X = 2^w with each column times a power of t
+that keeps every exponent nonnegative, so a letter rewrites each row's
+entry in its column by left shifts and additions alone, which are exact.
+The coefficients are the integer's balanced base-X digits while they stay
+below X/2 in size; a bound per column, tightened by a mask test on the
+digits before it could reach X/2, proves that, and w doubles only when
+the coefficients themselves need it.  It takes det(B - I)
 through the same sweep and Bareiss: for the band form of T(n, s), B - I is
 lower Hessenberg with a unit on every superdiagonal entry, so the sweep
 leaves a remainder of order 1.  The torus closed form
@@ -123,8 +130,8 @@ class LaurentPolynomial:
     def __neg__(self) -> LaurentPolynomial:
         # From a list, not a generator: CPython sizes tuple(generator) by a
         # guess and then resizes it, so each negation moves a block between
-        # the tuple free lists and the long Burau loop of subtractions grows
-        # the process's memory from one run to the next.
+        # the tuple free lists and a long loop of subtractions grows the
+        # process's memory from one run to the next.
         return LaurentPolynomial(self.min_exp, tuple([-c for c in self.coeffs])) if self.coeffs else self
 
     def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
@@ -453,8 +460,36 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
 # --- Reduced Burau and braid closures -----------------------------------------
 
 
-def _times_t(p: LaurentPolynomial, e: int) -> LaurentPolynomial:
-    return LaurentPolynomial(p.min_exp + e, p.coeffs) if p.coeffs else p
+# The packed Burau product's first digit width, and the bound a column gets
+# when the mask test shows all its coefficients lie in [-_SMALL, _SMALL).
+_WIDTH, _SMALL = 64, 4
+
+
+def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
+    """Strip each column's common low zero digits, then bound it by _SMALL or its height.
+
+    Let d be one more than the whole base-X digits of the column's longest
+    entry and R = 1 + X + ... + X^(d-1).  An entry v whose balanced digits
+    all lie in [-_SMALL, _SMALL) has at most d of them, so v + _SMALL*R
+    lies in [0, X^d) with every base-X digit below 2*_SMALL; conversely
+    such a sum gives v those balanced digits, which are unique.  So one AND
+    with a mask of the bits such a sum never sets, those of
+    R*(X - 2*_SMALL) and all from X^d up, tests an entry.  A column with an
+    entry that fails is decoded instead.
+    """
+    for k in range(1, len(columns) - 1):
+        column = columns[k]
+        zeros = min((v & -v).bit_length() - 1 for v in column if v) // width
+        if zeros:
+            column = columns[k] = [v >> zeros * width for v in column]
+            low[k] -= zeros
+        bits = (max(v.bit_length() for v in column) // width + 1) * width
+        repunit = ((1 << bits) - 1) // ((1 << width) - 1)
+        offset, mask = _SMALL * repunit, repunit * ((1 << width) - 2 * _SMALL) - (1 << bits)
+        if any((v + offset) & mask for v in column):
+            height[k] = max(abs(c) for v in column for c in _digits(v, width))
+        else:
+            height[k] = _SMALL
 
 
 def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
@@ -465,22 +500,49 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
     t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
     c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
     either edge read as zero).
+
+    Each entry is one Python integer, its polynomial at t = X = 2^width,
+    and column j is held times t^low[j], low[j] set at each letter so that
+    no power of t in the update is negative.  A row's update is then at
+    most three left shifts and two additions, so every integer equals its
+    polynomial at X exactly.  Its balanced base-X digits (_digits) are the
+    coefficients while every |coefficient| < X/2, so each column carries a
+    bound height[j] on its coefficients, and a letter sets the bound of the
+    column it writes to the sum of the three bounds it reads.  Before a
+    bound would reach X/2 every column is tightened (_tighten) to a small
+    bound or its exact height, and the width doubles only if the heights
+    still need it.  The entries are decoded once, at the end.
     """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
-    zero, one = LaurentPolynomial.zero(), LaurentPolynomial.one()
-    last = w.n - 2
-    out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
+    size, width = w.n - 1, _WIDTH
+    # Column k-1 at index k, between two zero columns.
+    columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
+    low = [0] * (size + 2)
+    height = [0] + [1] * size + [0]
     for g in w.letters:
-        j = abs(g) - 1
-        for row in out:
-            left = row[j - 1] if j > 0 else zero
-            right = row[j + 1] if j < last else zero
-            if g > 0:
-                row[j] = _times_t(left - row[j], 1) + right
-            else:
-                row[j] = left + _times_t(right - row[j], -1)
-    return out
+        j = abs(g)
+        bound = height[j - 1] + height[j] + height[j + 1]
+        if bound >= 1 << (width - 1):
+            _tighten(columns, low, height, width)
+            bound = height[j - 1] + height[j] + height[j + 1]
+            while bound >= 1 << (width - 1):
+                columns = [[_pack(_digits(v, width), 2 * width) for v in column] for column in columns]
+                width *= 2
+        # c[j-1], c[j] and c[j+1] enter times t^up, t^(2up-1) and t^(up-1),
+        # and each needs the new offset to be at least its own less that power.
+        up = int(g > 0)
+        left, mid, right = low[j - 1] - up, low[j] + 1 - 2 * up, low[j + 1] + 1 - up
+        top = max(left if j > 1 else mid, mid, right if j < size else mid)
+        left = (top - left) * width if j > 1 else 0
+        right = (top - right) * width if j < size else 0
+        mid = (top - mid) * width
+        columns[j] = [(a << left) - (b << mid) + (c << right) for a, b, c in zip(*columns[j - 1 : j + 2])]
+        low[j], height[j] = top, bound
+    return [
+        [LaurentPolynomial.from_coeffs(-low[k], _digits(v, width)) for k, v in enumerate(row[1:-1], 1)]
+        for row in zip(*columns)
+    ]
 
 
 def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:

@@ -7,7 +7,8 @@ by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
 undifferenced winding-number matrix of a grid, the
-reduced Burau images of generators from their written-out matrices, and
+reduced Burau images of generators from their written-out matrices and of
+words by one column update per letter on polynomial entries, and
 stabilizations of strongly braided permutations from the closed form of
 their result.
 
@@ -202,6 +203,30 @@ def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
         if i < n - 1:
             m[i][i - 1] = tinv
     return m
+
+
+def reduced_burau_by_columns(w: BraidWord) -> list[list[LaurentPolynomial]]:
+    """The reduced Burau matrix of a word, one column update per letter on LaurentPolynomial entries.
+
+    Right-multiplying by a generator replaces column j = |g| - 1, c[j], by
+    t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
+    c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
+    either edge read as zero).
+    """
+    zero, one = LaurentPolynomial.zero(), LaurentPolynomial.one()
+    t, tinv = LaurentPolynomial.term(1, 1), LaurentPolynomial.term(1, -1)
+    last = w.n - 2
+    out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
+    for g in w.letters:
+        j = abs(g) - 1
+        for row in out:
+            left = row[j - 1] if j > 0 else zero
+            right = row[j + 1] if j < last else zero
+            if g > 0:
+                row[j] = t * (left - row[j]) + right
+            else:
+                row[j] = left + tinv * (right - row[j])
+    return out
 
 
 @dataclass(frozen=True)

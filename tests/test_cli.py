@@ -161,14 +161,24 @@ def test_verify_timeout_interrupts_the_normal_form(capsys, monkeypatch):
     assert elapsed < 2.0, elapsed
 
 
-def test_verify_timeout_interrupts_the_burau_stage(capsys):
-    # The Burau stage of T(41,100) takes about 0.5 s, after about 0.05 s of
-    # earlier stages.
+def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
+    # The Burau product is slowed down here, since its real time is too short
+    # to land a deadline in: only the timer can stop it.
+    burau = invariants.reduced_burau
+
+    def slow_burau(w):
+        time.sleep(10)
+        return burau(w)
+
+    monkeypatch.setattr(invariants, "reduced_burau", slow_burau)
+    t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--pipeline", "burau", "--timeout", "0.2", "--json")
+    elapsed = time.monotonic() - t0
     assert code == 3
     payload = json.loads(out)
     assert payload["timeout"] is True
     assert "alexander_closed_form" in payload and "alexander_from_braid" not in payload
+    assert elapsed < 2.0, elapsed
 
 
 def test_timer_leaves_nothing_behind(monkeypatch):
