@@ -20,24 +20,25 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
-from .perm import IndexSubset, Permutation, residue_perm
+from .perm import IndexSubset, Permutation, _Value, residue_perm
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """A word in the Artin generators of B_n."""
 
-    n: int
-    letters: tuple[int, ...]
+    __slots__ = ("n", "letters")
 
-    def __post_init__(self):
-        if self.n < 0:
+    def __init__(self, n: int, letters: tuple[int, ...]):
+        if n < 0:
             raise ValueError("braid index must be nonnegative")
-        for g in self.letters:
-            if g == 0 or not 1 <= abs(g) <= self.n - 1:
-                raise ValueError(f"letter {g} out of range for braid index {self.n}")
+        # A letter is in range when 0 < |g| < n; the scan for the first bad
+        # one runs only once one is known to be there.
+        if letters and (0 in letters or min(letters) <= -n or max(letters) >= n):
+            g = next(g for g in letters if g == 0 or not -n < g < n)
+            raise ValueError(f"letter {g} out of range for braid index {n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "letters", letters)
 
     @staticmethod
     def identity(n: int) -> BraidWord:
@@ -250,23 +251,23 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
     return runs
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Value):
     """Left-greedy Garside form Delta^delta_power F_1 ... F_r."""
 
-    n: int
-    delta_power: int
-    factors: tuple[Permutation, ...]
+    __slots__ = ("n", "delta_power", "factors")
 
-    def __post_init__(self):
-        w0 = tuple(range(self.n, 0, -1))
-        for f in self.factors:
+    def __init__(self, n: int, delta_power: int, factors: tuple[Permutation, ...]):
+        w0 = tuple(range(n, 0, -1))
+        for f in factors:
             if f.is_identity() or f.images == w0:
                 raise ValueError("normal form factors must be proper")
-        for f, g in zip(self.factors, self.factors[1:]):
-            f2, _ = _left_weight(f.images, g.images, self.n)
+        for f, g in zip(factors, factors[1:]):
+            f2, _ = _left_weight(f.images, g.images, n)
             if f2 != f.images:
                 raise ValueError("normal form factors are not left-weighted")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "delta_power", delta_power)
+        object.__setattr__(self, "factors", factors)
 
     def canonical_length(self) -> int:
         return len(self.factors)
@@ -318,14 +319,16 @@ def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
 # --- Conjugacy of delta powers to band products ------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyWitness:
+class ConjugacyWitness(_Value):
     """An explicit conjugator with both sides checked by normal form."""
 
-    n: int
-    conjugator: BraidWord
-    rhs: BraidWord
-    verified: bool
+    __slots__ = ("n", "conjugator", "rhs", "verified")
+
+    def __init__(self, n: int, conjugator: BraidWord, rhs: BraidWord, verified: bool):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "conjugator", conjugator)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "verified", verified)
 
 
 def ceil_div(a: int, b: int) -> int:

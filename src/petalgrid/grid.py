@@ -23,27 +23,26 @@ horizontal edges leave it on opposite sides.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-from .perm import Permutation
+from .perm import Permutation, _Value
 from .petal import PetalPermutation
 
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GridDiagram:
+class GridDiagram(_Value):
     """Where the knot enters (starts) and leaves (ends) each column."""
 
-    starts: tuple[int, ...]
-    ends: tuple[int, ...]
+    __slots__ = ("starts", "ends")
 
-    def __post_init__(self):
-        if Permutation(self.starts).n != Permutation(self.ends).n:
+    def __init__(self, starts: tuple[int, ...], ends: tuple[int, ...]):
+        if Permutation(starts).n != Permutation(ends).n:
             raise ValueError("starts and ends must be permutations of the same degree")
-        for x, (y1, y2) in enumerate(zip(self.starts, self.ends), 1):
+        for x, (y1, y2) in enumerate(zip(starts, ends), 1):
             if y1 == y2:
                 raise ValueError(f"column x={x} starts and ends on row {y1}")
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "ends", ends)
 
     @property
     def size(self) -> int:
@@ -63,11 +62,15 @@ class GridDiagram:
         return order
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    violations: tuple[str, ...]
-    inflection_edge: tuple[Point, Point] | None
+class ValidationReport(_Value):
+    __slots__ = ("valid", "violations", "inflection_edge")
+
+    def __init__(
+        self, valid: bool, violations: tuple[str, ...], inflection_edge: tuple[Point, Point] | None
+    ):
+        object.__setattr__(self, "valid", valid)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "inflection_edge", inflection_edge)
 
 
 def build_petal_grid(pp: PetalPermutation) -> GridDiagram:

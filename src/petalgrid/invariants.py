@@ -48,10 +48,8 @@ End-to-end certification: certify(n, s) is the one certifier behind
 """
 from __future__ import annotations
 
-import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from .braid import (
     BraidWord,
@@ -62,23 +60,24 @@ from .braid import (
 )
 from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
+from .perm import _Value
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
-@dataclass(frozen=True)
-class LaurentPolynomial:
+class LaurentPolynomial(_Value):
     """An integer-coefficient polynomial in t with possibly negative exponents.
 
     coeffs[j] multiplies t^(min_exp + j); the first and last coefficients
     are nonzero unless the polynomial is zero (empty coeffs).
     """
 
-    min_exp: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("min_exp", "coeffs")
 
-    def __post_init__(self):
-        if self.coeffs and (self.coeffs[0] == 0 or self.coeffs[-1] == 0):
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...]):
+        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
             raise ValueError("coefficients must be trimmed")
+        object.__setattr__(self, "min_exp", min_exp)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
     def zero() -> LaurentPolynomial:
@@ -157,15 +156,18 @@ class LaurentPolynomial:
         div = other.coeffs
         if len(rem) < len(div):
             raise ValueError("not divisible")
-        out = [0] * (len(rem) - len(div) + 1)
+        top = len(div) - 1
+        # Only the divisor's nonzero terms: t^n - 1 has two of n + 1.
+        terms = [(j, d) for j, d in enumerate(div) if d]
+        out = [0] * (len(rem) - top)
         for k in range(len(out) - 1, -1, -1):
-            lead = rem[k + len(div) - 1]
+            lead = rem[k + top]
             if lead % div[-1] != 0:
                 raise ValueError("not divisible")
             q = lead // div[-1]
             out[k] = q
             if q:
-                for j, d in enumerate(div):
+                for j, d in terms:
                     rem[k + j] -= q * d
         if any(rem):
             raise ValueError("not divisible")
@@ -578,6 +580,7 @@ def _alarm(deadline: float | None):
     if deadline is None:
         yield
         return
+    import signal  # only a run with a deadline needs it
 
     def ring(*_):
         raise TimeoutError

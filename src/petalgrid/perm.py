@@ -9,12 +9,48 @@ allocates a new tuple.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+from operator import attrgetter
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them in its __init__
+    with object.__setattr__.  Two values are equal, and hash alike, when they
+    are of the same class and their fields are equal; they do not order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field tuple, or the field itself when there is one: either way a
+        # key that is equal exactly when all fields are.
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+
+class Permutation(_Value):
     """A bijection of {1, ..., n}, stored by its 1-indexed images.
 
     >>> p = Permutation((2, 3, 1))
@@ -24,14 +60,15 @@ class Permutation:
     True
     """
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: tuple[int, ...]):
+        n = len(images)
         if n < 1:
             raise ValueError("degree must be at least 1")
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {self.images}")
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a permutation of 1..{n}: {images}")
+        object.__setattr__(self, "images", images)
 
     @property
     def n(self) -> int:
@@ -90,18 +127,18 @@ def interleave(p1: Sequence[int], p2: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class IndexSubset:
+class IndexSubset(_Value):
     """A subset of {1, ..., n}, stored as a strictly increasing member tuple."""
 
-    n: int
-    members: tuple[int, ...]
+    __slots__ = ("n", "members")
 
-    def __post_init__(self):
-        if any(not 1 <= m <= self.n for m in self.members):
-            raise ValueError(f"members must lie in 1..{self.n}: {self.members}")
-        if any(a >= b for a, b in zip(self.members, self.members[1:])):
-            raise ValueError(f"members must be strictly increasing: {self.members}")
+    def __init__(self, n: int, members: tuple[int, ...]):
+        if any(not 1 <= m <= n for m in members):
+            raise ValueError(f"members must lie in 1..{n}: {members}")
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise ValueError(f"members must be strictly increasing: {members}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
 
     @staticmethod
     def of(n: int, members: Iterable[int]) -> IndexSubset:

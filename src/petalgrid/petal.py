@@ -10,26 +10,24 @@ yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .braid import band_indices, check_pair
-from .perm import Permutation, interleave
+from .perm import Permutation, _Value, interleave
 
 GENERIC = "generic"
 BRAIDED = "braided"
 STRONGLY_BRAIDED = "strongly_braided"
 
 
-@dataclass(frozen=True)
-class PetalPermutation:
+class PetalPermutation(_Value):
     """A permutation of odd degree at least 3, as loop heights around the crossing."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        Permutation(self.entries)  # bijectivity
-        if len(self.entries) < 3 or len(self.entries) % 2 == 0:
-            raise ValueError(f"petal permutation length must be odd >= 3, got {len(self.entries)}")
+    def __init__(self, entries: tuple[int, ...]):
+        Permutation(entries)  # bijectivity
+        if len(entries) < 3 or len(entries) % 2 == 0:
+            raise ValueError(f"petal permutation length must be odd >= 3, got {len(entries)}")
+        object.__setattr__(self, "entries", entries)
 
     @staticmethod
     def from_parts(odd: tuple[int, ...], even: tuple[int, ...]) -> PetalPermutation:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 from .braid import (
     BraidWord,
@@ -38,11 +37,11 @@ from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 DEFAULT_SEED = 70311
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cases = 0
+        self.failures: list[str] = []
 
     @property
     def passed(self) -> bool:

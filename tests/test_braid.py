@@ -204,6 +204,20 @@ def test_normal_form_matches_letterwise_oracle():
         assert (nf.delta_power, nf.factors) == (expected.delta_power, expected.factors), w
 
 
+def test_braid_word_names_its_first_bad_letter():
+    n = 5
+    for bad in (0, n, -n, n + 3, -(n + 3)):
+        for letters in ((bad,), (1, -4, bad, 2), (4, bad, -(n + 7), 0)):
+            with pytest.raises(ValueError, match=rf"^letter {bad} out of range for braid index {n}$"):
+                BraidWord(n, letters)
+    with pytest.raises(ValueError, match="^letter 1 out of range for braid index 1$"):
+        BraidWord(1, (1,))
+    with pytest.raises(ValueError, match="^braid index must be nonnegative$"):
+        BraidWord(-1, ())
+    assert BraidWord(n, (1, -1, 4, -4)).letters == (1, -1, 4, -4)
+    assert BraidWord(0, ()).letters == BraidWord(1, ()).letters == ()
+
+
 def test_normal_form_of_empty_words_and_b2():
     for n in range(0, 7):
         assert left_normal_form(BraidWord.identity(n)) == NormalForm(n, 0, ())

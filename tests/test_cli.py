@@ -325,6 +325,39 @@ def test_closed_stdout_keeps_the_exit_code():
         assert err == b"", (argv, err)
 
 
+def test_start_up_loads_only_what_verify_needs():
+    # A fresh process that imports the CLI and builds its parser, as every
+    # command does, loads neither dataclasses (nor inspect behind it), nor
+    # the selftest suites, nor signal, which only --timeout uses.
+    src = str(Path(petalgrid.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import petalgrid.cli; petalgrid.cli.build_parser(); "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "petalgrid.invariants" in loaded and "argparse" in loaded and "json" in loaded
+    assert not loaded & {"dataclasses", "inspect", "petalgrid.selftest", "signal"}
+
+
+def test_selftest_seed_defaults_to_the_suites_seed(capsys, monkeypatch):
+    seeds = []
+
+    def run_all(**kwargs):
+        seeds.append(kwargs["seed"])
+        return [selftest.SuiteResult("recorded")]
+
+    monkeypatch.setattr(selftest, "run_all", run_all)
+    assert run(capsys, "selftest")[0] == 0
+    assert run(capsys, "selftest", "--seed", "5")[0] == 0
+    assert seeds == [selftest.DEFAULT_SEED, 5]
+    assert selftest.DEFAULT_SEED == 70311
+    sources = Path(petalgrid.__file__).parent.glob("*.py")
+    assert sum(path.read_text(encoding="utf-8").count("70311") for path in sources) == 1
+
+
 def test_selftest_fault_injection(capsys, monkeypatch):
     # A deliberately false identity, as a negative control.
     failing = selftest.SuiteResult("injected-fault")

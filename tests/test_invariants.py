@@ -80,6 +80,47 @@ def test_divide_exact_errors():
         ONE.divide_exact(LaurentPolynomial.zero())
 
 
+def dense_divide(num, den):
+    """Long division over every divisor coefficient, zeros included; None if not exact."""
+    rem, div = list(num.coeffs), den.coeffs
+    if len(rem) < len(div):
+        return None
+    out = [0] * (len(rem) - len(div) + 1)
+    for k in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[k + len(div) - 1], div[-1])
+        if r:
+            return None
+        out[k] = q
+        for j, d in enumerate(div):
+            rem[k + j] -= q * d
+    if any(rem):
+        return None
+    return LaurentPolynomial.from_coeffs(num.min_exp - den.min_exp, out)
+
+
+def test_divide_exact_sparse_and_dense_divisors():
+    # divide_exact skips the divisor's zero coefficients; the quotient, and
+    # whether it raises, must be those of division over every coefficient.
+    rng = random.Random(5)
+    sparse = [power(T, k) - ONE for k in (1, 2, 5, 11)]
+    sparse += [(power(T, 3) - ONE) * (power(T, 7) - ONE), power(T, 6) + LaurentPolynomial.term(3, -2)]
+    dense = [random_laurent(rng, max_terms=8, max_exp=4) for _ in range(12)]
+    for den in sparse + dense:
+        if den.is_zero():
+            continue
+        for _ in range(20):
+            num = random_laurent(rng, max_terms=6, max_exp=6) * den
+            if rng.random() < 0.5:
+                num = num + random_laurent(rng, max_terms=2, max_exp=8)
+            expected = dense_divide(num, den) if not num.is_zero() else num
+            if expected is None:
+                with pytest.raises(ValueError, match="^not divisible$"):
+                    num.divide_exact(den)
+            else:
+                assert num.divide_exact(den) == expected
+    assert sum(den.coeffs.count(0) > 0 for den in sparse) == len(sparse) - 1  # t - 1 has none
+
+
 def test_normalize_up_to_units():
     p = poly((-1, -1), (1, 0), (-1, 1))  # -t^-1 + 1 - t
     assert p.normalize_up_to_units() == poly((1, 0), (-1, 1), (1, 2))

@@ -1,0 +1,108 @@
+"""Value semantics shared by every immutable petalgrid class.
+
+Each class is checked against a frozen dataclass with the same fields, the
+form these classes had before they were written on one slotted base.
+"""
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from petalgrid.braid import BraidWord, ConjugacyWitness, NormalForm
+from petalgrid.grid import GridDiagram, ValidationReport
+from petalgrid.invariants import LaurentPolynomial
+from petalgrid.perm import IndexSubset, Permutation
+from petalgrid.petal import PetalPermutation
+
+# (class, valid fields, other valid fields, invalid fields, their error message)
+CASES = [
+    (Permutation, ((2, 3, 1),), ((1, 2, 3),), ((1, 1, 2),), "not a permutation of 1..3: (1, 1, 2)"),
+    (IndexSubset, (5, (1, 3)), (5, (1, 4)), (3, (1, 4)), "members must lie in 1..3: (1, 4)"),
+    (BraidWord, (3, (1, -2)), (3, (-2, 1)), (3, (1, 3)), "letter 3 out of range for braid index 3"),
+    (
+        NormalForm,
+        (3, 1, (Permutation((2, 1, 3)),)),
+        (3, 0, (Permutation((2, 1, 3)),)),
+        (3, 0, (Permutation((1, 2, 3)),)),
+        "normal form factors must be proper",
+    ),
+    (
+        ConjugacyWitness,
+        (3, BraidWord(3, (1,)), BraidWord(3, (2,)), True),
+        (3, BraidWord(3, (1,)), BraidWord(3, (2,)), False),
+        None,
+        None,
+    ),
+    (
+        GridDiagram,
+        ((3, 2, 1, 5, 4), (5, 4, 3, 2, 1)),
+        ((2, 3, 1), (3, 1, 2)),
+        ((1, 2), (1, 3)),
+        "not a permutation of 1..2: (1, 3)",
+    ),
+    (
+        ValidationReport,
+        (True, (), ((3, 1), (3, 5))),
+        (False, ("size 4 is not an odd integer >= 3",), None),
+        None,
+        None,
+    ),
+    (LaurentPolynomial, (-1, (1, -1, 1)), (0, (1, -1, 1)), (0, (0, 1)), "coefficients must be trimmed"),
+    (
+        PetalPermutation,
+        ((3, 5, 2, 4, 1),),
+        ((2, 3, 1),),
+        ((2, 1),),
+        "petal permutation length must be odd >= 3, got 2",
+    ),
+]
+
+
+def twin(cls):
+    """The frozen dataclass with the fields of cls, in order."""
+    return dataclasses.make_dataclass(cls.__name__, cls.__slots__, frozen=True)
+
+
+@pytest.mark.parametrize("cls, fields, other, bad, message", CASES, ids=[c[0].__name__ for c in CASES])
+def test_value_semantics(cls, fields, other, bad, message):
+    value = cls(*fields)
+    names = cls.__slots__
+    assert tuple(getattr(value, name) for name in names) == fields
+    assert cls(**dict(zip(names, fields))) == value
+
+    if bad is not None:
+        with pytest.raises(ValueError) as caught:
+            cls(*bad)
+        assert str(caught.value) == message
+    with pytest.raises(TypeError):
+        cls(*fields, fields[0])
+
+    # Equal exactly when of one class with equal fields, and hashed alike.
+    same = cls(*copy.deepcopy(fields))
+    assert same is not value and same == value and not same != value
+    assert hash(same) == hash(value)
+    assert len({value, same, cls(*other)}) == 2
+    assert value != cls(*other)
+    assert value != twin(cls)(*fields) and twin(cls)(*fields) != value
+    assert value != fields and value != (fields[0] if len(fields) == 1 else fields)
+
+    assert repr(value) == repr(twin(cls)(*fields))
+
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in names) == fields
+    with pytest.raises(TypeError):
+        value < same  # noqa: B015
+
+    for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(clone) is cls and clone == value
+
+
+def test_a_permutation_and_a_petal_permutation_are_never_equal():
+    entries = (3, 5, 2, 4, 1)
+    assert Permutation(entries) != PetalPermutation(entries)
+    assert len({Permutation(entries), PetalPermutation(entries)}) == 2
