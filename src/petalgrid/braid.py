@@ -102,10 +102,10 @@ def round_trip(n: int, k: int) -> BraidWord:
 
 def round_trip_product(subset: IndexSubset) -> BraidWord:
     """The product of round-trip bands over the subset members, in increasing order."""
-    word = BraidWord.identity(subset.n)
+    letters: list[int] = []
     for k in subset.members:
-        word = word * round_trip(subset.n, k)
-    return word
+        letters += round_trip(subset.n, k).letters
+    return BraidWord(subset.n, tuple(letters))
 
 
 def induced_permutation(w: BraidWord) -> Permutation:

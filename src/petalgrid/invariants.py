@@ -5,43 +5,32 @@ Alexander polynomials are defined only up to multiplication by units
 +-t^k, so every comparison here goes through normalize_up_to_units, which
 shifts the lowest exponent to zero and makes its coefficient positive.
 
-The grid pipeline starts from the p x p matrix (t^w), w the knot's winding
-number around each cell centre of a size-p grid diagram, whose determinant
-is +-t^a (1-t)^(p-1) Delta(t).  It builds instead the matrix of differences
-of adjacent rows, each with its factor (1-t) and a unit taken out: row i
-is zero off the span of one vertical edge and t^w on it.  Its determinant
-is +-t^b Delta(t), with no division after it.  Every nonzero entry is a
-unit, so one left-to-right sweep of row operations on unit pivots, with no
-scaling and no division, clears all but a remainder of order n-1 on the
-petal grid of T(n, s), and Bareiss runs on that remainder only.  The braid
-pipeline builds the reduced Burau matrix B of a word and rescales
-det(B - I) by (1-t)/(1-t^n).  Each entry of B is packed as one Python
-integer, its polynomial at t = X = 2^w with each column times a power of t
-that keeps every exponent nonnegative, so a letter rewrites each row's
-entry in its column by left shifts and additions alone, which are exact.
-The coefficients are the integer's balanced base-X digits while they stay
-below X/2 in size; a bound per column, tightened by a mask test on the
-digits before it could reach X/2, proves that, and w doubles only when
-the coefficients themselves need it.  It takes det(B - I)
-through the same sweep and Bareiss: for the band form of T(n, s), B - I is
-lower Hessenberg with a unit on every superdiagonal entry, so the sweep
-leaves a remainder of order 1.  The torus closed form
-(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) serves as the independent ground truth
-for both.
+The grid pipeline takes the determinant of a grid diagram's winding-number
+matrix with each row less the next, the factor (1-t) and a unit taken out:
++-t^b Delta(t), from a matrix whose nonzero entries are units.  The braid
+pipeline rescales det(B - I), B the reduced Burau matrix of a word, by
+(1-t)/(1-t^n).  Both go through one sweep of row operations on unit
+pivots, then Bareiss on what is left: order n-1 on the petal grid of
+T(n, s), order 1 on B - I for its band form (lower Hessenberg, a unit on
+every superdiagonal entry).  The torus closed form
+(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) is the independent ground truth for both.
 
-Both determinants end in one fraction-free Bareiss kernel whose
-entries are plain (lowest exponent, coefficients, height) triples.  Each
-update (x*pivot - a*y) / prev is one Python-integer computation at
-t = X = 2^w (Kronecker substitution): the operands are packed by Horner's
-rule, multiplied, subtracted and divided by prev(X), and the quotient is
-read back as its balanced base-X digits q.  A nonzero remainder means the
-division is not exact.  w is chosen so the numerator's coefficients stay
-below X/4, and q is accepted only when min(len q, len prev) * max|q| *
-max|prev| < X/2.  Then q*prev minus the numerator is an integer polynomial
-whose coefficients are smaller than X and which has X as a root; a nonzero
-integer polynomial with root X is (t - X) times another and so has a
-coefficient of size at least X, so q*prev equals the numerator exactly.
-When the test fails, w doubles.
+The Burau product, the sweep and Bareiss hold a polynomial packed: one
+Python integer, its value at t = X = 2^w, beside its lowest exponent and
+its height, a bound on its coefficients' sizes.  Integer arithmetic
+evaluates exactly, so a product is one multiplication and a sum one
+aligned addition, and the coefficients are the balanced base-X digits
+while the height stays below X/2.  A height is the operands' sum or
+product bound or, near the limit, the mask test's (_height), and w doubles
+when exact heights reach the limit too.  Each Bareiss update
+(x*pivot - a*y) / prev is one integer division at X; a nonzero remainder
+means it is not exact.  Two facts make an integer quotient q the
+polynomial quotient: the numerator's height stays below X/4, and q is
+accepted only when its height from the mask test gives
+min(len q, len prev) * height(q) * height(prev) < X/2.  Then q*prev minus
+the numerator has coefficients below X in size and the root X; a nonzero
+integer polynomial with root X is (t - X) times another, with a
+coefficient of size at least X, so q*prev equals the numerator.
 
 End-to-end certification: certify(n, s) is the one certifier behind
 `petalgrid verify`, selftest and the acceptance tests.
@@ -222,21 +211,22 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
     return num.divide_exact(den).normalize_up_to_units()
 
 
-# --- Determinants -------------------------------------------------------------
+# --- Packed polynomials and determinants --------------------------------------
 
 
-# Inside bareiss_determinant an entry is (lowest exponent, coefficients from
-# that exponent up, height), the height being the largest |coefficient|.  The
-# coefficients are trimmed at both ends; the zero entry has none.
-_Entry = tuple[int, tuple[int, ...], int]
-_ZERO: _Entry = (0, (), 0)
+# A packed polynomial (module docstring) is (low, value, height), value the
+# polynomial times t^-low at t = X = 2^width, its lowest digit nonzero.
+_ZERO = (0, 0, 0)
+# The determinants' first width, the Burau product's, the height the mask
+# test proves, and the length past which the sweep's factors go by digits.
+_DET_WIDTH, _WIDTH, _SMALL, _SPARSE = 32, 64, 4, 8
 
 
-def _entry(p: LaurentPolynomial) -> _Entry:
-    return (p.min_exp, p.coeffs, max(map(abs, p.coeffs), default=0))
+class _Narrow(Exception):
+    """A height would reach X/4 at this width."""
 
 
-def _pack(coeffs: tuple[int, ...], width: int) -> int:
+def _pack(coeffs: tuple[int, ...] | list[int], width: int) -> int:
     """The value at t = 2^width of the polynomial with these coefficients."""
     value = 0
     for c in reversed(coeffs):
@@ -244,25 +234,27 @@ def _pack(coeffs: tuple[int, ...], width: int) -> int:
     return value
 
 
-def _packed(coeffs: tuple[int, ...], width: int, memo: dict) -> int:
-    key = (coeffs, width)
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = _pack(coeffs, width)
-    return value
-
-
 def _digits(value: int, width: int) -> list[int]:
-    """The balanced base-2^width digits of value, lowest first.
+    """The balanced base-2^width digits of value, lowest first: _pack(digits, width) == value.
 
-    Each digit lies in [-2^(width-1), 2^(width-1)) and the last is nonzero,
-    so _pack(digits, width) == value.
+    Each lies in [-2^(width-1), 2^(width-1)) and the last is nonzero.  A
+    shift per digit is quadratic, so a long value is read from its two's
+    complement bytes (width a multiple of 8); the top carry cancels the sign.
     """
-    base = 1 << width
-    half, mask = base >> 1, base - 1
-    out = []
+    base, half = 1 << width, 1 << (width - 1)
+    out, carry = [], 0
+    if value.bit_length() > 256 * width:
+        size = width // 8
+        data = value.to_bytes((value.bit_length() // width + 2) * size, "little", signed=True)
+        for i in range(0, len(data), size):
+            digit = int.from_bytes(data[i : i + size], "little") + carry
+            carry = digit >= half
+            out.append(digit - base if carry else digit)
+        while not out[-1]:
+            out.pop()
+        return out
     while value:
-        digit = value & mask
+        digit = value & (base - 1)
         value >>= width
         if digit >= half:
             digit -= base
@@ -271,254 +263,254 @@ def _digits(value: int, width: int) -> list[int]:
     return out
 
 
-def _bareiss_update(x: _Entry, pivot: _Entry, a: _Entry, y: _Entry, prev: _Entry, memo: dict) -> _Entry:
-    """The exact quotient (x*pivot - a*y) / prev of one Bareiss step.
+def _height(values: tuple[int, ...] | list[int], width: int) -> int:
+    """_SMALL if every balanced base-X digit of the values lies in [-_SMALL, _SMALL), else the largest |digit|.
 
-    The width w is the least with 2^(w-2) above both the numerator's
-    coefficient bound and prev's height; the module docstring shows why an
-    accepted quotient is exact.  Once X/2 passes the test's value for the
-    largest exact quotient Mignotte's bound allows, a rejected quotient is
-    not exact, so the doubling ends there with ValueError("not divisible").
-    memo maps (coefficients, width) to the packed value, so each operand
-    the step shares is packed once per width.
+    The mask test: with d one more than the longest value's whole base-X
+    digits and R = 1 + X + ... + X^(d-1), v has balanced digits in
+    [-_SMALL, _SMALL) exactly when v + _SMALL*R lies in [0, X^d) with every
+    base-X digit below 2*_SMALL, which one AND with R*(X - 2*_SMALL) - X^d
+    tests.  The values are decoded only when one fails.
     """
-    (xl, xc, xh), (pl, pc, ph), (al, ac, ah), (yl, yc, yh), (ql, qc, qh) = x, pivot, a, y, prev
-    left = min(len(xc), len(pc)) * xh * ph
-    right = min(len(ac), len(yc)) * ah * yh
-    if left and right:
-        low = min(xl + pl, al + yl)
-    elif left or right:
-        low = xl + pl if left else al + yl
-    else:
+    bits = (max((v.bit_length() for v in values), default=0) // width + 1) * width
+    repunit = ((1 << bits) - 1) // ((1 << width) - 1)
+    offset, mask = _SMALL * repunit, repunit * ((1 << width) - 2 * _SMALL) - (1 << bits)
+    if any((v + offset) & mask for v in values):
+        return max(abs(c) for v in values for c in _digits(v, width))
+    return _SMALL
+
+
+def _strip(low: int, value: int, width: int) -> tuple[int, int]:
+    """(low, value) of a nonzero value with its low zero digits moved into low."""
+    zeros = ((value & -value).bit_length() - 1) // width
+    return low + zeros, value >> zeros * width
+
+
+def _polynomial(low: int, value: int, width: int) -> LaurentPolynomial:
+    return LaurentPolynomial.from_coeffs(low, _digits(value, width))
+
+
+def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, width: int) -> tuple:
+    """The packed quotient (x*pivot - a*y) / prev of one Bareiss step, proved exact (module docstring).
+
+    Raises _Narrow when the numerator's height reaches X/4 or the test rejects
+    the quotient, ValueError("not divisible") once Mignotte's bound shows it is not exact.
+    """
+    (xl, xv, xh), (pl, pv, ph), (al, av, ah), (yl, yv, yh), (ql, qv, qh) = x, pivot, a, y, prev
+    xn, pn, an, yn, qn = (v.bit_length() // width + 1 for v in (xv, pv, av, yv, qv))
+    left, right = xv and min(xn, pn) * xh * ph, av and yv and min(an, yn) * ah * yh
+    if not (left or right):
         return _ZERO
-    width = max(left + right, qh).bit_length() + 2
-    while True:
-        num = 0
-        if left:
-            num = _pack(xc, width) * _packed(pc, width, memo) << width * (xl + pl - low)
-        if right:
-            num -= _packed(ac, width, memo) * _packed(yc, width, memo) << width * (al + yl - low)
-        if not num:
-            return _ZERO
-        quotient, remainder = divmod(num, _packed(qc, width, memo))
-        if remainder:
-            raise ValueError("not divisible")
-        digits = _digits(quotient, width)
-        height = max(map(abs, digits))
-        if min(len(digits), len(qc)) * height * qh < 1 << (width - 1):
-            skip = 0
-            while not digits[skip]:
-                skip += 1
-            return (low - ql + skip, tuple(digits[skip:]), height)
-        # Bounds on the numerator's length and on an exact quotient's; by
-        # Mignotte, |quotient| <= 2^(span-1) * sqrt(length) * (left + right).
-        length = len(xc) + len(pc) + len(ac) + len(yc) + abs(xl + pl - al - yl)
-        span = max(length - len(qc) + 1, 1)
-        if 1 << (width - 1) > min(span, len(qc)) * ((left + right) * length * qh << (span - 1)):
-            raise ValueError("not divisible")
-        width *= 2
+    if left + right >= 1 << (width - 2):
+        raise _Narrow
+    low = min(xl + pl if left else al + yl, al + yl if right else xl + pl)
+    num = (xv * pv << width * (xl + pl - low) if left else 0) - (av * yv << width * (al + yl - low) if right else 0)
+    if not num:
+        return _ZERO
+    quotient, remainder = divmod(num, qv)
+    if remainder:
+        raise ValueError("not divisible")
+    low, quotient = _strip(low - ql, quotient, width)
+    height = _height((quotient,), width)
+    if min(quotient.bit_length() // width + 1, qn) * height * qh < 1 << (width - 1):
+        return low, quotient, height
+    # A bound on the numerator's length, and so on an exact quotient's; by
+    # Mignotte, |quotient| <= 2^(length-1) * sqrt(length) * (left + right).
+    length = xn + pn + an + yn + abs(xl + pl - al - yl)
+    if 1 << (width - 1) > min(length, qn) * ((left + right) * length * qh << (length - 1)):
+        raise ValueError("not divisible")
+    raise _Narrow
 
 
-def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Fraction-free determinant over Laurent polynomials.
+def _bareiss(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
+    """The determinant (low, value) of a square packed matrix, its heights first remade by _height.
 
     Step k replaces each entry (i, j) below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
-    Sylvester's identity every such quotient is exact.  Each quotient is
-    one _bareiss_update.
+    Sylvester's identity every such quotient is exact.
     """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    if size == 0:
-        return LaurentPolynomial.one()
-    m = [[_entry(p) for p in row] for row in matrix]
-    sign = 1
-    prev = (0, (1,), 1)
+    if any(h >= 1 << (width - 2) for row in matrix for _, _, h in row):
+        raise _Narrow
+    m = [[(low, v, _height((v,), width)) for low, v, _ in row] for row in matrix]
+    size, sign, prev = len(m), 1, (0, 1, 1)
     for k in range(size - 1):
         if not m[k][k][1]:
             swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
             if swap is None:
-                return LaurentPolynomial.zero()
+                return 0, 0
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        top, memo = m[k], {}
+        top = m[k]
         for row in m[k + 1 :]:
             for j in range(k + 1, size):
-                row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, memo)
+                row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, width)
         prev = top[k]
-    lo, coeffs, _ = m[-1][-1]
-    det = LaurentPolynomial(lo, coeffs)
-    return det if sign == 1 else -det
+    return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
+
+
+def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """Fraction-free determinant over Laurent polynomials: _bareiss at the first width that serves."""
+    size = len(matrix)
+    if any(len(row) != size for row in matrix):
+        raise ValueError("matrix is not square")
+    width = _DET_WIDTH
+    while True:
+        packed = [[(p.min_exp, _pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in row] for row in matrix]
+        try:
+            return _polynomial(*_bareiss(packed, width), width)
+        except _Narrow:
+            width *= 2
+
+
+def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:
+    """A square packed matrix whose determinant is det(rows) times some +-t^k.
+
+    Row i of rows maps each column to its nonzero packed entry; rows is not
+    changed.  For each column j, left to right, the remaining row with a
+    unit +-t^k there (packed value +-1) and the fewest nonzero entries, the
+    lowest on a tie, is the pivot: every other row with an entry a there
+    loses a*(+-t^-k) times it, and the pivot's row and column are dropped.
+    This is plain row reduction, so the determinant changes only by the
+    pivot's unit and a sign.  Columns with no unit stay, in order, with the
+    rows never taken.  A touched entry costs a multiplication and an aligned
+    addition.  One height bounds each row; one that would reach X/4 is
+    remade from the mask tests of the row and the pivot row, and _Narrow is
+    raised if it still would.
+    """
+    bound = {i: max((h for _, _, h in row.values()), default=0) for i, row in enumerate(rows)}
+    rows = {i: {j: entry[:2] for j, entry in row.items()} for i, row in enumerate(rows)}
+    limit, digit = 1 << (width - 2), (1 << width) - 1
+    kept = []
+    for j in range(len(rows)):
+        units = [i for i, row in rows.items() if j in row and row[j][1] in (1, -1)]
+        if not units:
+            kept.append(j)
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        pivot, pbound = rows.pop(p), bound.pop(p)
+        k, c = pivot.pop(j)
+        entries = [(col, pl, pv) for col, (pl, pv) in pivot.items()]
+        for i, row in rows.items():
+            a = row.pop(j, None)
+            if a is None:
+                continue
+            # a * (+-t^-k) with the sign flipped, so the update is an addition.
+            al, av = a[0] - k, -c * a[1]
+            an = av.bit_length() // width + 1
+            # A long factor, mostly zero digits on B - I, multiplies as shifts, one
+            # per digit that is not, and bounds the product by those digits' sum.
+            terms = [(e * width, d) for e, d in enumerate(_digits(av, width)) if d] if an > _SPARSE else ()
+            weight = sum(abs(d) for _, d in terms)
+            h = bound[i] + (weight or an * bound[i]) * pbound
+            if h >= limit:
+                pbound, h = _height([pv for _, _, pv in entries], width), _height([av, *(v for _, v in row.values())], width)
+                h += (weight or an * h) * pbound
+                if h >= limit:
+                    raise _Narrow
+            bound[i] = h
+            for col, pl, pv in entries:
+                v = sum(d * pv << e for e, d in terms) if terms else av * pv
+                low = al + pl
+                old = row.get(col)
+                if old is not None:
+                    ol, ov = old
+                    if ol < low:
+                        low, v = ol, ov + (v << (low - ol) * width)
+                    else:
+                        v += ov << (ol - low) * width
+                    if not v:
+                        del row[col]
+                        continue
+                    if not v & digit:
+                        low, v = _strip(low, v, width)
+                row[col] = (low, v)
+    return [[(*row[j], bound[i]) if j in row else _ZERO for j in kept] for i, row in rows.items()]
+
+
+def _determinant_up_to_units(rows: list[dict[int, tuple]], width: int) -> LaurentPolynomial:
+    """det(rows) times some +-t^k: unit pivots, then Bareiss on the remainder.
+
+    While a height reaches X/4, the whole runs again at twice the width.
+    """
+    while True:
+        try:
+            return _polynomial(*_bareiss(_unit_pivot_remainder(rows, width), width), width)
+        except _Narrow:
+            rows = [{j: (low, _pack(_digits(v, width), 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
+            width *= 2
 
 
 # --- Alexander polynomial from a grid diagram ---------------------------------
 
 
-def _differenced_grid_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
-    """The winding-number matrix (t^w(i, j)) with each row less the next, over 1-t.
+def _differenced_grid_matrix(g: GridDiagram) -> list[dict[int, tuple]]:
+    """The winding-number matrix (t^w(i, j)) with each row less the next, over 1-t, as sparse packed rows.
 
     w(i, j) is the winding number of the knot around the cell centre
     (i+1/2, j+1/2), 0 <= i, j < p.  Rows i and i+1 differ only where j lies
     between the ends of the vertical edge at x = i+1, and there
-    w(i, j) = w(i+1, j) + step, step = +1 for an upward edge and -1 for a
-    downward one.  So row i minus row i+1 is (t^step - 1) t^w(i+1, j) on
-    that span and zero off it, and t^step - 1 is a unit (-1 or t^-1) times
-    1-t.  Row i here is t^w(i+1, j) on the span; the last row is unchanged.
-    So the determinant is det(t^w) / (1-t)^(p-1) up to +-t^k.  One running
-    row of winding numbers is swept from the right edge leftwards.
+    w(i, j) = w(i+1, j) + step, step = +-1 as the edge runs up or down.  So
+    row i minus row i+1 is (t^step - 1) t^w(i+1, j), a unit times 1-t, on
+    that span and zero off it.  Row i here is t^w(i+1, j), (w, 1, 1) at any
+    width, on the span, and the last row is unchanged, so the determinant is
+    det(t^w) / (1-t)^(p-1) up to +-t^k.  A running row of winding numbers
+    is swept from the right edge leftwards.
     """
     p = g.size
-    term = LaurentPolynomial.term
     running = [0] * p  # w(x, .) while the edge at x fills row x-1
-    matrix = [[LaurentPolynomial.zero()] * p for _ in range(p - 1)]
+    rows: list[dict[int, tuple]] = [{} for _ in range(p - 1)]
     for x in range(p, 0, -1):
         y1, y2 = g.starts[x - 1], g.ends[x - 1]
         step = 1 if y2 > y1 else -1
         for j in range(min(y1, y2), max(y1, y2)):
             if x < p:
-                matrix[x - 1][j] = term(1, running[j])
+                rows[x - 1][j] = (running[j], 1, 1)
             running[j] += step
         if x == p:
-            matrix.append([term(1, w) for w in running])
-    return matrix
-
-
-def _unit_pivot_remainder(matrix: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
-    """A square matrix whose determinant is det(matrix) times some +-t^k.
-
-    One sweep over the columns, left to right.  Where some remaining row
-    holds a unit +-t^k in column j, the one with the fewest nonzero entries
-    is the pivot: every other row with an entry a there loses a*(+-t^-k)
-    times the pivot row, which clears column j, and the pivot's row and
-    column are dropped.  A unit pivot needs no scaling and no division, so
-    this is plain row reduction; the determinant changes only by the
-    pivot's unit and the sign of the dropped position.  Columns with no
-    unit entry stay, in their order, with the rows never taken as pivots.
-    Rows are dicts column -> entry and entries dicts exponent ->
-    coefficient, with no zero entries or coefficients.
-    """
-    rows = {
-        i: {j: {p.min_exp + k: c for k, c in enumerate(p.coeffs) if c} for j, p in enumerate(row) if p.coeffs}
-        for i, row in enumerate(matrix)
-    }
-    kept = []
-    for j in range(len(matrix)):
-        units = [i for i, row in rows.items() if j in row and list(row[j].values()) in ([1], [-1])]
-        if not units:
-            kept.append(j)
-            continue
-        pivot = rows.pop(min(units, key=lambda i: (len(rows[i]), i)))
-        ((k, c),) = pivot.pop(j).items()
-        for row in rows.values():
-            if j not in row:
-                continue
-            # a * (+-t^-k) with the sign flipped, so the update is an addition.
-            factor = [(e - k, -c * v) for e, v in row.pop(j).items()]
-            for col, entry in pivot.items():
-                target = row.setdefault(col, {})
-                for e1, v1 in factor:
-                    for e2, v2 in entry.items():
-                        e = e1 + e2
-                        v = target.get(e, 0) + v1 * v2
-                        if v:
-                            target[e] = v
-                        else:
-                            del target[e]
-                if not target:
-                    del row[col]
-
-    def poly(entry: dict[int, int] | None) -> LaurentPolynomial:
-        if not entry:
-            return LaurentPolynomial.zero()
-        lo = min(entry)
-        return LaurentPolynomial.from_coeffs(lo, [entry.get(e, 0) for e in range(lo, max(entry) + 1)])
-
-    return [[poly(row.get(j)) for j in kept] for row in rows.values()]
-
-
-def _determinant_up_to_units(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """det(matrix) times some +-t^k, for both Alexander pipelines: unit pivots, then Bareiss."""
-    return bareiss_determinant(_unit_pivot_remainder(matrix))
+            rows.append({j: (w, 1, 1) for j, w in enumerate(running)})
+    return rows
 
 
 def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
     The p x p matrix (t^w), w the winding number around each cell centre,
-    has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar).
-    Subtracting each row's successor and taking the factor (1-t), times a
-    unit, out of every difference (_differenced_grid_matrix) leaves a
-    matrix whose determinant is +-t^b Delta(t) itself, so no division
-    follows.  Every nonzero entry of that matrix is a unit t^w, so one
-    sweep of unit pivots (_unit_pivot_remainder) clears all but an order
-    n-1 remainder on the petal grid of T(n, s), for Bareiss to take.
+    has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar),
+    so _differenced_grid_matrix has determinant +-t^b Delta(t) itself.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return _determinant_up_to_units(_differenced_grid_matrix(g)).normalize_up_to_units()
+    return _determinant_up_to_units(_differenced_grid_matrix(g), _DET_WIDTH).normalize_up_to_units()
 
 
 # --- Reduced Burau and braid closures -----------------------------------------
 
 
-# The packed Burau product's first digit width, and the bound a column gets
-# when the mask test shows all its coefficients lie in [-_SMALL, _SMALL).
-_WIDTH, _SMALL = 64, 4
-
-
 def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
-    """Strip each column's common low zero digits, then bound it by _SMALL or its height.
-
-    Let d be one more than the whole base-X digits of the column's longest
-    entry and R = 1 + X + ... + X^(d-1).  An entry v whose balanced digits
-    all lie in [-_SMALL, _SMALL) has at most d of them, so v + _SMALL*R
-    lies in [0, X^d) with every base-X digit below 2*_SMALL; conversely
-    such a sum gives v those balanced digits, which are unique.  So one AND
-    with a mask of the bits such a sum never sets, those of
-    R*(X - 2*_SMALL) and all from X^d up, tests an entry.  A column with an
-    entry that fails is decoded instead.
-    """
+    """Strip each column's common low zero digits, then bound it by the mask test (_height)."""
     for k in range(1, len(columns) - 1):
         column = columns[k]
         zeros = min((v & -v).bit_length() - 1 for v in column if v) // width
         if zeros:
             column = columns[k] = [v >> zeros * width for v in column]
             low[k] -= zeros
-        bits = (max(v.bit_length() for v in column) // width + 1) * width
-        repunit = ((1 << bits) - 1) // ((1 << width) - 1)
-        offset, mask = _SMALL * repunit, repunit * ((1 << width) - 2 * _SMALL) - (1 << bits)
-        if any((v + offset) & mask for v in column):
-            height[k] = max(abs(c) for v in column for c in _digits(v, width))
-        else:
-            height[k] = _SMALL
+        height[k] = _height(column, width)
 
 
-def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
-    """The reduced Burau matrix of a word; multiplicative over concatenation.
+def _burau_columns(w: BraidWord) -> tuple[list[list[int]], list[int], list[int], int]:
+    """The packed reduced Burau matrix of a word: (columns, low, height, width).
 
-    The image of a generator differs from the identity only in column
-    j = |g| - 1, so right-multiplying by it replaces that column c[j] by
-    t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
-    c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
-    either edge read as zero).
-
-    Each entry is one Python integer, its polynomial at t = X = 2^width,
-    and column j is held times t^low[j], low[j] set at each letter so that
-    no power of t in the update is negative.  A row's update is then at
-    most three left shifts and two additions, so every integer equals its
-    polynomial at X exactly.  Its balanced base-X digits (_digits) are the
-    coefficients while every |coefficient| < X/2, so each column carries a
-    bound height[j] on its coefficients, and a letter sets the bound of the
-    column it writes to the sum of the three bounds it reads.  Before a
-    bound would reach X/2 every column is tightened (_tighten) to a small
-    bound or its exact height, and the width doubles only if the heights
-    still need it.  The entries are decoded once, at the end.
+    Column k-1 is columns[k], between two zero columns, held times t^low[k].
+    A letter g rewrites only column j = |g| - 1, c[j], as t*c[j-1] - t*c[j] +
+    c[j+1] if g > 0 and c[j-1] - t^-1*c[j] + t^-1*c[j+1] if g < 0 (columns
+    past the edges read as zero); low[j] keeps every power of t nonnegative,
+    so a row costs three shifts and two additions, and the height is the sum
+    of the three read.  Before a height would reach X/2 every column is
+    tightened (_tighten); the width doubles only if the heights still need it.
     """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
     size, width = w.n - 1, _WIDTH
-    # Column k-1 at index k, between two zero columns.
     columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
     low = [0] * (size + 2)
     height = [0] + [1] * size + [0]
@@ -541,26 +533,33 @@ def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
         mid = (top - mid) * width
         columns[j] = [(a << left) - (b << mid) + (c << right) for a, b, c in zip(*columns[j - 1 : j + 2])]
         low[j], height[j] = top, bound
-    return [
-        [LaurentPolynomial.from_coeffs(-low[k], _digits(v, width)) for k, v in enumerate(row[1:-1], 1)]
-        for row in zip(*columns)
-    ]
+    return columns, low, height, width
+
+
+def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
+    """The reduced Burau matrix of a word; multiplicative over concatenation (_burau_columns)."""
+    columns, low, _, width = _burau_columns(w)
+    return [[_polynomial(-low[k], v, width) for k, v in enumerate(row[1:-1], 1)] for row in zip(*columns)]
 
 
 def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  The determinant
-    comes from the unit-pivot sweep and Bareiss on its remainder, so it is
-    known only up to +-t^k; the exact division and the normalization
-    absorb that unit.
+    Computed as det(reduced Burau - I) * (1-t)/(1-t^n), B - I packed at
+    the product's width; the sweep gives the determinant up to +-t^k, which
+    the exact division and the normalization absorb.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    m = reduced_burau(w)
-    for i, row in enumerate(m):
-        row[i] -= LaurentPolynomial.one()
-    det = _determinant_up_to_units(m)
+    columns, low, height, width = _burau_columns(w)
+    rows: list[dict[int, tuple]] = [{} for _ in columns[2:]]
+    for k in range(1, w.n):
+        up = min(low[k], 0)  # a column held times a negative power of t is raised to t^0
+        for i, v in enumerate(columns[k]):
+            v = (v << -up * width) - (i == k - 1 and 1 << (low[k] - up) * width)
+            if v:
+                rows[i][k - 1] = (*_strip(up - low[k], v, width), height[k] + 1)
+    det = _determinant_up_to_units(rows, width)
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 

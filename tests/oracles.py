@@ -2,7 +2,8 @@
 
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, normal forms also letter by letter with a Delta
-stripped only once it reaches the front, determinants by cofactor expansion, grid crossings
+stripped only once it reaches the front, determinants by cofactor expansion, the unit-pivot sweep on
+exponent -> coefficient dicts, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
@@ -227,6 +228,54 @@ def reduced_burau_by_columns(w: BraidWord) -> list[list[LaurentPolynomial]]:
             else:
                 row[j] = left + tinv * (right - row[j])
     return out
+
+
+def unit_pivot_remainder_by_dicts(matrix: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
+    """The unit-pivot sweep's remainder, on exponent -> coefficient dicts.
+
+    For each column, left to right, the unit +-t^k entry of the remaining
+    row with the fewest nonzero entries, the lowest on a tie, is the pivot:
+    every other row with an entry a there loses a*(+-t^-k) times the pivot
+    row, term by term, and the pivot's row and column are dropped.  Columns
+    with no unit entry stay, in their order, with the rows never taken as
+    pivots.
+    """
+    rows = {
+        i: {j: {p.min_exp + k: c for k, c in enumerate(p.coeffs) if c} for j, p in enumerate(row) if p.coeffs}
+        for i, row in enumerate(matrix)
+    }
+    kept = []
+    for j in range(len(matrix)):
+        units = [i for i, row in rows.items() if j in row and list(row[j].values()) in ([1], [-1])]
+        if not units:
+            kept.append(j)
+            continue
+        pivot = rows.pop(min(units, key=lambda i: (len(rows[i]), i)))
+        ((k, c),) = pivot.pop(j).items()
+        for row in rows.values():
+            if j not in row:
+                continue
+            factor = [(e - k, -c * v) for e, v in row.pop(j).items()]
+            for col, entry in pivot.items():
+                target = row.setdefault(col, {})
+                for e1, v1 in factor:
+                    for e2, v2 in entry.items():
+                        e = e1 + e2
+                        v = target.get(e, 0) + v1 * v2
+                        if v:
+                            target[e] = v
+                        else:
+                            del target[e]
+                if not target:
+                    del row[col]
+
+    def poly(entry: dict[int, int] | None) -> LaurentPolynomial:
+        if not entry:
+            return LaurentPolynomial.zero()
+        lo = min(entry)
+        return LaurentPolynomial.from_coeffs(lo, [entry.get(e, 0) for e in range(lo, max(entry) + 1)])
+
+    return [[poly(row.get(j)) for j in kept] for row in rows.values()]
 
 
 @dataclass(frozen=True)

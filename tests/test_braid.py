@@ -17,6 +17,7 @@ from petalgrid.braid import (
     BraidWord,
     ascending_run,
     band_indices,
+    conjugate_band_braid,
     delta,
     descending_run,
     format_word,
@@ -54,6 +55,23 @@ def test_named_braids():
     assert half_twist(4).letters == (1, 2, 1, 3, 2, 1)
     with pytest.raises(ValueError):
         round_trip(4, 5)
+
+
+def test_round_trip_product_is_the_per_band_concatenation():
+    # One letter list for the whole product, the same letters as multiplying
+    # band by band; the band form of T(61,150) is delta (U_2...U_61)^2 U_a...
+    rng = random.Random(61)
+    for n in range(2, 62):
+        for _ in range(3):
+            members = sorted(rng.sample(range(1, n + 1), rng.randint(0, n)))
+            expected = BraidWord.identity(n)
+            for k in members:
+                expected = expected * round_trip(n, k)
+            assert round_trip_product(IndexSubset.of(n, members)) == expected, (n, members)
+    expected = delta(61)
+    for k in list(range(2, 62)) * 2 + band_indices(61, 28):
+        expected = expected * round_trip(61, k)
+    assert conjugate_band_braid(61, 150) == expected
 
 
 def test_half_twist_as_run_products():

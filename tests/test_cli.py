@@ -127,10 +127,17 @@ def test_verify_timeout_must_be_positive(capsys):
         assert out == "" and "positive number of seconds" in err
 
 
-def test_verify_timeout_interrupts_the_determinant(capsys):
-    # The grid determinant of T(41,100) (p = 197) alone takes 4-5 s,
-    # after about 0.06 s of earlier stages; the closed form is the last stage
-    # before it, so the timer rings inside it.
+def test_verify_timeout_interrupts_the_determinant(capsys, monkeypatch):
+    # The determinant is slowed down here, so that the deadline lands in it
+    # on any machine (at T(41,100) it takes about 1 s); the closed form is the
+    # last stage before the grid's, so the timer rings inside it.
+    determinant = invariants._determinant_up_to_units
+
+    def slow_determinant(rows, width):
+        time.sleep(10)
+        return determinant(rows, width)
+
+    monkeypatch.setattr(invariants, "_determinant_up_to_units", slow_determinant)
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
@@ -164,13 +171,13 @@ def test_verify_timeout_interrupts_the_normal_form(capsys, monkeypatch):
 def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
     # The Burau product is slowed down here, since its real time is too short
     # to land a deadline in: only the timer can stop it.
-    burau = invariants.reduced_burau
+    burau = invariants._burau_columns
 
     def slow_burau(w):
         time.sleep(10)
         return burau(w)
 
-    monkeypatch.setattr(invariants, "reduced_burau", slow_burau)
+    monkeypatch.setattr(invariants, "_burau_columns", slow_burau)
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--pipeline", "burau", "--timeout", "0.2", "--json")
     elapsed = time.monotonic() - t0

@@ -5,8 +5,10 @@ import pytest
 
 from oracles import (
     burau_generator,
+    naive_cofactor_det,
     reduced_burau_by_columns,
     to_planar_diagram,
+    unit_pivot_remainder_by_dicts,
     winding_number_matrix,
     wirtinger_alexander,
 )
@@ -157,8 +159,6 @@ def test_torus_alexander():
 
 
 def test_bareiss_matches_cofactor_expansion():
-    from oracles import naive_cofactor_det
-
     rng = random.Random(77)
     for size in range(7):
         for trial in range(40 if size < 6 else 8):
@@ -175,12 +175,39 @@ def test_bareiss_matches_cofactor_expansion():
                 assert got.is_zero()
 
 
-def divide_step(x, pivot, a, y, prev):
-    """(x*pivot - a*y) / prev through one update of the Bareiss kernel."""
-    e = invariants._entry
-    lo, coeffs, height = invariants._bareiss_update(e(x), e(pivot), e(a), e(y), e(prev), {})
-    assert height == max(map(abs, coeffs), default=0)
-    return LaurentPolynomial(lo, coeffs)
+def packed_rows(matrix, width):
+    """A LaurentPolynomial matrix as the sparse packed rows the determinant kernels take."""
+    return [
+        {j: (p.min_exp, invariants._pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
+        for row in matrix
+    ]
+
+
+def decoded(matrix, width=invariants._DET_WIDTH):
+    """Packed rows, sparse (dicts) or dense (lists), as a LaurentPolynomial matrix."""
+    dense = [row if isinstance(row, list) else [row.get(j, invariants._ZERO) for j in range(len(matrix))] for row in matrix]
+    return [[invariants._polynomial(low, value, width) for low, value, _ in row] for row in dense]
+
+
+DIGITS = invariants._digits  # the helpers' own decoding, apart from the spies below
+
+
+def divide_step(x, pivot, a, y, prev, width=8):
+    """(x*pivot - a*y) / prev through one update of the Bareiss kernel, the width doubling as it asks."""
+    operands = (x, pivot, a, y, prev)
+    while max(abs(c) for p in operands for c in p.coeffs) >= 1 << (width - 2):
+        width *= 2
+    while True:
+        packed = [(p.min_exp, invariants._pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
+        try:
+            low, value, height = invariants._bareiss_update(*packed, width)
+        except invariants._Narrow:
+            width *= 2
+            continue
+        coeffs = DIGITS(value, width)
+        small = all(-invariants._SMALL <= c < invariants._SMALL for c in coeffs)
+        assert height == (invariants._SMALL if small else max(map(abs, coeffs))) if coeffs else height == 0
+        return LaurentPolynomial.from_coeffs(low, coeffs)
 
 
 def test_bareiss_update_divides_exactly():
@@ -194,6 +221,9 @@ def test_bareiss_update_divides_exactly():
         divide_step(T, ONE, zero, zero, LaurentPolynomial.term(2))  # t / 2
     with pytest.raises(ValueError, match="not divisible"):
         divide_step(T, ONE, -ONE, ONE, T - ONE)  # (t+1)/(t-1)
+    # 2^40 t / 2^41 is X/2 at every X = 2^w, yet t/2 is no polynomial.
+    with pytest.raises(ValueError, match="not divisible"):
+        divide_step(LaurentPolynomial.term(1 << 40, 1), ONE, zero, zero, LaurentPolynomial.term(1 << 41))
 
 
 def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
@@ -217,6 +247,27 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
     with pytest.raises(ValueError, match="not divisible"):
         divide_step(T + ONE, ONE, ONE, ONE, LaurentPolynomial.term(2))
     assert len(widths) > 1
+
+
+def test_mask_test_and_decoding():
+    # _height is _SMALL = 4 exactly when every balanced digit lies in [-4, 4),
+    # so -4 passes and +4 fails, and otherwise the largest |digit|; _digits
+    # reads back what _pack wrote, short values by shifts, long ones by bytes.
+    rng = random.Random(909)
+    for width in (8, 32, 64):
+        for trial in range(400):
+            length = rng.randint(1, 12) if trial % 4 else rng.randint(257, 400)
+            digits = [rng.choice((0, rng.randint(-12, 12))) for _ in range(length)]
+            digits[-1] = digits[-1] or rng.choice((-4, 4))
+            value = invariants._pack(digits, width)
+            assert invariants._digits(value, width) == digits, (width, digits)
+            small = all(-4 <= c < 4 for c in digits)
+            assert invariants._height((value,), width) == (4 if small else max(map(abs, digits))), (width, digits)
+        for digit in range(-12, 13):
+            value = invariants._pack([1, digit, -1], width)
+            assert invariants._height((value,), width) == (4 if -4 <= digit < 4 else abs(digit)), (width, digit)
+    assert invariants._digits(0, 32) == [] and invariants._digits(-1, 32) == [-1]
+    assert invariants._digits(1 << 31, 32) == [-(1 << 31), 1]
 
 
 def test_alexander_from_grid_examples():
@@ -260,7 +311,7 @@ def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_fac
                 rng.shuffle(ends)
             grid = GridDiagram(tuple(starts), tuple(ends))
         p = grid.size
-        differenced = invariants._differenced_grid_matrix(grid)
+        differenced = decoded(invariants._differenced_grid_matrix(grid))
         for x, row in enumerate(differenced[:-1], 1):
             y1, y2 = grid.starts[x - 1], grid.ends[x - 1]
             support = [j for j, e in enumerate(row) if not e.is_zero()]
@@ -279,8 +330,68 @@ def test_unit_pivots_keep_the_differenced_determinant():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         grid = build_petal_grid(PetalPermutation(tuple(entries)))
-        full = bareiss_determinant(invariants._differenced_grid_matrix(grid))
+        full = bareiss_determinant(decoded(invariants._differenced_grid_matrix(grid)))
         assert equal_up_to_units(alexander_from_grid(grid), full), entries
+
+
+def test_unit_pivots_match_the_dict_oracle():
+    # The packed sweep keeps the rule and the arithmetic of the sweep on
+    # exponent -> coefficient dicts: the same remainder, entry by entry, on
+    # petal grids and on B - I of signed words, of band forms and of their
+    # mirrors, whose long sparse entries the sweep multiplies digit by digit.
+    rng = random.Random(808)
+    for _ in range(300):
+        entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
+        rng.shuffle(entries)
+        rows = invariants._differenced_grid_matrix(build_petal_grid(PetalPermutation(tuple(entries))))
+        got = decoded(invariants._unit_pivot_remainder(rows, invariants._DET_WIDTH))
+        assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
+    words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
+             for n in (rng.randint(2, 8) for _ in range(300))]
+    for n, s in ((5, 7), (7, 11), (11, 25), (17, 40)):
+        words += [conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))]
+    for w in words:
+        m = burau_minus_identity(w)
+        got = decoded(invariants._unit_pivot_remainder(packed_rows(m, 64), 64), 64)
+        assert got == unit_pivot_remainder_by_dicts(m), w.letters
+
+
+def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
+    # Coefficients near 2^25 fit the first width, 32 bits, but their products
+    # do not: the sweep restarts at 64, and Bareiss on its 2 x 2 remainder,
+    # whose determinant reaches about 2^100, at 128.  Row 0 holds the only
+    # unit of column 0, so it is the first pivot.
+    rng = random.Random(1010)
+    big = lambda: random_laurent(rng, 3, 2, 1 << 25) + LaurentPolynomial.term(1 << 25, 3)
+    m = [[ONE, big(), big()]] + [[big() + LaurentPolynomial.term(2), big(), big()] for _ in range(2)]
+    calls = []
+
+    def spy(name, kernel):
+        def run(rows, width):
+            calls.append((name, width))
+            return kernel(rows, width)
+
+        monkeypatch.setattr(invariants, name, run)
+
+    spy("_unit_pivot_remainder", invariants._unit_pivot_remainder)
+    spy("_bareiss", invariants._bareiss)
+    det = invariants._determinant_up_to_units(packed_rows(m, 32), 32)
+    assert equal_up_to_units(det, naive_cofactor_det(m))
+    sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
+    bareiss = [width for name, width in calls if name == "_bareiss"]
+    assert sweeps == [32, 64, 128] and bareiss == [64, 128], calls
+
+    calls.clear()
+    assert bareiss_determinant(m) == naive_cofactor_det(m)
+    assert calls == [("_bareiss", 32), ("_bareiss", 64), ("_bareiss", 128)], calls
+
+    # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
+    # which only a bound that counts the factor's length sees at 32 bits.
+    p = sum((LaurentPolynomial.term(23170, e) for e in range(8)), LaurentPolynomial.zero())
+    m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
+    calls.clear()
+    assert equal_up_to_units(invariants._determinant_up_to_units(packed_rows(m, 32), 32), naive_cofactor_det(m))
+    assert calls[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
 
 
 def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
@@ -291,7 +402,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = invariants._unit_pivot_remainder(differenced)
+            remainder = invariants._unit_pivot_remainder(differenced, invariants._DET_WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -300,7 +411,7 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = invariants._unit_pivot_remainder(differenced)
+    remainder = decoded(invariants._unit_pivot_remainder(differenced, invariants._DET_WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
@@ -317,7 +428,7 @@ def test_unit_pivots_leave_an_order_1_remainder_of_the_band_burau_matrix():
     pairs = [(n, s) for n in range(2, 12) for s in range(n + 1, 40) if math.gcd(n, s) == 1]
     assert len(pairs) == 202
     for n, s in pairs + [(17, 60), (23, 60), (29, 70)]:
-        remainder = invariants._unit_pivot_remainder(burau_minus_identity(conjugate_band_braid(n, s)))
+        remainder = invariants._unit_pivot_remainder(packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
         assert len(remainder) == 1 and len(remainder[0]) == 1, (n, s)
 
 
