@@ -15,18 +15,20 @@ T(n, s), order 1 on B - I for its band form (lower Hessenberg, a unit on
 every superdiagonal entry).  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) is the independent ground truth for both.
 
-The Burau product, the sweep and Bareiss hold a polynomial packed: one
-Python integer, its value at t = X = 2^w, beside its lowest exponent and
-its height, a bound on its coefficients' sizes.  Integer arithmetic
+The Burau product, the sweep and Bareiss hold a polynomial packed
+(petalgrid.packed): one Python integer, its value at t = X = 2^w, beside
+its lowest exponent and its height, a bound on its coefficients' sizes.  Integer arithmetic
 evaluates exactly, so a product is one multiplication and a sum one
 aligned addition, and the coefficients are the balanced base-X digits
 while the height stays below X/2.  A height is the operands' sum or
 product bound or, near the limit, the mask test's (_height), and w doubles
-when exact heights reach the limit too.  Each Bareiss update
-(x*pivot - a*y) / prev is one integer division at X; a nonzero remainder
-means it is not exact.  Two facts make an integer quotient q the
-polynomial quotient: the numerator's height stays below X/4, and q is
-accepted only when its height from the mask test gives
+when exact heights reach the limit too.  The determinants start at
+w = 16, the Burau product at w = 64, and B - I moves from the product's
+width to the determinants' by _repack, which copies digits as bytes.  Each
+Bareiss update (x*pivot - a*y) / prev is one integer division at X; a
+nonzero remainder means it is not exact.  Two facts make an integer
+quotient q the polynomial quotient: the numerator's height stays below
+X/4, and q is accepted only when its height from the mask test gives
 min(len q, len prev) * height(q) * height(prev) < X/2.  Then q*prev minus
 the numerator has coefficients below X in size and the root X; a nonzero
 integer polynomial with root X is (t - X) times another, with a
@@ -49,6 +51,18 @@ from .braid import (
 )
 from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
+from .packed import (
+    _DET_WIDTH,
+    _WIDTH,
+    _Narrow,
+    _bareiss,
+    _digits,
+    _height,
+    _pack,
+    _repack,
+    _strip,
+    _unit_pivot_remainder,
+)
 from .perm import _Value
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
@@ -211,232 +225,48 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
     return num.divide_exact(den).normalize_up_to_units()
 
 
-# --- Packed polynomials and determinants --------------------------------------
-
-
-# A packed polynomial (module docstring) is (low, value, height), value the
-# polynomial times t^-low at t = X = 2^width, its lowest digit nonzero.
-_ZERO = (0, 0, 0)
-# The determinants' first width, the Burau product's, the height the mask
-# test proves, and the length past which the sweep's factors go by digits.
-_DET_WIDTH, _WIDTH, _SMALL, _SPARSE = 32, 64, 4, 8
-
-
-class _Narrow(Exception):
-    """A height would reach X/4 at this width."""
-
-
-def _pack(coeffs: tuple[int, ...] | list[int], width: int) -> int:
-    """The value at t = 2^width of the polynomial with these coefficients."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << width) + c
-    return value
-
-
-def _digits(value: int, width: int) -> list[int]:
-    """The balanced base-2^width digits of value, lowest first: _pack(digits, width) == value.
-
-    Each lies in [-2^(width-1), 2^(width-1)) and the last is nonzero.  A
-    shift per digit is quadratic, so a long value is read from its two's
-    complement bytes (width a multiple of 8); the top carry cancels the sign.
-    """
-    base, half = 1 << width, 1 << (width - 1)
-    out, carry = [], 0
-    if value.bit_length() > 256 * width:
-        size = width // 8
-        data = value.to_bytes((value.bit_length() // width + 2) * size, "little", signed=True)
-        for i in range(0, len(data), size):
-            digit = int.from_bytes(data[i : i + size], "little") + carry
-            carry = digit >= half
-            out.append(digit - base if carry else digit)
-        while not out[-1]:
-            out.pop()
-        return out
-    while value:
-        digit = value & (base - 1)
-        value >>= width
-        if digit >= half:
-            digit -= base
-            value += 1
-        out.append(digit)
-    return out
-
-
-def _height(values: tuple[int, ...] | list[int], width: int) -> int:
-    """_SMALL if every balanced base-X digit of the values lies in [-_SMALL, _SMALL), else the largest |digit|.
-
-    The mask test: with d one more than the longest value's whole base-X
-    digits and R = 1 + X + ... + X^(d-1), v has balanced digits in
-    [-_SMALL, _SMALL) exactly when v + _SMALL*R lies in [0, X^d) with every
-    base-X digit below 2*_SMALL, which one AND with R*(X - 2*_SMALL) - X^d
-    tests.  The values are decoded only when one fails.
-    """
-    bits = (max((v.bit_length() for v in values), default=0) // width + 1) * width
-    repunit = ((1 << bits) - 1) // ((1 << width) - 1)
-    offset, mask = _SMALL * repunit, repunit * ((1 << width) - 2 * _SMALL) - (1 << bits)
-    if any((v + offset) & mask for v in values):
-        return max(abs(c) for v in values for c in _digits(v, width))
-    return _SMALL
-
-
-def _strip(low: int, value: int, width: int) -> tuple[int, int]:
-    """(low, value) of a nonzero value with its low zero digits moved into low."""
-    zeros = ((value & -value).bit_length() - 1) // width
-    return low + zeros, value >> zeros * width
+# --- Determinants ------------------------------------------------------------
 
 
 def _polynomial(low: int, value: int, width: int) -> LaurentPolynomial:
     return LaurentPolynomial.from_coeffs(low, _digits(value, width))
 
 
-def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, width: int) -> tuple:
-    """The packed quotient (x*pivot - a*y) / prev of one Bareiss step, proved exact (module docstring).
+def bareiss_determinant(matrix: list[list], width: int | None = None) -> LaurentPolynomial:
+    """Fraction-free determinant of a square matrix over Laurent polynomials.
 
-    Raises _Narrow when the numerator's height reaches X/4 or the test rejects
-    the quotient, ValueError("not divisible") once Mignotte's bound shows it is not exact.
+    The entries are LaurentPolynomials, packed here at the first width whose
+    X/4 exceeds every coefficient, or packed entries at `width` with heights
+    below X/4, as the pipelines pass them.  _bareiss runs on them, and again
+    at twice the width while it raises _Narrow.
     """
-    (xl, xv, xh), (pl, pv, ph), (al, av, ah), (yl, yv, yh), (ql, qv, qh) = x, pivot, a, y, prev
-    xn, pn, an, yn, qn = (v.bit_length() // width + 1 for v in (xv, pv, av, yv, qv))
-    left, right = xv and min(xn, pn) * xh * ph, av and yv and min(an, yn) * ah * yh
-    if not (left or right):
-        return _ZERO
-    if left + right >= 1 << (width - 2):
-        raise _Narrow
-    low = min(xl + pl if left else al + yl, al + yl if right else xl + pl)
-    num = (xv * pv << width * (xl + pl - low) if left else 0) - (av * yv << width * (al + yl - low) if right else 0)
-    if not num:
-        return _ZERO
-    quotient, remainder = divmod(num, qv)
-    if remainder:
-        raise ValueError("not divisible")
-    low, quotient = _strip(low - ql, quotient, width)
-    height = _height((quotient,), width)
-    if min(quotient.bit_length() // width + 1, qn) * height * qh < 1 << (width - 1):
-        return low, quotient, height
-    # A bound on the numerator's length, and so on an exact quotient's; by
-    # Mignotte, |quotient| <= 2^(length-1) * sqrt(length) * (left + right).
-    length = xn + pn + an + yn + abs(xl + pl - al - yl)
-    if 1 << (width - 1) > min(length, qn) * ((left + right) * length * qh << (length - 1)):
-        raise ValueError("not divisible")
-    raise _Narrow
-
-
-def _bareiss(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
-    """The determinant (low, value) of a square packed matrix, its heights first remade by _height.
-
-    Step k replaces each entry (i, j) below and right of the pivot by
-    (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
-    Sylvester's identity every such quotient is exact.
-    """
-    if any(h >= 1 << (width - 2) for row in matrix for _, _, h in row):
-        raise _Narrow
-    m = [[(low, v, _height((v,), width)) for low, v, _ in row] for row in matrix]
-    size, sign, prev = len(m), 1, (0, 1, 1)
-    for k in range(size - 1):
-        if not m[k][k][1]:
-            swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
-            if swap is None:
-                return 0, 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1 :]:
-            for j in range(k + 1, size):
-                row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, width)
-        prev = top[k]
-    return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
-
-
-def bareiss_determinant(matrix: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """Fraction-free determinant over Laurent polynomials: _bareiss at the first width that serves."""
     size = len(matrix)
     if any(len(row) != size for row in matrix):
         raise ValueError("matrix is not square")
-    width = _DET_WIDTH
+    if width is None:
+        top, width = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0), _DET_WIDTH
+        while top >= 1 << (width - 2):
+            width *= 2
+        matrix = [[(p.min_exp, _pack(p.coeffs, width), 0) for p in row] for row in matrix]
     while True:
-        packed = [[(p.min_exp, _pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in row] for row in matrix]
         try:
-            return _polynomial(*_bareiss(packed, width), width)
+            return _polynomial(*_bareiss(matrix, width), width)
         except _Narrow:
+            matrix = [[(low, _repack(v, width, 2 * width), h) for low, v, h in row] for row in matrix]
             width *= 2
 
 
-def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:
-    """A square packed matrix whose determinant is det(rows) times some +-t^k.
-
-    Row i of rows maps each column to its nonzero packed entry; rows is not
-    changed.  For each column j, left to right, the remaining row with a
-    unit +-t^k there (packed value +-1) and the fewest nonzero entries, the
-    lowest on a tie, is the pivot: every other row with an entry a there
-    loses a*(+-t^-k) times it, and the pivot's row and column are dropped.
-    This is plain row reduction, so the determinant changes only by the
-    pivot's unit and a sign.  Columns with no unit stay, in order, with the
-    rows never taken.  A touched entry costs a multiplication and an aligned
-    addition.  One height bounds each row; one that would reach X/4 is
-    remade from the mask tests of the row and the pivot row, and _Narrow is
-    raised if it still would.
-    """
-    bound = {i: max((h for _, _, h in row.values()), default=0) for i, row in enumerate(rows)}
-    rows = {i: {j: entry[:2] for j, entry in row.items()} for i, row in enumerate(rows)}
-    limit, digit = 1 << (width - 2), (1 << width) - 1
-    kept = []
-    for j in range(len(rows)):
-        units = [i for i, row in rows.items() if j in row and row[j][1] in (1, -1)]
-        if not units:
-            kept.append(j)
-            continue
-        p = min(units, key=lambda i: (len(rows[i]), i))
-        pivot, pbound = rows.pop(p), bound.pop(p)
-        k, c = pivot.pop(j)
-        entries = [(col, pl, pv) for col, (pl, pv) in pivot.items()]
-        for i, row in rows.items():
-            a = row.pop(j, None)
-            if a is None:
-                continue
-            # a * (+-t^-k) with the sign flipped, so the update is an addition.
-            al, av = a[0] - k, -c * a[1]
-            an = av.bit_length() // width + 1
-            # A long factor, mostly zero digits on B - I, multiplies as shifts, one
-            # per digit that is not, and bounds the product by those digits' sum.
-            terms = [(e * width, d) for e, d in enumerate(_digits(av, width)) if d] if an > _SPARSE else ()
-            weight = sum(abs(d) for _, d in terms)
-            h = bound[i] + (weight or an * bound[i]) * pbound
-            if h >= limit:
-                pbound, h = _height([pv for _, _, pv in entries], width), _height([av, *(v for _, v in row.values())], width)
-                h += (weight or an * h) * pbound
-                if h >= limit:
-                    raise _Narrow
-            bound[i] = h
-            for col, pl, pv in entries:
-                v = sum(d * pv << e for e, d in terms) if terms else av * pv
-                low = al + pl
-                old = row.get(col)
-                if old is not None:
-                    ol, ov = old
-                    if ol < low:
-                        low, v = ol, ov + (v << (low - ol) * width)
-                    else:
-                        v += ov << (ol - low) * width
-                    if not v:
-                        del row[col]
-                        continue
-                    if not v & digit:
-                        low, v = _strip(low, v, width)
-                row[col] = (low, v)
-    return [[(*row[j], bound[i]) if j in row else _ZERO for j in kept] for i, row in rows.items()]
-
-
 def _determinant_up_to_units(rows: list[dict[int, tuple]], width: int) -> LaurentPolynomial:
-    """det(rows) times some +-t^k: unit pivots, then Bareiss on the remainder.
+    """det(rows) times some +-t^k: unit pivots, then bareiss_determinant on the remainder.
 
-    While a height reaches X/4, the whole runs again at twice the width.
+    While the sweep raises _Narrow, it runs again at twice the width
+    (bareiss_determinant widens on its own).
     """
     while True:
         try:
-            return _polynomial(*_bareiss(_unit_pivot_remainder(rows, width), width), width)
+            return bareiss_determinant(_unit_pivot_remainder(rows, width), width)
         except _Narrow:
-            rows = [{j: (low, _pack(_digits(v, width), 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
+            rows = [{j: (low, _repack(v, width, 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
             width *= 2
 
 
@@ -497,16 +327,18 @@ def _tighten(columns: list[list[int]], low: list[int], height: list[int], width:
         height[k] = _height(column, width)
 
 
-def _burau_columns(w: BraidWord) -> tuple[list[list[int]], list[int], list[int], int]:
-    """The packed reduced Burau matrix of a word: (columns, low, height, width).
+def reduced_burau(w: BraidWord, packed: bool = False) -> list[list[LaurentPolynomial]] | tuple:
+    """The reduced Burau matrix of a word; multiplicative over concatenation.
 
-    Column k-1 is columns[k], between two zero columns, held times t^low[k].
-    A letter g rewrites only column j = |g| - 1, c[j], as t*c[j-1] - t*c[j] +
-    c[j+1] if g > 0 and c[j-1] - t^-1*c[j] + t^-1*c[j+1] if g < 0 (columns
-    past the edges read as zero); low[j] keeps every power of t nonnegative,
-    so a row costs three shifts and two additions, and the height is the sum
-    of the three read.  Before a height would reach X/2 every column is
-    tightened (_tighten); the width doubles only if the heights still need it.
+    With packed=True, the product as computed, (columns, low, height,
+    width): column k-1 is columns[k], between two zero columns, held times
+    t^low[k].  A letter g rewrites only column j = |g| - 1, c[j], as
+    t*c[j-1] - t*c[j] + c[j+1] if g > 0 and c[j-1] - t^-1*c[j] + t^-1*c[j+1]
+    if g < 0 (columns past the edges read as zero); low[j] keeps every power
+    of t nonnegative, so a row costs three shifts and two additions, and the
+    height is the sum of the three read.  Before a height would reach X/2
+    every column is tightened (_tighten); the width doubles only if the
+    heights still need it.
     """
     if w.n < 2:
         raise ValueError("need braid index at least 2")
@@ -521,7 +353,7 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], list[int], list[int],
             _tighten(columns, low, height, width)
             bound = height[j - 1] + height[j] + height[j + 1]
             while bound >= 1 << (width - 1):
-                columns = [[_pack(_digits(v, width), 2 * width) for v in column] for column in columns]
+                columns = [[_repack(v, width, 2 * width) for v in column] for column in columns]
                 width *= 2
         # c[j-1], c[j] and c[j+1] enter times t^up, t^(2up-1) and t^(up-1),
         # and each needs the new offset to be at least its own less that power.
@@ -533,33 +365,34 @@ def _burau_columns(w: BraidWord) -> tuple[list[list[int]], list[int], list[int],
         mid = (top - mid) * width
         columns[j] = [(a << left) - (b << mid) + (c << right) for a, b, c in zip(*columns[j - 1 : j + 2])]
         low[j], height[j] = top, bound
-    return columns, low, height, width
-
-
-def reduced_burau(w: BraidWord) -> list[list[LaurentPolynomial]]:
-    """The reduced Burau matrix of a word; multiplicative over concatenation (_burau_columns)."""
-    columns, low, _, width = _burau_columns(w)
+    if packed:
+        return columns, low, height, width
     return [[_polynomial(-low[k], v, width) for k, v in enumerate(row[1:-1], 1)] for row in zip(*columns)]
 
 
 def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n), B - I packed at
-    the product's width; the sweep gives the determinant up to +-t^k, which
-    the exact division and the normalization absorb.
+    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  B - I is packed
+    afresh at the determinants' first width that its heights, from the mask
+    test, allow; the sweep gives the determinant up to +-t^k, which the
+    exact division and the normalization absorb.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    columns, low, height, width = _burau_columns(w)
+    columns, low, _, width = reduced_burau(w, packed=True)
+    top, new = _height([v for column in columns for v in column], width) + 1, _DET_WIDTH
+    while top >= 1 << (new - 2):
+        new *= 2
     rows: list[dict[int, tuple]] = [{} for _ in columns[2:]]
     for k in range(1, w.n):
         up = min(low[k], 0)  # a column held times a negative power of t is raised to t^0
         for i, v in enumerate(columns[k]):
             v = (v << -up * width) - (i == k - 1 and 1 << (low[k] - up) * width)
             if v:
-                rows[i][k - 1] = (*_strip(up - low[k], v, width), height[k] + 1)
-    det = _determinant_up_to_units(rows, width)
+                exp, v = _strip(up - low[k], v, width)
+                rows[i][k - 1] = (exp, _repack(v, width, new), top)
+    det = _determinant_up_to_units(rows, new)
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 

@@ -1,0 +1,227 @@
+"""
+Polynomials packed as integers, and the exact kernels that run on them.
+
+A packed polynomial is (low, value, height): value is the polynomial times
+t^-low at t = X = 2^width, its lowest base-X digit nonzero, and height
+bounds the sizes of its coefficients, which are value's balanced base-X
+digits while the height stays below X/2.  This module packs, decodes and
+moves them between widths, bounds them by the mask test, and runs the
+unit-pivot sweep and Bareiss on them; the petalgrid.invariants docstring
+shows why both are exact.
+"""
+from __future__ import annotations
+
+import sys
+
+_ZERO = (0, 0, 0)  # the zero polynomial
+# The determinants' first width, the Burau product's, and the height the mask
+# test proves.
+_DET_WIDTH, _WIDTH, _SMALL = 16, 64, 4
+# The widths that are machine words, whose digits a long value yields at once.
+_WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {}
+
+
+class _Narrow(Exception):
+    """A height would reach X/4 at this width."""
+
+
+def _pack(coeffs: tuple[int, ...] | list[int], width: int) -> int:
+    """The value at t = 2^width of the polynomial with these coefficients."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << width) + c
+    return value
+
+
+def _repunit(length: int, width: int) -> int:
+    """1 + X + ... + X^(length-1), X = 2^width: one in every digit."""
+    return ((1 << length * width) - 1) // ((1 << width) - 1)
+
+
+def _repack(value: int, width: int, new: int) -> int:
+    """The value with its balanced base-2^width digits moved to base 2^new (both multiples of 8).
+
+    Each digit must fit the narrower width, as every digit does when
+    widening.  Offset by half the narrower base, the digits are bytes, which
+    are copied across in place of a shift per digit.
+    """
+    # + 2, not + 1: top digits 1, -X/2 over negative ones are a bit short of their length.
+    narrow, length = min(width, new), value.bit_length() // width + 2
+    half = 1 << (narrow - 1)
+    data = (value + half * _repunit(length, width)).to_bytes(length * width // 8, "little")
+    out = bytearray(length * new // 8)
+    for k in range(narrow // 8):
+        out[k :: new // 8] = data[k :: width // 8]
+    return int.from_bytes(out, "little") - half * _repunit(length, new)
+
+
+def _digits(value: int, width: int) -> list[int]:
+    """The balanced base-2^width digits of value, lowest first: _pack(digits, width) == value.
+
+    Each lies in [-2^(width-1), 2^(width-1)) and the last is nonzero.  A
+    shift per digit is quadratic, so a value of more than 16 digits at a
+    width in _WORDS is offset by half the base in every digit, which makes
+    every digit a word of its bytes, and the words are read at once.
+    """
+    half, length = 1 << (width - 1), value.bit_length() // width + 2  # as in _repack
+    if length > 17 and width in _WORDS:
+        data = (value + half * _repunit(length, width)).to_bytes(length * width // 8, "little")
+        out = [word - half for word in memoryview(data).cast(_WORDS[width])]
+        while not out[-1]:
+            out.pop()
+        return out
+    out = []
+    while value:
+        digit = value & ((half << 1) - 1)
+        value >>= width
+        if digit >= half:
+            digit -= half << 1
+            value += 1
+        out.append(digit)
+    return out
+
+
+def _height(values: tuple[int, ...] | list[int], width: int) -> int:
+    """_SMALL if every balanced base-X digit of the values lies in [-_SMALL, _SMALL), else the largest |digit|.
+
+    The mask test: with d one more than the longest value's whole base-X
+    digits and R = 1 + X + ... + X^(d-1), v has balanced digits in
+    [-_SMALL, _SMALL) exactly when v + _SMALL*R lies in [0, X^d) with every
+    base-X digit below 2*_SMALL, which one AND with R*(X - 2*_SMALL) - X^d
+    tests.  The values are decoded only when one fails.
+    """
+    length = max((v.bit_length() for v in values), default=0) // width + 1
+    repunit = _repunit(length, width)
+    offset, mask = _SMALL * repunit, repunit * ((1 << width) - 2 * _SMALL) - (1 << length * width)
+    if any((v + offset) & mask for v in values):
+        return max(abs(c) for v in values for c in _digits(v, width))
+    return _SMALL
+
+
+def _strip(low: int, value: int, width: int) -> tuple[int, int]:
+    """(low, value) of a nonzero value with its low zero digits moved into low."""
+    zeros = ((value & -value).bit_length() - 1) // width
+    return low + zeros, value >> zeros * width
+
+
+def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, width: int) -> tuple:
+    """The packed quotient (x*pivot - a*y) / prev of one Bareiss step, proved exact (module docstring).
+
+    Raises _Narrow when the numerator's height reaches X/4 or the test rejects
+    the quotient, ValueError("not divisible") once Mignotte's bound shows it is not exact.
+    """
+    (xl, xv, xh), (pl, pv, ph), (al, av, ah), (yl, yv, yh), (ql, qv, qh) = x, pivot, a, y, prev
+    xn, pn, an, yn, qn = (v.bit_length() // width + 1 for v in (xv, pv, av, yv, qv))
+    left, right = xv and min(xn, pn) * xh * ph, av and yv and min(an, yn) * ah * yh
+    if not (left or right):
+        return _ZERO
+    if left + right >= 1 << (width - 2):
+        raise _Narrow
+    low = min(xl + pl if left else al + yl, al + yl if right else xl + pl)
+    num = (xv * pv << width * (xl + pl - low) if left else 0) - (av * yv << width * (al + yl - low) if right else 0)
+    if not num:
+        return _ZERO
+    quotient, remainder = divmod(num, qv)
+    if remainder:
+        raise ValueError("not divisible")
+    low, quotient = _strip(low - ql, quotient, width)
+    height = _height((quotient,), width)
+    if min(quotient.bit_length() // width + 1, qn) * height * qh < 1 << (width - 1):
+        return low, quotient, height
+    # A bound on the numerator's length, and so on an exact quotient's; by
+    # Mignotte, |quotient| <= 2^(length-1) * sqrt(length) * (left + right).
+    length = xn + pn + an + yn + abs(xl + pl - al - yl)
+    if 1 << (width - 1) > min(length, qn) * ((left + right) * length * qh << (length - 1)):
+        raise ValueError("not divisible")
+    raise _Narrow
+
+
+def _bareiss(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
+    """The determinant (low, value) of a square packed matrix, its heights first remade by _height.
+
+    Step k replaces each entry (i, j) below and right of the pivot by
+    (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
+    Sylvester's identity every such quotient is exact.
+    """
+    m = [[(low, v, _height((v,), width)) for low, v, _ in row] for row in matrix]
+    size, sign, prev = len(m), 1, (0, 1, 1)
+    for k in range(size - 1):
+        if not m[k][k][1]:
+            swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
+            if swap is None:
+                return 0, 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        top = m[k]
+        for row in m[k + 1 :]:
+            for j in range(k + 1, size):
+                row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, width)
+        prev = top[k]
+    return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
+
+
+def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:
+    """A square packed matrix whose determinant is det(rows) times some +-t^k.
+
+    Row i of rows maps each column to its nonzero packed entry; rows is not
+    changed.  For each column j, left to right, the remaining row with a
+    unit +-t^k there (packed value +-1) and the fewest nonzero entries, the
+    lowest on a tie, is the pivot: every other row with an entry a there
+    loses a*(+-t^-k) times it, and the pivot's row and column are dropped.
+    This is plain row reduction, so the determinant changes only by the
+    pivot's unit and a sign.  Columns with no unit stay, in order, with the
+    rows never taken.  A touched entry costs a multiplication and an aligned
+    addition, or, when at most a quarter of the factor's digits are nonzero
+    (B - I's long entries), a shift and an addition per nonzero digit.  One
+    height bounds each row; a row operation adds the factor's weight, the
+    sum of its digits' sizes, times the pivot row's height.  A height that
+    would reach X/4 is remade from the mask tests of the row and the pivot
+    row, and _Narrow is raised if it still would.
+    """
+    bound = {i: max((h for _, _, h in row.values()), default=0) for i, row in enumerate(rows)}
+    rows = {i: {j: entry[:2] for j, entry in row.items()} for i, row in enumerate(rows)}
+    limit, digit = 1 << (width - 2), (1 << width) - 1
+    kept = []
+    for j in range(len(rows)):
+        units = [i for i, row in rows.items() if j in row and row[j][1] in (1, -1)]
+        if not units:
+            kept.append(j)
+            continue
+        p = min(units, key=lambda i: (len(rows[i]), i))
+        pivot, pbound = rows.pop(p), bound.pop(p)
+        k, c = pivot.pop(j)
+        entries = [(col, pl, pv) for col, (pl, pv) in pivot.items()]
+        for i, row in rows.items():
+            a = row.pop(j, None)
+            if a is None:
+                continue
+            # a * (+-t^-k) with the sign flipped, so the update is an addition.
+            al, av = a[0] - k, -c * a[1]
+            digits = _digits(av, width)
+            terms = [(e * width, d) for e, d in enumerate(digits) if d]
+            weight = sum(abs(d) for _, d in terms)
+            h = bound[i] + weight * pbound
+            if h >= limit:
+                pbound = _height([pv for _, _, pv in entries], width)
+                h = _height([v for _, v in row.values()], width) + weight * pbound
+                if h >= limit:
+                    raise _Narrow
+            bound[i] = h
+            sparse = 4 * len(terms) <= len(digits)
+            for col, pl, pv in entries:
+                v = sum(d * pv << e for e, d in terms) if sparse else av * pv
+                low = al + pl
+                old = row.get(col)
+                if old is not None:
+                    ol, ov = old
+                    if ol < low:
+                        low, v = ol, ov + (v << (low - ol) * width)
+                    else:
+                        v += ov << (ol - low) * width
+                    if not v:
+                        del row[col]
+                        continue
+                    if not v & digit:
+                        low, v = _strip(low, v, width)
+                row[col] = (low, v)
+    return [[(*row[j], bound[i]) if j in row else _ZERO for j in kept] for i, row in rows.items()]

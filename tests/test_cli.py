@@ -129,7 +129,7 @@ def test_verify_timeout_must_be_positive(capsys):
 
 def test_verify_timeout_interrupts_the_determinant(capsys, monkeypatch):
     # The determinant is slowed down here, so that the deadline lands in it
-    # on any machine (at T(41,100) it takes about 1 s); the closed form is the
+    # on any machine (at T(41,100) it takes about 0.6 s); the closed form is the
     # last stage before the grid's, so the timer rings inside it.
     determinant = invariants._determinant_up_to_units
 
@@ -171,13 +171,13 @@ def test_verify_timeout_interrupts_the_normal_form(capsys, monkeypatch):
 def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
     # The Burau product is slowed down here, since its real time is too short
     # to land a deadline in: only the timer can stop it.
-    burau = invariants._burau_columns
+    burau = invariants.reduced_burau
 
-    def slow_burau(w):
+    def slow_burau(w, packed=False):
         time.sleep(10)
-        return burau(w)
+        return burau(w, packed)
 
-    monkeypatch.setattr(invariants, "_burau_columns", slow_burau)
+    monkeypatch.setattr(invariants, "reduced_burau", slow_burau)
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--pipeline", "burau", "--timeout", "0.2", "--json")
     elapsed = time.monotonic() - t0

@@ -12,7 +12,7 @@ from oracles import (
     winding_number_matrix,
     wirtinger_alexander,
 )
-from petalgrid import invariants
+from petalgrid import invariants, packed
 from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
@@ -178,18 +178,18 @@ def test_bareiss_matches_cofactor_expansion():
 def packed_rows(matrix, width):
     """A LaurentPolynomial matrix as the sparse packed rows the determinant kernels take."""
     return [
-        {j: (p.min_exp, invariants._pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
+        {j: (p.min_exp, packed._pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
         for row in matrix
     ]
 
 
 def decoded(matrix, width=invariants._DET_WIDTH):
     """Packed rows, sparse (dicts) or dense (lists), as a LaurentPolynomial matrix."""
-    dense = [row if isinstance(row, list) else [row.get(j, invariants._ZERO) for j in range(len(matrix))] for row in matrix]
+    dense = [row if isinstance(row, list) else [row.get(j, packed._ZERO) for j in range(len(matrix))] for row in matrix]
     return [[invariants._polynomial(low, value, width) for low, value, _ in row] for row in dense]
 
 
-DIGITS = invariants._digits  # the helpers' own decoding, apart from the spies below
+DIGITS = packed._digits  # the helpers' own decoding, apart from the spies below
 
 
 def divide_step(x, pivot, a, y, prev, width=8):
@@ -198,15 +198,15 @@ def divide_step(x, pivot, a, y, prev, width=8):
     while max(abs(c) for p in operands for c in p.coeffs) >= 1 << (width - 2):
         width *= 2
     while True:
-        packed = [(p.min_exp, invariants._pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
+        entries = [(p.min_exp, packed._pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
         try:
-            low, value, height = invariants._bareiss_update(*packed, width)
-        except invariants._Narrow:
+            low, value, height = packed._bareiss_update(*entries, width)
+        except packed._Narrow:
             width *= 2
             continue
         coeffs = DIGITS(value, width)
-        small = all(-invariants._SMALL <= c < invariants._SMALL for c in coeffs)
-        assert height == (invariants._SMALL if small else max(map(abs, coeffs))) if coeffs else height == 0
+        small = all(-packed._SMALL <= c < packed._SMALL for c in coeffs)
+        assert height == (packed._SMALL if small else max(map(abs, coeffs))) if coeffs else height == 0
         return LaurentPolynomial.from_coeffs(low, coeffs)
 
 
@@ -228,13 +228,13 @@ def test_bareiss_update_divides_exactly():
 
 def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
     widths = []
-    digits = invariants._digits
+    digits = packed._digits
 
     def spy(value, width):
         widths.append(width)
         return digits(value, width)
 
-    monkeypatch.setattr(invariants, "_digits", spy)
+    monkeypatch.setattr(packed, "_digits", spy)
     # The first width reads (1+t)^16 correctly, but its test cannot prove it.
     zero = LaurentPolynomial.zero()
     got = divide_step(power(ONE - T * T, 16), ONE, zero, ONE, power(ONE - T, 16))
@@ -252,22 +252,64 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
 def test_mask_test_and_decoding():
     # _height is _SMALL = 4 exactly when every balanced digit lies in [-4, 4),
     # so -4 passes and +4 fails, and otherwise the largest |digit|; _digits
-    # reads back what _pack wrote, short values by shifts, long ones by bytes.
+    # reads back what _pack wrote: up to 16 digits, and at 128 bits, by
+    # shifts, longer ones as machine words.
     rng = random.Random(909)
-    for width in (8, 32, 64):
+    for width in (8, 16, 32, 64, 128):
         for trial in range(400):
-            length = rng.randint(1, 12) if trial % 4 else rng.randint(257, 400)
+            length = rng.randint(1, 16) if trial % 4 else rng.randint(17, 400)
             digits = [rng.choice((0, rng.randint(-12, 12))) for _ in range(length)]
             digits[-1] = digits[-1] or rng.choice((-4, 4))
-            value = invariants._pack(digits, width)
-            assert invariants._digits(value, width) == digits, (width, digits)
+            value = packed._pack(digits, width)
+            assert packed._digits(value, width) == digits, (width, digits)
             small = all(-4 <= c < 4 for c in digits)
-            assert invariants._height((value,), width) == (4 if small else max(map(abs, digits))), (width, digits)
+            assert packed._height((value,), width) == (4 if small else max(map(abs, digits))), (width, digits)
         for digit in range(-12, 13):
-            value = invariants._pack([1, digit, -1], width)
-            assert invariants._height((value,), width) == (4 if -4 <= digit < 4 else abs(digit)), (width, digit)
-    assert invariants._digits(0, 32) == [] and invariants._digits(-1, 32) == [-1]
-    assert invariants._digits(1 << 31, 32) == [-(1 << 31), 1]
+            value = packed._pack([1, digit, -1], width)
+            assert packed._height((value,), width) == (4 if -4 <= digit < 4 else abs(digit)), (width, digit)
+    assert packed._digits(0, 32) == [] and packed._digits(-1, 32) == [-1]
+    assert packed._digits(1 << 31, 32) == [-(1 << 31), 1]
+    # Top digits 1, -X/2 over negative ones make a value one bit short of its length.
+    digits = [-1] * 20 + [-(1 << 31), 1]
+    assert packed._digits(packed._pack(digits, 32), 32) == digits
+    assert packed._repack(packed._pack(digits, 32), 32, 64) == packed._pack(digits, 64)
+
+
+def test_repack_moves_digits_between_widths():
+    # Widening keeps every digit; narrowing keeps those that fit the new width.
+    rng = random.Random(919)
+    for trial in range(600):
+        width, new = rng.choice((8, 16, 32, 64, 128)), rng.choice((8, 16, 32, 64, 128, 256))
+        top = 1 << (min(width, new) - 1)
+        digits = [rng.choice((0, 1, -1, top - 1, -top, rng.randint(-top, top - 1))) for _ in range(rng.randint(0, 40))]
+        while digits and not digits[-1]:
+            digits.pop()
+        value = packed._pack(digits, width)
+        assert packed._repack(value, width, new) == packed._pack(digits, new), (width, new, digits)
+
+
+def test_pipelines_reach_the_kernels_by_their_public_names(monkeypatch):
+    # Both pipelines call reduced_burau and bareiss_determinant through the
+    # module, so a wrapper put in their place (as perfbench's spans are) sees
+    # the Burau product and the determinant of the sweep's remainder.
+    seen = []
+    burau, bareiss = invariants.reduced_burau, invariants.bareiss_determinant
+
+    def spy_burau(w, packed=False):
+        seen.append(("reduced_burau", w.n, packed))
+        return burau(w, packed)
+
+    def spy_bareiss(matrix, width=None):
+        seen.append(("bareiss_determinant", len(matrix), width))
+        return bareiss(matrix, width)
+
+    monkeypatch.setattr(invariants, "reduced_burau", spy_burau)
+    monkeypatch.setattr(invariants, "bareiss_determinant", spy_bareiss)
+    assert alexander_from_grid(build_petal_grid(synthesize(5, 7))) == torus_alexander(5, 7)
+    assert seen == [("bareiss_determinant", 4, invariants._DET_WIDTH)], seen
+    seen.clear()
+    assert alexander_from_closure(conjugate_band_braid(5, 7)) == torus_alexander(5, 7)
+    assert seen == [("reduced_burau", 5, True), ("bareiss_determinant", 1, invariants._DET_WIDTH)], seen
 
 
 def test_alexander_from_grid_examples():
@@ -344,7 +386,7 @@ def test_unit_pivots_match_the_dict_oracle():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         rows = invariants._differenced_grid_matrix(build_petal_grid(PetalPermutation(tuple(entries))))
-        got = decoded(invariants._unit_pivot_remainder(rows, invariants._DET_WIDTH))
+        got = decoded(packed._unit_pivot_remainder(rows, invariants._DET_WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
              for n in (rng.randint(2, 8) for _ in range(300))]
@@ -352,15 +394,16 @@ def test_unit_pivots_match_the_dict_oracle():
         words += [conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))]
     for w in words:
         m = burau_minus_identity(w)
-        got = decoded(invariants._unit_pivot_remainder(packed_rows(m, 64), 64), 64)
+        got = decoded(packed._unit_pivot_remainder(packed_rows(m, 64), 64), 64)
         assert got == unit_pivot_remainder_by_dicts(m), w.letters
 
 
 def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
-    # Coefficients near 2^25 fit the first width, 32 bits, but their products
-    # do not: the sweep restarts at 64, and Bareiss on its 2 x 2 remainder,
-    # whose determinant reaches about 2^100, at 128.  Row 0 holds the only
-    # unit of column 0, so it is the first pivot.
+    # Coefficients near 2^25 fit 32 bits, but their products do not: the
+    # sweep restarts at 64, and Bareiss on its 2 x 2 remainder, whose
+    # determinant reaches about 2^100, widens that remainder to 128 without
+    # sweeping again.  Row 0 holds the only unit of column 0, so it is the
+    # first pivot.
     rng = random.Random(1010)
     big = lambda: random_laurent(rng, 3, 2, 1 << 25) + LaurentPolynomial.term(1 << 25, 3)
     m = [[ONE, big(), big()]] + [[big() + LaurentPolynomial.term(2), big(), big()] for _ in range(2)]
@@ -379,7 +422,7 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     assert equal_up_to_units(det, naive_cofactor_det(m))
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "_bareiss"]
-    assert sweeps == [32, 64, 128] and bareiss == [64, 128], calls
+    assert sweeps == [32, 64] and bareiss == [64, 128], calls
 
     calls.clear()
     assert bareiss_determinant(m) == naive_cofactor_det(m)
@@ -402,7 +445,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = invariants._unit_pivot_remainder(differenced, invariants._DET_WIDTH)
+            remainder = packed._unit_pivot_remainder(differenced, invariants._DET_WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -411,7 +454,7 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = decoded(invariants._unit_pivot_remainder(differenced, invariants._DET_WIDTH))
+    remainder = decoded(packed._unit_pivot_remainder(differenced, invariants._DET_WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
@@ -428,7 +471,7 @@ def test_unit_pivots_leave_an_order_1_remainder_of_the_band_burau_matrix():
     pairs = [(n, s) for n in range(2, 12) for s in range(n + 1, 40) if math.gcd(n, s) == 1]
     assert len(pairs) == 202
     for n, s in pairs + [(17, 60), (23, 60), (29, 70)]:
-        remainder = invariants._unit_pivot_remainder(packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
+        remainder = packed._unit_pivot_remainder(packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
         assert len(remainder) == 1 and len(remainder[0]) == 1, (n, s)
 
 
@@ -446,6 +489,26 @@ def test_alexander_from_closure_matches_full_bareiss():
         expected = (full * (ONE - T)).divide_exact(ONE - power(T, n))
         assert equal_up_to_units(alexander_from_closure(w), expected), w.letters
         checked += 1
+
+
+def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
+    # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
+    # B - I leaves the product for 16, 32 bits or more by its heights alone.
+    widths = []
+    sweep = invariants._unit_pivot_remainder
+
+    def spy(rows, width):
+        widths.append(width)
+        return sweep(rows, width)
+
+    monkeypatch.setattr(invariants, "_unit_pivot_remainder", spy)
+    for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
+        w = BraidWord(3, (1, -2) * k)
+        assert induced_permutation(w).is_single_cycle()
+        full = bareiss_determinant(burau_minus_identity(w))
+        widths.clear()
+        assert equal_up_to_units(alexander_from_closure(w), (full * (ONE - T)).divide_exact(ONE - power(T, 3))), k
+        assert widths[0] == width, (k, widths)
 
 
 def test_alexander_from_grid_rejects_links():
@@ -497,8 +560,8 @@ def mirror(w):
 
 
 def test_reduced_burau_matches_the_column_oracle(monkeypatch):
-    tightened, packed = [], []
-    tighten, pack = invariants._tighten, invariants._pack
+    tightened, widened = [], []
+    tighten, repack = invariants._tighten, invariants._repack
 
     def spy_tighten(columns, low, height, width):
         # Each real column leaves with no common low zero digit, and with the
@@ -506,18 +569,18 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
         tightened.append(width)
         tighten(columns, low, height, width)
         for k in range(1, len(columns) - 1):
-            digits = [invariants._digits(v, width) for v in columns[k]]
+            digits = [packed._digits(v, width) for v in columns[k]]
             assert min(next(i for i, c in enumerate(d) if c) for d in digits if d) == 0
             coeffs = [c for d in digits for c in d]
-            small = all(-invariants._SMALL <= c < invariants._SMALL for c in coeffs)
-            assert height[k] == (invariants._SMALL if small else max(map(abs, coeffs))), (width, k)
+            small = all(-packed._SMALL <= c < packed._SMALL for c in coeffs)
+            assert height[k] == (packed._SMALL if small else max(map(abs, coeffs))), (width, k)
 
-    def spy_pack(coeffs, width):
-        packed.append(width)
-        return pack(coeffs, width)
+    def spy_repack(value, width, new):
+        widened.append(new)
+        return repack(value, width, new)
 
     monkeypatch.setattr(invariants, "_tighten", spy_tighten)
-    monkeypatch.setattr(invariants, "_pack", spy_pack)
+    monkeypatch.setattr(invariants, "_repack", spy_repack)
     rng = random.Random(707)
     for _ in range(300):
         n = rng.randint(2, 9)
@@ -530,7 +593,7 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
     expected = reduced_burau_by_columns(w)
     assert reduced_burau(w) == expected
     assert max(abs(c) for row in expected for p in row for c in p.coeffs).bit_length() == 203
-    assert set(packed) == {128, 256} and tightened[-1] == 128
+    assert set(widened) == {128, 256} and tightened[-1] == 128
 
     # The twist on strands 4-6 pushes its bounds past 2^63 while the columns
     # the prefix wrote hold coefficients in [-4, 5] and [-7, 7]: the first
