@@ -41,10 +41,8 @@ from .invariants import (
     LaurentPolynomial,
     alexander_from_closure,
     alexander_from_grid,
-    bareiss_determinant,
     certify,
     equal_up_to_units,
-    reduced_burau,
     torus_alexander,
 )
 from .perm import (

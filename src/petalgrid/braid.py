@@ -272,9 +272,6 @@ class NormalForm(_Value):
     def canonical_length(self) -> int:
         return len(self.factors)
 
-    def is_trivial(self) -> bool:
-        return self.delta_power == 0 and not self.factors
-
 
 def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.

@@ -15,24 +15,9 @@ T(n, s), order 1 on B - I for its band form (lower Hessenberg, a unit on
 every superdiagonal entry).  The torus closed form
 (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) is the independent ground truth for both.
 
-The Burau product, the sweep and Bareiss hold a polynomial packed
-(petalgrid.packed): one Python integer, its value at t = X = 2^w, beside
-its lowest exponent and its height, a bound on its coefficients' sizes.  Integer arithmetic
-evaluates exactly, so a product is one multiplication and a sum one
-aligned addition, and the coefficients are the balanced base-X digits
-while the height stays below X/2.  A height is the operands' sum or
-product bound or, near the limit, the mask test's (_height), and w doubles
-when exact heights reach the limit too.  The determinants start at
-w = 16, the Burau product at w = 64, and B - I moves from the product's
-width to the determinants' by _repack, which copies digits as bytes.  Each
-Bareiss update (x*pivot - a*y) / prev is one integer division at X; a
-nonzero remainder means it is not exact.  Two facts make an integer
-quotient q the polynomial quotient: the numerator's height stays below
-X/4, and q is accepted only when its height from the mask test gives
-min(len q, len prev) * height(q) * height(prev) < X/2.  Then q*prev minus
-the numerator has coefficients below X in size and the root X; a nonzero
-integer polynomial with root X is (t - X) times another, with a
-coefficient of size at least X, so q*prev equals the numerator.
+The Burau product, B - I, the sweep and Bareiss run in petalgrid.packed,
+on polynomials packed as integers; its docstring shows why they are exact.
+Only the determinant's coefficients come back from it.
 
 End-to-end certification: certify(n, s) is the one certifier behind
 `petalgrid verify`, selftest and the acceptance tests.
@@ -51,18 +36,8 @@ from .braid import (
 )
 from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
-from .packed import (
-    _DET_WIDTH,
-    _WIDTH,
-    _Narrow,
-    _bareiss,
-    _digits,
-    _height,
-    _pack,
-    _repack,
-    _strip,
-    _unit_pivot_remainder,
-)
+# bareiss_determinant is kept importable here for perfbench/spans.py.
+from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401
 from .perm import _Value
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
@@ -225,51 +200,6 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
     return num.divide_exact(den).normalize_up_to_units()
 
 
-# --- Determinants ------------------------------------------------------------
-
-
-def _polynomial(low: int, value: int, width: int) -> LaurentPolynomial:
-    return LaurentPolynomial.from_coeffs(low, _digits(value, width))
-
-
-def bareiss_determinant(matrix: list[list], width: int | None = None) -> LaurentPolynomial:
-    """Fraction-free determinant of a square matrix over Laurent polynomials.
-
-    The entries are LaurentPolynomials, packed here at the first width whose
-    X/4 exceeds every coefficient, or packed entries at `width` with heights
-    below X/4, as the pipelines pass them.  _bareiss runs on them, and again
-    at twice the width while it raises _Narrow.
-    """
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    if width is None:
-        top, width = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0), _DET_WIDTH
-        while top >= 1 << (width - 2):
-            width *= 2
-        matrix = [[(p.min_exp, _pack(p.coeffs, width), 0) for p in row] for row in matrix]
-    while True:
-        try:
-            return _polynomial(*_bareiss(matrix, width), width)
-        except _Narrow:
-            matrix = [[(low, _repack(v, width, 2 * width), h) for low, v, h in row] for row in matrix]
-            width *= 2
-
-
-def _determinant_up_to_units(rows: list[dict[int, tuple]], width: int) -> LaurentPolynomial:
-    """det(rows) times some +-t^k: unit pivots, then bareiss_determinant on the remainder.
-
-    While the sweep raises _Narrow, it runs again at twice the width
-    (bareiss_determinant widens on its own).
-    """
-    while True:
-        try:
-            return bareiss_determinant(_unit_pivot_remainder(rows, width), width)
-        except _Narrow:
-            rows = [{j: (low, _repack(v, width, 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
-            width *= 2
-
-
 # --- Alexander polynomial from a grid diagram ---------------------------------
 
 
@@ -281,9 +211,9 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[dict[int, tuple]]:
     between the ends of the vertical edge at x = i+1, and there
     w(i, j) = w(i+1, j) + step, step = +-1 as the edge runs up or down.  So
     row i minus row i+1 is (t^step - 1) t^w(i+1, j), a unit times 1-t, on
-    that span and zero off it.  Row i here is t^w(i+1, j), (w, 1, 1) at any
-    width, on the span, and the last row is unchanged, so the determinant is
-    det(t^w) / (1-t)^(p-1) up to +-t^k.  A running row of winding numbers
+    that span and zero off it.  Row i here is t^w(i+1, j), packed as
+    (w, 1, 1), on the span, and the last row is unchanged, so the
+    determinant is det(t^w) / (1-t)^(p-1) up to +-t^k.  A running row of winding numbers
     is swept from the right edge leftwards.
     """
     p = g.size
@@ -310,94 +240,27 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return _determinant_up_to_units(_differenced_grid_matrix(g), _DET_WIDTH).normalize_up_to_units()
+    return LaurentPolynomial.from_coeffs(*determinant_up_to_units(_differenced_grid_matrix(g))).normalize_up_to_units()
 
 
-# --- Reduced Burau and braid closures -----------------------------------------
-
-
-def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
-    """Strip each column's common low zero digits, then bound it by the mask test (_height)."""
-    for k in range(1, len(columns) - 1):
-        column = columns[k]
-        zeros = min((v & -v).bit_length() - 1 for v in column if v) // width
-        if zeros:
-            column = columns[k] = [v >> zeros * width for v in column]
-            low[k] -= zeros
-        height[k] = _height(column, width)
-
-
-def reduced_burau(w: BraidWord, packed: bool = False) -> list[list[LaurentPolynomial]] | tuple:
-    """The reduced Burau matrix of a word; multiplicative over concatenation.
-
-    With packed=True, the product as computed, (columns, low, height,
-    width): column k-1 is columns[k], between two zero columns, held times
-    t^low[k].  A letter g rewrites only column j = |g| - 1, c[j], as
-    t*c[j-1] - t*c[j] + c[j+1] if g > 0 and c[j-1] - t^-1*c[j] + t^-1*c[j+1]
-    if g < 0 (columns past the edges read as zero); low[j] keeps every power
-    of t nonnegative, so a row costs three shifts and two additions, and the
-    height is the sum of the three read.  Before a height would reach X/2
-    every column is tightened (_tighten); the width doubles only if the
-    heights still need it.
-    """
-    if w.n < 2:
-        raise ValueError("need braid index at least 2")
-    size, width = w.n - 1, _WIDTH
-    columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
-    low = [0] * (size + 2)
-    height = [0] + [1] * size + [0]
-    for g in w.letters:
-        j = abs(g)
-        bound = height[j - 1] + height[j] + height[j + 1]
-        if bound >= 1 << (width - 1):
-            _tighten(columns, low, height, width)
-            bound = height[j - 1] + height[j] + height[j + 1]
-            while bound >= 1 << (width - 1):
-                columns = [[_repack(v, width, 2 * width) for v in column] for column in columns]
-                width *= 2
-        # c[j-1], c[j] and c[j+1] enter times t^up, t^(2up-1) and t^(up-1),
-        # and each needs the new offset to be at least its own less that power.
-        up = int(g > 0)
-        left, mid, right = low[j - 1] - up, low[j] + 1 - 2 * up, low[j + 1] + 1 - up
-        top = max(left if j > 1 else mid, mid, right if j < size else mid)
-        left = (top - left) * width if j > 1 else 0
-        right = (top - right) * width if j < size else 0
-        mid = (top - mid) * width
-        columns[j] = [(a << left) - (b << mid) + (c << right) for a, b, c in zip(*columns[j - 1 : j + 2])]
-        low[j], height[j] = top, bound
-    if packed:
-        return columns, low, height, width
-    return [[_polynomial(-low[k], v, width) for k, v in enumerate(row[1:-1], 1)] for row in zip(*columns)]
+# --- Alexander polynomial of a braid closure ----------------------------------
 
 
 def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  B - I is packed
-    afresh at the determinants' first width that its heights, from the mask
-    test, allow; the sweep gives the determinant up to +-t^k, which the
-    exact division and the normalization absorb.
+    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  The sweep gives
+    the determinant up to +-t^k, which the exact division and the
+    normalization absorb.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    columns, low, _, width = reduced_burau(w, packed=True)
-    top, new = _height([v for column in columns for v in column], width) + 1, _DET_WIDTH
-    while top >= 1 << (new - 2):
-        new *= 2
-    rows: list[dict[int, tuple]] = [{} for _ in columns[2:]]
-    for k in range(1, w.n):
-        up = min(low[k], 0)  # a column held times a negative power of t is raised to t^0
-        for i, v in enumerate(columns[k]):
-            v = (v << -up * width) - (i == k - 1 and 1 << (low[k] - up) * width)
-            if v:
-                exp, v = _strip(up - low[k], v, width)
-                rows[i][k - 1] = (exp, _repack(v, width, new), top)
-    det = _determinant_up_to_units(rows, new)
+    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(*burau_minus_identity(*reduced_burau(w))))
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 
 
-# --- End-to-end certification --------------------------------------------------
+# --- End-to-end certification -------------------------------------------------
 
 PIPELINES = ("grid", "burau", "both")
 

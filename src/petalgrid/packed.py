@@ -4,14 +4,31 @@ Polynomials packed as integers, and the exact kernels that run on them.
 A packed polynomial is (low, value, height): value is the polynomial times
 t^-low at t = X = 2^width, its lowest base-X digit nonzero, and height
 bounds the sizes of its coefficients, which are value's balanced base-X
-digits while the height stays below X/2.  This module packs, decodes and
-moves them between widths, bounds them by the mask test, and runs the
-unit-pivot sweep and Bareiss on them; the petalgrid.invariants docstring
-shows why both are exact.
+digits while the height stays below X/2.  Integer arithmetic evaluates
+exactly, so a product is one multiplication and a sum one aligned
+addition.  A height is the operands' sum or product bound or, near the
+limit, the mask test's (_height), and the width doubles when exact heights
+reach the limit too.  The Burau product starts at 64-bit digits, the
+determinants at 16, and B - I moves between the two by _repack, which
+copies digits as bytes.
+
+Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
+a nonzero remainder means it is not exact.  Two facts make an integer
+quotient q the polynomial quotient: the numerator's height stays below
+X/4, and q is accepted only when its height from the mask test gives
+min(len q, len prev) * height(q) * height(prev) < X/2.  Then q*prev minus
+the numerator has coefficients below X in size and the root X; a nonzero
+integer polynomial with root X is (t - X) times another, with a
+coefficient of size at least X, so q*prev equals the numerator.
+
+Four names are public: reduced_burau, burau_minus_identity,
+determinant_up_to_units and its Bareiss kernel bareiss_determinant.
 """
 from __future__ import annotations
 
 import sys
+
+from .braid import BraidWord
 
 _ZERO = (0, 0, 0)  # the zero polynomial
 # The determinants' first width, the Burau product's, and the height the mask
@@ -23,14 +40,6 @@ _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {
 
 class _Narrow(Exception):
     """A height would reach X/4 at this width."""
-
-
-def _pack(coeffs: tuple[int, ...] | list[int], width: int) -> int:
-    """The value at t = 2^width of the polynomial with these coefficients."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << width) + c
-    return value
 
 
 def _repunit(length: int, width: int) -> int:
@@ -56,7 +65,7 @@ def _repack(value: int, width: int, new: int) -> int:
 
 
 def _digits(value: int, width: int) -> list[int]:
-    """The balanced base-2^width digits of value, lowest first: _pack(digits, width) == value.
+    """The balanced base-2^width digits of value, lowest first: their polynomial at t = 2^width is value.
 
     Each lies in [-2^(width-1), 2^(width-1)) and the last is nonzero.  A
     shift per digit is quadratic, so a value of more than 16 digits at a
@@ -136,12 +145,13 @@ def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, wid
     raise _Narrow
 
 
-def _bareiss(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
+def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
     """The determinant (low, value) of a square packed matrix, its heights first remade by _height.
 
     Step k replaces each entry (i, j) below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
-    Sylvester's identity every such quotient is exact.
+    Sylvester's identity every such quotient is exact.  Raises _Narrow as
+    _bareiss_update does.
     """
     m = [[(low, v, _height((v,), width)) for low, v, _ in row] for row in matrix]
     size, sign, prev = len(m), 1, (0, 1, 1)
@@ -225,3 +235,91 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list
                         low, v = _strip(low, v, width)
                 row[col] = (low, v)
     return [[(*row[j], bound[i]) if j in row else _ZERO for j in kept] for i, row in rows.items()]
+
+
+def determinant_up_to_units(rows: list[dict[int, tuple]], width: int = _DET_WIDTH) -> tuple[int, list[int]]:
+    """det(rows) times some +-t^k, as (low, coefficients): unit pivots, then Bareiss on the remainder.
+
+    rows are sparse packed rows at `width` with heights below X/4.  While
+    the sweep or Bareiss raises _Narrow, both run again on the rows
+    repacked at twice the width.
+    """
+    while True:
+        try:
+            low, value = bareiss_determinant(_unit_pivot_remainder(rows, width), width)
+            return low, _digits(value, width)
+        except _Narrow:
+            rows = [{j: (low, _repack(v, width, 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
+            width *= 2
+
+
+def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
+    """Strip each column's common low zero digits, then bound it by the mask test (_height)."""
+    for k in range(1, len(columns) - 1):
+        column = columns[k]
+        zeros = min((v & -v).bit_length() - 1 for v in column if v) // width
+        if zeros:
+            column = columns[k] = [v >> zeros * width for v in column]
+            low[k] -= zeros
+        height[k] = _height(column, width)
+
+
+def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
+    """The reduced Burau matrix of a word, packed: (columns, low, width); multiplicative over concatenation.
+
+    Entry (i, k) is columns[k][i] at X = 2^width times t^-low[k].  While
+    the product runs, column k-1 is columns[k], between two zero columns.
+    A letter g rewrites only column j = |g| - 1, c[j], as
+    t*c[j-1] - t*c[j] + c[j+1] if g > 0 and c[j-1] - t^-1*c[j] + t^-1*c[j+1]
+    if g < 0 (columns past the edges read as zero); low keeps every power
+    of t nonnegative, so a row costs three shifts and two additions, and
+    the height is the sum of the three read.  Before a height would reach X/2 every column is tightened
+    (_tighten); the width doubles only if the heights still need it.
+    """
+    if w.n < 2:
+        raise ValueError("need braid index at least 2")
+    size, width = w.n - 1, _WIDTH
+    columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
+    low = [0] * (size + 2)
+    height = [0] + [1] * size + [0]
+    for g in w.letters:
+        j = abs(g)
+        bound = height[j - 1] + height[j] + height[j + 1]
+        if bound >= 1 << (width - 1):
+            _tighten(columns, low, height, width)
+            bound = height[j - 1] + height[j] + height[j + 1]
+            while bound >= 1 << (width - 1):
+                columns = [[_repack(v, width, 2 * width) for v in column] for column in columns]
+                width *= 2
+        # c[j-1], c[j] and c[j+1] enter times t^up, t^(2up-1) and t^(up-1),
+        # and each needs the new offset to be at least its own less that power.
+        up = int(g > 0)
+        left, mid, right = low[j - 1] - up, low[j] + 1 - 2 * up, low[j + 1] + 1 - up
+        top = max(left if j > 1 else mid, mid, right if j < size else mid)
+        left = (top - left) * width if j > 1 else 0
+        right = (top - right) * width if j < size else 0
+        mid = (top - mid) * width
+        columns[j] = [(a << left) - (b << mid) + (c << right) for a, b, c in zip(*columns[j - 1 : j + 2])]
+        low[j], height[j] = top, bound
+    return columns[1:-1], low[1:-1], width
+
+
+def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict[int, tuple]], int]:
+    """B - I for the packed Burau matrix B (reduced_burau), as sparse packed rows and their width.
+
+    The width is the determinants' first that B's heights, from one mask
+    test, allow for B - I; a column held times a negative power of t is
+    raised to t^0, and every entry has its low zero digits stripped.
+    """
+    top, new = _height([v for column in columns for v in column], width) + 1, _DET_WIDTH
+    while top >= 1 << (new - 2):
+        new *= 2
+    rows = [{} for _ in columns]
+    for k, column in enumerate(columns):
+        up = min(low[k], 0)
+        for i, v in enumerate(column):
+            v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
+            if v:
+                exp, v = _strip(up - low[k], v, width)
+                rows[i][k] = (exp, _repack(v, width, new), top)
+    return rows, new

@@ -2,7 +2,8 @@
 
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, normal forms also letter by letter with a Delta
-stripped only once it reaches the front, determinants by cofactor expansion, the unit-pivot sweep on
+stripped only once it reaches the front, determinants by cofactor expansion
+and by Bareiss on LaurentPolynomial entries, the unit-pivot sweep on
 exponent -> coefficient dicts, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
@@ -34,7 +35,7 @@ from petalgrid.braid import (
     words_equal,
 )
 from petalgrid.grid import GridDiagram, Point
-from petalgrid.invariants import LaurentPolynomial, bareiss_determinant
+from petalgrid.invariants import LaurentPolynomial
 from petalgrid.perm import IndexSubset, Permutation
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 from petalgrid.selftest import SuiteResult, _random_subset, _random_word
@@ -177,6 +178,32 @@ def naive_cofactor_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
         term = entry * naive_cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def fraction_free_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+    """The determinant by Bareiss's fraction-free elimination, in LaurentPolynomial arithmetic alone.
+
+    Step k replaces each entry below and right of the pivot by
+    (m_ij*m_kk - m_ik*m_kj) / prev, prev the previous pivot, through
+    divide_exact; a zero pivot swaps in the first lower row with a nonzero
+    entry in its column, and there is none only when the determinant is 0.
+    """
+    m = [list(row) for row in m]
+    size, sign, prev = len(m), 1, LaurentPolynomial.one()
+    for k in range(size - 1):
+        if m[k][k].is_zero():
+            swap = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
+            if swap is None:
+                return LaurentPolynomial.zero()
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for row in m[k + 1 :]:
+            for j in range(k + 1, size):
+                row[j] = (row[j] * m[k][k] - row[k] * m[k][j]).divide_exact(prev)
+        prev = m[k][k]
+    if not m:
+        return LaurentPolynomial.one()
+    return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
 def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
@@ -469,7 +496,7 @@ def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
             row[arc] = row[arc] + val
         rows.append(row)
     minor = [row[: c - 1] for row in rows[: c - 1]]
-    return bareiss_determinant(minor).normalize_up_to_units()
+    return fraction_free_det(minor).normalize_up_to_units()
 
 
 def winding_number_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:

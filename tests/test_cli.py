@@ -131,13 +131,13 @@ def test_verify_timeout_interrupts_the_determinant(capsys, monkeypatch):
     # The determinant is slowed down here, so that the deadline lands in it
     # on any machine (at T(41,100) it takes about 0.6 s); the closed form is the
     # last stage before the grid's, so the timer rings inside it.
-    determinant = invariants._determinant_up_to_units
+    determinant = invariants.determinant_up_to_units
 
-    def slow_determinant(rows, width):
+    def slow_determinant(*args):
         time.sleep(10)
-        return determinant(rows, width)
+        return determinant(*args)
 
-    monkeypatch.setattr(invariants, "_determinant_up_to_units", slow_determinant)
+    monkeypatch.setattr(invariants, "determinant_up_to_units", slow_determinant)
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
@@ -173,9 +173,9 @@ def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
     # to land a deadline in: only the timer can stop it.
     burau = invariants.reduced_burau
 
-    def slow_burau(w, packed=False):
+    def slow_burau(w):
         time.sleep(10)
-        return burau(w, packed)
+        return burau(w)
 
     monkeypatch.setattr(invariants, "reduced_burau", slow_burau)
     t0 = time.monotonic()

@@ -1,10 +1,14 @@
+import ast
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from oracles import (
     burau_generator,
+    fraction_free_det,
     naive_cofactor_det,
     reduced_burau_by_columns,
     to_planar_diagram,
@@ -19,10 +23,8 @@ from petalgrid.invariants import (
     LaurentPolynomial,
     alexander_from_closure,
     alexander_from_grid,
-    bareiss_determinant,
     certify,
     equal_up_to_units,
-    reduced_burau,
     torus_alexander,
 )
 from petalgrid.petal import PetalPermutation, synthesize
@@ -169,27 +171,58 @@ def test_bareiss_matches_cofactor_expansion():
                 m[-1] = list(m[0])  # a repeated row: singular
             if size >= 2 and trial % 4 == 2:
                 m[0][0] = LaurentPolynomial.zero()  # the first pivot needs a row swap
-            got = bareiss_determinant(m)
-            assert got == naive_cofactor_det(m), (size, trial)
+            got = packed_det(m)
+            assert got == naive_cofactor_det(m) == fraction_free_det(m), (size, trial)
             if size >= 2 and trial % 4 == 1:
                 assert got.is_zero()
+
+
+DIGITS = packed._digits  # the helpers' own decoding, apart from the spies below
+
+
+def pack(coeffs, width):
+    """The value at t = 2^width of the polynomial with these coefficients, lowest first."""
+    return sum(c << k * width for k, c in enumerate(coeffs))
 
 
 def packed_rows(matrix, width):
     """A LaurentPolynomial matrix as the sparse packed rows the determinant kernels take."""
     return [
-        {j: (p.min_exp, packed._pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
+        {j: (p.min_exp, pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
         for row in matrix
     ]
 
 
-def decoded(matrix, width=invariants._DET_WIDTH):
+def decoded(matrix, width=packed._DET_WIDTH):
     """Packed rows, sparse (dicts) or dense (lists), as a LaurentPolynomial matrix."""
     dense = [row if isinstance(row, list) else [row.get(j, packed._ZERO) for j in range(len(matrix))] for row in matrix]
-    return [[invariants._polynomial(low, value, width) for low, value, _ in row] for row in dense]
+    return [[LaurentPolynomial.from_coeffs(low, DIGITS(value, width)) for low, value, _ in row] for row in dense]
 
 
-DIGITS = packed._digits  # the helpers' own decoding, apart from the spies below
+def packed_det(matrix):
+    """The determinant of a LaurentPolynomial matrix by the packed Bareiss kernel.
+
+    The entries are packed at the determinants' first width whose X/4
+    exceeds every coefficient, and packed again at twice the width while
+    the kernel raises _Narrow.
+    """
+    top, width = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0), packed._DET_WIDTH
+    while top >= 1 << (width - 2):
+        width *= 2
+    while True:
+        try:
+            low, value = packed.bareiss_determinant(
+                [[(p.min_exp, pack(p.coeffs, width), 0) for p in row] for row in matrix], width
+            )
+            return LaurentPolynomial.from_coeffs(low, DIGITS(value, width))
+        except packed._Narrow:
+            width *= 2
+
+
+def burau_matrix(w):
+    """The packed reduced_burau(w) as a LaurentPolynomial matrix."""
+    columns, low, width = packed.reduced_burau(w)
+    return [[LaurentPolynomial.from_coeffs(-low[k], DIGITS(v, width)) for k, v in enumerate(row)] for row in zip(*columns)]
 
 
 def divide_step(x, pivot, a, y, prev, width=8):
@@ -198,7 +231,7 @@ def divide_step(x, pivot, a, y, prev, width=8):
     while max(abs(c) for p in operands for c in p.coeffs) >= 1 << (width - 2):
         width *= 2
     while True:
-        entries = [(p.min_exp, packed._pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
+        entries = [(p.min_exp, pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
         try:
             low, value, height = packed._bareiss_update(*entries, width)
         except packed._Narrow:
@@ -252,7 +285,7 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
 def test_mask_test_and_decoding():
     # _height is _SMALL = 4 exactly when every balanced digit lies in [-4, 4),
     # so -4 passes and +4 fails, and otherwise the largest |digit|; _digits
-    # reads back what _pack wrote: up to 16 digits, and at 128 bits, by
+    # reads back what pack wrote: up to 16 digits, and at 128 bits, by
     # shifts, longer ones as machine words.
     rng = random.Random(909)
     for width in (8, 16, 32, 64, 128):
@@ -260,19 +293,19 @@ def test_mask_test_and_decoding():
             length = rng.randint(1, 16) if trial % 4 else rng.randint(17, 400)
             digits = [rng.choice((0, rng.randint(-12, 12))) for _ in range(length)]
             digits[-1] = digits[-1] or rng.choice((-4, 4))
-            value = packed._pack(digits, width)
+            value = pack(digits, width)
             assert packed._digits(value, width) == digits, (width, digits)
             small = all(-4 <= c < 4 for c in digits)
             assert packed._height((value,), width) == (4 if small else max(map(abs, digits))), (width, digits)
         for digit in range(-12, 13):
-            value = packed._pack([1, digit, -1], width)
+            value = pack([1, digit, -1], width)
             assert packed._height((value,), width) == (4 if -4 <= digit < 4 else abs(digit)), (width, digit)
     assert packed._digits(0, 32) == [] and packed._digits(-1, 32) == [-1]
     assert packed._digits(1 << 31, 32) == [-(1 << 31), 1]
     # Top digits 1, -X/2 over negative ones make a value one bit short of its length.
     digits = [-1] * 20 + [-(1 << 31), 1]
-    assert packed._digits(packed._pack(digits, 32), 32) == digits
-    assert packed._repack(packed._pack(digits, 32), 32, 64) == packed._pack(digits, 64)
+    assert packed._digits(pack(digits, 32), 32) == digits
+    assert packed._repack(pack(digits, 32), 32, 64) == pack(digits, 64)
 
 
 def test_repack_moves_digits_between_widths():
@@ -284,32 +317,60 @@ def test_repack_moves_digits_between_widths():
         digits = [rng.choice((0, 1, -1, top - 1, -top, rng.randint(-top, top - 1))) for _ in range(rng.randint(0, 40))]
         while digits and not digits[-1]:
             digits.pop()
-        value = packed._pack(digits, width)
-        assert packed._repack(value, width, new) == packed._pack(digits, new), (width, new, digits)
+        value = pack(digits, width)
+        assert packed._repack(value, width, new) == pack(digits, new), (width, new, digits)
 
 
 def test_pipelines_reach_the_kernels_by_their_public_names(monkeypatch):
-    # Both pipelines call reduced_burau and bareiss_determinant through the
-    # module, so a wrapper put in their place (as perfbench's spans are) sees
-    # the Burau product and the determinant of the sweep's remainder.
+    # Both pipelines reach reduced_burau and bareiss_determinant through
+    # module globals, so a wrapper put in their place under every name a
+    # petalgrid module holds them by (as perfbench's spans are) sees the
+    # Burau product and the determinant of the sweep's remainder.
     seen = []
-    burau, bareiss = invariants.reduced_burau, invariants.bareiss_determinant
 
-    def spy_burau(w, packed=False):
-        seen.append(("reduced_burau", w.n, packed))
-        return burau(w, packed)
+    def spy(kernel, note):
+        def run(*args):
+            seen.append(note(*args))
+            return kernel(*args)
 
-    def spy_bareiss(matrix, width=None):
-        seen.append(("bareiss_determinant", len(matrix), width))
-        return bareiss(matrix, width)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("petalgrid"):
+                for attr, value in list(vars(module).items()):
+                    if value is kernel:
+                        monkeypatch.setattr(module, attr, run)
 
-    monkeypatch.setattr(invariants, "reduced_burau", spy_burau)
-    monkeypatch.setattr(invariants, "bareiss_determinant", spy_bareiss)
+    spy(packed.reduced_burau, lambda w: ("reduced_burau", w.n))
+    spy(packed.bareiss_determinant, lambda matrix, width: ("bareiss_determinant", len(matrix), width))
     assert alexander_from_grid(build_petal_grid(synthesize(5, 7))) == torus_alexander(5, 7)
-    assert seen == [("bareiss_determinant", 4, invariants._DET_WIDTH)], seen
+    assert seen == [("bareiss_determinant", 4, packed._DET_WIDTH)], seen
     seen.clear()
     assert alexander_from_closure(conjugate_band_braid(5, 7)) == torus_alexander(5, 7)
-    assert seen == [("reduced_burau", 5, True), ("bareiss_determinant", 1, invariants._DET_WIDTH)], seen
+    assert seen == [("reduced_burau", 5), ("bareiss_determinant", 1, packed._DET_WIDTH)], seen
+
+
+def imports(module):
+    """(module, name) for each name a module's source imports, modules by their last component."""
+    out = []
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "petalgrid").rpartition(".")[2] != "petalgrid":
+            out += [(node.module.rpartition(".")[2], alias.name) for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            out += [(alias.name.rpartition(".")[2], "") for alias in node.names]
+    return out
+
+
+def test_invariants_reaches_packed_by_public_names_only():
+    # petalgrid.packed owns the packed form: invariants takes no private
+    # name from it, not even through the module, and packed nothing from invariants.
+    names = [name for module, name in imports(invariants) if module == "packed"]
+    assert names and not [name for name in names if name.startswith("_")], names
+    private = [
+        node.attr
+        for node in ast.walk(ast.parse(Path(invariants.__file__).read_text()))
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "packed" and node.attr.startswith("_")
+    ]
+    assert not private, private
+    assert not [name for module, name in imports(packed) if module == "invariants"]
 
 
 def test_alexander_from_grid_examples():
@@ -359,8 +420,8 @@ def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_fac
             support = [j for j, e in enumerate(row) if not e.is_zero()]
             assert support == list(range(min(y1, y2), max(y1, y2)))
             assert all(row[j].coeffs == (1,) for j in support)
-        full = bareiss_determinant(winding_number_matrix(grid))
-        factored = power(ONE - T, p - 1) * bareiss_determinant(differenced)
+        full = packed_det(winding_number_matrix(grid))
+        factored = power(ONE - T, p - 1) * packed_det(differenced)
         assert equal_up_to_units(full, factored), (grid.starts, grid.ends)
 
 
@@ -372,7 +433,7 @@ def test_unit_pivots_keep_the_differenced_determinant():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         grid = build_petal_grid(PetalPermutation(tuple(entries)))
-        full = bareiss_determinant(decoded(invariants._differenced_grid_matrix(grid)))
+        full = packed_det(decoded(invariants._differenced_grid_matrix(grid)))
         assert equal_up_to_units(alexander_from_grid(grid), full), entries
 
 
@@ -386,7 +447,7 @@ def test_unit_pivots_match_the_dict_oracle():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         rows = invariants._differenced_grid_matrix(build_petal_grid(PetalPermutation(tuple(entries))))
-        got = decoded(packed._unit_pivot_remainder(rows, invariants._DET_WIDTH))
+        got = decoded(packed._unit_pivot_remainder(rows, packed._DET_WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
              for n in (rng.randint(2, 8) for _ in range(300))]
@@ -401,9 +462,9 @@ def test_unit_pivots_match_the_dict_oracle():
 def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     # Coefficients near 2^25 fit 32 bits, but their products do not: the
     # sweep restarts at 64, and Bareiss on its 2 x 2 remainder, whose
-    # determinant reaches about 2^100, widens that remainder to 128 without
-    # sweeping again.  Row 0 holds the only unit of column 0, so it is the
-    # first pivot.
+    # determinant reaches about 2^100, needs more digits still, so the sweep
+    # and Bareiss run again together at 128.  Row 0 holds the only unit of
+    # column 0, so it is the first pivot.
     rng = random.Random(1010)
     big = lambda: random_laurent(rng, 3, 2, 1 << 25) + LaurentPolynomial.term(1 << 25, 3)
     m = [[ONE, big(), big()]] + [[big() + LaurentPolynomial.term(2), big(), big()] for _ in range(2)]
@@ -414,26 +475,27 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
             calls.append((name, width))
             return kernel(rows, width)
 
-        monkeypatch.setattr(invariants, name, run)
+        monkeypatch.setattr(packed, name, run)
 
-    spy("_unit_pivot_remainder", invariants._unit_pivot_remainder)
-    spy("_bareiss", invariants._bareiss)
-    det = invariants._determinant_up_to_units(packed_rows(m, 32), 32)
+    spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
+    spy("bareiss_determinant", packed.bareiss_determinant)
+    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(packed_rows(m, 32), 32))
     assert equal_up_to_units(det, naive_cofactor_det(m))
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
-    bareiss = [width for name, width in calls if name == "_bareiss"]
-    assert sweeps == [32, 64] and bareiss == [64, 128], calls
+    bareiss = [width for name, width in calls if name == "bareiss_determinant"]
+    assert sweeps == [32, 64, 128] and bareiss == [64, 128], calls
 
     calls.clear()
-    assert bareiss_determinant(m) == naive_cofactor_det(m)
-    assert calls == [("_bareiss", 32), ("_bareiss", 64), ("_bareiss", 128)], calls
+    assert packed_det(m) == naive_cofactor_det(m)
+    assert calls == [("bareiss_determinant", 32), ("bareiss_determinant", 64), ("bareiss_determinant", 128)], calls
 
     # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
     # which only a bound that counts the factor's length sees at 32 bits.
     p = sum((LaurentPolynomial.term(23170, e) for e in range(8)), LaurentPolynomial.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    assert equal_up_to_units(invariants._determinant_up_to_units(packed_rows(m, 32), 32), naive_cofactor_det(m))
+    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(packed_rows(m, 32), 32))
+    assert equal_up_to_units(det, naive_cofactor_det(m))
     assert calls[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
 
 
@@ -445,7 +507,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = packed._unit_pivot_remainder(differenced, invariants._DET_WIDTH)
+            remainder = packed._unit_pivot_remainder(differenced, packed._DET_WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -454,12 +516,12 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = decoded(packed._unit_pivot_remainder(differenced, invariants._DET_WIDTH))
+    remainder = decoded(packed._unit_pivot_remainder(differenced, packed._DET_WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
 def burau_minus_identity(w):
-    m = reduced_burau(w)
+    m = burau_matrix(w)
     for i, row in enumerate(m):
         row[i] -= ONE
     return m
@@ -485,7 +547,7 @@ def test_alexander_from_closure_matches_full_bareiss():
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))))
         if not induced_permutation(w).is_single_cycle():
             continue
-        full = bareiss_determinant(burau_minus_identity(w))
+        full = packed_det(burau_minus_identity(w))
         expected = (full * (ONE - T)).divide_exact(ONE - power(T, n))
         assert equal_up_to_units(alexander_from_closure(w), expected), w.letters
         checked += 1
@@ -495,17 +557,17 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
     # B - I leaves the product for 16, 32 bits or more by its heights alone.
     widths = []
-    sweep = invariants._unit_pivot_remainder
+    sweep = packed._unit_pivot_remainder
 
     def spy(rows, width):
         widths.append(width)
         return sweep(rows, width)
 
-    monkeypatch.setattr(invariants, "_unit_pivot_remainder", spy)
+    monkeypatch.setattr(packed, "_unit_pivot_remainder", spy)
     for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
         w = BraidWord(3, (1, -2) * k)
         assert induced_permutation(w).is_single_cycle()
-        full = bareiss_determinant(burau_minus_identity(w))
+        full = packed_det(burau_minus_identity(w))
         widths.clear()
         assert equal_up_to_units(alexander_from_closure(w), (full * (ONE - T)).divide_exact(ONE - power(T, 3))), k
         assert widths[0] == width, (k, widths)
@@ -519,10 +581,10 @@ def test_alexander_from_grid_rejects_links():
 
 
 def test_reduced_burau():
-    m = reduced_burau(sigma(2, 1))
+    m = burau_matrix(sigma(2, 1))
     assert len(m) == 1 and m[0][0] == -T
 
-    ident = reduced_burau(BraidWord.identity(4))
+    ident = burau_matrix(BraidWord.identity(4))
     for i in range(3):
         for j in range(3):
             assert ident[i][j] == (ONE if i == j else LaurentPolynomial.zero())
@@ -532,7 +594,7 @@ def test_reduced_burau_generators_match_written_out_matrices():
     for n in range(2, 7):
         for i in range(1, n):
             for g in (i, -i):
-                assert reduced_burau(BraidWord(n, (g,))) == burau_generator(n, g), (n, g)
+                assert burau_matrix(BraidWord(n, (g,))) == burau_generator(n, g), (n, g)
 
 
 def test_reduced_burau_homomorphism():
@@ -543,9 +605,9 @@ def test_reduced_burau_homomorphism():
             n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 8)))
         )
         w1, w2 = mk(), mk()
-        lhs = reduced_burau(w1 * w2)
-        prod = reduced_burau(w1)
-        rhs_m = reduced_burau(w2)
+        lhs = burau_matrix(w1 * w2)
+        prod = burau_matrix(w1)
+        rhs_m = burau_matrix(w2)
         size = n - 1
         for i in range(size):
             for j in range(size):
@@ -561,7 +623,7 @@ def mirror(w):
 
 def test_reduced_burau_matches_the_column_oracle(monkeypatch):
     tightened, widened = [], []
-    tighten, repack = invariants._tighten, invariants._repack
+    tighten, repack = packed._tighten, packed._repack
 
     def spy_tighten(columns, low, height, width):
         # Each real column leaves with no common low zero digit, and with the
@@ -579,19 +641,19 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
         widened.append(new)
         return repack(value, width, new)
 
-    monkeypatch.setattr(invariants, "_tighten", spy_tighten)
-    monkeypatch.setattr(invariants, "_repack", spy_repack)
+    monkeypatch.setattr(packed, "_tighten", spy_tighten)
+    monkeypatch.setattr(packed, "_repack", spy_repack)
     rng = random.Random(707)
     for _ in range(300):
         n = rng.randint(2, 9)
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 300))))
-        assert reduced_burau(w) == reduced_burau_by_columns(w), w.letters
+        assert burau_matrix(w) == reduced_burau_by_columns(w), w.letters
 
     # Coefficients of 203 bits: the 64-bit digits must widen twice.
     tightened.clear()
     w = BraidWord(3, (1, -2) * 150)
     expected = reduced_burau_by_columns(w)
-    assert reduced_burau(w) == expected
+    assert burau_matrix(w) == expected
     assert max(abs(c) for row in expected for p in row for c in p.coeffs).bit_length() == 203
     assert set(widened) == {128, 256} and tightened[-1] == 128
 
@@ -600,14 +662,14 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
     # must keep its height 5, not the bound _SMALL = 4.
     tightened.clear()
     w = BraidWord(6, (1, -2) * 4 + (4, 5) * 60)
-    assert reduced_burau(w) == reduced_burau_by_columns(w)
+    assert burau_matrix(w) == reduced_burau_by_columns(w)
     assert tightened == [64]
 
     # Long one-sign words: the bounds pass 2^63 and every column is tightened.
     for n, s in ((17, 40), (29, 70)):
         for w in (conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))):
             tightened.clear()
-            assert reduced_burau(w) == reduced_burau_by_columns(w), (n, s, w.letters[0])
+            assert burau_matrix(w) == reduced_burau_by_columns(w), (n, s, w.letters[0])
             assert tightened and set(tightened) == {64}, (n, s)
 
 
