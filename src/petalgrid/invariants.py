@@ -212,7 +212,7 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[dict[int, tuple]]:
     w(i, j) = w(i+1, j) + step, step = +-1 as the edge runs up or down.  So
     row i minus row i+1 is (t^step - 1) t^w(i+1, j), a unit times 1-t, on
     that span and zero off it.  Row i here is t^w(i+1, j), packed as
-    (w, 1, 1), on the span, and the last row is unchanged, so the
+    (w, 1), on the span, and the last row is unchanged, so the
     determinant is det(t^w) / (1-t)^(p-1) up to +-t^k.  A running row of winding numbers
     is swept from the right edge leftwards.
     """
@@ -224,10 +224,10 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[dict[int, tuple]]:
         step = 1 if y2 > y1 else -1
         for j in range(min(y1, y2), max(y1, y2)):
             if x < p:
-                rows[x - 1][j] = (running[j], 1, 1)
+                rows[x - 1][j] = (running[j], 1)
             running[j] += step
         if x == p:
-            rows.append({j: (w, 1, 1) for j, w in enumerate(running)})
+            rows.append({j: (w, 1) for j, w in enumerate(running)})
     return rows
 
 
@@ -240,7 +240,8 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return LaurentPolynomial.from_coeffs(*determinant_up_to_units(_differenced_grid_matrix(g))).normalize_up_to_units()
+    rows = _differenced_grid_matrix(g)  # units, the same at every width
+    return LaurentPolynomial.from_coeffs(*determinant_up_to_units(lambda width: (rows, 1))).normalize_up_to_units()
 
 
 # --- Alexander polynomial of a braid closure ----------------------------------
@@ -255,7 +256,8 @@ def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(*burau_minus_identity(*reduced_burau(w))))
+    product = reduced_burau(w)
+    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(lambda width: burau_minus_identity(*product, width)))
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 

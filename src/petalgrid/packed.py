@@ -1,16 +1,17 @@
 """
 Polynomials packed as integers, and the exact kernels that run on them.
 
-A packed polynomial is (low, value, height): value is the polynomial times
-t^-low at t = X = 2^width, its lowest base-X digit nonzero, and height
-bounds the sizes of its coefficients, which are value's balanced base-X
-digits while the height stays below X/2.  Integer arithmetic evaluates
-exactly, so a product is one multiplication and a sum one aligned
-addition.  A height is the operands' sum or product bound or, near the
-limit, the mask test's (_height), and the width doubles when exact heights
-reach the limit too.  The Burau product starts at 64-bit digits, the
-determinants at 16, and B - I moves between the two by _repack, which
-copies digits as bytes.
+A packed polynomial is (low, value): value is the polynomial times t^-low
+at t = X = 2^width, its lowest base-X digit nonzero, and a height bounds
+its coefficients, value's balanced base-X digits while that stays below
+X/2.  Integer arithmetic evaluates exactly, so a product is one
+multiplication and a sum one aligned addition.  Between layers a matrix is
+rows of pairs and one height for them all; Bareiss keeps a height per
+entry, the sweep per row and the Burau product per column.  A height is
+the operands' sum or product bound or, near the limit, the mask test's
+(_height), and the width doubles when exact heights reach the limit too.
+The Burau product starts at 64-bit digits, the determinants at 16, and
+B - I moves between the two by _repack, which copies digits as bytes.
 
 Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
 a nonzero remainder means it is not exact.  Two facts make an integer
@@ -27,10 +28,11 @@ determinant_up_to_units and its Bareiss kernel bareiss_determinant.
 from __future__ import annotations
 
 import sys
+from collections.abc import Callable
 
 from .braid import BraidWord
 
-_ZERO = (0, 0, 0)  # the zero polynomial
+_ZERO = (0, 0, 0)  # the zero polynomial in Bareiss, with its height
 # The determinants' first width, the Burau product's, and the height the mask
 # test proves.
 _DET_WIDTH, _WIDTH, _SMALL = 16, 64, 4
@@ -146,14 +148,14 @@ def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, wid
 
 
 def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
-    """The determinant (low, value) of a square packed matrix, its heights first remade by _height.
+    """The determinant (low, value) of a square matrix of packed (low, value) entries.
 
     Step k replaces each entry (i, j) below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
-    Sylvester's identity every such quotient is exact.  Raises _Narrow as
-    _bareiss_update does.
+    Sylvester's identity every such quotient is exact.  Each entry's height
+    comes from the mask test (_height).  Raises _Narrow as _bareiss_update does.
     """
-    m = [[(low, v, _height((v,), width)) for low, v, _ in row] for row in matrix]
+    m = [[(low, v, _height((v,), width)) for low, v in row] for row in matrix]
     size, sign, prev = len(m), 1, (0, 1, 1)
     for k in range(size - 1):
         if not m[k][k][1]:
@@ -170,26 +172,25 @@ def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int
     return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
 
 
-def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:
+def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int) -> list[list[tuple]]:
     """A square packed matrix whose determinant is det(rows) times some +-t^k.
 
-    Row i of rows maps each column to its nonzero packed entry; rows is not
-    changed.  For each column j, left to right, the remaining row with a
-    unit +-t^k there (packed value +-1) and the fewest nonzero entries, the
-    lowest on a tie, is the pivot: every other row with an entry a there
-    loses a*(+-t^-k) times it, and the pivot's row and column are dropped.
-    This is plain row reduction, so the determinant changes only by the
-    pivot's unit and a sign.  Columns with no unit stay, in order, with the
-    rows never taken.  A touched entry costs a multiplication and an aligned
-    addition, or, when at most a quarter of the factor's digits are nonzero
-    (B - I's long entries), a shift and an addition per nonzero digit.  One
-    height bounds each row; a row operation adds the factor's weight, the
-    sum of its digits' sizes, times the pivot row's height.  A height that
-    would reach X/4 is remade from the mask tests of the row and the pivot
-    row, and _Narrow is raised if it still would.
+    Row i of rows maps each column to its nonzero packed entry, height
+    bounds them all, and rows is not changed.  For each column j, left to
+    right, the remaining row with a unit +-t^k there (packed value +-1) and
+    the fewest nonzero entries, the lowest on a tie, is the pivot: every
+    other row with an entry a there loses a*(+-t^-k) times it, and the
+    pivot's row and column are dropped.  This is plain row reduction, so
+    the determinant changes only by the pivot's unit and a sign.  Columns
+    with no unit stay, in order, with the rows never taken; a zero entry is
+    (0, 0).  A touched entry costs a multiplication and an aligned
+    addition.  Each row's height starts at height; a row operation adds the
+    factor's weight, the sum of its digits' sizes, times the pivot row's
+    height.  A height that would reach X/4 is remade from the mask tests of
+    the row and the pivot row, and _Narrow is raised if it still would.
     """
-    bound = {i: max((h for _, _, h in row.values()), default=0) for i, row in enumerate(rows)}
-    rows = {i: {j: entry[:2] for j, entry in row.items()} for i, row in enumerate(rows)}
+    bound = dict.fromkeys(range(len(rows)), height)
+    rows = {i: dict(row) for i, row in enumerate(rows)}
     limit, digit = 1 << (width - 2), (1 << width) - 1
     kept = []
     for j in range(len(rows)):
@@ -207,9 +208,7 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list
                 continue
             # a * (+-t^-k) with the sign flipped, so the update is an addition.
             al, av = a[0] - k, -c * a[1]
-            digits = _digits(av, width)
-            terms = [(e * width, d) for e, d in enumerate(digits) if d]
-            weight = sum(abs(d) for _, d in terms)
+            weight = sum(map(abs, _digits(av, width)))
             h = bound[i] + weight * pbound
             if h >= limit:
                 pbound = _height([pv for _, _, pv in entries], width)
@@ -217,10 +216,8 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list
                 if h >= limit:
                     raise _Narrow
             bound[i] = h
-            sparse = 4 * len(terms) <= len(digits)
             for col, pl, pv in entries:
-                v = sum(d * pv << e for e, d in terms) if sparse else av * pv
-                low = al + pl
+                v, low = av * pv, al + pl
                 old = row.get(col)
                 if old is not None:
                     ol, ov = old
@@ -234,22 +231,23 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list
                     if not v & digit:
                         low, v = _strip(low, v, width)
                 row[col] = (low, v)
-    return [[(*row[j], bound[i]) if j in row else _ZERO for j in kept] for i, row in rows.items()]
+    return [[row.get(j, (0, 0)) for j in kept] for row in rows.values()]
 
 
-def determinant_up_to_units(rows: list[dict[int, tuple]], width: int = _DET_WIDTH) -> tuple[int, list[int]]:
+def determinant_up_to_units(rows_at: Callable[[int], tuple[list[dict], int]]) -> tuple[int, list[int]]:
     """det(rows) times some +-t^k, as (low, coefficients): unit pivots, then Bareiss on the remainder.
 
-    rows are sparse packed rows at `width` with heights below X/4.  While
-    the sweep or Bareiss raises _Narrow, both run again on the rows
-    repacked at twice the width.
+    rows_at(width) is a builder: it returns (rows, height), sparse packed
+    rows at that width whose coefficients height bounds below X/4, or it
+    raises _Narrow.  While it, the sweep or Bareiss raises _Narrow, the
+    rows are built again at twice the width, from _DET_WIDTH up.
     """
+    width = _DET_WIDTH
     while True:
         try:
-            low, value = bareiss_determinant(_unit_pivot_remainder(rows, width), width)
+            low, value = bareiss_determinant(_unit_pivot_remainder(*rows_at(width), width), width)
             return low, _digits(value, width)
         except _Narrow:
-            rows = [{j: (low, _repack(v, width, 2 * width), h) for j, (low, v, h) in row.items()} for row in rows]
             width *= 2
 
 
@@ -304,16 +302,16 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     return columns[1:-1], low[1:-1], width
 
 
-def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict[int, tuple]], int]:
-    """B - I for the packed Burau matrix B (reduced_burau), as sparse packed rows and their width.
+def burau_minus_identity(columns: list[list[int]], low: list[int], width: int, new: int) -> tuple[list[dict], int]:
+    """B - I for the packed Burau matrix B (reduced_burau), as sparse packed rows at width new and their height.
 
-    The width is the determinants' first that B's heights, from one mask
-    test, allow for B - I; a column held times a negative power of t is
-    raised to t^0, and every entry has its low zero digits stripped.
+    Raises _Narrow when B's heights, from one mask test, would let B - I's
+    reach X/4 at new.  A column held times a negative power of t is raised
+    to t^0, and every entry has its low zero digits stripped.
     """
-    top, new = _height([v for column in columns for v in column], width) + 1, _DET_WIDTH
-    while top >= 1 << (new - 2):
-        new *= 2
+    top = _height([v for column in columns for v in column], width) + 1
+    if top >= 1 << (new - 2):
+        raise _Narrow
     rows = [{} for _ in columns]
     for k, column in enumerate(columns):
         up = min(low[k], 0)
@@ -321,5 +319,5 @@ def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -
             v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
             if v:
                 exp, v = _strip(up - low[k], v, width)
-                rows[i][k] = (exp, _repack(v, width, new), top)
-    return rows, new
+                rows[i][k] = (exp, _repack(v, width, new))
+    return rows, top

@@ -64,6 +64,21 @@ def test_verify_json_is_the_certify_report(capsys):
         assert keys[keys.index("grid_valid") + 1] == "strongly_braided"
 
 
+def test_verify_json_matches_the_golden_file(capsys):
+    """`verify n s --pipeline P --json` prints, byte for byte, the lines of tests/golden/verify.jsonl.
+
+    One line per pair and pipeline, in the order below.  The file is
+    regenerated only for an intended change of output, and that change is
+    logged in CHANGES.md.
+    """
+    golden = (Path(__file__).parent / "golden" / "verify.jsonl").read_text().splitlines(keepends=True)
+    cases = [(n, s, p) for n, s in ((2, 3), (5, 7), (7, 11), (11, 25), (17, 40)) for p in ("grid", "burau", "both")]
+    assert len(golden) == len(cases) == 15
+    for (n, s, pipeline), expected in zip(cases, golden):
+        code, out, _ = run(capsys, "verify", str(n), str(s), "--pipeline", pipeline, "--json")
+        assert (code, out) == (0, expected), (n, s, pipeline)
+
+
 def test_verify_failed_stage_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("not divisible")

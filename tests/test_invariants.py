@@ -186,17 +186,20 @@ def pack(coeffs, width):
 
 
 def packed_rows(matrix, width):
-    """A LaurentPolynomial matrix as the sparse packed rows the determinant kernels take."""
-    return [
-        {j: (p.min_exp, pack(p.coeffs, width), max(map(abs, p.coeffs))) for j, p in enumerate(row) if p.coeffs}
-        for row in matrix
-    ]
+    """A LaurentPolynomial matrix as (rows, height), the sparse packed rows the determinant kernels take.
+
+    As a builder must, it raises _Narrow when the height would reach X/4.
+    """
+    height = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0)
+    if height >= 1 << (width - 2):
+        raise packed._Narrow
+    return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], height
 
 
 def decoded(matrix, width=packed._DET_WIDTH):
     """Packed rows, sparse (dicts) or dense (lists), as a LaurentPolynomial matrix."""
-    dense = [row if isinstance(row, list) else [row.get(j, packed._ZERO) for j in range(len(matrix))] for row in matrix]
-    return [[LaurentPolynomial.from_coeffs(low, DIGITS(value, width)) for low, value, _ in row] for row in dense]
+    dense = [row if isinstance(row, list) else [row.get(j, (0, 0)) for j in range(len(matrix))] for row in matrix]
+    return [[LaurentPolynomial.from_coeffs(low, DIGITS(value, width)) for low, value in row] for row in dense]
 
 
 def packed_det(matrix):
@@ -212,7 +215,7 @@ def packed_det(matrix):
     while True:
         try:
             low, value = packed.bareiss_determinant(
-                [[(p.min_exp, pack(p.coeffs, width), 0) for p in row] for row in matrix], width
+                [[(p.min_exp, pack(p.coeffs, width)) for p in row] for row in matrix], width
             )
             return LaurentPolynomial.from_coeffs(low, DIGITS(value, width))
         except packed._Narrow:
@@ -441,13 +444,13 @@ def test_unit_pivots_match_the_dict_oracle():
     # The packed sweep keeps the rule and the arithmetic of the sweep on
     # exponent -> coefficient dicts: the same remainder, entry by entry, on
     # petal grids and on B - I of signed words, of band forms and of their
-    # mirrors, whose long sparse entries the sweep multiplies digit by digit.
+    # mirrors, whose long entries are mostly zero digits.
     rng = random.Random(808)
     for _ in range(300):
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         rows = invariants._differenced_grid_matrix(build_petal_grid(PetalPermutation(tuple(entries))))
-        got = decoded(packed._unit_pivot_remainder(rows, packed._DET_WIDTH))
+        got = decoded(packed._unit_pivot_remainder(rows, 1, packed._DET_WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
              for n in (rng.randint(2, 8) for _ in range(300))]
@@ -455,15 +458,16 @@ def test_unit_pivots_match_the_dict_oracle():
         words += [conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))]
     for w in words:
         m = burau_minus_identity(w)
-        got = decoded(packed._unit_pivot_remainder(packed_rows(m, 64), 64), 64)
+        got = decoded(packed._unit_pivot_remainder(*packed_rows(m, 64), 64), 64)
         assert got == unit_pivot_remainder_by_dicts(m), w.letters
 
 
 def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
-    # Coefficients near 2^25 fit 32 bits, but their products do not: the
-    # sweep restarts at 64, and Bareiss on its 2 x 2 remainder, whose
-    # determinant reaches about 2^100, needs more digits still, so the sweep
-    # and Bareiss run again together at 128.  Row 0 holds the only unit of
+    # Coefficients near 2^25 do not fit 16 bits, so the builder raises there.
+    # They fit 32, but their products do not: the sweep restarts at 64, and
+    # Bareiss on its 2 x 2 remainder, whose determinant reaches about 2^100,
+    # needs more digits still, so the rows are built again and the sweep and
+    # Bareiss run again together at 128.  Row 0 holds the only unit of
     # column 0, so it is the first pivot.
     rng = random.Random(1010)
     big = lambda: random_laurent(rng, 3, 2, 1 << 25) + LaurentPolynomial.term(1 << 25, 3)
@@ -471,19 +475,24 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     calls = []
 
     def spy(name, kernel):
-        def run(rows, width):
-            calls.append((name, width))
-            return kernel(rows, width)
+        def run(*args):
+            calls.append((name, args[-1]))
+            return kernel(*args)
 
         monkeypatch.setattr(packed, name, run)
 
+    def rows_at(width):
+        calls.append(("rows_at", width))
+        return packed_rows(m, width)
+
     spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
     spy("bareiss_determinant", packed.bareiss_determinant)
-    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(packed_rows(m, 32), 32))
+    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(rows_at))
     assert equal_up_to_units(det, naive_cofactor_det(m))
+    built = [width for name, width in calls if name == "rows_at"]
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "bareiss_determinant"]
-    assert sweeps == [32, 64, 128] and bareiss == [64, 128], calls
+    assert built == [16, 32, 64, 128] and sweeps == [32, 64, 128] and bareiss == [64, 128], calls
 
     calls.clear()
     assert packed_det(m) == naive_cofactor_det(m)
@@ -494,7 +503,7 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     p = sum((LaurentPolynomial.term(23170, e) for e in range(8)), LaurentPolynomial.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(packed_rows(m, 32), 32))
+    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(lambda width: packed_rows(m, width)))
     assert equal_up_to_units(det, naive_cofactor_det(m))
     assert calls[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
 
@@ -507,7 +516,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = packed._unit_pivot_remainder(differenced, packed._DET_WIDTH)
+            remainder = packed._unit_pivot_remainder(differenced, 1, packed._DET_WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -516,7 +525,7 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = decoded(packed._unit_pivot_remainder(differenced, packed._DET_WIDTH))
+    remainder = decoded(packed._unit_pivot_remainder(differenced, 1, packed._DET_WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
@@ -533,7 +542,7 @@ def test_unit_pivots_leave_an_order_1_remainder_of_the_band_burau_matrix():
     pairs = [(n, s) for n in range(2, 12) for s in range(n + 1, 40) if math.gcd(n, s) == 1]
     assert len(pairs) == 202
     for n, s in pairs + [(17, 60), (23, 60), (29, 70)]:
-        remainder = packed._unit_pivot_remainder(packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
+        remainder = packed._unit_pivot_remainder(*packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
         assert len(remainder) == 1 and len(remainder[0]) == 1, (n, s)
 
 
@@ -555,22 +564,36 @@ def test_alexander_from_closure_matches_full_bareiss():
 
 def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
-    # B - I leaves the product for 16, 32 bits or more by its heights alone.
-    widths = []
-    sweep = packed._unit_pivot_remainder
+    # B - I leaves the product for 16, 32 bits or more by its heights alone:
+    # the builder raises at every narrower width, from 16 up.
+    widths, built = [], []
+    sweep, build = packed._unit_pivot_remainder, invariants.burau_minus_identity
 
-    def spy(rows, width):
+    def spy(rows, height, width):
         widths.append(width)
-        return sweep(rows, width)
+        return sweep(rows, height, width)
+
+    def spy_build(columns, low, width, new):
+        try:
+            out = build(columns, low, width, new)
+        except packed._Narrow:
+            built.append((new, "narrow"))
+            raise
+        built.append((new, "built"))
+        return out
 
     monkeypatch.setattr(packed, "_unit_pivot_remainder", spy)
+    monkeypatch.setattr(invariants, "burau_minus_identity", spy_build)
     for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
         w = BraidWord(3, (1, -2) * k)
         assert induced_permutation(w).is_single_cycle()
         full = packed_det(burau_minus_identity(w))
         widths.clear()
+        built.clear()
         assert equal_up_to_units(alexander_from_closure(w), (full * (ONE - T)).divide_exact(ONE - power(T, 3))), k
         assert widths[0] == width, (k, widths)
+        narrower = [new for new in (16, 32, 64, 128) if new < width]
+        assert built[: len(narrower) + 1] == [(new, "narrow") for new in narrower] + [(width, "built")], (k, built)
 
 
 def test_alexander_from_grid_rejects_links():
