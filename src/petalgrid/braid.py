@@ -15,6 +15,18 @@ normal form Delta^p F_1 ... F_r computable factor by factor: each F_i is a
 non-identity, non-Delta permutation, and each adjacent pair is left-weighted
 (no crossing of F_{i+1} can move into F_i).  Two words are equal in B_n
 exactly when their normal forms coincide.
+
+The word reaches the normal form as a product of same-sign runs, each a
+permutation braid or the inverse of one.  A letter slides left past the
+runs it commutes with, and joins the first run of its sign that it adds a
+crossing to, or cancels (sigma_i sigma_i^-1 = 1) against a run of the other
+sign that ends in its inverse.  sigma_i commutes with a permutation braid
+whose permutation fixes i and i+1: both products are reduced words of one
+permutation, so the same permutation braid.  Only braid relations are used,
+so the product of the runs is the word in B_n, and the normal form of a
+braid is unique (Thurston; Epstein et al., Word Processing in Groups, ch.
+9): however the word is cut, the result is the same.  The cut only decides
+the work: fewer runs are fewer factors to comb in.
 """
 from __future__ import annotations
 
@@ -139,20 +151,25 @@ def permutation_braid(p: Permutation) -> BraidWord:
 
 # --- Garside left normal form ------------------------------------------------
 #
-# Factors are raw 1-indexed image tuples during computation.  A word is read
-# as maximal runs of same-sign letters whose induced permutation stays simple
-# (no two strands cross twice), and each run enters as one factor: a positive
-# run Y as the permutation braid of Y, a negative run Y^-1 as the permutation
-# braid of Y^-1 Delta followed by Delta^-1.  Appending a factor combs it
-# leftwards: each pair is left-weighted by one insertion pass, which moves
-# every crossing that can leave the head of the right factor into the tail of
-# the left one.  Every Delta^+-1 is carried to the right end: a negative run's
-# Delta^-1, and each Delta that combing fills a factor up to.  Delta F =
-# _conjugate_by_delta(F) Delta, so only the factors a Delta passes are
-# conjugated: those after a Delta formed by combing, which combing has just
-# rewritten.  Delta^2 is central, so the Deltas gathered at the right end are
-# only counted, with their signs; a factor that enters while the count is odd
-# is conjugated as it enters, and all factors once at the end if it is odd.
+# Factors are raw 1-indexed image tuples during computation.  A word is cut
+# into same-sign runs whose induced permutations stay simple (no two strands
+# cross twice): each letter extends the last run, or slides left past the
+# runs it commutes with to join a run of its sign or cancel a crossing of a
+# run of the other sign, or starts a new run (_simple_runs).  Each run enters
+# as one factor: a positive run Y as the permutation braid of Y, a negative
+# run Y^-1 as the permutation braid of Y^-1 Delta followed by Delta^-1.
+# Appending a factor combs it leftwards: each pair is left-weighted by one
+# insertion pass, which moves every crossing that can leave the head of the
+# right factor into the tail of the left one.  Every Delta^+-1 is carried to
+# the right end: a negative run's Delta^-1, and each Delta that combing fills
+# a factor up to.  Delta F = _conjugate_by_delta(F) Delta, so only the
+# factors a Delta passes are conjugated: those after a Delta formed by
+# combing, which combing has just rewritten.  Delta^2 is central, so the
+# Deltas gathered at the right end are only counted, with their signs; a
+# factor that enters while the count is odd is conjugated as it enters, and
+# all factors once at the end if it is odd.  A negative run costs a nearly
+# full factor Y^-1 Delta that combing must move crossing by crossing, so
+# every letter the cut joins or cancels saves combing work.
 
 
 def _left_weight(
@@ -233,21 +250,64 @@ def _append_factor(
 
 
 def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
-    """Cut the word into maximal same-sign runs with simple induced permutations.
+    """Cut the word into same-sign runs with simple induced permutations.
 
-    Each run is (negative, images of its letters' permutation); a letter
-    joins the current run while it has the run's sign and adds an inversion.
+    Each run is (negative, images): images is the permutation of its letters
+    with their signs dropped, and the run is that permutation braid, or when
+    negative the same word with every letter inverted.  The product of the
+    runs in order is the word in B_n.  A letter sigma_i^+-1 that has the last
+    run's sign and adds an inversion to it extends it.  Any other letter
+    looks at the runs from the last one leftwards:
+
+    - a run of its sign that it adds an inversion to takes it (join);
+    - a run of the other sign whose strands at i and i+1 have crossed ends
+      in the inverse letter, and gives that crossing back (cancel); a run
+      emptied so is dropped;
+    - a run whose permutation fixes i and i+1 commutes with the letter,
+      which passes it (slide): sigma_i P and P sigma_i are reduced words of
+      one permutation, so one permutation braid, and the mirror sigma_j ->
+      sigma_j^-1 carries this to negative runs.  That covers every run that
+      uses none of sigma_{i-1}, sigma_i, sigma_{i+1}, and more: other
+      strands may cross strands i and i+1 in it;
+    - any other run stops the slide, and the letter starts a new run at the
+      end.
+
+    A run of the letter's sign either takes it or stops it, so a slide only
+    passes runs of the other sign, and a one-sign word is cut as it always
+    was: into maximal runs, each letter extending the last or starting the
+    next.  A slide reads at most every run, O(1) each, per letter: no more
+    than combing a factor in through every factor before it.
+
+    >>> _simple_runs(BraidWord(6, (1, -4, 2, -5)))  # sigma_2 slides past sigma_4^-1 and joins
+    [(False, [2, 3, 1, 4, 5, 6]), (True, [1, 2, 3, 5, 6, 4])]
+    >>> _simple_runs(BraidWord(5, (1, 4, -1)))  # sigma_1^-1 cancels
+    [(False, [1, 2, 3, 5, 4])]
     """
+    n = w.n
+    identity = list(range(1, n + 1))
     runs: list[tuple[bool, list[int]]] = []
-    im: list[int] = []
-    negative = False
+    last_negative, last = False, [0] * n  # the last run; no letter extends [0] * n
     for g in w.letters:
         i = abs(g)
-        if not im or (g < 0) != negative or im[i - 1] > im[i]:
-            negative = g < 0
-            im = list(range(1, w.n + 1))
-            runs.append((negative, im))
+        # Extending the last run is most letters of a one-sign word; the
+        # slide loop below would take it too, at about twice the cost.
+        if (g < 0) == last_negative and last[i - 1] < last[i]:
+            last[i - 1], last[i] = last[i], last[i - 1]
+            continue
+        negative = g < 0
+        k = len(runs) - 1
+        while k >= 0:
+            sign, im = runs[k]
+            if (im[i - 1] > im[i]) != (sign == negative):
+                break  # it joins or cancels here
+            k = k - 1 if im[i - 1] == i and im[i] == i + 1 else -1  # it slides past or stops
+        if k < 0:
+            sign, im = negative, identity[:]
+            runs.append((sign, im))
         im[i - 1], im[i] = im[i], im[i - 1]
+        if sign != negative and im == identity:
+            del runs[k]
+        last_negative, last = runs[-1] if runs else (False, [0] * n)
     return runs
 
 
@@ -276,8 +336,8 @@ class NormalForm(_Value):
 def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.
 
-    The word is cut into maximal runs of same-sign letters whose induced
-    permutation stays simple.  A positive run Y is one factor; a negative run
+    The word is cut into same-sign runs whose induced permutations stay
+    simple (_simple_runs).  A positive run Y is one factor; a negative run
     Y^-1 is the factor Y^-1 Delta, whose images are the run's reversed,
     followed by Delta^-1.  Every Delta^+-1 is carried to the right end and
     counted there with its sign: a negative run's Delta^-1, and each Delta

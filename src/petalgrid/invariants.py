@@ -256,8 +256,7 @@ def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    product = reduced_burau(w)
-    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(lambda width: burau_minus_identity(*product, width)))
+    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(burau_minus_identity(*reduced_burau(w))))
     scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
     return scaled.normalize_up_to_units()
 

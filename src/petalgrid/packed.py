@@ -302,22 +302,27 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     return columns[1:-1], low[1:-1], width
 
 
-def burau_minus_identity(columns: list[list[int]], low: list[int], width: int, new: int) -> tuple[list[dict], int]:
-    """B - I for the packed Burau matrix B (reduced_burau), as sparse packed rows at width new and their height.
+def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> Callable[[int], tuple[list[dict], int]]:
+    """B - I for the packed Burau matrix B (reduced_burau), as a builder for determinant_up_to_units.
 
-    Raises _Narrow when B's heights, from one mask test, would let B - I's
-    reach X/4 at new.  A column held times a negative power of t is raised
-    to t^0, and every entry has its low zero digits stripped.
+    B's height is measured once, by one mask test.  The builder returns B -
+    I's sparse packed rows at width new and their height, or raises _Narrow
+    when that height would reach X/4 at new.  A column held times a negative
+    power of t is raised to t^0, and every entry has its low zero digits stripped.
     """
     top = _height([v for column in columns for v in column], width) + 1
-    if top >= 1 << (new - 2):
-        raise _Narrow
-    rows = [{} for _ in columns]
-    for k, column in enumerate(columns):
-        up = min(low[k], 0)
-        for i, v in enumerate(column):
-            v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
-            if v:
-                exp, v = _strip(up - low[k], v, width)
-                rows[i][k] = (exp, _repack(v, width, new))
-    return rows, top
+
+    def rows_at(new: int) -> tuple[list[dict], int]:
+        if top >= 1 << (new - 2):
+            raise _Narrow
+        rows = [{} for _ in columns]
+        for k, column in enumerate(columns):
+            up = min(low[k], 0)
+            for i, v in enumerate(column):
+                v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
+                if v:
+                    exp, v = _strip(up - low[k], v, width)
+                    rows[i][k] = (exp, _repack(v, width, new))
+        return rows, top
+
+    return rows_at

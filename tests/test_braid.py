@@ -256,6 +256,110 @@ def test_half_twists_are_single_runs():
         assert left_normal_form(half_twist(n) ** 3) == NormalForm(n, 3, ())
 
 
+def run_word(n, runs):
+    """The word of the runs in order: a negative run is its permutation braid with every letter inverted."""
+    letters = []
+    for negative, im in runs:
+        word = permutation_braid(Permutation(tuple(im))).letters
+        letters += [-g for g in word] if negative else word
+    return BraidWord(n, tuple(letters))
+
+
+def sliding_word(rng, n, length, cancel):
+    """Letters g, then far letters that commute with g, then g^-1 when cancel: words whose letters slide."""
+    letters = []
+    while len(letters) < length:
+        g = rng.choice((1, -1)) * rng.randint(1, n - 1)
+        far = [rng.choice((1, -1)) * j for j in range(1, n) if abs(j - abs(g)) >= 2 and rng.random() < 0.3]
+        letters += [g, *far, -g] if cancel else [g, *far]
+    return BraidWord(n, tuple(letters))
+
+
+def crossing_word(rng, n, length):
+    """Letters +-sigma_i, a signed permutation braid whose permutation fixes i and i+1, +-sigma_i again."""
+    letters = []
+    while len(letters) < length:
+        i = rng.randint(1, n - 1)
+        images = [k for k in range(1, n + 1) if k not in (i, i + 1)]
+        rng.shuffle(images)
+        images[i - 1 : i - 1] = [i, i + 1]
+        sign = rng.choice((1, -1))
+        middle = [sign * g for g in permutation_braid(Permutation(tuple(images))).letters]
+        letters += [rng.choice((1, -1)) * i, *middle, rng.choice((1, -1)) * i]
+    return BraidWord(n, tuple(letters))
+
+
+def test_letters_slide_past_commuting_runs_to_join_or_cancel():
+    # sigma_2 slides past sigma_4^-1 into sigma_1's run, and sigma_5^-1 extends sigma_4^-1's.
+    assert _simple_runs(BraidWord(6, (1, -4, 2, -5))) == [(False, [2, 3, 1, 4, 5, 6]), (True, [1, 2, 3, 5, 6, 4])]
+    # sigma_1^-1 takes back sigma_1's crossing, which leaves the single run sigma_4.
+    assert _simple_runs(BraidWord(5, (1, 4, -1))) == [(False, [1, 2, 3, 5, 4])]
+    # A run stops the slide of sigma_i unless its permutation fixes i and i+1.
+    assert len(_simple_runs(BraidWord(6, (1, -3, 4)))) == 3
+    assert len(_simple_runs(BraidWord(6, (1, -3, -2, 3)))) == 3
+    assert len(_simple_runs(BraidWord(6, (1, -2, 1)))) == 3
+    assert len(_simple_runs(BraidWord(6, (2, -1, 3)))) == 2
+    # Strand 2 of sigma_4 sigma_3 sigma_2 sigma_3 sigma_4 crosses strands 3
+    # and 4, which it fixes, so sigma_3 still commutes with its mirror.
+    mirror = tuple(-g for g in permutation_braid(Permutation((1, 5, 3, 4, 2))).letters)
+    assert mirror == (-4, -3, -2, -3, -4)
+    w = BraidWord(5, (1, *mirror, 3))
+    assert _simple_runs(w) == [(False, [2, 1, 4, 3, 5]), (True, [1, 5, 3, 4, 2])]
+    assert letterwise_normal_form(run_word(5, _simple_runs(w))) == letterwise_normal_form(w)
+    # sigma_1^-1 slides past the second run, sigma_3, and cancels in the first.
+    assert _simple_runs(BraidWord(5, (1, 3, 3, -1))) == _simple_runs(BraidWord(5, (3, 3)))
+    assert _simple_runs(BraidWord(7, (-1, -3, -5, -3, -5, 1, 5))) == _simple_runs(BraidWord(7, (-3, -5, -3)))
+
+
+def test_one_sign_words_are_cut_into_maximal_runs():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(2, 10)
+        w = BraidWord(n, tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 60))))
+        runs = []
+        for g in w.letters:
+            if not runs or runs[-1][g - 1] > runs[-1][g]:
+                runs.append(list(range(1, n + 1)))
+            runs[-1][g - 1], runs[-1][g] = runs[-1][g], runs[-1][g - 1]
+        assert _simple_runs(w) == [(False, im) for im in runs], w.letters
+        mirror = BraidWord(n, tuple(-g for g in w.letters))
+        assert _simple_runs(mirror) == [(True, im) for im in runs], w.letters
+
+
+def test_runs_multiply_to_the_word():
+    # On random words and on words built to slide and cancel, the runs are
+    # nonempty, their product has the word's normal form by the letterwise
+    # oracle, and so has the word by the cutter and the combing together.
+    rng = random.Random(4242)
+    words = [random_word(rng, rng.randint(2, 12), rng.randint(0, 60)) for _ in range(200)]
+    for k in range(600):
+        words.append(sliding_word(rng, rng.randint(2, 14), rng.randint(0, 60), k % 2 == 0))
+    words += [crossing_word(rng, rng.randint(2, 8), rng.randint(0, 60)) for _ in range(200)]
+    for w in words:
+        runs = _simple_runs(w)
+        assert all(im != list(range(1, w.n + 1)) for _, im in runs), w.letters
+        expected = letterwise_normal_form(w)
+        assert letterwise_normal_form(run_word(w.n, runs)) == expected == left_normal_form(w), w.letters
+
+
+def test_a_run_emptied_by_cancellation_counts_zero_toward_the_delta_power():
+    # The negative runs sigma_1^-1 sigma_3^-1, sigma_3^-1 and Delta^-1 are
+    # emptied by the letters after them and dropped, so their Delta^-1 is
+    # never counted.
+    assert _simple_runs(BraidWord(4, (-1, -3, 3, 1))) == []
+    assert left_normal_form(BraidWord(4, (-1, -3, 3, 1))) == NormalForm(4, 0, ())
+    w = BraidWord(5, (1, 1, -3, 3, 1))
+    assert _simple_runs(w) == [(False, [2, 1, 3, 4, 5])] * 3
+    assert left_normal_form(w) == left_normal_form(BraidWord(5, (1, 1, 1))) == letterwise_normal_form(w)
+    assert left_normal_form(w).delta_power == 0
+    for n in range(2, 8):
+        inverse = half_twist(n).inverse()
+        assert _simple_runs(inverse * half_twist(n)) == []
+        assert left_normal_form(inverse * half_twist(n)) == NormalForm(n, 0, ())
+        w = half_twist(n) * inverse * half_twist(n)
+        assert left_normal_form(w) == NormalForm(n, 1, ())
+
+
 def test_normal_form_of_negative_delta_powers():
     for n in range(2, 8):
         for k in range(0, 2 * n + 2):

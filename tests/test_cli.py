@@ -79,6 +79,47 @@ def test_verify_json_matches_the_golden_file(capsys):
         assert (code, out) == (0, expected), (n, s, pipeline)
 
 
+# The words of tests/golden/braid_nf.jsonl, one per line of it: half twists
+# and their inverses, far letters of alternating sign, g ... g^-1 pairs with
+# commuting letters between them, and three fixed random signed words.
+BRAID_NF_CASES = [
+    (2, ""),
+    (2, "s1 s1^-1 s1^-1"),
+    (3, "s1 s2 s1"),
+    (3, "s1^-1 s2^-1 s1^-1"),
+    (4, "s1 s2 s1 s3 s2 s1"),
+    (4, "s1^-1 s2^-1 s3^-1 s1^-1 s2^-1 s1^-1"),
+    (6, "s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2 s1 s1 s2 s1 s3 s2 s1 s4 s3 s2 s1 s5 s4 s3 s2 s1"),
+    (6, "s1 s4^-1 s2 s5^-1"),
+    (5, "s1 s4 s1^-1"),
+    (8, "s2 s5 s6^-1 s7 s2^-1"),
+    (8, "s3^-1 s1 s6 s5^-1 s3"),
+    (7, "s1 s3^-1 s5 s1^-1 s3 s5^-1"),
+    (7, "s2 s4^-1 s6 s2^-1 s4 s6^-1 s1"),
+    (10, "s1 s9^-1 s3 s7^-1 s5 s2^-1 s8 s4^-1 s6"),
+    (10, "s9^-1 s1 s8^-1 s2 s7^-1 s3 s1^-1 s9 s2^-1 s8"),
+    (5, "s1 s2 s3 s4 s1^-1 s2^-1"),
+    (4, "s1 s3 s2 s2 s1 s3 s3^-1 s1^-1 s2^-1 s2^-1 s3^-1 s1^-1"),
+    (6, "s3 s3 s1 s4^-1 s1 s3 s5^-1 s4^-1 s2 s3^-1 s4^-1 s5 s4^-1 s2 s1 s1 s2 s3^-1 s3^-1 s5 s1 s2^-1 s5 s1 s5 s3^-1 s3 s2^-1 s5^-1 s2^-1"),
+    (9, "s7 s3 s6^-1 s2 s4 s3^-1 s2 s5 s6 s8^-1 s3 s8 s1^-1 s2 s6 s2^-1 s1^-1 s4 s1 s1 s5 s7 s2^-1 s2^-1 s4 s4 s5 s7 s2 s8^-1 s3 s5 s2^-1 s4^-1 s5^-1 s2 s5 s7 s5^-1 s8^-1"),
+    (12, "s2 s4^-1 s9 s9 s1^-1 s5 s10^-1 s1 s4 s10 s10^-1 s10 s5^-1 s1^-1 s10 s9^-1 s7^-1 s1^-1 s2^-1 s6^-1 s4 s8^-1 s7^-1 s10 s6 s2 s1^-1 s8 s9 s5 s3 s6^-1 s1 s7 s4^-1 s7^-1 s9^-1 s10^-1 s11 s5^-1 s3^-1 s11^-1 s8 s6 s11^-1 s11 s5 s9 s6 s4^-1 s8^-1 s3 s5 s10 s3 s5^-1 s11 s2^-1 s5 s2^-1"),
+]
+
+
+def test_braid_nf_json_matches_the_golden_file(capsys):
+    """`braid nf -n N WORD --json` prints, byte for byte, the lines of tests/golden/braid_nf.jsonl.
+
+    The normal form is unique, so no change to how a word is cut or combed
+    may change a byte; the file is regenerated only for an intended change of
+    output format, and that change is logged in CHANGES.md.
+    """
+    golden = (Path(__file__).parent / "golden" / "braid_nf.jsonl").read_text().splitlines(keepends=True)
+    assert len(golden) == len(BRAID_NF_CASES) == 20
+    for (n, word), expected in zip(BRAID_NF_CASES, golden):
+        code, out, _ = run(capsys, "braid", "nf", "-n", str(n), word, "--json")
+        assert (code, out) == (0, expected), (n, word)
+
+
 def test_verify_failed_stage_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("not divisible")

@@ -565,35 +565,49 @@ def test_alexander_from_closure_matches_full_bareiss():
 def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
     # B - I leaves the product for 16, 32 bits or more by its heights alone:
-    # the builder raises at every narrower width, from 16 up.
-    widths, built = [], []
-    sweep, build = packed._unit_pivot_remainder, invariants.burau_minus_identity
+    # the builder raises at every narrower width, from 16 up.  B's height is
+    # measured by one mask test over its entries however many widths are tried.
+    widths, built, decodes = [], [], []
+    sweep, build, height = packed._unit_pivot_remainder, invariants.burau_minus_identity, packed._height
 
     def spy(rows, height, width):
         widths.append(width)
         return sweep(rows, height, width)
 
-    def spy_build(columns, low, width, new):
-        try:
-            out = build(columns, low, width, new)
-        except packed._Narrow:
-            built.append((new, "narrow"))
-            raise
-        built.append((new, "built"))
-        return out
+    def spy_build(columns, low, width):
+        rows_at = build(columns, low, width)
+
+        def spy_rows_at(new):
+            try:
+                out = rows_at(new)
+            except packed._Narrow:
+                built.append((new, "narrow"))
+                raise
+            built.append((new, "built"))
+            return out
+
+        return spy_rows_at
+
+    def spy_height(values, width):
+        decodes.append(list(values))
+        return height(values, width)
 
     monkeypatch.setattr(packed, "_unit_pivot_remainder", spy)
+    monkeypatch.setattr(packed, "_height", spy_height)
     monkeypatch.setattr(invariants, "burau_minus_identity", spy_build)
     for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
         w = BraidWord(3, (1, -2) * k)
         assert induced_permutation(w).is_single_cycle()
         full = packed_det(burau_minus_identity(w))
+        b = [v for column in packed.reduced_burau(w)[0] for v in column]
         widths.clear()
         built.clear()
+        decodes.clear()
         assert equal_up_to_units(alexander_from_closure(w), (full * (ONE - T)).divide_exact(ONE - power(T, 3))), k
         assert widths[0] == width, (k, widths)
         narrower = [new for new in (16, 32, 64, 128) if new < width]
         assert built[: len(narrower) + 1] == [(new, "narrow") for new in narrower] + [(width, "built")], (k, built)
+        assert decodes.count(b) == 1, (k, decodes.count(b))
 
 
 def test_alexander_from_grid_rejects_links():
