@@ -1,5 +1,5 @@
 """
-Exact Laurent-polynomial arithmetic and two Alexander-polynomial pipelines.
+The torus closed form and two Alexander-polynomial pipelines.
 
 Alexander polynomials are defined only up to multiplication by units
 +-t^k, so every comparison here goes through normalize_up_to_units, which
@@ -12,12 +12,15 @@ pipeline rescales det(B - I), B the reduced Burau matrix of a word, by
 (1-t)/(1-t^n).  Both go through one sweep of row operations on unit
 pivots, then Bareiss on what is left: order n-1 on the petal grid of
 T(n, s), order 1 on B - I for its band form (lower Hessenberg, a unit on
-every superdiagonal entry).  The torus closed form
-(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)) is the independent ground truth for both.
+every superdiagonal entry).  The ground truth for both is Delta of T(n, s)
+read off the numerical semigroup <n, s>; the tests check it against the
+quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)).
 
 The Burau product, B - I, the sweep and Bareiss run in petalgrid.packed,
 on polynomials packed as integers; its docstring shows why they are exact.
-Only the determinant's coefficients come back from it.
+Only the determinant's coefficients come back from it, and the only
+polynomial arithmetic outside it is the braid pipeline's rescaling, on
+coefficient lists.
 
 End-to-end certification: certify(n, s) is the one certifier behind
 `petalgrid verify`, selftest and the acceptance tests.
@@ -46,7 +49,9 @@ class LaurentPolynomial(_Value):
     """An integer-coefficient polynomial in t with possibly negative exponents.
 
     coeffs[j] multiplies t^(min_exp + j); the first and last coefficients
-    are nonzero unless the polynomial is zero (empty coeffs).
+    are nonzero unless the polynomial is zero (empty coeffs).  It is a value
+    only: the pipelines compute on coefficient lists and in petalgrid.packed,
+    and this class holds, normalizes and prints what they return.
     """
 
     __slots__ = ("min_exp", "coeffs")
@@ -58,20 +63,6 @@ class LaurentPolynomial(_Value):
         object.__setattr__(self, "coeffs", coeffs)
 
     @staticmethod
-    def zero() -> LaurentPolynomial:
-        return LaurentPolynomial(0, ())
-
-    @staticmethod
-    def term(coeff: int, exp: int = 0) -> LaurentPolynomial:
-        if coeff == 0:
-            return LaurentPolynomial.zero()
-        return LaurentPolynomial(exp, (coeff,))
-
-    @staticmethod
-    def one() -> LaurentPolynomial:
-        return LaurentPolynomial.term(1)
-
-    @staticmethod
     def from_coeffs(min_exp: int, coeffs: list[int]) -> LaurentPolynomial:
         lo = 0
         hi = len(coeffs)
@@ -80,85 +71,16 @@ class LaurentPolynomial(_Value):
         while lo < hi and coeffs[lo] == 0:
             lo += 1
         if lo == hi:
-            return LaurentPolynomial.zero()
+            return LaurentPolynomial(0, ())
         return LaurentPolynomial(min_exp + lo, tuple(coeffs[lo:hi]))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def max_exp(self) -> int:
-        return self.min_exp + len(self.coeffs) - 1
-
-    def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
-        lo = min(self.min_exp, other.min_exp)
-        hi = max(self.max_exp, other.max_exp)
-        out = [0] * (hi - lo + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.min_exp - lo + i] += c
-        for i, c in enumerate(other.coeffs):
-            out[other.min_exp - lo + i] += c
-        return LaurentPolynomial.from_coeffs(lo, out)
-
-    def __neg__(self) -> LaurentPolynomial:
-        # From a list, not a generator: CPython sizes tuple(generator) by a
-        # guess and then resizes it, so each negation moves a block between
-        # the tuple free lists and a long loop of subtractions grows the
-        # process's memory from one run to the next.
-        return LaurentPolynomial(self.min_exp, tuple([-c for c in self.coeffs])) if self.coeffs else self
-
-    def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        return self + (-other)
-
-    def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        if self.is_zero() or other.is_zero():
-            return LaurentPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return LaurentPolynomial.from_coeffs(self.min_exp + other.min_exp, out)
-
-    def divide_exact(self, other: LaurentPolynomial) -> LaurentPolynomial:
-        """Exact division; raises when the quotient is not a Laurent polynomial."""
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        if self.is_zero():
-            return self
-        rem = list(self.coeffs)
-        div = other.coeffs
-        if len(rem) < len(div):
-            raise ValueError("not divisible")
-        top = len(div) - 1
-        # Only the divisor's nonzero terms: t^n - 1 has two of n + 1.
-        terms = [(j, d) for j, d in enumerate(div) if d]
-        out = [0] * (len(rem) - top)
-        for k in range(len(out) - 1, -1, -1):
-            lead = rem[k + top]
-            if lead % div[-1] != 0:
-                raise ValueError("not divisible")
-            q = lead // div[-1]
-            out[k] = q
-            if q:
-                for j, d in terms:
-                    rem[k + j] -= q * d
-        if any(rem):
-            raise ValueError("not divisible")
-        return LaurentPolynomial.from_coeffs(self.min_exp - other.min_exp, out)
 
     def normalize_up_to_units(self) -> LaurentPolynomial:
         """The representative with lowest exponent 0 and positive lowest coefficient."""
-        if self.is_zero():
-            return self
-        return LaurentPolynomial(0, (self if self.coeffs[0] > 0 else -self).coeffs)
+        coeffs = self.coeffs
+        return LaurentPolynomial(0, coeffs if not coeffs or coeffs[0] > 0 else tuple([-c for c in coeffs]))
 
     def __str__(self) -> str:
-        if self.is_zero():
+        if not self.coeffs:
             return "0"
         parts: list[str] = []
         for i in range(len(self.coeffs) - 1, -1, -1):
@@ -185,19 +107,28 @@ def equal_up_to_units(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
     return a.normalize_up_to_units() == b.normalize_up_to_units()
 
 
-def _t_power_minus_one(e: int) -> LaurentPolynomial:
-    return LaurentPolynomial.from_coeffs(0, [-1] + [0] * (e - 1) + [1])
-
-
 def torus_alexander(n: int, s: int) -> LaurentPolynomial:
-    """The closed form (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), normalized.
+    """Delta of T(n, s), normalized, read off the numerical semigroup <n, s>.
 
-    The degree of the result is (n-1)(s-1).
+    With c = (n-1)(s-1), Delta(t) = (1-t) * (the sum of t^k over the
+    members k < c of <n, s>) + t^c: the semigroup's generating function
+    (1-t^{ns})/((1-t^n)(1-t^s)) times 1-t.  Each k < ns is an + bs in at
+    most one way, so one pass over a < s marks every member once, in O(ns)
+    integer steps and with no division.  0 is a member and c - 1 the
+    largest gap, so the list starts and ends with 1: trimmed and normalized.
+
+    >>> print(torus_alexander(2, 3))
+    t^2 - t + 1
+    >>> print(torus_alexander(3, 4))
+    t^6 - t^5 + t^3 - t + 1
     """
     check_pair(n, s)
-    num = _t_power_minus_one(n * s) * _t_power_minus_one(1)
-    den = _t_power_minus_one(n) * _t_power_minus_one(s)
-    return num.divide_exact(den).normalize_up_to_units()
+    c = (n - 1) * (s - 1)
+    member = [0] * c
+    for an in range(0, c, n):
+        for k in range(an, c, s):
+            member[k] = 1
+    return LaurentPolynomial(0, tuple([a - b for a, b in zip(member + [1], [0] + member)]))
 
 
 # --- Alexander polynomial from a grid diagram ---------------------------------
@@ -250,15 +181,21 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
 def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """The normalized Alexander polynomial of the closure of the braid.
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n).  The sweep gives
-    the determinant up to +-t^k, which the exact division and the
-    normalization absorb.
+    Computed as det(reduced Burau - I) * (1-t)/(1-t^n) on the determinant's
+    coefficient list: one difference for 1-t, then the running sum
+    q_k += q_(k-n) for 1/(1-t^n), exact exactly when its last n entries are
+    zero.  The sweep gives the determinant up to +-t^k, which the
+    normalization absorbs.
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    det = LaurentPolynomial.from_coeffs(*determinant_up_to_units(burau_minus_identity(*reduced_burau(w))))
-    scaled = (det * _t_power_minus_one(1)).divide_exact(_t_power_minus_one(w.n))
-    return scaled.normalize_up_to_units()
+    low, det = determinant_up_to_units(burau_minus_identity(*reduced_burau(w)))
+    q = [a - b for a, b in zip(det + [0], [0] + det)]
+    for k in range(w.n, len(q)):
+        q[k] += q[k - w.n]
+    if any(q[-w.n :]):
+        raise ValueError("not divisible")
+    return LaurentPolynomial.from_coeffs(low, q[: -w.n]).normalize_up_to_units()
 
 
 # --- End-to-end certification -------------------------------------------------

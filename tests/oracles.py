@@ -2,8 +2,11 @@
 
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, normal forms also letter by letter with a Delta
-stripped only once it reaches the front, determinants by cofactor expansion
-and by Bareiss on LaurentPolynomial entries, the unit-pivot sweep on
+stripped only once it reaches the front, polynomial arithmetic on a ring
+of its own (the library's LaurentPolynomial is a value without
+arithmetic), the torus closed form as the quotient
+(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), determinants by cofactor expansion
+and by Bareiss on that ring, the unit-pivot sweep on
 exponent -> coefficient dicts, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
@@ -165,12 +168,140 @@ def letterwise_normal_form(w: BraidWord) -> NormalForm:
     return NormalForm(n, power, tuple(Permutation(f) for f in factors))
 
 
-def naive_cofactor_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
+# --- Laurent polynomials with ring arithmetic ---------------------------------
+
+
+class Laurent:
+    """An integer-coefficient Laurent polynomial with +, -, * and exact division.
+
+    coeffs[j] multiplies t^(min_exp + j), trimmed as in LaurentPolynomial.
+    It compares equal, from either side, with a LaurentPolynomial of the
+    same fields (whose __eq__ returns NotImplemented for another class), and
+    hashes alike, so the oracles' results and the library's meet in one ==.
+    """
+
+    __slots__ = ("min_exp", "coeffs")
+
+    def __init__(self, min_exp: int, coeffs: tuple[int, ...]):
+        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
+            raise ValueError("coefficients must be trimmed")
+        self.min_exp = min_exp
+        self.coeffs = coeffs
+
+    def __eq__(self, other):
+        if isinstance(other, (Laurent, LaurentPolynomial)):
+            return (self.min_exp, self.coeffs) == (other.min_exp, other.coeffs)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.min_exp, self.coeffs))
+
+    def __repr__(self):
+        return f"Laurent(min_exp={self.min_exp!r}, coeffs={self.coeffs!r})"
+
+    @staticmethod
+    def zero() -> "Laurent":
+        return Laurent(0, ())
+
+    @staticmethod
+    def term(coeff: int, exp: int = 0) -> "Laurent":
+        return Laurent(exp, (coeff,)) if coeff else Laurent.zero()
+
+    @staticmethod
+    def one() -> "Laurent":
+        return Laurent.term(1)
+
+    @staticmethod
+    def from_coeffs(min_exp: int, coeffs: list[int]) -> "Laurent":
+        trimmed = LaurentPolynomial.from_coeffs(min_exp, coeffs)
+        return Laurent(trimmed.min_exp, trimmed.coeffs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def max_exp(self) -> int:
+        return self.min_exp + len(self.coeffs) - 1
+
+    def __add__(self, other) -> "Laurent":
+        if self.is_zero():
+            return Laurent(other.min_exp, other.coeffs)
+        if not other.coeffs:
+            return self
+        lo = min(self.min_exp, other.min_exp)
+        hi = max(self.max_exp, other.min_exp + len(other.coeffs) - 1)
+        out = [0] * (hi - lo + 1)
+        for i, c in enumerate(self.coeffs):
+            out[self.min_exp - lo + i] += c
+        for i, c in enumerate(other.coeffs):
+            out[other.min_exp - lo + i] += c
+        return Laurent.from_coeffs(lo, out)
+
+    def __neg__(self) -> "Laurent":
+        return Laurent(self.min_exp, tuple([-c for c in self.coeffs]))
+
+    def __sub__(self, other) -> "Laurent":
+        return self + (-Laurent(other.min_exp, other.coeffs))
+
+    def __mul__(self, other) -> "Laurent":
+        if self.is_zero() or not other.coeffs:
+            return Laurent.zero()
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return Laurent.from_coeffs(self.min_exp + other.min_exp, out)
+
+    def divide_exact(self, other) -> "Laurent":
+        """Exact division; raises when the quotient is not a Laurent polynomial."""
+        if not other.coeffs:
+            raise ZeroDivisionError("division by zero polynomial")
+        if self.is_zero():
+            return self
+        rem = list(self.coeffs)
+        div = other.coeffs
+        if len(rem) < len(div):
+            raise ValueError("not divisible")
+        top = len(div) - 1
+        # Only the divisor's nonzero terms: t^n - 1 has two of n + 1.
+        terms = [(j, d) for j, d in enumerate(div) if d]
+        out = [0] * (len(rem) - top)
+        for k in range(len(out) - 1, -1, -1):
+            lead = rem[k + top]
+            if lead % div[-1] != 0:
+                raise ValueError("not divisible")
+            q = lead // div[-1]
+            out[k] = q
+            if q:
+                for j, d in terms:
+                    rem[k + j] -= q * d
+        if any(rem):
+            raise ValueError("not divisible")
+        return Laurent.from_coeffs(self.min_exp - other.min_exp, out)
+
+    def normalize_up_to_units(self) -> "Laurent":
+        """The representative with lowest exponent 0 and positive lowest coefficient."""
+        return Laurent(0, (self if not self.coeffs or self.coeffs[0] > 0 else -self).coeffs)
+
+
+def t_power_minus_one(e: int) -> Laurent:
+    return Laurent.from_coeffs(0, [-1] + [0] * (e - 1) + [1])
+
+
+def torus_alexander_by_quotient(n: int, s: int) -> Laurent:
+    """Delta of T(n, s) as the quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), normalized."""
+    num = t_power_minus_one(n * s) * t_power_minus_one(1)
+    den = t_power_minus_one(n) * t_power_minus_one(s)
+    return num.divide_exact(den).normalize_up_to_units()
+
+
+def naive_cofactor_det(m: list[list[Laurent]]) -> Laurent:
     if not m:
-        return LaurentPolynomial.one()
+        return Laurent.one()
     if len(m) == 1:
         return m[0][0]
-    total = LaurentPolynomial.zero()
+    total = Laurent.zero()
     for j, entry in enumerate(m[0]):
         if entry.is_zero():
             continue
@@ -180,8 +311,8 @@ def naive_cofactor_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     return total
 
 
-def fraction_free_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
-    """The determinant by Bareiss's fraction-free elimination, in LaurentPolynomial arithmetic alone.
+def fraction_free_det(m: list[list[Laurent]]) -> Laurent:
+    """The determinant by Bareiss's fraction-free elimination, in Laurent arithmetic alone.
 
     Step k replaces each entry below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the previous pivot, through
@@ -189,12 +320,12 @@ def fraction_free_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
     entry in its column, and there is none only when the determinant is 0.
     """
     m = [list(row) for row in m]
-    size, sign, prev = len(m), 1, LaurentPolynomial.one()
+    size, sign, prev = len(m), 1, Laurent.one()
     for k in range(size - 1):
         if m[k][k].is_zero():
             swap = next((i for i in range(k + 1, size) if not m[i][k].is_zero()), None)
             if swap is None:
-                return LaurentPolynomial.zero()
+                return Laurent.zero()
             m[k], m[swap] = m[swap], m[k]
             sign = -sign
         for row in m[k + 1 :]:
@@ -202,11 +333,11 @@ def fraction_free_det(m: list[list[LaurentPolynomial]]) -> LaurentPolynomial:
                 row[j] = (row[j] * m[k][k] - row[k] * m[k][j]).divide_exact(prev)
         prev = m[k][k]
     if not m:
-        return LaurentPolynomial.one()
+        return Laurent.one()
     return m[-1][-1] if sign > 0 else -m[-1][-1]
 
 
-def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
+def burau_generator(n: int, letter: int) -> list[list[Laurent]]:
     """The reduced Burau image of one signed Artin generator, written out.
 
     The (n-1) x (n-1) identity, except in column i-1 for i = |letter|:
@@ -214,10 +345,10 @@ def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
     one, on rows i-2, i-1 and i where those rows exist.
     """
     i = abs(letter)
-    t = LaurentPolynomial.term(1, 1)
-    tinv = LaurentPolynomial.term(1, -1)
-    one = LaurentPolynomial.one()
-    m = [[one if r == c else LaurentPolynomial.zero() for c in range(n - 1)] for r in range(n - 1)]
+    t = Laurent.term(1, 1)
+    tinv = Laurent.term(1, -1)
+    one = Laurent.one()
+    m = [[one if r == c else Laurent.zero() for c in range(n - 1)] for r in range(n - 1)]
     if letter > 0:
         m[i - 1][i - 1] = -t
         if i > 1:
@@ -233,16 +364,16 @@ def burau_generator(n: int, letter: int) -> list[list[LaurentPolynomial]]:
     return m
 
 
-def reduced_burau_by_columns(w: BraidWord) -> list[list[LaurentPolynomial]]:
-    """The reduced Burau matrix of a word, one column update per letter on LaurentPolynomial entries.
+def reduced_burau_by_columns(w: BraidWord) -> list[list[Laurent]]:
+    """The reduced Burau matrix of a word, one column update per letter on Laurent entries.
 
     Right-multiplying by a generator replaces column j = |g| - 1, c[j], by
     t*c[j-1] - t*c[j] + c[j+1] for a positive letter and by
     c[j-1] - t^-1*c[j] + t^-1*c[j+1] for a negative one (columns past
     either edge read as zero).
     """
-    zero, one = LaurentPolynomial.zero(), LaurentPolynomial.one()
-    t, tinv = LaurentPolynomial.term(1, 1), LaurentPolynomial.term(1, -1)
+    zero, one = Laurent.zero(), Laurent.one()
+    t, tinv = Laurent.term(1, 1), Laurent.term(1, -1)
     last = w.n - 2
     out = [[one if i == j else zero for j in range(last + 1)] for i in range(last + 1)]
     for g in w.letters:
@@ -257,7 +388,7 @@ def reduced_burau_by_columns(w: BraidWord) -> list[list[LaurentPolynomial]]:
     return out
 
 
-def unit_pivot_remainder_by_dicts(matrix: list[list[LaurentPolynomial]]) -> list[list[LaurentPolynomial]]:
+def unit_pivot_remainder_by_dicts(matrix: list[list[Laurent]]) -> list[list[Laurent]]:
     """The unit-pivot sweep's remainder, on exponent -> coefficient dicts.
 
     For each column, left to right, the unit +-t^k entry of the remaining
@@ -296,11 +427,11 @@ def unit_pivot_remainder_by_dicts(matrix: list[list[LaurentPolynomial]]) -> list
                 if not target:
                     del row[col]
 
-    def poly(entry: dict[int, int] | None) -> LaurentPolynomial:
+    def poly(entry: dict[int, int] | None) -> Laurent:
         if not entry:
-            return LaurentPolynomial.zero()
+            return Laurent.zero()
         lo = min(entry)
-        return LaurentPolynomial.from_coeffs(lo, [entry.get(e, 0) for e in range(lo, max(entry) + 1)])
+        return Laurent.from_coeffs(lo, [entry.get(e, 0) for e in range(lo, max(entry) + 1)])
 
     return [[poly(row.get(j)) for j in kept] for row in rows.values()]
 
@@ -469,7 +600,7 @@ def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), n_arcs, len(cycles))
 
 
-def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
+def wirtinger_alexander(d: PlanarDiagram) -> Laurent:
     """The normalized Alexander polynomial of a one-component diagram.
 
     One Wirtinger row per crossing: at a positive crossing the outgoing
@@ -482,12 +613,12 @@ def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
         raise ValueError("not a knot")
     c = len(d.crossings)
     if c == 0:
-        return LaurentPolynomial.one()
-    t = LaurentPolynomial.term(1, 1)
-    one = LaurentPolynomial.one()
+        return Laurent.one()
+    t = Laurent.term(1, 1)
+    one = Laurent.one()
     rows = []
     for x in d.crossings:
-        row = [LaurentPolynomial.zero()] * d.n_arcs
+        row = [Laurent.zero()] * d.n_arcs
         if x.sign > 0:
             entries = ((x.over_arc, one - t), (x.under_in_arc, t), (x.under_out_arc, -one))
         else:
@@ -499,7 +630,7 @@ def wirtinger_alexander(d: PlanarDiagram) -> LaurentPolynomial:
     return fraction_free_det(minor).normalize_up_to_units()
 
 
-def winding_number_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
+def winding_number_matrix(g: GridDiagram) -> list[list[Laurent]]:
     """The p x p matrix (t^w), w the winding number around each cell centre.
 
     w(i, j) is taken around (i+1/2, j+1/2), 0 <= i, j < p, by adding each
@@ -516,7 +647,7 @@ def winding_number_matrix(g: GridDiagram) -> list[list[LaurentPolynomial]]:
             for i in range(x):
                 winding[i][j] += step
     low = min(map(min, winding))
-    return [[LaurentPolynomial.term(1, w - low) for w in row] for row in winding]
+    return [[Laurent.term(1, w - low) for w in row] for row in winding]
 
 
 def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:

@@ -6,10 +6,12 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import petalgrid
 import petalgrid.invariants as invariants
 import petalgrid.selftest as selftest
-from petalgrid.braid import half_twist, round_trip, words_equal
+from petalgrid.braid import delta, half_twist, round_trip, words_equal
 from petalgrid.cli import main
 from petalgrid.invariants import certify
 
@@ -130,6 +132,23 @@ def test_verify_failed_stage_exits_1(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["all_match"] is False
     assert payload["error"] == "alexander_grid: not divisible"
+
+
+def test_verify_burau_rescale_that_does_not_divide_exits_1(capsys, monkeypatch):
+    # det(B - I) of a knot closure on n strands is Delta * (1 + t + ... + t^(n-1));
+    # the braid pipeline refuses a determinant that this sum does not divide.
+    dets = iter([[1, 2, 3, 2, 1], [1, 1, 1, 1], [1, 2, 3, 2, 2], [1, 2, 3, 2, 1, 1]])
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: (0, next(dets)))
+    assert str(invariants.alexander_from_closure(delta(3) ** 5)) == "t^2 + t + 1"  # (1 + t + t^2)^2
+    for _ in range(3):
+        with pytest.raises(ValueError, match="^not divisible$"):
+            invariants.alexander_from_closure(delta(3) ** 5)
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: (0, [1, 1]))
+    code, out, _ = run(capsys, "verify", "3", "5", "--pipeline", "burau", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["all_match"] is False
+    assert payload["error"] == "alexander_braid: not divisible"
 
 
 def test_verify_past_former_crossing_cap(capsys):

@@ -7,11 +7,13 @@ from pathlib import Path
 import pytest
 
 from oracles import (
+    Laurent,
     burau_generator,
     fraction_free_det,
     naive_cofactor_det,
     reduced_burau_by_columns,
     to_planar_diagram,
+    torus_alexander_by_quotient,
     unit_pivot_remainder_by_dicts,
     winding_number_matrix,
     wirtinger_alexander,
@@ -29,15 +31,22 @@ from petalgrid.invariants import (
 )
 from petalgrid.petal import PetalPermutation, synthesize
 
-T = LaurentPolynomial.term(1, 1)
-ONE = LaurentPolynomial.one()
+# The polynomials the tests build and compute on are the oracles' Laurent,
+# which compares equal with a LaurentPolynomial of the same fields.
+T = Laurent.term(1, 1)
+ONE = Laurent.one()
 
 
 def poly(*pairs):
-    out = LaurentPolynomial.zero()
+    out = Laurent.zero()
     for coeff, exp in pairs:
-        out = out + LaurentPolynomial.term(coeff, exp)
+        out = out + Laurent.term(coeff, exp)
     return out
+
+
+def as_library(p):
+    """The library's LaurentPolynomial with the fields of p."""
+    return LaurentPolynomial(p.min_exp, p.coeffs)
 
 
 def power(base, e):
@@ -48,12 +57,15 @@ def power(base, e):
 
 
 def random_laurent(rng, max_terms=4, max_exp=3, max_coeff=5):
-    out = LaurentPolynomial.zero()
+    out = Laurent.zero()
     for _ in range(rng.randint(0, max_terms)):
-        out = out + LaurentPolynomial.term(
+        out = out + Laurent.term(
             rng.randint(-max_coeff, max_coeff), rng.randint(-max_exp, max_exp)
         )
     return out
+
+
+# --- The oracles' ring -------------------------------------------------------
 
 
 def test_laurent_arithmetic():
@@ -79,9 +91,9 @@ def test_divide_exact_errors():
     with pytest.raises(ValueError, match="not divisible"):
         (T + ONE).divide_exact(T - ONE)
     with pytest.raises(ValueError, match="not divisible"):
-        LaurentPolynomial.term(3).divide_exact(LaurentPolynomial.term(2))
+        Laurent.term(3).divide_exact(Laurent.term(2))
     with pytest.raises(ZeroDivisionError):
-        ONE.divide_exact(LaurentPolynomial.zero())
+        ONE.divide_exact(Laurent.zero())
 
 
 def dense_divide(num, den):
@@ -99,7 +111,7 @@ def dense_divide(num, den):
             rem[k + j] -= q * d
     if any(rem):
         return None
-    return LaurentPolynomial.from_coeffs(num.min_exp - den.min_exp, out)
+    return Laurent.from_coeffs(num.min_exp - den.min_exp, out)
 
 
 def test_divide_exact_sparse_and_dense_divisors():
@@ -107,7 +119,7 @@ def test_divide_exact_sparse_and_dense_divisors():
     # whether it raises, must be those of division over every coefficient.
     rng = random.Random(5)
     sparse = [power(T, k) - ONE for k in (1, 2, 5, 11)]
-    sparse += [(power(T, 3) - ONE) * (power(T, 7) - ONE), power(T, 6) + LaurentPolynomial.term(3, -2)]
+    sparse += [(power(T, 3) - ONE) * (power(T, 7) - ONE), power(T, 6) + Laurent.term(3, -2)]
     dense = [random_laurent(rng, max_terms=8, max_exp=4) for _ in range(12)]
     for den in sparse + dense:
         if den.is_zero():
@@ -125,24 +137,27 @@ def test_divide_exact_sparse_and_dense_divisors():
     assert sum(den.coeffs.count(0) > 0 for den in sparse) == len(sparse) - 1  # t - 1 has none
 
 
+# --- The library's LaurentPolynomial and the torus closed form ----------------
+
+
 def test_normalize_up_to_units():
-    p = poly((-1, -1), (1, 0), (-1, 1))  # -t^-1 + 1 - t
+    p = as_library(poly((-1, -1), (1, 0), (-1, 1)))  # -t^-1 + 1 - t
     assert p.normalize_up_to_units() == poly((1, 0), (-1, 1), (1, 2))
     assert str(p.normalize_up_to_units()) == "t^2 - t + 1"
 
 
 def test_substitute_inverse_palindrome():
     # Symmetry under t -> 1/t, read on the normalized coefficients.
-    p = poly((-1, -1), (1, 0), (-1, 1)).normalize_up_to_units()
+    p = as_library(poly((-1, -1), (1, 0), (-1, 1))).normalize_up_to_units()
     assert p.coeffs == p.coeffs[::-1]
-    q = poly((2, 1), (1, 0)).normalize_up_to_units()
+    q = as_library(poly((2, 1), (1, 0))).normalize_up_to_units()
     assert q.coeffs != q.coeffs[::-1]
 
 
 def test_pretty_printing():
-    assert str(LaurentPolynomial.zero()) == "0"
-    assert str(poly((2, 3), (-1, 0))) == "2*t^3 - 1"
-    assert str(poly((1, -2), (1, 1))) == "t + t^-2"
+    assert str(LaurentPolynomial.from_coeffs(0, [])) == "0"
+    assert str(as_library(poly((2, 3), (-1, 0)))) == "2*t^3 - 1"
+    assert str(as_library(poly((1, -2), (1, 1)))) == "t + t^-2"
 
 
 def test_torus_alexander():
@@ -155,9 +170,18 @@ def test_torus_alexander():
             if math.gcd(n, s) != 1:
                 continue
             p = torus_alexander(n, s)
-            assert p.max_exp == (n - 1) * (s - 1)
+            assert p.min_exp + len(p.coeffs) - 1 == (n - 1) * (s - 1)
             assert abs(sum(p.coeffs)) == 1
             assert p.coeffs == p.coeffs[::-1]
+
+
+def test_torus_alexander_matches_the_quotient():
+    # The semigroup form against the division it replaced, on every coprime
+    # pair with 2 <= n < 30 and n < s < 80.
+    pairs = [(n, s) for n in range(2, 30) for s in range(n + 1, 80) if math.gcd(n, s) == 1]
+    assert len(pairs) == 1095
+    for n, s in pairs:
+        assert torus_alexander(n, s) == torus_alexander_by_quotient(n, s), (n, s)
 
 
 def test_bareiss_matches_cofactor_expansion():
@@ -170,7 +194,7 @@ def test_bareiss_matches_cofactor_expansion():
             if size >= 2 and trial % 4 == 1:
                 m[-1] = list(m[0])  # a repeated row: singular
             if size >= 2 and trial % 4 == 2:
-                m[0][0] = LaurentPolynomial.zero()  # the first pivot needs a row swap
+                m[0][0] = Laurent.zero()  # the first pivot needs a row swap
             got = packed_det(m)
             assert got == naive_cofactor_det(m) == fraction_free_det(m), (size, trial)
             if size >= 2 and trial % 4 == 1:
@@ -186,7 +210,7 @@ def pack(coeffs, width):
 
 
 def packed_rows(matrix, width):
-    """A LaurentPolynomial matrix as (rows, height), the sparse packed rows the determinant kernels take.
+    """A polynomial matrix as (rows, height), the sparse packed rows the determinant kernels take.
 
     As a builder must, it raises _Narrow when the height would reach X/4.
     """
@@ -197,13 +221,13 @@ def packed_rows(matrix, width):
 
 
 def decoded(matrix, width=packed._DET_WIDTH):
-    """Packed rows, sparse (dicts) or dense (lists), as a LaurentPolynomial matrix."""
+    """Packed rows, sparse (dicts) or dense (lists), as a Laurent matrix."""
     dense = [row if isinstance(row, list) else [row.get(j, (0, 0)) for j in range(len(matrix))] for row in matrix]
-    return [[LaurentPolynomial.from_coeffs(low, DIGITS(value, width)) for low, value in row] for row in dense]
+    return [[Laurent.from_coeffs(low, DIGITS(value, width)) for low, value in row] for row in dense]
 
 
 def packed_det(matrix):
-    """The determinant of a LaurentPolynomial matrix by the packed Bareiss kernel.
+    """The determinant of a polynomial matrix by the packed Bareiss kernel.
 
     The entries are packed at the determinants' first width whose X/4
     exceeds every coefficient, and packed again at twice the width while
@@ -217,15 +241,15 @@ def packed_det(matrix):
             low, value = packed.bareiss_determinant(
                 [[(p.min_exp, pack(p.coeffs, width)) for p in row] for row in matrix], width
             )
-            return LaurentPolynomial.from_coeffs(low, DIGITS(value, width))
+            return Laurent.from_coeffs(low, DIGITS(value, width))
         except packed._Narrow:
             width *= 2
 
 
 def burau_matrix(w):
-    """The packed reduced_burau(w) as a LaurentPolynomial matrix."""
+    """The packed reduced_burau(w) as a Laurent matrix."""
     columns, low, width = packed.reduced_burau(w)
-    return [[LaurentPolynomial.from_coeffs(-low[k], DIGITS(v, width)) for k, v in enumerate(row)] for row in zip(*columns)]
+    return [[Laurent.from_coeffs(-low[k], DIGITS(v, width)) for k, v in enumerate(row)] for row in zip(*columns)]
 
 
 def divide_step(x, pivot, a, y, prev, width=8):
@@ -243,23 +267,23 @@ def divide_step(x, pivot, a, y, prev, width=8):
         coeffs = DIGITS(value, width)
         small = all(-packed._SMALL <= c < packed._SMALL for c in coeffs)
         assert height == (packed._SMALL if small else max(map(abs, coeffs))) if coeffs else height == 0
-        return LaurentPolynomial.from_coeffs(low, coeffs)
+        return Laurent.from_coeffs(low, coeffs)
 
 
 def test_bareiss_update_divides_exactly():
-    zero = LaurentPolynomial.zero()
+    zero = Laurent.zero()
     assert divide_step(T * T, ONE, ONE, ONE, T - ONE) == T + ONE  # (t^2-1)/(t-1)
     assert divide_step(T - ONE, T - ONE, zero, zero, ONE) == poly((1, 2), (-2, 1), (1, 0))
     # Laurent exponents: (t^-3 - t^-1) / (t^-2 + t^-1) = t^-1 - 1.
     assert divide_step(poly((1, -3)), ONE, poly((1, -1)), ONE, poly((1, -2), (1, -1))) == poly((1, -1), (-1, 0))
     assert divide_step(T, ONE, T, ONE, T + ONE).is_zero()
     with pytest.raises(ValueError, match="not divisible"):
-        divide_step(T, ONE, zero, zero, LaurentPolynomial.term(2))  # t / 2
+        divide_step(T, ONE, zero, zero, Laurent.term(2))  # t / 2
     with pytest.raises(ValueError, match="not divisible"):
         divide_step(T, ONE, -ONE, ONE, T - ONE)  # (t+1)/(t-1)
     # 2^40 t / 2^41 is X/2 at every X = 2^w, yet t/2 is no polynomial.
     with pytest.raises(ValueError, match="not divisible"):
-        divide_step(LaurentPolynomial.term(1 << 40, 1), ONE, zero, zero, LaurentPolynomial.term(1 << 41))
+        divide_step(Laurent.term(1 << 40, 1), ONE, zero, zero, Laurent.term(1 << 41))
 
 
 def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
@@ -272,7 +296,7 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
 
     monkeypatch.setattr(packed, "_digits", spy)
     # The first width reads (1+t)^16 correctly, but its test cannot prove it.
-    zero = LaurentPolynomial.zero()
+    zero = Laurent.zero()
     got = divide_step(power(ONE - T * T, 16), ONE, zero, ONE, power(ONE - T, 16))
     assert got == power(ONE + T, 16)
     assert len(widths) > 1 and widths == sorted(set(widths))
@@ -281,7 +305,7 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
     # divisible by 2: the doubling must stop and raise.
     widths.clear()
     with pytest.raises(ValueError, match="not divisible"):
-        divide_step(T + ONE, ONE, ONE, ONE, LaurentPolynomial.term(2))
+        divide_step(T + ONE, ONE, ONE, ONE, Laurent.term(2))
     assert len(widths) > 1
 
 
@@ -374,6 +398,24 @@ def test_invariants_reaches_packed_by_public_names_only():
     ]
     assert not private, private
     assert not [name for module, name in imports(packed) if module == "invariants"]
+
+
+def test_laurent_polynomial_is_a_value_without_arithmetic():
+    # Polynomial products and quotients run in packed, on coefficient lists,
+    # or in the tests' oracles: LaurentPolynomial holds, normalizes and
+    # prints, and no petalgrid module defines the ring's division.
+    tree = ast.parse(Path(invariants.__file__).read_text())
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LaurentPolynomial"]
+    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    names |= {target.id for node in cls.body if isinstance(node, ast.Assign) for target in node.targets}
+    assert names <= {"__slots__", "__init__", "from_coeffs", "normalize_up_to_units", "__str__"}, names
+    defined = [
+        (path.name, node.name)
+        for path in sorted(Path(invariants.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("_t_power_minus_one", "divide_exact")
+    ]
+    assert not defined, defined
 
 
 def test_alexander_from_grid_examples():
@@ -470,8 +512,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     # Bareiss run again together at 128.  Row 0 holds the only unit of
     # column 0, so it is the first pivot.
     rng = random.Random(1010)
-    big = lambda: random_laurent(rng, 3, 2, 1 << 25) + LaurentPolynomial.term(1 << 25, 3)
-    m = [[ONE, big(), big()]] + [[big() + LaurentPolynomial.term(2), big(), big()] for _ in range(2)]
+    big = lambda: random_laurent(rng, 3, 2, 1 << 25) + Laurent.term(1 << 25, 3)
+    m = [[ONE, big(), big()]] + [[big() + Laurent.term(2), big(), big()] for _ in range(2)]
     calls = []
 
     def spy(name, kernel):
@@ -500,7 +542,7 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
 
     # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
     # which only a bound that counts the factor's length sees at 32 bits.
-    p = sum((LaurentPolynomial.term(23170, e) for e in range(8)), LaurentPolynomial.zero())
+    p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
     det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(lambda width: packed_rows(m, width)))
@@ -624,7 +666,7 @@ def test_reduced_burau():
     ident = burau_matrix(BraidWord.identity(4))
     for i in range(3):
         for j in range(3):
-            assert ident[i][j] == (ONE if i == j else LaurentPolynomial.zero())
+            assert ident[i][j] == (ONE if i == j else Laurent.zero())
 
 
 def test_reduced_burau_generators_match_written_out_matrices():
@@ -648,7 +690,7 @@ def test_reduced_burau_homomorphism():
         size = n - 1
         for i in range(size):
             for j in range(size):
-                acc = LaurentPolynomial.zero()
+                acc = Laurent.zero()
                 for k in range(size):
                     acc = acc + prod[i][k] * rhs_m[k][j]
                 assert acc == lhs[i][j]
