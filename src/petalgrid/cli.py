@@ -73,24 +73,15 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _number(kind: type, ok, want: str):
-    """An argparse type: kind(text) where ok() accepts it; otherwise "must be <want>"."""
-
-    def parse(text: str):
-        try:
-            value = kind(text)
-        except ValueError:
-            value = None
-        if value is None or not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {want}, got {text}")
-        return value
-
-    return parse
-
-
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than low."""
-    return _number(int, lambda value: value >= low, f"an integer >= {low}")
+def _seconds(text: str) -> float:
+    """The argparse type of --timeout: a positive number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"must be a positive number of seconds, got {text}")
+    return value
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -141,12 +132,14 @@ def cmd_braid(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    if args.perm:
-        pp = PetalPermutation(tuple(int(tok) for tok in args.perm.replace(",", " ").split()))
-    else:
-        if args.n is None or args.s is None:
+    if args.perm is None:
+        if args.s is None:  # argparse fills n before s
             return _fail("give either --perm or a coprime pair n s")
         pp = synthesize(args.n, args.s)
+    else:
+        if args.n is not None:
+            return _fail("give either --perm or a coprime pair n s, not both")
+        pp = PetalPermutation(tuple(int(tok) for tok in args.perm.replace(",", " ").split()))
     grid = build_petal_grid(pp)
     if args.svg:
         try:
@@ -162,12 +155,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     from . import selftest  # only this command needs the suites
 
     t0 = time.monotonic()
-    results = selftest.run_all(
-        max_n=args.max_n,
-        max_s=args.max_s,
-        trials=args.trials,
-        seed=selftest.DEFAULT_SEED if args.seed is None else args.seed,
-    )
+    results = selftest.run_all()
     width = max(len(r.name) for r in results)
     failed = []
     for r in results:
@@ -198,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("s", type=int)
     p.add_argument("--pipeline", choices=PIPELINES, default="both")
-    seconds = _number(float, lambda value: value > 0, "a positive number of seconds")
-    p.add_argument("--timeout", type=seconds, metavar="SEC")
+    p.add_argument("--timeout", type=_seconds, metavar="SEC")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
@@ -227,12 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("selftest", help="run the identity suites and print a table")
-    # Band relations need 3 strands and the smallest pair is T(2,3); with
-    # no trials the band and rewrite suites would run nothing and pass.
-    p.add_argument("--max-n", type=_int_at_least(3), default=9)
-    p.add_argument("--max-s", type=_int_at_least(3), default=20)
-    p.add_argument("--trials", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int)  # None: selftest.DEFAULT_SEED
     p.set_defaults(func=cmd_selftest)
     return parser
 

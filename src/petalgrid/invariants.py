@@ -37,7 +37,8 @@ from .braid import (
     induced_permutation,
     torus_conjugacy_witness,
 )
-from .braid import conjugate_band_braid  # noqa: F401  kept importable here for perfbench/ladder.py
+# conjugate_band_braid is kept importable here for perfbench/ladder.py and perfbench/spans.py.
+from .braid import conjugate_band_braid  # noqa: F401
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 # bareiss_determinant is kept importable here for perfbench/spans.py.
 from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401

@@ -1,13 +1,11 @@
 """
-Randomized verification suites for the shipped certifier.
-
-Each suite draws seeded instances and checks one family of facts about the
-code the certificate runs: the band identities and normal form, the residue
-permutation and conjugacy witness, synthesis, and `certify` itself.  The
-lemma algebra of the paper's proof (stacked and routing braids, conjugation
-by delta, splitting a permutation braid) is checked by the test suite, not
-here.  The functions return structured results rather than raising, so
-callers can render a pass/fail table.
+The suites `petalgrid selftest` runs: band-relations (the band identities
+the normal form decides), residue-conjugacy (residue permutations and
+conjugacy witnesses), normal-form-rewrites (one braid relation leaves the
+normal form unchanged), and knot-certification (`certify(n, s)` on every
+coprime 2 <= n < s <= 20).  The lemma algebra of the paper's proof is
+checked by the test suite, not here.  Suites return structured results
+rather than raising, so the command can render a pass/fail table.
 """
 from __future__ import annotations
 
@@ -29,10 +27,8 @@ from .braid import (
     torus_conjugacy_witness,
     words_equal,
 )
-from .grid import build_petal_grid, validate_petal_grid
 from .invariants import certify
 from .perm import IndexSubset, residue_perm
-from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 DEFAULT_SEED = 70311
 
@@ -155,37 +151,6 @@ def suite_residue_conjugacy(max_n: int) -> SuiteResult:
     return res
 
 
-def suite_torus_witness(max_n: int, max_s: int) -> SuiteResult:
-    """The full conjugacy witness for every coprime torus pair in range."""
-    res = SuiteResult("torus-witness")
-    for n in range(2, max_n + 1):
-        for s in range(n + 1, max_s + 1):
-            if math.gcd(n, s) != 1:
-                continue
-            res.check(
-                torus_conjugacy_witness(n, s).verified,
-                f"torus witness failed at n={n}, s={s}",
-            )
-    return res
-
-
-def suite_synthesis(max_s: int) -> SuiteResult:
-    """Length bound, strong braidedness, and grid validity of every synthesis."""
-    res = SuiteResult("synthesis-length")
-    for n in range(2, max_s):
-        for s in range(n + 1, max_s + 1):
-            if math.gcd(n, s) != 1:
-                continue
-            pp = synthesize(n, s)
-            ok = (
-                pp.p == length_bound(n, s)
-                and classify(pp) == STRONGLY_BRAIDED
-                and validate_petal_grid(build_petal_grid(pp)).valid
-            )
-            res.check(ok, f"synthesis checks failed at n={n}, s={s}")
-    return res
-
-
 def _rewrite_once(rng: random.Random, w: BraidWord) -> BraidWord | None:
     """Apply one braid relation (commutation or triple move) at a random spot."""
     spots: list[tuple[str, int]] = []
@@ -226,27 +191,23 @@ def suite_normal_form_rewrites(rng: random.Random, trials: int, max_n: int = 8) 
     return res
 
 
-def suite_certification() -> SuiteResult:
-    """The full certificate: length, grid, strong braidedness, witness, Alexander."""
+def suite_certification(max_s: int) -> SuiteResult:
+    """The full certificate, both pipelines, for every coprime pair 2 <= n < s <= max_s."""
     res = SuiteResult("knot-certification")
-    for n, s in [(2, 3), (2, 5), (3, 4), (3, 5)]:
-        report = certify(n, s)
-        res.check(report["all_match"], f"certification failed at n={n}, s={s}: {report}")
+    for s in range(3, max_s + 1):
+        for n in range(2, s):
+            if math.gcd(n, s) != 1:
+                continue
+            report = certify(n, s)
+            res.check(report["all_match"], f"certification failed at n={n}, s={s}: {report}")
     return res
 
 
-def run_all(
-    max_n: int = 9,
-    max_s: int = 20,
-    trials: int = 200,
-    seed: int = DEFAULT_SEED,
-) -> list[SuiteResult]:
-    rng = random.Random(seed)
+def run_all() -> list[SuiteResult]:
+    rng = random.Random(DEFAULT_SEED)
     return [
-        suite_band_relations(rng, trials, max_n),
-        suite_residue_conjugacy(max_n),
-        suite_torus_witness(max_n, max_s),
-        suite_synthesis(max_s),
-        suite_normal_form_rewrites(rng, min(trials, 500), min(max_n, 8)),
-        suite_certification(),
+        suite_band_relations(rng, 200, 9),
+        suite_residue_conjugacy(9),
+        suite_normal_form_rewrites(rng, 200, 8),
+        suite_certification(20),
     ]

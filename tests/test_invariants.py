@@ -1,4 +1,5 @@
 import ast
+import importlib
 import math
 import random
 import sys
@@ -19,7 +20,7 @@ from oracles import (
     wirtinger_alexander,
 )
 from petalgrid import invariants, packed
-from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, sigma
+from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
     LaurentPolynomial,
@@ -416,6 +417,25 @@ def test_laurent_polynomial_is_a_value_without_arithmetic():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("_t_power_minus_one", "divide_exact")
     ]
     assert not defined, defined
+
+
+def test_perfbench_span_targets_resolve():
+    # perfbench/spans.py looks each (module, function) up by name and skips
+    # one that is gone, so its metrics read 0 without a word.  Only the two
+    # the planar-diagram grid pipeline took with it may be missing.
+    spans = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    tree = ast.parse(spans.read_text())
+    (targets,) = [
+        node.value for node in tree.body if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "TARGETS"
+    ]
+    missing = [
+        (module, name)
+        for _, module, name in ast.literal_eval(targets)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == [("petalgrid.grid", "to_planar_diagram"), ("petalgrid.invariants", "alexander_from_pd")]
+    # Its _note_normal_form reads the canonical length of every traced normal form.
+    assert left_normal_form(sigma(3, 1) * sigma(3, 2)).canonical_length() == 1
 
 
 def test_alexander_from_grid_examples():
