@@ -17,21 +17,26 @@ non-identity, non-Delta permutation, and each adjacent pair is left-weighted
 exactly when their normal forms coincide.
 
 The word reaches the normal form as a product of same-sign runs, each a
-permutation braid or the inverse of one.  A letter slides left past the
-runs it commutes with, and joins the first run of its sign that it adds a
+permutation braid or the inverse of one.  A letter slides left past runs
+of the other sign, and joins the first run of its sign that it adds a
 crossing to, or cancels (sigma_i sigma_i^-1 = 1) against a run of the other
-sign that ends in its inverse.  sigma_i commutes with a permutation braid
-whose permutation fixes i and i+1: both products are reduced words of one
-permutation, so the same permutation braid.  Only braid relations are used,
-so the product of the runs is the word in B_n, and the normal form of a
-braid is unique (Thurston; Epstein et al., Word Processing in Groups, ch.
-9): however the word is cut, the result is the same.  The cut only decides
-the work: fewer runs are fewer factors to comb in.
+sign that ends in its inverse.  sigma_i passes a permutation braid P whose
+strands at i and i+1 start adjacent, at j and j+1, as sigma_j: P sigma_i and
+sigma_j P are reduced words of one permutation, so the same permutation
+braid (j = i when P fixes i and i+1).  Only braid relations are used, so
+the product of the runs is the word in B_n, and the normal form of a braid
+is unique (Thurston; Epstein et al., Word Processing in Groups, ch. 9):
+however the word is cut, the result is the same.  The cut only decides the
+work: fewer runs are fewer factors to comb in.  So does the bookkeeping of
+Delta: a Delta that combing forms amid the factors is carried to whichever
+end of the list is nearer, conjugating (sigma_i -> sigma_{n-i}) only the
+factors on that side.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 
 from .perm import IndexSubset, Permutation, _Value, residue_perm
 
@@ -151,30 +156,36 @@ def permutation_braid(p: Permutation) -> BraidWord:
 
 # --- Garside left normal form ------------------------------------------------
 #
-# Factors are raw 1-indexed image tuples during computation.  A word is cut
-# into same-sign runs whose induced permutations stay simple (no two strands
-# cross twice): each letter extends the last run, or slides left past the
-# runs it commutes with to join a run of its sign or cancel a crossing of a
-# run of the other sign, or starts a new run (_simple_runs).  Each run enters
-# as one factor: a positive run Y as the permutation braid of Y, a negative
-# run Y^-1 as the permutation braid of Y^-1 Delta followed by Delta^-1.
+# Factors are 1-indexed image lists during computation.  A word is cut into
+# same-sign runs whose induced permutations stay simple (no two strands cross
+# twice): each letter extends the last run, or slides left past the runs it
+# can pass to join a run of its sign or cancel a crossing of a run of the
+# other sign, or starts a new run (_simple_runs).  Each run enters as one
+# factor: a positive run Y as the permutation braid of Y, a negative run
+# Y^-1 as the permutation braid of Y^-1 Delta followed by Delta^-1.
 # Appending a factor combs it leftwards: each pair is left-weighted by one
 # insertion pass, which moves every crossing that can leave the head of the
-# right factor into the tail of the left one.  Every Delta^+-1 is carried to
-# the right end: a negative run's Delta^-1, and each Delta that combing fills
-# a factor up to.  Delta F = _conjugate_by_delta(F) Delta, so only the
-# factors a Delta passes are conjugated: those after a Delta formed by
-# combing, which combing has just rewritten.  Delta^2 is central, so the
-# Deltas gathered at the right end are only counted, with their signs; a
-# factor that enters while the count is odd is conjugated as it enters, and
-# all factors once at the end if it is odd.  A negative run costs a nearly
-# full factor Y^-1 Delta that combing must move crossing by crossing, so
-# every letter the cut joins or cancels saves combing work.
+# right factor into the tail of the left one.
+#
+# Every Delta^+-1 is counted in one signed power as if carried to the right
+# end: a negative run's Delta^-1, and each Delta that combing fills a factor
+# up to.  Delta F = tau(F) Delta, where tau is the conjugation sigma_i ->
+# sigma_{n-i}; tau^2 is the identity, as Delta^2 is central.  So a Delta
+# formed at index j and carried right conjugates the factors after it, and
+# the factors are stored under one flip bit to make it cheap: a stored
+# factor is tau^flip of the factor it stands for with every Delta at the
+# right end.  Flipping the bit and conjugating the factors before j, which
+# carries the Delta to the left end instead, gives the same state as
+# conjugating the factors after it, so a formed Delta conjugates whichever
+# side of the list is shorter.  tau keeps pairs left-weighted, so combing
+# works on the stored factors as they are.  A run enters conjugated when
+# power + flip is odd, and all factors leave conjugated at the end when it
+# is.  A negative run costs a nearly full factor Y^-1 Delta that combing
+# must move crossing by crossing, so every letter the cut joins or cancels
+# saves combing work.
 
 
-def _left_weight(
-    f: tuple[int, ...], g: tuple[int, ...], n: int
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _left_weight(f: Sequence[int], g: Sequence[int], n: int) -> tuple[Sequence[int], Sequence[int]]:
     """Move crossings from the head of g into f until the pair is left-weighted.
 
     Position s holds the pair (f(s), g^-1(s)).  A slide at s swaps the pairs
@@ -182,7 +193,8 @@ def _left_weight(
     not finish f (f(s) < f(s+1)).  A slide changes no pair to the right of the
     one that moved, so the slides are done as one insertion pass: the pair at
     i moves left past every neighbour it may slide over, and i is never
-    revisited.  The inputs are returned unchanged when nothing slides.
+    revisited.  The inputs themselves are returned when nothing slides, and
+    new lists otherwise.
     """
     ginv = [0] * n
     for pos, v in enumerate(g):
@@ -204,49 +216,12 @@ def _left_weight(
     gl = [0] * n
     for v, pos in enumerate(ginv, 1):
         gl[pos] = v
-    return tuple(fl), tuple(gl)
+    return fl, gl
 
 
-def _conjugate_by_delta(f: tuple[int, ...], n: int) -> tuple[int, ...]:
+def _tau(f: list[int], n: int) -> list[int]:
     # Delta^-1 F Delta: the generator sigma_i becomes sigma_{n-i}.
-    return tuple([n + 1 - f[n - 1 - i] for i in range(n)])
-
-
-def _append_factor(
-    factors: list[tuple[int, ...]],
-    g: tuple[int, ...],
-    w0: tuple[int, ...],
-    identity: tuple[int, ...],
-) -> int:
-    """Append one permutation-braid factor, comb it leftwards, carry any Delta right.
-
-    w0 and identity are the images of Delta and of the identity.  Returns the
-    number of Deltas carried to the right end, 0 or 1: g itself when it is
-    Delta, or a factor that combing fills up to Delta, which is deleted after
-    the factors behind it are conjugated by Delta.
-    """
-    if g == w0:
-        return 1
-    if g == identity:
-        return 0
-    n = len(g)
-    factors.append(g)
-    j = len(factors) - 2
-    while j >= 0:
-        f2, g2 = _left_weight(factors[j], factors[j + 1], n)
-        if f2 == factors[j]:
-            break
-        if g2 == identity:
-            del factors[j + 1]
-        else:
-            factors[j + 1] = g2
-        if f2 == w0:
-            del factors[j]
-            factors[j:] = [_conjugate_by_delta(f, n) for f in factors[j:]]
-            return 1
-        factors[j] = f2
-        j -= 1
-    return 0
+    return [n + 1 - v for v in reversed(f)]
 
 
 def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
@@ -263,14 +238,14 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
     - a run of the other sign whose strands at i and i+1 have crossed ends
       in the inverse letter, and gives that crossing back (cancel); a run
       emptied so is dropped;
-    - a run whose permutation fixes i and i+1 commutes with the letter,
-      which passes it (slide): sigma_i P and P sigma_i are reduced words of
-      one permutation, so one permutation braid, and the mirror sigma_j ->
-      sigma_j^-1 carries this to negative runs.  That covers every run that
-      uses none of sigma_{i-1}, sigma_i, sigma_{i+1}, and more: other
-      strands may cross strands i and i+1 in it;
-    - any other run stops the slide, and the letter starts a new run at the
-      end.
+    - a run P of the other sign whose strands at i and i+1 start adjacent,
+      at j and j+1 (images[i-1] = j, images[i] = j+1), is passed (slide):
+      the letter goes on as sigma_j^+-1, because P sigma_i and sigma_j P
+      are reduced words of one permutation, so one permutation braid, and
+      the mirror sigma_k -> sigma_k^-1 carries this to either sign.  j = i
+      when P fixes i and i+1, and then the letter commutes with P;
+    - any other run stops the slide, and the letter, with its own index i,
+      starts a new run at the end; so does a letter that passes every run.
 
     A run of the letter's sign either takes it or stops it, so a slide only
     passes runs of the other sign, and a one-sign word is cut as it always
@@ -282,6 +257,8 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
     [(False, [2, 3, 1, 4, 5, 6]), (True, [1, 2, 3, 5, 6, 4])]
     >>> _simple_runs(BraidWord(5, (1, 4, -1)))  # sigma_1^-1 cancels
     [(False, [1, 2, 3, 5, 4])]
+    >>> _simple_runs(BraidWord(4, (1, -2, -3, 2)))  # sigma_2 passes as sigma_3 and joins
+    [(False, [2, 1, 4, 3]), (True, [1, 3, 4, 2])]
     """
     n = w.n
     identity = list(range(1, n + 1))
@@ -295,16 +272,23 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
             last[i - 1], last[i] = last[i], last[i - 1]
             continue
         negative = g < 0
+        j = i
         k = len(runs) - 1
         while k >= 0:
             sign, im = runs[k]
-            if (im[i - 1] > im[i]) != (sign == negative):
+            a = im[j - 1]
+            if (a > im[j]) != (sign == negative):
                 break  # it joins or cancels here
-            k = k - 1 if im[i - 1] == i and im[i] == i + 1 else -1  # it slides past or stops
+            # A run of the letter's sign gets here only with the strands
+            # crossed, im[j] < a, so it stops the letter.
+            if im[j] != a + 1:
+                k = -1  # it stops
+            else:
+                j, k = a, k - 1  # it slides past as sigma_a
         if k < 0:
-            sign, im = negative, identity[:]
+            j, sign, im = i, negative, identity[:]
             runs.append((sign, im))
-        im[i - 1], im[i] = im[i], im[i - 1]
+        im[j - 1], im[j] = im[j], im[j - 1]
         if sign != negative and im == identity:
             del runs[k]
         last_negative, last = runs[-1] if runs else (False, [0] * n)
@@ -317,13 +301,16 @@ class NormalForm(_Value):
     __slots__ = ("n", "delta_power", "factors")
 
     def __init__(self, n: int, delta_power: int, factors: tuple[Permutation, ...]):
+        if n < 0:
+            raise ValueError("braid index must be nonnegative")
         w0 = tuple(range(n, 0, -1))
         for f in factors:
+            if f.n != n:
+                raise ValueError(f"factor of degree {f.n} in a normal form of braid index {n}")
             if f.is_identity() or f.images == w0:
                 raise ValueError("normal form factors must be proper")
         for f, g in zip(factors, factors[1:]):
-            f2, _ = _left_weight(f.images, g.images, n)
-            if f2 != f.images:
+            if _left_weight(f.images, g.images, n)[0] is not f.images:
                 raise ValueError("normal form factors are not left-weighted")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta_power", delta_power)
@@ -339,11 +326,13 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     The word is cut into same-sign runs whose induced permutations stay
     simple (_simple_runs).  A positive run Y is one factor; a negative run
     Y^-1 is the factor Y^-1 Delta, whose images are the run's reversed,
-    followed by Delta^-1.  Every Delta^+-1 is carried to the right end and
-    counted there with its sign: a negative run's Delta^-1, and each Delta
-    formed while combing a factor in.  A run that enters while the count is
-    odd is conjugated by Delta first, sigma_i -> sigma_{n-i}, and so are all
-    factors at the end when the count is odd; the count is the delta power.
+    followed by Delta^-1.  Each factor is combed in leftwards.  Every
+    Delta^+-1 counts toward the delta power with its sign: a negative run's
+    Delta^-1, and each Delta formed while combing a factor in, which is
+    deleted and conjugates the shorter side of the factor list by Delta
+    (sigma_i -> sigma_{n-i}) under one flip bit.  A run that enters while the
+    power plus the bit is odd is conjugated first, and so are all factors at
+    the end when it is.
 
     >>> nf = left_normal_form(half_twist(4).inverse())
     >>> nf.delta_power, nf.factors
@@ -352,18 +341,44 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     (Permutation(images=(2, 3, 1)), Permutation(images=(1, 3, 2)))
     """
     n = w.n
-    w0 = tuple(range(n, 0, -1))
+    w0 = list(range(n, 0, -1))
     identity = w0[::-1]
-    power = 0
-    factors: list[tuple[int, ...]] = []
+    power = flip = 0
+    factors: list[list[int]] = []  # each stored as tau^flip of the factor it stands for
     for negative, im in _simple_runs(w):
-        f = tuple(im[::-1] if negative else im)
-        if power % 2:
-            f = _conjugate_by_delta(f, n)
-        power += _append_factor(factors, f, w0, identity) - negative
-    if power % 2:
-        factors = [_conjugate_by_delta(f, n) for f in factors]
-    return NormalForm(n, power, tuple([Permutation(f) for f in factors]))
+        g = im[::-1] if negative else im
+        if (power + flip) % 2:
+            g = _tau(g, n)
+        power -= negative
+        if g == w0:
+            power += 1
+            continue
+        if g == identity:
+            continue
+        factors.append(g)
+        j = len(factors) - 2
+        while j >= 0:
+            f, g = _left_weight(factors[j], factors[j + 1], n)
+            if f is factors[j]:
+                break
+            if g == identity:
+                del factors[j + 1]
+            else:
+                factors[j + 1] = g
+            if f == w0:
+                del factors[j]
+                power += 1
+                if 2 * j < len(factors):
+                    flip ^= 1
+                    factors[:j] = [_tau(f, n) for f in factors[:j]]
+                else:
+                    factors[j:] = [_tau(f, n) for f in factors[j:]]
+                break
+            factors[j] = f
+            j -= 1
+    if (power + flip) % 2:
+        factors = [_tau(f, n) for f in factors]
+    return NormalForm(n, power, tuple([Permutation(tuple(f)) for f in factors]))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

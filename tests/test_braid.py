@@ -32,7 +32,7 @@ from petalgrid.braid import (
     torus_conjugacy_witness,
     words_equal,
 )
-from petalgrid.braid import _append_factor, _conjugate_by_delta, _left_weight, _simple_runs
+from petalgrid.braid import _left_weight, _simple_runs
 from petalgrid.perm import IndexSubset, Permutation, residue_perm
 
 
@@ -275,17 +275,22 @@ def sliding_word(rng, n, length, cancel):
     return BraidWord(n, tuple(letters))
 
 
-def crossing_word(rng, n, length):
-    """Letters +-sigma_i, a signed permutation braid whose permutation fixes i and i+1, +-sigma_i again."""
+def crossing_word(rng, n, length, shift=False):
+    """Letters +-sigma_j, a signed permutation braid whose strands at i and i+1 start at j and j+1, +-sigma_i.
+
+    j = i, so that the permutation fixes i and i+1, unless shift draws j at
+    random: then a sigma_i that passes the braid goes on as sigma_j.
+    """
     letters = []
     while len(letters) < length:
         i = rng.randint(1, n - 1)
-        images = [k for k in range(1, n + 1) if k not in (i, i + 1)]
+        j = rng.randint(1, n - 1) if shift else i
+        images = [k for k in range(1, n + 1) if k not in (j, j + 1)]
         rng.shuffle(images)
-        images[i - 1 : i - 1] = [i, i + 1]
+        images[i - 1 : i - 1] = [j, j + 1]
         sign = rng.choice((1, -1))
         middle = [sign * g for g in permutation_braid(Permutation(tuple(images))).letters]
-        letters += [rng.choice((1, -1)) * i, *middle, rng.choice((1, -1)) * i]
+        letters += [rng.choice((1, -1)) * j, *middle, rng.choice((1, -1)) * i]
     return BraidWord(n, tuple(letters))
 
 
@@ -294,11 +299,22 @@ def test_letters_slide_past_commuting_runs_to_join_or_cancel():
     assert _simple_runs(BraidWord(6, (1, -4, 2, -5))) == [(False, [2, 3, 1, 4, 5, 6]), (True, [1, 2, 3, 5, 6, 4])]
     # sigma_1^-1 takes back sigma_1's crossing, which leaves the single run sigma_4.
     assert _simple_runs(BraidWord(5, (1, 4, -1))) == [(False, [1, 2, 3, 5, 4])]
-    # A run stops the slide of sigma_i unless its permutation fixes i and i+1.
+    # A run stops the slide of sigma_i unless it has the other sign and its
+    # strands at i and i+1 start adjacent, at j and j+1: then the letter goes
+    # on as sigma_j.  sigma_3 passes sigma_3^-1 sigma_2^-1 as sigma_2 and joins sigma_1.
     assert len(_simple_runs(BraidWord(6, (1, -3, 4)))) == 3
-    assert len(_simple_runs(BraidWord(6, (1, -3, -2, 3)))) == 3
+    assert len(_simple_runs(BraidWord(6, (1, -3, -2, 3)))) == 2
     assert len(_simple_runs(BraidWord(6, (1, -2, 1)))) == 3
     assert len(_simple_runs(BraidWord(6, (2, -1, 3)))) == 2
+    # sigma_2 passes sigma_2^-1 sigma_3^-1 as sigma_3 and joins sigma_1; in
+    # (1, 2, -1) sigma_1^-1 passes the only run as sigma_2^-1 but finds no run
+    # to join, so it starts a new run at the end as sigma_1^-1.
+    w = BraidWord(4, (1, -2, -3, 2))
+    assert _simple_runs(w) == [(False, [2, 1, 4, 3]), (True, [1, 3, 4, 2])]
+    assert letterwise_normal_form(run_word(4, _simple_runs(w))) == letterwise_normal_form(w)
+    w = BraidWord(3, (1, 2, -1))
+    assert _simple_runs(w) == [(False, [2, 3, 1]), (True, [2, 1, 3])]
+    assert letterwise_normal_form(run_word(3, _simple_runs(w))) == letterwise_normal_form(w)
     # Strand 2 of sigma_4 sigma_3 sigma_2 sigma_3 sigma_4 crosses strands 3
     # and 4, which it fixes, so sigma_3 still commutes with its mirror.
     mirror = tuple(-g for g in permutation_braid(Permutation((1, 5, 3, 4, 2))).letters)
@@ -335,6 +351,7 @@ def test_runs_multiply_to_the_word():
     for k in range(600):
         words.append(sliding_word(rng, rng.randint(2, 14), rng.randint(0, 60), k % 2 == 0))
     words += [crossing_word(rng, rng.randint(2, 8), rng.randint(0, 60)) for _ in range(200)]
+    words += [crossing_word(rng, rng.randint(2, 10), rng.randint(0, 60), shift=True) for _ in range(300)]
     for w in words:
         runs = _simple_runs(w)
         assert all(im != list(range(1, w.n + 1)) for _, im in runs), w.letters
@@ -377,58 +394,69 @@ def test_left_weight_matches_one_slide_oracle():
     for n in range(2, 17):
         for _ in range(400):
             f, g = random_permutation(rng, n), random_permutation(rng, n)
-            f2, g2 = _left_weight(f.images, g.images, n)
+            pair = _left_weight(f.images, g.images, n)
+            f2, g2 = tuple(pair[0]), tuple(pair[1])
             assert (f2, g2) == _letterwise_left_weight(f.images, g.images, n), (f, g)
             assert Permutation(f2) * Permutation(g2) == f * g
             assert _letterwise_left_weight(f2, g2, n)[0] == f2
             if f2 == f.images:
-                assert f2 is f.images and g2 is g.images
+                assert pair[0] is f.images and pair[1] is g.images
 
 
-def test_delta_formed_mid_list_is_stripped_and_conjugates_earlier_factors():
-    # Append to F_1 ... F_j the complement g of F_j, so that F_j g = Delta:
-    # combing forms Delta at F_j's index, not at the front.
-    rng = random.Random(97)
-    n = 7
-    nf = left_normal_form(BraidWord(n, tuple([rng.randint(1, n - 1) for _ in range(60)])))
-    assert nf.canonical_length() >= 4
-    j = 3
-    head = [f.images for f in nf.factors[:j]]
-    w0 = tuple(range(n, 0, -1))
-    complement = nf.factors[j - 1].inverse() * Permutation(w0)
-    conjugated = [_conjugate_by_delta(f, n) for f in head[: j - 1]]
-    assert conjugated != head[: j - 1]
-    # _append_factor counts the Delta and carries it to the right end: the
-    # factors before it stay, the factors after it (none here) flip.
-    factors = list(head)
-    assert _append_factor(factors, complement.images, w0, w0[::-1]) == 1
-    assert factors == head[: j - 1]
-    # Append complement * sigma_i instead (still simple, as complement(i) <
-    # complement(i+1)): F_j absorbs the complement, and the sigma_i left
-    # after the Delta flips to sigma_{n-i}.
-    i = next(i for i in range(1, n) if complement(i) < complement(i + 1))
-    longer = complement * induced_permutation(sigma(n, i))
-    assert inversions(longer) == inversions(complement) + 1
-    factors = list(head)
-    assert _append_factor(factors, longer.images, w0, w0[::-1]) == 1
-    assert factors == head[: j - 1] + [induced_permutation(sigma(n, n - i)).images]
-    product = BraidWord.identity(n)
-    for f in head + [longer.images]:
-        product = product * permutation_braid(Permutation(f))
-    kept = BraidWord.identity(n)
-    for f in factors:
-        kept = kept * permutation_braid(Permutation(f))
-    assert words_equal(product, kept * half_twist(n))
+def test_a_delta_formed_mid_list_conjugates_the_shorter_side():
+    # The last letter sigma_i^-1 enters as the nearly full factor sigma_i^-1
+    # Delta, then Delta^-1.  Combing it in fills the factor at index 2 up to
+    # Delta, which is deleted and cancels that Delta^-1: the delta power and
+    # the factors before index 2 come out as without the letter, the factor
+    # at index 2 does not.  In B_4 five factors are left, so the Delta formed
+    # in the first half: the bit flips and the two stored factors before it
+    # are conjugated.  In B_5 four are left, so it formed in the second half,
+    # and the two stored factors from index 2 on are conjugated.
+    # Delta-conjugation moves each factor on the conjugated side.
+    for n, letters, length in ((4, (-1, 3, -1, -1, 3, -2), 5), (5, (-1, -1, -1, 3, -2), 4)):
+        w = BraidWord(n, letters)
+        before, after = left_normal_form(BraidWord(n, letters[:-1])), left_normal_form(w)
+        assert after.canonical_length() == length
+        assert after.delta_power == before.delta_power
+        assert after.factors[:2] == before.factors[:2] and after.factors[2] != before.factors[2]
+        assert after == letterwise_normal_form(w)
+        w0 = Permutation(tuple(range(n, 0, -1)))
+        conjugated = after.factors[:2] if 2 * 2 < length else after.factors[2:]
+        assert all(w0 * f * w0 != f for f in conjugated)
+        # Runs enter after it under the bit, and the end conjugates by power + bit.
+        for tail in ((1,), (-1,), (2, -3, 1), (-2, -2, 3)):
+            longer = BraidWord(n, letters + tail)
+            assert left_normal_form(longer) == letterwise_normal_form(longer), longer.letters
 
-    # The same product as a word: the Delta power rises by one.
-    w = half_twist(n) ** nf.delta_power
-    for f in nf.factors[:j]:
-        w = w * permutation_braid(f)
-    w = w * permutation_braid(complement)
-    result = left_normal_form(w)
-    assert result.delta_power == nf.delta_power + 1
-    assert [f.images for f in result.factors] == conjugated
-    assert result == letterwise_normal_form(w)
+
+def test_normal_form_matches_letterwise_oracle_where_combing_forms_many_deltas():
+    # In a balanced signed word each negative run enters as a nearly full
+    # factor, which combing often fills up to Delta anywhere in the factor
+    # list, so the flip bit changes many times within one word.
+    rng = random.Random(1313)
+    formed = 0
+    for _ in range(300):
+        n = rng.randint(2, 14)
+        w = random_word(rng, n, 120)
+        nf = left_normal_form(w)
+        assert nf == letterwise_normal_form(w), w.letters
+        # Deltas formed by combing: the power, plus one per negative run's
+        # Delta^-1, less the positive runs that are Delta already.
+        w0 = list(range(n, 0, -1))
+        formed += nf.delta_power + sum(1 if negative else -(im == w0) for negative, im in _simple_runs(w))
+    assert formed > 1500
+
+
+def test_normal_form_rejects_factors_of_another_degree_and_negative_indices():
+    for factors in ((Permutation((2, 1)),), (Permutation((2, 1)),) * 2, (Permutation((1, 2, 4, 3)),)):
+        with pytest.raises(ValueError, match="^factor of degree [24] in a normal form of braid index 3$"):
+            NormalForm(3, 0, factors)
+    with pytest.raises(ValueError, match="^braid index must be nonnegative$"):
+        NormalForm(-1, 0, ())
+    with pytest.raises(ValueError, match="^normal form factors are not left-weighted$"):
+        NormalForm(3, 0, (Permutation((2, 1, 3)), Permutation((1, 3, 2))))
+    assert NormalForm(3, 0, (Permutation((2, 3, 1)), Permutation((1, 3, 2)))).canonical_length() == 2
+    assert NormalForm(0, 5, ()).delta_power == 5
 
 
 def test_words_equal_examples():
