@@ -10,6 +10,7 @@ stdout early does not change the exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,7 +170,15 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every later one.
+
+    Building it takes about a millisecond, as long as certifying a small
+    pair, so `main` reuses it.  Each parse returns a fresh Namespace and
+    argparse looks up sys.stdout and sys.stderr when it prints, so calls
+    share no state through it; callers must not mutate it.
+    """
     parser = argparse.ArgumentParser(
         prog="petalgrid",
         description="Petal permutations and petal grid diagrams of torus knots",

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import petalgrid
+import petalgrid.cli as cli
 import petalgrid.invariants as invariants
 import petalgrid.selftest as selftest
 from petalgrid.braid import delta, half_twist, round_trip, words_equal
@@ -419,6 +421,46 @@ def test_start_up_loads_only_what_verify_needs():
     loaded = set(proc.stdout.split())
     assert "petalgrid.invariants" in loaded and "argparse" in loaded and "json" in loaded
     assert not loaded & {"dataclasses", "inspect", "petalgrid.selftest", "signal"}
+
+
+def test_main_reuses_one_parser_and_calls_stay_independent(capsys, monkeypatch):
+    # main builds its 9 parsers on the first call and no parser after it, and
+    # each call, an error or --help among them, prints and exits exactly as a
+    # freshly built parser makes it: nothing one parse leaves behind reaches the next.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    cli.build_parser.cache_clear()
+    calls = (
+        ("verify", "5", "7", "--json", "--pipeline", "burau"),
+        ("verify", "5", "7", "--json"),
+        ("verify", "5", "7"),
+        ("verify", "3", "6"),
+        ("verify", "5", "7", "--timeout", "0"),
+        ("--help",),
+        ("synthesize", "5", "7", "--json"),
+    )
+    shared = []
+    for k, argv in enumerate(calls):
+        before = len(built)
+        shared.append(run(capsys, *argv))
+        assert len(built) - before == (9 if k == 0 else 0), argv
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert run(capsys, *argv) == shared[-1], argv
+    assert [code for code, _, _ in shared] == [0, 0, 0, 2, 2, 0, 0]
+    assert json.loads(shared[0][1])["pipeline"] == "burau"
+    assert json.loads(shared[1][1])["pipeline"] == "both"
+    assert shared[2][1].startswith("n: 5\n") and shared[2][2] == ""
+    assert shared[3][1] == "" and "not coprime" in shared[3][2]
+    assert shared[4][1] == "" and "positive number of seconds" in shared[4][2]
+    assert shared[5][1].startswith("usage: petalgrid") and shared[5][2] == ""
+    assert json.loads(shared[6][1])["length"] == 13
 
 
 def test_selftest_seed_defaults_to_the_suites_seed(monkeypatch):
