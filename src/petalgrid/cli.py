@@ -177,7 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     Building it takes about a millisecond, as long as certifying a small
     pair, so `main` reuses it.  Each parse returns a fresh Namespace and
     argparse looks up sys.stdout and sys.stderr when it prints, so calls
-    share no state through it; callers must not mutate it.
+    share no state through it; callers must not mutate it.  The handlers
+    and argument types are bound at the first build, so code that patches
+    a `cmd_*` function or `_seconds` must call `build_parser.cache_clear()`
+    first.
     """
     parser = argparse.ArgumentParser(
         prog="petalgrid",

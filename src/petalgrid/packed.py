@@ -11,8 +11,7 @@ entry, the sweep per row and the Burau product per column.  A height is
 the operands' sum or product bound or, near the limit, the mask test's
 (_height), and the width doubles when exact heights reach the limit too.
 The Burau product starts at 64-bit digits, the determinants at 16, and
-B - I moves between the two by _repack, which copies a long value's
-digits as bytes.
+B - I moves between the two by _repack, which copies digits as bytes.
 
 Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
 a nonzero remainder means it is not exact.  Two facts make an integer
@@ -54,18 +53,11 @@ def _repack(value: int, width: int, new: int) -> int:
     """The value with its balanced base-2^width digits moved to base 2^new (both multiples of 8).
 
     Each digit must fit the narrower width, as every digit does when
-    widening.  A value below 2^(7*width) in size, 8 digits at most, is
-    decoded and rebuilt by one shift-add per digit.  Offset by half the
-    narrower base, the digits of a longer one are bytes, which are copied
-    across in place of a shift per digit.
+    widening.  Offset by half the narrower base, the digits are bytes, which
+    are copied across in place of a shift per digit.
     """
     # + 2, not + 1: top digits 1, -X/2 over negative ones are a bit short of their length.
     narrow, length = min(width, new), value.bit_length() // width + 2
-    if length < 9:
-        out = 0
-        for digit in reversed(_digits(value, width)):
-            out = (out << new) + digit
-        return out
     half = 1 << (narrow - 1)
     data = (value + half * _repunit(length, width)).to_bytes(length * width // 8, "little")
     out = bytearray(length * new // 8)
