@@ -442,7 +442,10 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     the (n, k) torus knot; verification is by normal-form equality of
     conjugator^-1 delta^k conjugator and the band form.
     """
-    check_pair(min(n, k), max(n, k))
+    if min(n, k) < 2:
+        raise ValueError(f"need n, k >= 2, got n={n}, k={k}")
+    if math.gcd(n, k) != 1:
+        raise ValueError("not coprime")
     conj = permutation_braid(residue_perm(n, k % n))
     rhs = conjugate_band_braid(n, k)
     lhs = conj.inverse() * delta(n) ** k * conj

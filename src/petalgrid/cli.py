@@ -88,14 +88,13 @@ def _seconds(text: str) -> float:
 def cmd_verify(args: argparse.Namespace) -> int:
     deadline = time.monotonic() + args.timeout if args.timeout is not None else None
     report = certify(args.n, args.s, args.pipeline, deadline)
-    if report.get("timeout"):
-        _emit_json(report) if args.json else _out(f"timed out; partial report: {report}")
-        return EXIT_TIMEOUT
     if args.json:
         _emit_json(report)
     else:
         for key, value in report.items():
             _out(f"{key}: {value}")
+    if report.get("timeout"):
+        return EXIT_TIMEOUT
     return EXIT_OK if report["all_match"] else EXIT_CHECK_FAILED
 
 

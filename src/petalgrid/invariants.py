@@ -2,8 +2,10 @@
 The torus closed form and two Alexander-polynomial pipelines.
 
 Alexander polynomials are defined only up to multiplication by units
-+-t^k, so every comparison here goes through normalize_up_to_units, which
-shifts the lowest exponent to zero and makes its coefficient positive.
++-t^k, so each one here is a tuple of coefficients, lowest power first,
+with no zero at either end and the lowest coefficient positive (normalized):
+two such tuples are the same polynomial up to units exactly when they are
+equal.  format_polynomial prints one.
 
 The grid pipeline takes the determinant of a grid diagram's winding-number
 matrix with each row less the next, the factor (1-t) and a unit taken out:
@@ -42,73 +44,41 @@ from .braid import conjugate_band_braid  # noqa: F401
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 # bareiss_determinant is kept importable here for perfbench/spans.py.
 from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401
-from .perm import _Value
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
-class LaurentPolynomial(_Value):
-    """An integer-coefficient polynomial in t with possibly negative exponents.
+def normalized(coeffs: tuple[int, ...] | list[int]) -> tuple[int, ...]:
+    """The representative up to units +-t^k: zeros trimmed at both ends, the lowest coefficient positive."""
+    lo, hi = 0, len(coeffs)
+    while hi > lo and coeffs[hi - 1] == 0:
+        hi -= 1
+    while lo < hi and coeffs[lo] == 0:
+        lo += 1
+    sign = -1 if lo < hi and coeffs[lo] < 0 else 1
+    return tuple([sign * c for c in coeffs[lo:hi]])
 
-    coeffs[j] multiplies t^(min_exp + j); the first and last coefficients
-    are nonzero unless the polynomial is zero (empty coeffs).  It is a value
-    only: the pipelines compute on coefficient lists and in petalgrid.packed,
-    and this class holds, normalizes and prints what they return.
+
+def format_polynomial(coeffs: tuple[int, ...] | list[int]) -> str:
+    """The polynomial with these coefficients, lowest power first, as text, highest power first.
+
+    >>> format_polynomial((-1, 0, 0, 2))
+    '2*t^3 - 1'
     """
-
-    __slots__ = ("min_exp", "coeffs")
-
-    def __init__(self, min_exp: int, coeffs: tuple[int, ...]):
-        if coeffs and (coeffs[0] == 0 or coeffs[-1] == 0):
-            raise ValueError("coefficients must be trimmed")
-        object.__setattr__(self, "min_exp", min_exp)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @staticmethod
-    def from_coeffs(min_exp: int, coeffs: list[int]) -> LaurentPolynomial:
-        lo = 0
-        hi = len(coeffs)
-        while hi > lo and coeffs[hi - 1] == 0:
-            hi -= 1
-        while lo < hi and coeffs[lo] == 0:
-            lo += 1
-        if lo == hi:
-            return LaurentPolynomial(0, ())
-        return LaurentPolynomial(min_exp + lo, tuple(coeffs[lo:hi]))
-
-    def normalize_up_to_units(self) -> LaurentPolynomial:
-        """The representative with lowest exponent 0 and positive lowest coefficient."""
-        coeffs = self.coeffs
-        return LaurentPolynomial(0, coeffs if not coeffs or coeffs[0] > 0 else tuple([-c for c in coeffs]))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            e = self.min_exp + i
-            if e == 0:
-                mono = ""
-            elif e == 1:
-                mono = "t"
-            else:
-                mono = f"t^{e}"
-            mag = abs(c)
-            body = mono if mag == 1 and mono else f"{mag}{'*' if mono else ''}{mono}"
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+    parts: list[str] = []
+    for e in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[e]
+        if c == 0:
+            continue
+        mono = "" if e == 0 else "t" if e == 1 else f"t^{e}"
+        body = mono if abs(c) == 1 and mono else f"{abs(c)}{'*' if mono else ''}{mono}"
+        if not parts:
+            parts.append(body if c > 0 else f"-{body}")
+        else:
+            parts.append(f"+ {body}" if c > 0 else f"- {body}")
+    return " ".join(parts) or "0"
 
 
-def equal_up_to_units(a: LaurentPolynomial, b: LaurentPolynomial) -> bool:
-    return a.normalize_up_to_units() == b.normalize_up_to_units()
-
-
-def torus_alexander(n: int, s: int) -> LaurentPolynomial:
+def torus_alexander(n: int, s: int) -> tuple[int, ...]:
     """Delta of T(n, s), normalized, read off the numerical semigroup <n, s>.
 
     With c = (n-1)(s-1), Delta(t) = (1-t) * (the sum of t^k over the
@@ -118,9 +88,9 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
     integer steps and with no division.  0 is a member and c - 1 the
     largest gap, so the list starts and ends with 1: trimmed and normalized.
 
-    >>> print(torus_alexander(2, 3))
-    t^2 - t + 1
-    >>> print(torus_alexander(3, 4))
+    >>> torus_alexander(2, 3)
+    (1, -1, 1)
+    >>> print(format_polynomial(torus_alexander(3, 4)))
     t^6 - t^5 + t^3 - t + 1
     """
     check_pair(n, s)
@@ -129,7 +99,7 @@ def torus_alexander(n: int, s: int) -> LaurentPolynomial:
     for an in range(0, c, n):
         for k in range(an, c, s):
             member[k] = 1
-    return LaurentPolynomial(0, tuple([a - b for a, b in zip(member + [1], [0] + member)]))
+    return tuple([a - b for a, b in zip(member + [1], [0] + member)])
 
 
 # --- Alexander polynomial from a grid diagram ---------------------------------
@@ -163,7 +133,7 @@ def _differenced_grid_matrix(g: GridDiagram) -> list[dict[int, tuple]]:
     return rows
 
 
-def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
+def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
     """The normalized Alexander polynomial of a one-component grid diagram.
 
     The p x p matrix (t^w), w the winding number around each cell centre,
@@ -173,13 +143,13 @@ def alexander_from_grid(g: GridDiagram) -> LaurentPolynomial:
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
     rows = _differenced_grid_matrix(g)  # units, the same at every width
-    return LaurentPolynomial.from_coeffs(*determinant_up_to_units(lambda width: (rows, 1))).normalize_up_to_units()
+    return normalized(determinant_up_to_units(lambda width: (rows, 1)))
 
 
 # --- Alexander polynomial of a braid closure ----------------------------------
 
 
-def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
+def alexander_from_closure(w: BraidWord) -> tuple[int, ...]:
     """The normalized Alexander polynomial of the closure of the braid.
 
     Computed as det(reduced Burau - I) * (1-t)/(1-t^n) on the determinant's
@@ -190,13 +160,13 @@ def alexander_from_closure(w: BraidWord) -> LaurentPolynomial:
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    low, det = determinant_up_to_units(burau_minus_identity(*reduced_burau(w)))
+    det = determinant_up_to_units(burau_minus_identity(*reduced_burau(w)))
     q = [a - b for a, b in zip(det + [0], [0] + det)]
     for k in range(w.n, len(q)):
         q[k] += q[k - w.n]
     if any(q[-w.n :]):
         raise ValueError("not divisible")
-    return LaurentPolynomial.from_coeffs(low, q[: -w.n]).normalize_up_to_units()
+    return normalized(q[: -w.n])
 
 
 # --- End-to-end certification -------------------------------------------------
@@ -283,18 +253,18 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
 
             stage = "closed_form"
             closed_form = torus_alexander(n, s)
-            report["alexander_closed_form"] = str(closed_form)
+            report["alexander_closed_form"] = format_polynomial(closed_form)
 
             if pipeline in ("grid", "both"):
                 stage = "alexander_grid"
                 from_grid = alexander_from_grid(grid)
-                report["alexander_from_grid"] = str(from_grid)
-                checks.append(equal_up_to_units(from_grid, closed_form))
+                report["alexander_from_grid"] = format_polynomial(from_grid)
+                checks.append(from_grid == closed_form)
             if pipeline in ("burau", "both"):
                 stage = "alexander_braid"
                 from_braid = alexander_from_closure(witness.rhs)
-                report["alexander_from_braid"] = str(from_braid)
-                checks.append(equal_up_to_units(from_braid, closed_form))
+                report["alexander_from_braid"] = format_polynomial(from_braid)
+                checks.append(from_braid == closed_form)
     except TimeoutError:
         report["timeout"] = True
         return report

@@ -234,8 +234,8 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int)
     return [[row.get(j, (0, 0)) for j in kept] for row in rows.values()]
 
 
-def determinant_up_to_units(rows_at: Callable[[int], tuple[list[dict], int]]) -> tuple[int, list[int]]:
-    """det(rows) times some +-t^k, as (low, coefficients): unit pivots, then Bareiss on the remainder.
+def determinant_up_to_units(rows_at: Callable[[int], tuple[list[dict], int]]) -> list[int]:
+    """det(rows) times some +-t^k, as coefficients lowest first: unit pivots, then Bareiss on the remainder.
 
     rows_at(width) is a builder: it returns (rows, height), sparse packed
     rows at that width whose coefficients height bounds below X/4, or it
@@ -245,8 +245,8 @@ def determinant_up_to_units(rows_at: Callable[[int], tuple[list[dict], int]]) ->
     width = _DET_WIDTH
     while True:
         try:
-            low, value = bareiss_determinant(_unit_pivot_remainder(*rows_at(width), width), width)
-            return low, _digits(value, width)
+            _, value = bareiss_determinant(_unit_pivot_remainder(*rows_at(width), width), width)
+            return _digits(value, width)
         except _Narrow:
             width *= 2
 

@@ -2,11 +2,11 @@
 
 Nothing here goes through the code paths it checks: word equality is decided
 by exhaustive rewriting, normal forms also letter by letter with a Delta
-stripped only once it reaches the front, polynomial arithmetic on a ring
-of its own (the library's LaurentPolynomial is a value without
-arithmetic), the torus closed form as the quotient
-(t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), determinants by cofactor expansion
-and by Bareiss on that ring, the unit-pivot sweep on
+stripped only once it reaches the front, polynomial arithmetic and the
+normalization up to units on a Laurent ring of its own (the library keeps
+a polynomial as a bare coefficient tuple), the torus closed form as the
+quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), determinants by cofactor
+expansion and by Bareiss on that ring, the unit-pivot sweep on
 exponent -> coefficient dicts, grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
@@ -38,7 +38,6 @@ from petalgrid.braid import (
     words_equal,
 )
 from petalgrid.grid import GridDiagram, Point
-from petalgrid.invariants import LaurentPolynomial
 from petalgrid.perm import IndexSubset, Permutation
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 from petalgrid.selftest import SuiteResult, _random_subset, _random_word
@@ -174,10 +173,10 @@ def letterwise_normal_form(w: BraidWord) -> NormalForm:
 class Laurent:
     """An integer-coefficient Laurent polynomial with +, -, * and exact division.
 
-    coeffs[j] multiplies t^(min_exp + j), trimmed as in LaurentPolynomial.
-    It compares equal, from either side, with a LaurentPolynomial of the
-    same fields (whose __eq__ returns NotImplemented for another class), and
-    hashes alike, so the oracles' results and the library's meet in one ==.
+    coeffs[j] multiplies t^(min_exp + j); the first and last coefficients
+    are nonzero unless the polynomial is zero (empty coeffs).  up_to_units()
+    gives the library's form of a polynomial up to +-t^k, a normalized
+    coefficient tuple, so the oracles' results and the library's meet in one ==.
     """
 
     __slots__ = ("min_exp", "coeffs")
@@ -189,7 +188,7 @@ class Laurent:
         self.coeffs = coeffs
 
     def __eq__(self, other):
-        if isinstance(other, (Laurent, LaurentPolynomial)):
+        if isinstance(other, Laurent):
             return (self.min_exp, self.coeffs) == (other.min_exp, other.coeffs)
         return NotImplemented
 
@@ -213,8 +212,10 @@ class Laurent:
 
     @staticmethod
     def from_coeffs(min_exp: int, coeffs: list[int]) -> "Laurent":
-        trimmed = LaurentPolynomial.from_coeffs(min_exp, coeffs)
-        return Laurent(trimmed.min_exp, trimmed.coeffs)
+        nonzero = [j for j, c in enumerate(coeffs) if c]
+        if not nonzero:
+            return Laurent.zero()
+        return Laurent(min_exp + nonzero[0], tuple(coeffs[nonzero[0] : nonzero[-1] + 1]))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -280,20 +281,20 @@ class Laurent:
             raise ValueError("not divisible")
         return Laurent.from_coeffs(self.min_exp - other.min_exp, out)
 
-    def normalize_up_to_units(self) -> "Laurent":
-        """The representative with lowest exponent 0 and positive lowest coefficient."""
-        return Laurent(0, (self if not self.coeffs or self.coeffs[0] > 0 else -self).coeffs)
+    def up_to_units(self) -> tuple[int, ...]:
+        """The coefficients of the representative with lowest exponent 0 and positive lowest coefficient."""
+        return (self if not self.coeffs or self.coeffs[0] > 0 else -self).coeffs
 
 
 def t_power_minus_one(e: int) -> Laurent:
     return Laurent.from_coeffs(0, [-1] + [0] * (e - 1) + [1])
 
 
-def torus_alexander_by_quotient(n: int, s: int) -> Laurent:
-    """Delta of T(n, s) as the quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), normalized."""
+def torus_alexander_by_quotient(n: int, s: int) -> tuple[int, ...]:
+    """Delta of T(n, s) as the quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), normalized up to units."""
     num = t_power_minus_one(n * s) * t_power_minus_one(1)
     den = t_power_minus_one(n) * t_power_minus_one(s)
-    return num.divide_exact(den).normalize_up_to_units()
+    return num.divide_exact(den).up_to_units()
 
 
 def naive_cofactor_det(m: list[list[Laurent]]) -> Laurent:
@@ -600,8 +601,8 @@ def to_planar_diagram(g: GridDiagram) -> PlanarDiagram:
     return PlanarDiagram(tuple(crossings), n_arcs, len(cycles))
 
 
-def wirtinger_alexander(d: PlanarDiagram) -> Laurent:
-    """The normalized Alexander polynomial of a one-component diagram.
+def wirtinger_alexander(d: PlanarDiagram) -> tuple[int, ...]:
+    """The Alexander polynomial of a one-component diagram, normalized up to units.
 
     One Wirtinger row per crossing: at a positive crossing the outgoing
     under-arc is the over-conjugate of the incoming one, giving abelianized
@@ -613,7 +614,7 @@ def wirtinger_alexander(d: PlanarDiagram) -> Laurent:
         raise ValueError("not a knot")
     c = len(d.crossings)
     if c == 0:
-        return Laurent.one()
+        return (1,)
     t = Laurent.term(1, 1)
     one = Laurent.one()
     rows = []
@@ -627,7 +628,7 @@ def wirtinger_alexander(d: PlanarDiagram) -> Laurent:
             row[arc] = row[arc] + val
         rows.append(row)
     minor = [row[: c - 1] for row in rows[: c - 1]]
-    return fraction_free_det(minor).normalize_up_to_units()
+    return fraction_free_det(minor).up_to_units()
 
 
 def winding_number_matrix(g: GridDiagram) -> list[list[Laurent]]:

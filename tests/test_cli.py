@@ -141,12 +141,12 @@ def test_verify_burau_rescale_that_does_not_divide_exits_1(capsys, monkeypatch):
     # det(B - I) of a knot closure on n strands is Delta * (1 + t + ... + t^(n-1));
     # the braid pipeline refuses a determinant that this sum does not divide.
     dets = iter([[1, 2, 3, 2, 1], [1, 1, 1, 1], [1, 2, 3, 2, 2], [1, 2, 3, 2, 1, 1]])
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: (0, next(dets)))
-    assert str(invariants.alexander_from_closure(delta(3) ** 5)) == "t^2 + t + 1"  # (1 + t + t^2)^2
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: next(dets))
+    assert invariants.alexander_from_closure(delta(3) ** 5) == (1, 1, 1)  # (1 + t + t^2)^2
     for _ in range(3):
         with pytest.raises(ValueError, match="^not divisible$"):
             invariants.alexander_from_closure(delta(3) ** 5)
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: (0, [1, 1]))
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: [1, 1])
     code, out, _ = run(capsys, "verify", "3", "5", "--pipeline", "burau", "--json")
     assert code == 1
     payload = json.loads(out)
@@ -205,17 +205,22 @@ def test_verify_timeout_must_be_positive(capsys):
         assert out == "" and "positive number of seconds" in err
 
 
-def test_verify_timeout_interrupts_the_determinant(capsys, monkeypatch):
-    # The determinant is slowed down here, so that the deadline lands in it
-    # on any machine (at T(41,100) it takes about 0.6 s); the closed form is the
-    # last stage before the grid's, so the timer rings inside it.
+@pytest.fixture
+def slow_determinant(monkeypatch):
+    """The determinant slowed down by 10 s, so that a deadline lands in it on any machine."""
     determinant = invariants.determinant_up_to_units
 
-    def slow_determinant(*args):
+    def slow(*args):
         time.sleep(10)
         return determinant(*args)
 
-    monkeypatch.setattr(invariants, "determinant_up_to_units", slow_determinant)
+    monkeypatch.setattr(invariants, "determinant_up_to_units", slow)
+
+
+def test_verify_timeout_interrupts_the_determinant(capsys, slow_determinant):
+    # The slowed determinant holds the deadline on any machine (at T(41,100) it
+    # takes about 0.6 s unslowed); the closed form is the last stage before the
+    # grid's, so the timer rings inside it.
     t0 = time.monotonic()
     code, out, _ = run(capsys, "verify", "41", "100", "--timeout", "0.3", "--json")
     elapsed = time.monotonic() - t0
@@ -224,6 +229,21 @@ def test_verify_timeout_interrupts_the_determinant(capsys, monkeypatch):
     assert payload["timeout"] is True
     assert "alexander_closed_form" in payload
     assert "alexander_from_grid" not in payload
+    assert elapsed < 2.0, elapsed
+
+
+def test_verify_timeout_prints_the_partial_report_as_text(capsys, slow_determinant):
+    # Without --json a timed-out run prints its partial report as the same
+    # "key: value" lines as a finished one, with no all_match line, and exits 3.
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "verify", "5", "7", "--timeout", "0.3")
+    elapsed = time.monotonic() - t0
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[:3] == ["n: 5", "s: 7", "pipeline: both"] and lines[-1] == "timeout: True"
+    assert "alexander_closed_form: " + invariants.format_polynomial(invariants.torus_alexander(5, 7)) in lines
+    keys = [line.partition(": ")[0] for line in lines]
+    assert "all_match" not in keys and "alexander_from_grid" not in keys
     assert elapsed < 2.0, elapsed
 
 
@@ -326,7 +346,11 @@ def test_braid_conjugacy(capsys):
     payload = json.loads(out)
     assert payload["verified"] and payload["conjugator"]["letters"] == []
     code, _, err = run(capsys, "braid", "conjugacy", "6", "3")
-    assert code == 2
+    assert code == 2 and "not coprime" in err
+    # The message names the arguments as typed: n = 3 strands, power k = 1.
+    code, out, err = run(capsys, "braid", "conjugacy", "3", "1")
+    assert (code, out) == (2, "")
+    assert "need n, k >= 2, got n=3, k=1" in err
 
 
 def test_render(capsys, tmp_path):

@@ -2,6 +2,7 @@ import ast
 import importlib
 import math
 import random
+import re
 import sys
 from pathlib import Path
 
@@ -23,17 +24,17 @@ from petalgrid import invariants, packed
 from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form, sigma
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
-    LaurentPolynomial,
     alexander_from_closure,
     alexander_from_grid,
     certify,
-    equal_up_to_units,
+    format_polynomial,
+    normalized,
     torus_alexander,
 )
 from petalgrid.petal import PetalPermutation, synthesize
 
-# The polynomials the tests build and compute on are the oracles' Laurent,
-# which compares equal with a LaurentPolynomial of the same fields.
+# The polynomials the tests build and compute on are the oracles' Laurent;
+# its up_to_units() is the library's form, a normalized coefficient tuple.
 T = Laurent.term(1, 1)
 ONE = Laurent.one()
 
@@ -43,11 +44,6 @@ def poly(*pairs):
     for coeff, exp in pairs:
         out = out + Laurent.term(coeff, exp)
     return out
-
-
-def as_library(p):
-    """The library's LaurentPolynomial with the fields of p."""
-    return LaurentPolynomial(p.min_exp, p.coeffs)
 
 
 def power(base, e):
@@ -138,32 +134,44 @@ def test_divide_exact_sparse_and_dense_divisors():
     assert sum(den.coeffs.count(0) > 0 for den in sparse) == len(sparse) - 1  # t - 1 has none
 
 
-# --- The library's LaurentPolynomial and the torus closed form ----------------
+# --- The library's normalized coefficient tuples and the torus closed form ----
 
 
 def test_normalize_up_to_units():
-    p = as_library(poly((-1, -1), (1, 0), (-1, 1)))  # -t^-1 + 1 - t
-    assert p.normalize_up_to_units() == poly((1, 0), (-1, 1), (1, 2))
-    assert str(p.normalize_up_to_units()) == "t^2 - t + 1"
+    # Zeros go at both ends and a negative lowest coefficient flips every sign.
+    assert normalized([0, 0, -1, 1, -1, 0]) == (1, -1, 1)  # -t^2 + t^3 - t^4
+    assert normalized((1, 0, -2)) == (1, 0, -2)
+    assert normalized([-2, 0, 3, 0]) == (2, 0, -3)
+    assert normalized([0, 0, 0]) == normalized(()) == ()
+    assert format_polynomial(normalized([0, -1, 1, -1])) == "t^2 - t + 1"
+    # The oracle's own normalization, on random Laurent polynomials padded with zeros.
+    rng = random.Random(144)
+    for _ in range(300):
+        p = random_laurent(rng)
+        padded = [0] * rng.randint(0, 3) + list(p.coeffs) + [0] * rng.randint(0, 3)
+        assert normalized(padded) == p.up_to_units(), padded
 
 
 def test_substitute_inverse_palindrome():
     # Symmetry under t -> 1/t, read on the normalized coefficients.
-    p = as_library(poly((-1, -1), (1, 0), (-1, 1))).normalize_up_to_units()
-    assert p.coeffs == p.coeffs[::-1]
-    q = as_library(poly((2, 1), (1, 0))).normalize_up_to_units()
-    assert q.coeffs != q.coeffs[::-1]
+    p = normalized(poly((-1, -1), (1, 0), (-1, 1)).coeffs)  # -t^-1 + 1 - t
+    assert p == p[::-1]
+    q = normalized(poly((2, 1), (1, 0)).coeffs)
+    assert q != q[::-1]
 
 
 def test_pretty_printing():
-    assert str(LaurentPolynomial.from_coeffs(0, [])) == "0"
-    assert str(as_library(poly((2, 3), (-1, 0)))) == "2*t^3 - 1"
-    assert str(as_library(poly((1, -2), (1, 1)))) == "t + t^-2"
+    assert format_polynomial(()) == "0"
+    assert format_polynomial((7,)) == "7"
+    assert format_polynomial((-1,)) == "-1"
+    assert format_polynomial((0, 1)) == "t"
+    assert format_polynomial((-1, 0, 0, 2)) == "2*t^3 - 1"
+    assert format_polynomial((0, -3, 1, 1)) == "t^3 + t^2 - 3*t"
 
 
 def test_torus_alexander():
-    assert torus_alexander(2, 3) == poly((1, 0), (-1, 1), (1, 2))
-    assert torus_alexander(2, 5) == poly((1, 0), (-1, 1), (1, 2), (-1, 3), (1, 4))
+    assert torus_alexander(2, 3) == (1, -1, 1)
+    assert torus_alexander(2, 5) == (1, -1, 1, -1, 1)
     with pytest.raises(ValueError, match="not coprime"):
         torus_alexander(4, 6)
     for n in range(2, 12):
@@ -171,9 +179,10 @@ def test_torus_alexander():
             if math.gcd(n, s) != 1:
                 continue
             p = torus_alexander(n, s)
-            assert p.min_exp + len(p.coeffs) - 1 == (n - 1) * (s - 1)
-            assert abs(sum(p.coeffs)) == 1
-            assert p.coeffs == p.coeffs[::-1]
+            assert p == normalized(p)
+            assert len(p) - 1 == (n - 1) * (s - 1)
+            assert abs(sum(p)) == 1
+            assert p == p[::-1]
 
 
 def test_torus_alexander_matches_the_quotient():
@@ -411,18 +420,21 @@ def test_invariants_reaches_packed_by_public_names_only():
 
 
 def test_laurent_polynomial_is_a_value_without_arithmetic():
-    # Polynomial products and quotients run in packed, on coefficient lists,
-    # or in the tests' oracles: LaurentPolynomial holds, normalizes and
-    # prints, and no petalgrid module defines the ring's division.
-    tree = ast.parse(Path(invariants.__file__).read_text())
-    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "LaurentPolynomial"]
-    names = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
-    names |= {target.id for node in cls.body if isinstance(node, ast.Assign) for target in node.targets}
-    assert names <= {"__slots__", "__init__", "from_coeffs", "normalize_up_to_units", "__str__"}, names
-    defined = [
-        (path.name, node.name)
+    # The library keeps a polynomial as a bare coefficient tuple, and its
+    # products and quotients run in packed, on coefficient lists, or in the
+    # tests' oracles: no petalgrid module defines a polynomial class or the
+    # ring's division.
+    nodes = [
+        (path.name, node)
         for path in sorted(Path(invariants.__file__).parent.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
+    ]
+    classes = [(name, node.name) for name, node in nodes if isinstance(node, ast.ClassDef)]
+    assert ("perm.py", "Permutation") in classes
+    assert not [c for c in classes if re.search("polynomial|laurent", c[1], re.IGNORECASE)], classes
+    defined = [
+        (name, node.name)
+        for name, node in nodes
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in ("_t_power_minus_one", "divide_exact")
     ]
     assert not defined, defined
@@ -449,16 +461,16 @@ def test_perfbench_span_targets_resolve():
 
 def test_alexander_from_grid_examples():
     unknot = build_petal_grid(PetalPermutation((2, 3, 1)))
-    assert alexander_from_grid(unknot) == ONE
-    assert wirtinger_alexander(to_planar_diagram(unknot)) == ONE
+    assert alexander_from_grid(unknot) == (1,)
+    assert wirtinger_alexander(to_planar_diagram(unknot)) == (1,)
 
     trefoil = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
     assert alexander_from_grid(trefoil) == torus_alexander(2, 3)
     assert wirtinger_alexander(to_planar_diagram(trefoil)) == torus_alexander(2, 3)
 
     grid34 = build_petal_grid(synthesize(3, 4))
-    assert equal_up_to_units(alexander_from_grid(grid34), torus_alexander(3, 4))
-    assert equal_up_to_units(wirtinger_alexander(to_planar_diagram(grid34)), torus_alexander(3, 4))
+    assert alexander_from_grid(grid34) == torus_alexander(3, 4)
+    assert wirtinger_alexander(to_planar_diagram(grid34)) == torus_alexander(3, 4)
 
 
 def test_alexander_from_grid_matches_wirtinger_oracle():
@@ -496,7 +508,7 @@ def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_fac
             assert all(row[j].coeffs == (1,) for j in support)
         full = packed_det(winding_number_matrix(grid))
         factored = power(ONE - T, p - 1) * packed_det(differenced)
-        assert equal_up_to_units(full, factored), (grid.starts, grid.ends)
+        assert full.up_to_units() == factored.up_to_units(), (grid.starts, grid.ends)
 
 
 def test_unit_pivots_keep_the_differenced_determinant():
@@ -508,7 +520,7 @@ def test_unit_pivots_keep_the_differenced_determinant():
         rng.shuffle(entries)
         grid = build_petal_grid(PetalPermutation(tuple(entries)))
         full = packed_det(decoded(invariants._differenced_grid_matrix(grid)))
-        assert equal_up_to_units(alexander_from_grid(grid), full), entries
+        assert alexander_from_grid(grid) == full.up_to_units(), entries
 
 
 def test_unit_pivots_match_the_dict_oracle():
@@ -558,8 +570,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
 
     spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
     spy("bareiss_determinant", packed.bareiss_determinant)
-    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(rows_at))
-    assert equal_up_to_units(det, naive_cofactor_det(m))
+    det = normalized(packed.determinant_up_to_units(rows_at))
+    assert det == naive_cofactor_det(m).up_to_units()
     built = [width for name, width in calls if name == "rows_at"]
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "bareiss_determinant"]
@@ -574,8 +586,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    det = LaurentPolynomial.from_coeffs(*packed.determinant_up_to_units(lambda width: packed_rows(m, width)))
-    assert equal_up_to_units(det, naive_cofactor_det(m))
+    det = normalized(packed.determinant_up_to_units(lambda width: packed_rows(m, width)))
+    assert det == naive_cofactor_det(m).up_to_units()
     assert calls[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
 
 
@@ -629,7 +641,7 @@ def test_alexander_from_closure_matches_full_bareiss():
             continue
         full = packed_det(burau_minus_identity(w))
         expected = (full * (ONE - T)).divide_exact(ONE - power(T, n))
-        assert equal_up_to_units(alexander_from_closure(w), expected), w.letters
+        assert alexander_from_closure(w) == expected.up_to_units(), w.letters
         checked += 1
 
 
@@ -674,7 +686,7 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
         widths.clear()
         built.clear()
         decodes.clear()
-        assert equal_up_to_units(alexander_from_closure(w), (full * (ONE - T)).divide_exact(ONE - power(T, 3))), k
+        assert alexander_from_closure(w) == (full * (ONE - T)).divide_exact(ONE - power(T, 3)).up_to_units(), k
         assert widths[0] == width, (k, widths)
         narrower = [new for new in (16, 32, 64, 128) if new < width]
         assert built[: len(narrower) + 1] == [(new, "narrow") for new in narrower] + [(width, "built")], (k, built)
@@ -784,17 +796,17 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
 def test_alexander_from_closure_of_a_long_negative_word():
     # The Alexander polynomial is mirror-invariant; the mirrored band form is
     # 640 negative letters, so every column's offset climbs and is stripped.
-    assert equal_up_to_units(alexander_from_closure(mirror(conjugate_band_braid(17, 40))), torus_alexander(17, 40))
+    assert alexander_from_closure(mirror(conjugate_band_braid(17, 40))) == torus_alexander(17, 40)
 
 
 def test_alexander_from_closure():
     assert alexander_from_closure(BraidWord(2, (1, 1, 1))) == torus_alexander(2, 3)
     for n, s in ((2, 5), (3, 4), (3, 5), (4, 5)):
         got = alexander_from_closure(delta(n) ** s)
-        assert equal_up_to_units(got, torus_alexander(n, s))
+        assert got == torus_alexander(n, s)
 
     band = conjugate_band_braid(5, 7)
-    assert equal_up_to_units(alexander_from_closure(band), torus_alexander(5, 7))
+    assert alexander_from_closure(band) == torus_alexander(5, 7)
 
     with pytest.raises(ValueError, match="multiple components"):
         alexander_from_closure(BraidWord(3, (1,)))  # closure is a 2-component link
@@ -803,8 +815,8 @@ def test_alexander_from_closure():
 def test_alexander_mirror_invariance():
     word = BraidWord(3, (1, 1, 2, -1, 2, 2))
     a = alexander_from_closure(word)
-    assert equal_up_to_units(a, alexander_from_closure(mirror(word)))
-    assert abs(sum(a.coeffs)) == 1
+    assert a == alexander_from_closure(mirror(word))
+    assert abs(sum(a)) == 1
 
 
 def test_every_three_petal_permutation_is_the_unknot():
@@ -812,8 +824,8 @@ def test_every_three_petal_permutation_is_the_unknot():
 
     for entries in itertools.permutations((1, 2, 3)):
         grid = build_petal_grid(PetalPermutation(entries))
-        assert alexander_from_grid(grid) == ONE, entries
-        assert wirtinger_alexander(to_planar_diagram(grid)) == ONE, entries
+        assert alexander_from_grid(grid) == (1,), entries
+        assert wirtinger_alexander(to_planar_diagram(grid)) == (1,), entries
 
 
 def test_random_petal_knots_have_symmetric_alexander():
@@ -823,8 +835,8 @@ def test_random_petal_knots_have_symmetric_alexander():
         entries = list(range(1, p + 1))
         rng.shuffle(entries)
         a = alexander_from_grid(build_petal_grid(PetalPermutation(tuple(entries))))
-        assert a.coeffs == a.coeffs[::-1]
-        assert abs(sum(a.coeffs)) == 1
+        assert a == a[::-1]
+        assert abs(sum(a)) == 1
 
 
 def test_band_insertion_closures_match_grids():
@@ -844,7 +856,7 @@ def test_band_insertion_closures_match_grids():
             pp = stabilize(pp, k)
             braid = braid * round_trip(n, k)
         from_grid = alexander_from_grid(build_petal_grid(pp))
-        assert equal_up_to_units(from_grid, alexander_from_closure(braid)), (n, ks)
+        assert from_grid == alexander_from_closure(braid), (n, ks)
 
 
 def test_certify_report():
@@ -862,14 +874,14 @@ def test_certify_large_pair():
     # p = 57: both pipelines, with the grid determinant of order 57.
     report = certify(13, 30)
     assert report["all_match"] and report["length"] == 57
-    assert report["alexander_from_grid"] == str(torus_alexander(13, 30))
+    assert report["alexander_from_grid"] == format_polynomial(torus_alexander(13, 30))
 
 
 def test_certify_top_pair_on_the_grid():
     # p = 77, the ladder's top pair: the grid determinant takes about 0.1 s.
     report = certify(17, 40, "grid")
     assert report["all_match"] and report["length"] == 77
-    assert report["alexander_from_grid"] == str(torus_alexander(17, 40))
+    assert report["alexander_from_grid"] == format_polynomial(torus_alexander(17, 40))
 
 
 @pytest.mark.parametrize("n, s, p", [(17, 60, 115), (23, 60, 117)])
@@ -877,7 +889,7 @@ def test_certify_past_the_ladder_on_the_grid(n, s, p):
     # The grid determinant takes 0.2-0.4 s here, against 5-9 s by Bareiss alone.
     report = certify(n, s, "grid")
     assert report["all_match"] and report["length"] == p
-    assert report["alexander_from_grid"] == str(torus_alexander(n, s))
+    assert report["alexander_from_grid"] == format_polynomial(torus_alexander(n, s))
 
 
 @pytest.mark.parametrize("n, s", [(29, 70), (41, 100)])
@@ -887,4 +899,4 @@ def test_certify_past_the_ladder_on_the_braid(n, s):
     # (n-1) x (n-1) matrix.
     report = certify(n, s, "burau")
     assert report["all_match"]
-    assert report["alexander_from_braid"] == str(torus_alexander(n, s))
+    assert report["alexander_from_braid"] == format_polynomial(torus_alexander(n, s))

@@ -11,7 +11,6 @@ import pytest
 
 from petalgrid.braid import BraidWord, ConjugacyWitness, NormalForm
 from petalgrid.grid import GridDiagram, ValidationReport
-from petalgrid.invariants import LaurentPolynomial
 from petalgrid.perm import IndexSubset, Permutation
 from petalgrid.petal import PetalPermutation
 
@@ -48,7 +47,6 @@ CASES = [
         None,
         None,
     ),
-    (LaurentPolynomial, (-1, (1, -1, 1)), (0, (1, -1, 1)), (0, (0, 1)), "coefficients must be trimmed"),
     (
         PetalPermutation,
         ((3, 5, 2, 4, 1),),
