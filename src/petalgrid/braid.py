@@ -403,10 +403,6 @@ class ConjugacyWitness(_Value):
         object.__setattr__(self, "verified", verified)
 
 
-def ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 def check_pair(n: int, s: int) -> None:
     """Raise ValueError unless 2 <= n < s and n, s are coprime."""
     if not 2 <= n < s:
@@ -417,7 +413,7 @@ def check_pair(n: int, s: int) -> None:
 
 def band_indices(n: int, k: int) -> list[int]:
     """The band subscripts ceil(n*i/k) for i = 1..k-1."""
-    return [ceil_div(n * i, k) for i in range(1, k)]
+    return [-(-n * i // k) for i in range(1, k)]
 
 
 def conjugate_band_braid(n: int, s: int) -> BraidWord:

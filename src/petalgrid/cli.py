@@ -52,7 +52,7 @@ def _out(text: str) -> None:
 
 
 def _emit_json(payload: dict) -> None:
-    _out(json.dumps({"schema": SCHEMA, **payload}, separators=(", ", ": ")))
+    _out(json.dumps({"schema": SCHEMA, **payload}))
 
 
 def _fail(message: str) -> int:

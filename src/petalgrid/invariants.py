@@ -138,12 +138,13 @@ def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
 
     The p x p matrix (t^w), w the winding number around each cell centre,
     has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar),
-    so _differenced_grid_matrix has determinant +-t^b Delta(t) itself.
+    so _differenced_grid_matrix has determinant +-t^b Delta(t) itself.  Its
+    entries are units, of height 1 and packed alike at every width; given at
+    16 bits, the determinant's first width, they are not repacked.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    rows = _differenced_grid_matrix(g)  # units, the same at every width
-    return normalized(determinant_up_to_units(lambda width: (rows, 1)))
+    return normalized(determinant_up_to_units(_differenced_grid_matrix(g), 1, 16))
 
 
 # --- Alexander polynomial of a braid closure ----------------------------------
@@ -160,7 +161,7 @@ def alexander_from_closure(w: BraidWord) -> tuple[int, ...]:
     """
     if not induced_permutation(w).is_single_cycle():
         raise ValueError("closure has multiple components")
-    det = determinant_up_to_units(burau_minus_identity(*reduced_burau(w)))
+    det = determinant_up_to_units(*burau_minus_identity(*reduced_burau(w)))
     q = [a - b for a, b in zip(det + [0], [0] + det)]
     for k in range(w.n, len(q)):
         q[k] += q[k - w.n]

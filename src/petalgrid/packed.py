@@ -11,7 +11,8 @@ entry, the sweep per row and the Burau product per column.  A height is
 the operands' sum or product bound or, near the limit, the mask test's
 (_height), and the width doubles when exact heights reach the limit too.
 The Burau product starts at 64-bit digits, the determinants at 16, and
-B - I moves between the two by _repack, which copies digits as bytes.
+the determinant repacks rows at another width, B - I's among them, by
+_repack, which copies digits as bytes.
 
 Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
 a nonzero remainder means it is not exact.  Two facts make an integer
@@ -28,7 +29,6 @@ determinant_up_to_units and its Bareiss kernel bareiss_determinant.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable
 
 from .braid import BraidWord
 
@@ -234,21 +234,25 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int)
     return [[row.get(j, (0, 0)) for j in kept] for row in rows.values()]
 
 
-def determinant_up_to_units(rows_at: Callable[[int], tuple[list[dict], int]]) -> list[int]:
+def determinant_up_to_units(rows: list[dict[int, tuple]], height: int, width: int) -> list[int]:
     """det(rows) times some +-t^k, as coefficients lowest first: unit pivots, then Bareiss on the remainder.
 
-    rows_at(width) is a builder: it returns (rows, height), sparse packed
-    rows at that width whose coefficients height bounds below X/4, or it
-    raises _Narrow.  While it, the sweep or Bareiss raises _Narrow, the
-    rows are built again at twice the width, from _DET_WIDTH up.
+    rows are sparse packed rows at width, whose coefficients height bounds.
+    The sweep and Bareiss start at the least width from _DET_WIDTH up at
+    which height stays below X/4, and start again at twice the width while
+    either raises _Narrow.  At a width other than their own the rows are
+    repacked (_repack); they are never changed.
     """
-    width = _DET_WIDTH
+    new = _DET_WIDTH
+    while height >= 1 << (new - 2):
+        new *= 2
     while True:
+        at = rows if new == width else [{j: (low, _repack(v, width, new)) for j, (low, v) in row.items()} for row in rows]
         try:
-            _, value = bareiss_determinant(_unit_pivot_remainder(*rows_at(width), width), width)
-            return _digits(value, width)
+            _, value = bareiss_determinant(_unit_pivot_remainder(at, height, new), new)
+            return _digits(value, new)
         except _Narrow:
-            width *= 2
+            new *= 2
 
 
 def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
@@ -302,27 +306,18 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     return columns[1:-1], low[1:-1], width
 
 
-def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> Callable[[int], tuple[list[dict], int]]:
-    """B - I for the packed Burau matrix B (reduced_burau), as a builder for determinant_up_to_units.
+def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict], int, int]:
+    """B - I for the packed Burau matrix B (reduced_burau): (rows, height, width), as determinant_up_to_units takes.
 
-    B's height is measured once, by one mask test.  The builder returns B -
-    I's sparse packed rows at width new and their height, or raises _Narrow
-    when that height would reach X/4 at new.  A column held times a negative
+    The rows are sparse and packed at B's width; their height is one more
+    than B's, which one mask test measures.  A column held times a negative
     power of t is raised to t^0, and every entry has its low zero digits stripped.
     """
-    top = _height([v for column in columns for v in column], width) + 1
-
-    def rows_at(new: int) -> tuple[list[dict], int]:
-        if top >= 1 << (new - 2):
-            raise _Narrow
-        rows = [{} for _ in columns]
-        for k, column in enumerate(columns):
-            up = min(low[k], 0)
-            for i, v in enumerate(column):
-                v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
-                if v:
-                    exp, v = _strip(up - low[k], v, width)
-                    rows[i][k] = (exp, _repack(v, width, new))
-        return rows, top
-
-    return rows_at
+    rows = [{} for _ in columns]
+    for k, column in enumerate(columns):
+        up = min(low[k], 0)
+        for i, v in enumerate(column):
+            v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
+            if v:
+                rows[i][k] = _strip(up - low[k], v, width)
+    return rows, _height([v for column in columns for v in column], width) + 1, width

@@ -9,7 +9,7 @@ allocates a new tuple.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from operator import attrgetter
 
 
@@ -105,26 +105,6 @@ class Permutation(_Value):
             j = self.images[j - 1]
             seen += 1
         return seen == self.n
-
-
-def interleave(p1: Sequence[int], p2: Sequence[int]) -> tuple[int, ...]:
-    """Interleave a (k+1)-sequence with a k-sequence, alternating starting with p1.
-
-    >>> interleave((1, 2, 3, 4), (5, 6, 7))
-    (1, 5, 2, 6, 3, 7, 4)
-    >>> interleave((1,), ())
-    (1,)
-    """
-    if len(p1) != len(p2) + 1:
-        raise ValueError(
-            f"length mismatch: first sequence must be one longer ({len(p1)} vs {len(p2)})"
-        )
-    out: list[int] = []
-    for a, b in zip(p1, p2):
-        out.append(a)
-        out.append(b)
-    out.append(p1[-1])
-    return tuple(out)
 
 
 class IndexSubset(_Value):

@@ -11,7 +11,7 @@ yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 from __future__ import annotations
 
 from .braid import band_indices, check_pair
-from .perm import Permutation, _Value, interleave
+from .perm import Permutation, _Value
 
 GENERIC = "generic"
 BRAIDED = "braided"
@@ -28,10 +28,6 @@ class PetalPermutation(_Value):
         if len(entries) < 3 or len(entries) % 2 == 0:
             raise ValueError(f"petal permutation length must be odd >= 3, got {len(entries)}")
         object.__setattr__(self, "entries", entries)
-
-    @staticmethod
-    def from_parts(odd: tuple[int, ...], even: tuple[int, ...]) -> PetalPermutation:
-        return PetalPermutation(interleave(odd, even))
 
     @property
     def p(self) -> int:
@@ -68,16 +64,14 @@ def classify(pp: PetalPermutation) -> str:
 
 
 def base_petal(n: int) -> PetalPermutation:
-    """The strongly braided permutation (n+1,n,...,1) o+ (2n+1,2n,...,n+2).
+    """The strongly braided permutation (n+1, 2n+1, n, 2n, ..., 2, n+2, 1).
 
     Its petal grid diagram is a closed braid diagram of the (n, n+1) torus
     knot, the closure of delta^(n+1).
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    odd = tuple(range(n + 1, 0, -1))
-    even = tuple(range(2 * n + 1, n + 1, -1))
-    return PetalPermutation.from_parts(odd, even)
+    return PetalPermutation(tuple(a for i in range(n) for a in (n + 1 - i, 2 * n + 1 - i)) + (1,))
 
 
 def stabilize(pp: PetalPermutation, k: int) -> PetalPermutation:

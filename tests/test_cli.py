@@ -141,12 +141,12 @@ def test_verify_burau_rescale_that_does_not_divide_exits_1(capsys, monkeypatch):
     # det(B - I) of a knot closure on n strands is Delta * (1 + t + ... + t^(n-1));
     # the braid pipeline refuses a determinant that this sum does not divide.
     dets = iter([[1, 2, 3, 2, 1], [1, 1, 1, 1], [1, 2, 3, 2, 2], [1, 2, 3, 2, 1, 1]])
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: next(dets))
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, height, width: next(dets))
     assert invariants.alexander_from_closure(delta(3) ** 5) == (1, 1, 1)  # (1 + t + t^2)^2
     for _ in range(3):
         with pytest.raises(ValueError, match="^not divisible$"):
             invariants.alexander_from_closure(delta(3) ** 5)
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows_at: [1, 1])
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, height, width: [1, 1])
     code, out, _ = run(capsys, "verify", "3", "5", "--pipeline", "burau", "--json")
     assert code == 1
     payload = json.loads(out)

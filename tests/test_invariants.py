@@ -220,14 +220,10 @@ def pack(coeffs, width):
 
 
 def packed_rows(matrix, width):
-    """A polynomial matrix as (rows, height), the sparse packed rows the determinant kernels take.
-
-    As a builder must, it raises _Narrow when the height would reach X/4.
-    """
+    """A polynomial matrix as (rows, height, width): sparse packed rows at this width, as the determinant takes."""
     height = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0)
-    if height >= 1 << (width - 2):
-        raise packed._Narrow
-    return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], height
+    assert height < 1 << (width - 1), "a coefficient is not one balanced digit"
+    return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], height, width
 
 
 def decoded(matrix, width=packed._DET_WIDTH):
@@ -440,6 +436,23 @@ def test_laurent_polynomial_is_a_value_without_arithmetic():
     assert not defined, defined
 
 
+def test_packed_public_surface_is_the_four_its_docstring_names():
+    # packed's top-level functions without a leading underscore are exactly
+    # the four its docstring names, and none takes or returns a callable:
+    # the determinant is a function of packed rows, not of a builder.
+    functions = [node for node in ast.parse(Path(packed.__file__).read_text()).body if isinstance(node, ast.FunctionDef)]
+    public = {node.name for node in functions if not node.name.startswith("_")}
+    assert public == {"reduced_burau", "burau_minus_identity", "determinant_up_to_units", "bareiss_determinant"}
+    assert set(re.findall(r"\b[a-z]+(?:_[a-z]+)+\b", packed.__doc__.split("are public:")[1])) == public
+    annotations = [
+        ast.unparse(a)
+        for node in functions
+        for a in [node.returns] + [arg.annotation for arg in node.args.args]
+        if a is not None
+    ]
+    assert not [a for a in annotations if "Callable" in a], annotations
+
+
 def test_perfbench_span_targets_resolve():
     # perfbench/spans.py looks each (module, function) up by name and skips
     # one that is gone, so its metrics read 0 without a word.  Only the two
@@ -541,20 +554,24 @@ def test_unit_pivots_match_the_dict_oracle():
         words += [conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))]
     for w in words:
         m = burau_minus_identity(w)
-        got = decoded(packed._unit_pivot_remainder(*packed_rows(m, 64), 64), 64)
+        got = decoded(packed._unit_pivot_remainder(*packed_rows(m, 64)), 64)
         assert got == unit_pivot_remainder_by_dicts(m), w.letters
 
 
-def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
-    # Coefficients near 2^25 do not fit 16 bits, so the builder raises there.
-    # They fit 32, but their products do not: the sweep restarts at 64, and
-    # Bareiss on its 2 x 2 remainder, whose determinant reaches about 2^100,
-    # needs more digits still, so the rows are built again and the sweep and
-    # Bareiss run again together at 128.  Row 0 holds the only unit of
-    # column 0, so it is the first pivot.
+def large_coefficient_matrix():
+    """A 3 x 3 matrix with coefficients near 2^25; row 0 holds the only unit of column 0."""
     rng = random.Random(1010)
     big = lambda: random_laurent(rng, 3, 2, 1 << 25) + Laurent.term(1 << 25, 3)
-    m = [[ONE, big(), big()]] + [[big() + Laurent.term(2), big(), big()] for _ in range(2)]
+    return [[ONE, big(), big()]] + [[big() + Laurent.term(2), big(), big()] for _ in range(2)]
+
+
+def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
+    # Coefficients near 2^25 reach X/4 at 16 bits, so the determinant starts
+    # at 32 without trying 16.  Their products do not fit 32: the sweep
+    # restarts at 64, and Bareiss on its 2 x 2 remainder, whose determinant
+    # reaches about 2^100, needs more digits still, so the caller's rows are
+    # repacked again and the sweep and Bareiss run again together at 128.
+    m = large_coefficient_matrix()
     calls = []
 
     def spy(name, kernel):
@@ -564,31 +581,41 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
 
         monkeypatch.setattr(packed, name, run)
 
-    def rows_at(width):
-        calls.append(("rows_at", width))
-        return packed_rows(m, width)
-
     spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
     spy("bareiss_determinant", packed.bareiss_determinant)
-    det = normalized(packed.determinant_up_to_units(rows_at))
+    spy("_repack", packed._repack)
+    det = normalized(packed.determinant_up_to_units(*packed_rows(m, 32)))
     assert det == naive_cofactor_det(m).up_to_units()
-    built = [width for name, width in calls if name == "rows_at"]
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "bareiss_determinant"]
-    assert built == [16, 32, 64, 128] and sweeps == [32, 64, 128] and bareiss == [64, 128], calls
+    repacks = sorted({width for name, width in calls if name == "_repack"})
+    assert sweeps == [32, 64, 128] and bareiss == [64, 128] and repacks == [64, 128], calls
 
     calls.clear()
     assert packed_det(m) == naive_cofactor_det(m)
     assert calls == [("bareiss_determinant", 32), ("bareiss_determinant", 64), ("bareiss_determinant", 128)], calls
 
     # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
-    # which only a bound that counts the factor's length sees at 32 bits.
+    # which only a bound that counts the factor's length sees at 32 bits.  The
+    # rows are packed at 16 bits, which their height fits but not below X/4.
     p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    det = normalized(packed.determinant_up_to_units(lambda width: packed_rows(m, width)))
+    det = normalized(packed.determinant_up_to_units(*packed_rows(m, 16)))
     assert det == naive_cofactor_det(m).up_to_units()
-    assert calls[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
+    sweeps = [(name, width) for name, width in calls if name != "_repack"]
+    assert sweeps[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
+
+
+def test_determinant_leaves_the_callers_rows_unchanged():
+    # The restarts of the test above start again from the caller's rows,
+    # repacked, so the rows come back as they went in and a second call on
+    # them gives the same determinant.
+    rows, height, width = packed_rows(large_coefficient_matrix(), 32)
+    before = [dict(row) for row in rows]
+    det = packed.determinant_up_to_units(rows, height, width)
+    assert rows == before
+    assert packed.determinant_up_to_units(rows, height, width) == det
 
 
 def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
@@ -625,7 +652,7 @@ def test_unit_pivots_leave_an_order_1_remainder_of_the_band_burau_matrix():
     pairs = [(n, s) for n in range(2, 12) for s in range(n + 1, 40) if math.gcd(n, s) == 1]
     assert len(pairs) == 202
     for n, s in pairs + [(17, 60), (23, 60), (29, 70)]:
-        remainder = packed._unit_pivot_remainder(*packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64), 64)
+        remainder = packed._unit_pivot_remainder(*packed_rows(burau_minus_identity(conjugate_band_braid(n, s)), 64))
         assert len(remainder) == 1 and len(remainder[0]) == 1, (n, s)
 
 
@@ -647,10 +674,11 @@ def test_alexander_from_closure_matches_full_bareiss():
 
 def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
-    # B - I leaves the product for 16, 32 bits or more by its heights alone:
-    # the builder raises at every narrower width, from 16 up.  B's height is
-    # measured by one mask test over its entries however many widths are tried.
-    widths, built, decodes = [], [], []
+    # the sweep starts on B - I at 16, 32 bits or more by its height alone:
+    # the least width from 16 up whose X/4 it stays below.  B - I comes at
+    # B's own width, and B's height is measured by one mask test over its
+    # entries however wide the determinant runs.
+    widths, given, decodes = [], [], []
     sweep, build, height = packed._unit_pivot_remainder, invariants.burau_minus_identity, packed._height
 
     def spy(rows, height, width):
@@ -658,18 +686,9 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
         return sweep(rows, height, width)
 
     def spy_build(columns, low, width):
-        rows_at = build(columns, low, width)
-
-        def spy_rows_at(new):
-            try:
-                out = rows_at(new)
-            except packed._Narrow:
-                built.append((new, "narrow"))
-                raise
-            built.append((new, "built"))
-            return out
-
-        return spy_rows_at
+        out = build(columns, low, width)
+        given.append(out[1:])
+        return out
 
     def spy_height(values, width):
         decodes.append(list(values))
@@ -682,14 +701,17 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
         w = BraidWord(3, (1, -2) * k)
         assert induced_permutation(w).is_single_cycle()
         full = packed_det(burau_minus_identity(w))
-        b = [v for column in packed.reduced_burau(w)[0] for v in column]
+        columns, _, b_width = packed.reduced_burau(w)
+        b = [v for column in columns for v in column]
         widths.clear()
-        built.clear()
+        given.clear()
         decodes.clear()
         assert alexander_from_closure(w) == (full * (ONE - T)).divide_exact(ONE - power(T, 3)).up_to_units(), k
         assert widths[0] == width, (k, widths)
+        [(top, at)] = given
+        assert at == b_width, (k, at, b_width)
         narrower = [new for new in (16, 32, 64, 128) if new < width]
-        assert built[: len(narrower) + 1] == [(new, "narrow") for new in narrower] + [(width, "built")], (k, built)
+        assert all(top >= 1 << (new - 2) for new in narrower) and top < 1 << (width - 2), (k, top)
         assert decodes.count(b) == 1, (k, decodes.count(b))
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from oracles import order_bijection
 
-from petalgrid.perm import IndexSubset, Permutation, interleave, residue_perm
+from petalgrid.perm import IndexSubset, Permutation, residue_perm
 
 
 def test_compose_involution_and_inverse():
@@ -29,28 +29,6 @@ def test_compose_inverse_is_identity_randomized():
         p = Permutation(tuple(images))
         assert p * p.inverse() == Permutation.identity(n)
         assert p.inverse() * p == Permutation.identity(n)
-
-
-def test_interleave_examples():
-    assert interleave((1, 2, 3, 4), (5, 6, 7)) == (1, 5, 2, 6, 3, 7, 4)
-    assert interleave((1,), ()) == (1,)
-    assert interleave((3, 2, 1), (5, 4)) == (3, 5, 2, 4, 1)
-
-
-def test_interleave_length_mismatch():
-    with pytest.raises(ValueError, match="length mismatch"):
-        interleave((1, 2), (3, 4))
-
-
-def test_interleave_forms_permutations():
-    rng = random.Random(5)
-    for _ in range(50):
-        k = rng.randint(0, 8)
-        values = list(range(1, 2 * k + 2))
-        rng.shuffle(values)
-        merged = interleave(tuple(values[: k + 1]), tuple(values[k + 1 :]))
-        assert len(merged) == 2 * k + 1
-        Permutation(merged)  # must not raise
 
 
 def test_order_bijection_examples():

@@ -26,11 +26,11 @@ def test_petal_permutation_validation():
 
 
 def test_classify_examples():
-    assert classify(PetalPermutation.from_parts((5, 4, 3, 2, 1), (9, 8, 7, 6))) == STRONGLY_BRAIDED
-    assert classify(PetalPermutation.from_parts((5, 4, 3, 2, 1), (7, 6, 8, 9))) == STRONGLY_BRAIDED
-    assert classify(PetalPermutation.from_parts((5, 3, 4, 1, 2), (8, 7, 9, 6))) == BRAIDED
-    assert classify(PetalPermutation.from_parts((4, 3, 2, 1, 9), (8, 7, 6, 5))) == GENERIC
-    assert classify(PetalPermutation.from_parts((9, 8, 7, 6, 5), (4, 3, 2, 1))) == GENERIC
+    assert classify(PetalPermutation((5, 9, 4, 8, 3, 7, 2, 6, 1))) == STRONGLY_BRAIDED
+    assert classify(PetalPermutation((5, 7, 4, 6, 3, 8, 2, 9, 1))) == STRONGLY_BRAIDED
+    assert classify(PetalPermutation((5, 8, 3, 7, 4, 9, 1, 6, 2))) == BRAIDED
+    assert classify(PetalPermutation((4, 8, 3, 7, 2, 6, 1, 5, 9))) == GENERIC
+    assert classify(PetalPermutation((9, 4, 8, 3, 7, 2, 6, 1, 5))) == GENERIC
 
 
 def test_base_petal():
