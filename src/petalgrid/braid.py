@@ -156,72 +156,55 @@ def permutation_braid(p: Permutation) -> BraidWord:
 
 # --- Garside left normal form ------------------------------------------------
 #
-# Factors are 1-indexed image lists during computation.  A word is cut into
-# same-sign runs whose induced permutations stay simple (no two strands cross
-# twice): each letter extends the last run, or slides left past the runs it
-# can pass to join a run of its sign or cancel a crossing of a run of the
-# other sign, or starts a new run (_simple_runs).  Each run enters as one
-# factor: a positive run Y as the permutation braid of Y, a negative run
-# Y^-1 as the permutation braid of Y^-1 Delta followed by Delta^-1.
-# Appending a factor combs it leftwards: each pair is left-weighted by one
-# insertion pass, which moves every crossing that can leave the head of the
-# right factor into the tail of the left one.
+# A word is cut into same-sign runs whose induced permutations stay simple
+# (no two strands cross twice): each letter extends the last run, or slides
+# left past the runs it can pass to join a run of its sign or cancel a
+# crossing of a run of the other sign, or starts a new run (_simple_runs).
+# Runs are 1-indexed image lists.  Each run enters the comb as one factor: a
+# positive run Y as the permutation braid of Y, a negative run Y^-1 as the
+# permutation braid of Y^-1 Delta followed by Delta^-1.  Appending a factor
+# combs it leftwards: each pair is left-weighted by one insertion pass, which
+# moves every crossing that can leave the head of the right factor into the
+# tail of the left one.
+#
+# In the comb a factor is its 1-indexed images as a bytes object, so that the
+# work around each pass runs in C: the inverse of g is the table
+# bytes.maketrans(g, ident) read at 1..n, Delta-conjugation is one reverse
+# and one translate, and a factor is tested against Delta and the identity
+# with ==.  The pass itself scans and moves on list copies, whose indexing
+# CPython makes faster than that of bytes.  An image past 255 does not fit a
+# byte, so for n > 255 the same comb runs on tuples, with _maketrans and
+# _translate standing in for the two bytes methods.
 #
 # Every Delta^+-1 is counted in one signed power as if carried to the right
 # end: a negative run's Delta^-1, and each Delta that combing fills a factor
 # up to.  Delta F = tau(F) Delta, where tau is the conjugation sigma_i ->
-# sigma_{n-i}; tau^2 is the identity, as Delta^2 is central.  So a Delta
-# formed at index j and carried right conjugates the factors after it, and
-# the factors are stored under one flip bit to make it cheap: a stored
-# factor is tau^flip of the factor it stands for with every Delta at the
-# right end.  Flipping the bit and conjugating the factors before j, which
-# carries the Delta to the left end instead, gives the same state as
-# conjugating the factors after it, so a formed Delta conjugates whichever
-# side of the list is shorter.  tau keeps pairs left-weighted, so combing
-# works on the stored factors as they are.  A run enters conjugated when
-# power + flip is odd, and all factors leave conjugated at the end when it
-# is.  A negative run costs a nearly full factor Y^-1 Delta that combing
-# must move crossing by crossing, so every letter the cut joins or cancels
-# saves combing work.
+# sigma_{n-i}, which maps the images of F to n+1-v in reverse order; tau^2 is
+# the identity, as Delta^2 is central.  So a Delta formed at index j and
+# carried right conjugates the factors after it, and the factors are stored
+# under one flip bit to make it cheap: a stored factor is tau^flip of the
+# factor it stands for with every Delta at the right end.  Flipping the bit
+# and conjugating the factors before j, which carries the Delta to the left
+# end instead, gives the same state as conjugating the factors after it, so a
+# formed Delta conjugates whichever side of the list is shorter.  tau keeps
+# pairs left-weighted, so combing works on the stored factors as they are.  A
+# run enters conjugated when power + flip is odd, and all factors leave
+# conjugated at the end when it is.  A negative run costs a nearly full factor
+# Y^-1 Delta that combing must move crossing by crossing, so every letter the
+# cut joins or cancels saves combing work.
 
 
-def _left_weight(f: Sequence[int], g: Sequence[int], n: int) -> tuple[Sequence[int], Sequence[int]]:
-    """Move crossings from the head of g into f until the pair is left-weighted.
-
-    Position s holds the pair (f(s), g^-1(s)).  A slide at s swaps the pairs
-    at s and s+1; it is legal when s starts g (g^-1(s) > g^-1(s+1)) but does
-    not finish f (f(s) < f(s+1)).  A slide changes no pair to the right of the
-    one that moved, so the slides are done as one insertion pass: the pair at
-    i moves left past every neighbour it may slide over, and i is never
-    revisited.  The inputs themselves are returned when nothing slides, and
-    new lists otherwise.
-    """
-    ginv = [0] * n
-    for pos, v in enumerate(g):
-        ginv[v - 1] = pos
-    fl = f
-    for i in range(1, n):
-        x = fl[i]
-        y = ginv[i]
-        if fl[i - 1] < x and ginv[i - 1] > y:
-            if fl is f:
-                fl = list(f)
-            j = i - 1
-            while j and fl[j - 1] < x and ginv[j - 1] > y:
-                j -= 1
-            fl.insert(j, fl.pop(i))
-            ginv.insert(j, ginv.pop(i))
-    if fl is f:
-        return f, g
-    gl = [0] * n
-    for v, pos in enumerate(ginv, 1):
-        gl[pos] = v
-    return fl, gl
+def _maketrans(frm: Sequence[int], to: Sequence[int]) -> tuple[int, ...]:
+    # bytes.maketrans for images past a byte: the table t with t[frm[k]] = to[k].
+    t = [0] * (len(frm) + 1)
+    for a, b in zip(frm, to):
+        t[a] = b
+    return tuple(t)
 
 
-def _tau(f: list[int], n: int) -> list[int]:
-    # Delta^-1 F Delta: the generator sigma_i becomes sigma_{n-i}.
-    return [n + 1 - v for v in reversed(f)]
+def _translate(f: tuple[int, ...], table: tuple[int, ...]) -> tuple[int, ...]:
+    # bytes.translate for images past a byte.
+    return tuple([table[v] for v in f])
 
 
 def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
@@ -309,9 +292,14 @@ class NormalForm(_Value):
                 raise ValueError(f"factor of degree {f.n} in a normal form of braid index {n}")
             if f.is_identity() or f.images == w0:
                 raise ValueError("normal form factors must be proper")
+        # A pair is left-weighted when no crossing can slide from the head of g
+        # into the tail of f (see _comb): no s with f(s) < f(s+1) at which g
+        # starts, g^-1(s) > g^-1(s+1).
         for f, g in zip(factors, factors[1:]):
-            if _left_weight(f.images, g.images, n)[0] is not f.images:
-                raise ValueError("normal form factors are not left-weighted")
+            a, b = f.images, g.images
+            for s in range(1, n):
+                if a[s - 1] < a[s] and b.index(s) > b.index(s + 1):
+                    raise ValueError("normal form factors are not left-weighted")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta_power", delta_power)
         object.__setattr__(self, "factors", factors)
@@ -320,13 +308,86 @@ class NormalForm(_Value):
         return len(self.factors)
 
 
+def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
+    """The normal form of the product of the runs, each combed in leftwards.
+
+    A run is (negative, images) as _simple_runs gives it.  In a pair (f, g)
+    of factors, position s holds the pair (f(s), g^-1(s)).  A slide at s
+    swaps the pairs at s and s+1; it is legal when s starts g (g^-1(s) >
+    g^-1(s+1)) but does not finish f (f(s) < f(s+1)).  A slide changes no
+    pair to the right of the one that moved, so the slides are done as one
+    insertion pass from the first legal one: the pair at i moves left past
+    every neighbour it may slide over, and i is never revisited.  A pair with
+    no legal slide is left-weighted, and combing the factor in stops there.
+    """
+    if n < 256:
+        pack, maketrans, translate = bytes, bytes.maketrans, bytes.translate
+    else:
+        pack, maketrans, translate = tuple, _maketrans, _translate
+    ident = pack(range(1, n + 1))
+    w0 = ident[::-1]
+    comp = maketrans(ident, w0)  # v -> n + 1 - v
+    end = n + 1
+    power = flip = 0
+    factors: list[Sequence[int]] = []  # each stored as tau^flip of the factor it stands for
+    for negative, im in runs:
+        g = pack(im[::-1] if negative else im)
+        if (power + flip) % 2:
+            g = translate(g[::-1], comp)
+        power -= negative
+        if g == w0:
+            power += 1
+            continue
+        if g == ident:
+            continue
+        factors.append(g)
+        j = len(factors) - 2
+        while j >= 0:
+            fl = list(factors[j])
+            ginv = list(maketrans(factors[j + 1], ident)[1:end])  # g^-1, 1-indexed
+            for i in range(1, n):  # the first legal slide; with none the pair is left-weighted
+                if fl[i - 1] < fl[i] and ginv[i - 1] > ginv[i]:
+                    break
+            else:
+                break
+            for i in range(i, n):
+                x = fl[i]
+                y = ginv[i]
+                if fl[i - 1] < x and ginv[i - 1] > y:
+                    k = i - 1
+                    while k and fl[k - 1] < x and ginv[k - 1] > y:
+                        k -= 1
+                    fl.insert(k, fl.pop(i))
+                    ginv.insert(k, ginv.pop(i))
+            g = maketrans(pack(ginv), ident)[1:end]  # the new g, from its inverse
+            if g == ident:
+                del factors[j + 1]
+            else:
+                factors[j + 1] = g
+            f = pack(fl)
+            if f == w0:
+                del factors[j]
+                power += 1
+                if 2 * j < len(factors):
+                    flip ^= 1
+                    factors[:j] = [translate(f[::-1], comp) for f in factors[:j]]
+                else:
+                    factors[j:] = [translate(f[::-1], comp) for f in factors[j:]]
+                break
+            factors[j] = f
+            j -= 1
+    if (power + flip) % 2:
+        factors = [translate(f[::-1], comp) for f in factors]
+    return NormalForm(n, power, tuple([Permutation(tuple(f)) for f in factors]))
+
+
 def left_normal_form(w: BraidWord) -> NormalForm:
     """The unique left-greedy normal form of the word.
 
     The word is cut into same-sign runs whose induced permutations stay
     simple (_simple_runs).  A positive run Y is one factor; a negative run
     Y^-1 is the factor Y^-1 Delta, whose images are the run's reversed,
-    followed by Delta^-1.  Each factor is combed in leftwards.  Every
+    followed by Delta^-1.  Each factor is combed in leftwards (_comb).  Every
     Delta^+-1 counts toward the delta power with its sign: a negative run's
     Delta^-1, and each Delta formed while combing a factor in, which is
     deleted and conjugates the shorter side of the factor list by Delta
@@ -340,45 +401,7 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     >>> left_normal_form(BraidWord(3, (1, 2, 2))).factors
     (Permutation(images=(2, 3, 1)), Permutation(images=(1, 3, 2)))
     """
-    n = w.n
-    w0 = list(range(n, 0, -1))
-    identity = w0[::-1]
-    power = flip = 0
-    factors: list[list[int]] = []  # each stored as tau^flip of the factor it stands for
-    for negative, im in _simple_runs(w):
-        g = im[::-1] if negative else im
-        if (power + flip) % 2:
-            g = _tau(g, n)
-        power -= negative
-        if g == w0:
-            power += 1
-            continue
-        if g == identity:
-            continue
-        factors.append(g)
-        j = len(factors) - 2
-        while j >= 0:
-            f, g = _left_weight(factors[j], factors[j + 1], n)
-            if f is factors[j]:
-                break
-            if g == identity:
-                del factors[j + 1]
-            else:
-                factors[j + 1] = g
-            if f == w0:
-                del factors[j]
-                power += 1
-                if 2 * j < len(factors):
-                    flip ^= 1
-                    factors[:j] = [_tau(f, n) for f in factors[:j]]
-                else:
-                    factors[j:] = [_tau(f, n) for f in factors[j:]]
-                break
-            factors[j] = f
-            j -= 1
-    if (power + flip) % 2:
-        factors = [_tau(f, n) for f in factors]
-    return NormalForm(n, power, tuple([Permutation(tuple(f)) for f in factors]))
+    return _comb(w.n, _simple_runs(w))
 
 
 def words_equal(w1: BraidWord, w2: BraidWord) -> bool:

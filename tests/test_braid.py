@@ -32,7 +32,7 @@ from petalgrid.braid import (
     torus_conjugacy_witness,
     words_equal,
 )
-from petalgrid.braid import _left_weight, _simple_runs
+from petalgrid.braid import _comb, _simple_runs
 from petalgrid.perm import IndexSubset, Permutation, residue_perm
 
 
@@ -217,6 +217,14 @@ def test_normal_form_matches_letterwise_oracle():
             k = rng.randrange(3)
             letters += (pieces[k] if k < 2 else random_word(rng, n, rng.randint(1, 5))).letters
         words.append(BraidWord(n, tuple(letters)))
+    # Wide braids: a 1-indexed image fits a byte up to n = 255, and past it the
+    # comb keeps its factors as tuples.  Letters at both ends of the index
+    # range reach the first and last images.
+    for n in (255, 256, 257, 300):
+        for _ in range(8):
+            ends = (1, 2, n - 2, n - 1)
+            letters = [rng.choice((1, -1)) * rng.choice((*ends, rng.randint(1, n - 1))) for _ in range(rng.randint(0, 12))]
+            words.append(BraidWord(n, tuple(letters)))
     for w in words:
         nf, expected = left_normal_form(w), letterwise_normal_form(w)
         assert (nf.delta_power, nf.factors) == (expected.delta_power, expected.factors), w
@@ -248,7 +256,7 @@ def test_normal_form_of_empty_words_and_b2():
 
 
 def test_half_twists_are_single_runs():
-    for n in range(2, 10):
+    for n in (*range(2, 10), 257):
         assert _simple_runs(half_twist(n)) == [(False, list(range(n, 0, -1)))]
         assert _simple_runs(half_twist(n).inverse()) == [(True, list(range(n, 0, -1)))]
         assert left_normal_form(half_twist(n)) == NormalForm(n, 1, ())
@@ -388,19 +396,47 @@ def test_normal_form_of_negative_delta_powers():
                 assert nf == NormalForm(n, -2 * (k // n), ()), (n, k)
 
 
+def prefix_split(rng, p):
+    """Permutations u, v with u v = p and their crossings adding up: p's permutation braid cut at random."""
+    letters = permutation_braid(p).letters
+    k = rng.randint(0, len(letters))
+    return induced_permutation(BraidWord(p.n, letters[:k])), induced_permutation(BraidWord(p.n, letters[k:]))
+
+
 def test_left_weight_matches_one_slide_oracle():
-    # The insertion pass gives the same pair as sliding one crossing at a time.
-    rng = random.Random(29)
+    # The comb's insertion pass gives the same pair as sliding one crossing at
+    # a time: combing the positive runs f and g in gives Delta^p F G, where
+    # (F, G) is the oracle's pair with Delta and the identity taken out.  The
+    # pairs are 400 random ones per n, then, per n, 100 where f fills up to
+    # Delta (f = Delta u^-1, g = u v) and 100 where g empties into f (f g = p).
+    rng, built = random.Random(29), random.Random(31)
     for n in range(2, 17):
-        for _ in range(400):
-            f, g = random_permutation(rng, n), random_permutation(rng, n)
-            pair = _left_weight(f.images, g.images, n)
-            f2, g2 = tuple(pair[0]), tuple(pair[1])
-            assert (f2, g2) == _letterwise_left_weight(f.images, g.images, n), (f, g)
+        e, w0 = tuple(range(1, n + 1)), tuple(range(n, 0, -1))
+        pairs = [(random_permutation(rng, n), random_permutation(rng, n)) for _ in range(400)]
+        filled = emptied = 0
+        for _ in range(100):
+            u, v = prefix_split(built, random_permutation(built, n))
+            pairs.append((Permutation(w0) * u.inverse(), u * v))
+            pairs.append(prefix_split(built, random_permutation(built, n)))
+        for f, g in pairs:
+            f2, g2 = _letterwise_left_weight(f.images, g.images, n)
+            nf = _comb(n, [(False, list(f.images)), (False, list(g.images))])
+            power = (f2 == w0) + (g2 == w0)
+            proper = tuple(Permutation(h) for h in (f2, g2) if h not in (e, w0))
+            assert (nf.delta_power, nf.factors) == (power, proper), (f, g)
             assert Permutation(f2) * Permutation(g2) == f * g
             assert _letterwise_left_weight(f2, g2, n)[0] == f2
-            if f2 == f.images:
-                assert pair[0] is f.images and pair[1] is g.images
+            filled += f2 == w0 and g2 != w0
+            emptied += f2 != w0 and g2 == e
+            # NormalForm's slide test agrees with the pass on which pairs are
+            # left-weighted already.
+            if f.images not in (e, w0) and g.images not in (e, w0):
+                if f2 == f.images:
+                    assert NormalForm(n, 0, (f, g)).factors == (f, g)
+                else:
+                    with pytest.raises(ValueError, match="^normal form factors are not left-weighted$"):
+                        NormalForm(n, 0, (f, g))
+        assert filled >= 100 and emptied >= 100, n
 
 
 def test_a_delta_formed_mid_list_conjugates_the_shorter_side():

@@ -337,6 +337,16 @@ def test_braid_nf(capsys):
     assert payload["delta_power"] == 1 and payload["factors"] == []
 
 
+def test_braid_nf_past_a_byte_of_strands(capsys):
+    # In B_300 an image does not fit a byte, which changes how the comb stores
+    # its factors but not a byte of the output.  s1 s299^-1 s1 is
+    # Delta^-1 (s1^-1 Delta) s1 s1, since Delta^-1 s1^-1 Delta = s299^-1 commutes with s1.
+    first = ", ".join(map(str, [*range(300, 2, -1), 1, 2]))
+    swap = ", ".join(map(str, [2, 1, *range(3, 301)]))
+    expected = f'{{"schema": 1, "n": 300, "delta_power": -1, "factors": [[{first}], [{swap}], [{swap}]]}}\n'
+    assert run(capsys, "braid", "nf", "-n", "300", "s1 s299^-1 s1", "--json")[:2] == (0, expected)
+
+
 def test_braid_conjugacy(capsys):
     code, out, _ = run(capsys, "braid", "conjugacy", "7", "3")
     assert code == 0
