@@ -38,7 +38,7 @@ import math
 import re
 from collections.abc import Sequence
 
-from .perm import IndexSubset, Permutation, _Value, residue_perm
+from .perm import Permutation, _Value, residue_perm
 
 
 class BraidWord(_Value):
@@ -117,12 +117,12 @@ def round_trip(n: int, k: int) -> BraidWord:
     return descending_run(n, k) * ascending_run(n, k)
 
 
-def round_trip_product(subset: IndexSubset) -> BraidWord:
-    """The product of round-trip bands over the subset members, in increasing order."""
+def round_trip_product(n: int, subscripts: Sequence[int]) -> BraidWord:
+    """The product U_{k_1} U_{k_2} ... of round-trip bands, in the order given."""
     letters: list[int] = []
-    for k in subset.members:
-        letters += round_trip(subset.n, k).letters
-    return BraidWord(subset.n, tuple(letters))
+    for k in subscripts:
+        letters += round_trip(n, k).letters
+    return BraidWord(n, tuple(letters))
 
 
 def induced_permutation(w: BraidWord) -> Permutation:
@@ -434,22 +434,23 @@ def check_pair(n: int, s: int) -> None:
         raise ValueError("not coprime")
 
 
-def band_indices(n: int, k: int) -> list[int]:
-    """The band subscripts ceil(n*i/k) for i = 1..k-1."""
-    return [-(-n * i // k) for i in range(1, k)]
+def band_indices(n: int, s: int) -> list[int]:
+    """The band form's subscripts: delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}} in word order.
+
+    Here s = nm + k and a_i = ceil(n*i/k), so for s < n they are the a_i alone.
+
+    >>> band_indices(5, 8)
+    [2, 3, 4, 5, 2, 4]
+    >>> band_indices(7, 3)
+    [3, 5]
+    """
+    m, k = divmod(s, n)
+    return list(range(2, n + 1)) * m + [-(-n * i // k) for i in range(1, k)]
 
 
 def conjugate_band_braid(n: int, s: int) -> BraidWord:
-    """The band form delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}} for s = nm + k.
-
-    With a_i = ceil(n*i/k); for s < n this is delta U_{a_1}...U_{a_{s-1}}.
-    """
-    m, k = divmod(s, n)
-    return (
-        delta(n)
-        * round_trip_product(IndexSubset.of(n, range(2, n + 1))) ** m
-        * round_trip_product(IndexSubset.of(n, band_indices(n, k)))
-    )
+    """The band form delta U_{b_1} U_{b_2} ... over b = band_indices(n, s)."""
+    return delta(n) * round_trip_product(n, band_indices(n, s))
 
 
 def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:

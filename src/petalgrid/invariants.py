@@ -187,6 +187,9 @@ def _alarm(deadline: float | None):
         return
     import signal  # only a run with a deadline needs it
 
+    if not (hasattr(signal, "SIGALRM") and hasattr(signal, "setitimer")):
+        raise ValueError("no POSIX interval timer (signal.SIGALRM, signal.setitimer)")
+
     def ring(*_):
         raise TimeoutError
 

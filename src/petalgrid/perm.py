@@ -9,7 +9,6 @@ allocates a new tuple.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from operator import attrgetter
 
 
@@ -105,24 +104,6 @@ class Permutation(_Value):
             j = self.images[j - 1]
             seen += 1
         return seen == self.n
-
-
-class IndexSubset(_Value):
-    """A subset of {1, ..., n}, stored as a strictly increasing member tuple."""
-
-    __slots__ = ("n", "members")
-
-    def __init__(self, n: int, members: tuple[int, ...]):
-        if any(not 1 <= m <= n for m in members):
-            raise ValueError(f"members must lie in 1..{n}: {members}")
-        if any(a >= b for a, b in zip(members, members[1:])):
-            raise ValueError(f"members must be strictly increasing: {members}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "members", members)
-
-    @staticmethod
-    def of(n: int, members: Iterable[int]) -> IndexSubset:
-        return IndexSubset(n, tuple(sorted(set(members))))
 
 
 def residue_perm(n: int, k: int) -> Permutation:

@@ -3,9 +3,10 @@ Petal permutations and the torus-knot synthesizer.
 
 A petal permutation is a permutation of odd degree p = 2n+1 read around the
 single multi-crossing of a petal diagram.  Stabilization at k adds two loops
-while multiplying the represented braid closure by the round-trip band U_k,
-so starting from the base permutation for the (n, n+1) torus knot and
-stabilizing along the subscripts of the band product conjugate to delta^s
+while multiplying the represented braid closure by the round-trip band U_k.
+The base permutation is the (n, n+1) torus knot, the closure of
+delta^(n+1) = delta U_2...U_n: the first n-1 subscripts of band_indices(n, s),
+the band form conjugate to delta^s.  One stabilization per later subscript
 yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 """
 from __future__ import annotations
@@ -90,19 +91,6 @@ def stabilize(pp: PetalPermutation, k: int) -> PetalPermutation:
     return PetalPermutation(tuple(out))
 
 
-def u_indices(n: int, s: int) -> list[int]:
-    """Band subscripts to stabilize along for T(n, s), sorted descending.
-
-    With s = nm + k, the multiset is m-1 copies of each of 2..n plus
-    ceil(n*i/k) for i = 1..k-1, in total s - n - m subscripts.
-    """
-    check_pair(n, s)
-    m, k = divmod(s, n)
-    out = list(range(2, n + 1)) * (m - 1) + band_indices(n, k)
-    out.sort(reverse=True)
-    return out
-
-
 def length_bound(n: int, s: int) -> int:
     """The length 2s - 2*floor(s/n) + 1 that synthesize(n, s) realizes."""
     return 2 * s - 2 * (s // n) + 1
@@ -110,9 +98,9 @@ def length_bound(n: int, s: int) -> int:
 
 def synthesize(n: int, s: int) -> PetalPermutation:
     """A strongly braided petal permutation of T(n, s) realizing length_bound(n, s)."""
-    bands = u_indices(n, s)  # validates the pair before base_petal sees n
+    check_pair(n, s)
     pp = base_petal(n)
-    for k in bands:
+    for k in sorted(band_indices(n, s)[n - 1 :], reverse=True):
         pp = stabilize(pp, k)
     return pp
 

@@ -23,6 +23,7 @@ delta, splitting a permutation braid) and the seeded suites that check its
 identities through the normal form.
 """
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from petalgrid.braid import (
@@ -38,7 +39,7 @@ from petalgrid.braid import (
     words_equal,
 )
 from petalgrid.grid import GridDiagram, Point
-from petalgrid.perm import IndexSubset, Permutation
+from petalgrid.perm import Permutation, _Value
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 from petalgrid.selftest import SuiteResult, _random_subset, _random_word
 
@@ -677,6 +678,24 @@ def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:
 # they live here, with the seeded suites that check their identities.
 
 
+class IndexSubset(_Value):
+    """A subset of {1, ..., n}, stored as a strictly increasing member tuple."""
+
+    __slots__ = ("n", "members")
+
+    def __init__(self, n: int, members: tuple[int, ...]):
+        if any(not 1 <= m <= n for m in members):
+            raise ValueError(f"members must lie in 1..{n}: {members}")
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise ValueError(f"members must be strictly increasing: {members}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "members", members)
+
+    @staticmethod
+    def of(n: int, members: Iterable[int]) -> "IndexSubset":
+        return IndexSubset(n, tuple(sorted(set(members))))
+
+
 def inversions(p: Permutation) -> int:
     """Number of pairs i < j with p(i) > p(j); the Coxeter length."""
     images = p.images
@@ -856,7 +875,7 @@ def suite_band_conjugation(rng: random.Random, trials: int, max_n: int) -> Suite
         )
         res.check(
             words_equal(
-                round_trip_product(a),
+                round_trip_product(n, a.members),
                 subset_braid(a, low) * twist * twist * subset_braid(low, a),
             ),
             f"band product form failed at n={n}, A={a.members}",
@@ -878,7 +897,7 @@ def suite_band_to_delta(rng: random.Random, trials: int, max_n: int) -> SuiteRes
         low, top = bottom_subset(n, k), top_subset(n, k)
         rhs = subset_braid(top, a).inverse() * delta(n) ** k * subset_braid(low, a)
         res.check(
-            words_equal(round_trip_product(a), rhs),
+            words_equal(round_trip_product(n, a.members), rhs),
             f"band-to-delta failed at n={n}, A={a.members}",
         )
     return res

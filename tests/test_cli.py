@@ -311,6 +311,18 @@ def test_timer_leaves_nothing_behind(monkeypatch):
         assert signal.getsignal(signal.SIGALRM) is handler, case.__name__
 
 
+def test_deadline_without_an_interval_timer_fails_the_timer_stage(capsys, monkeypatch):
+    # As on Windows, where signal has neither SIGALRM nor setitimer.
+    monkeypatch.delattr(signal, "SIGALRM")
+    monkeypatch.delattr(signal, "setitimer")
+    report = certify(3, 5, deadline=time.monotonic() + 60)
+    assert report["error"].startswith("timer:"), report["error"]
+    assert report["all_match"] is False and "timeout" not in report
+    code, out, _ = run(capsys, "verify", "3", "5", "--timeout", "5", "--json")
+    assert code == 1 and json.loads(out)["error"].startswith("timer:")
+    assert certify(3, 5)["all_match"] is True
+
+
 def test_verify_timeout_past_the_timer_range(capsys):
     # setitimer overflows past about 1e9 s; such a deadline is no deadline.
     for value in ("inf", "1e12"):

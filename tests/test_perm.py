@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from oracles import order_bijection
+from oracles import IndexSubset, order_bijection
 
-from petalgrid.perm import IndexSubset, Permutation, residue_perm
+from petalgrid.perm import Permutation, residue_perm
 
 
 def test_compose_involution_and_inverse():

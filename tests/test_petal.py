@@ -1,8 +1,11 @@
+import hashlib
+import json
 import math
 import random
 
 import pytest
 
+from petalgrid.braid import band_indices, conjugate_band_braid
 from petalgrid.petal import (
     BRAIDED,
     GENERIC,
@@ -12,7 +15,6 @@ from petalgrid.petal import (
     classify,
     stabilize,
     synthesize,
-    u_indices,
 )
 
 
@@ -74,23 +76,30 @@ def test_stabilize_preserves_strongly_braided():
             assert classify(pp) == STRONGLY_BRAIDED
 
 
-def test_u_indices():
-    assert u_indices(5, 8) == [4, 2]
-    assert u_indices(5, 6) == []
-    assert u_indices(5, 9) == [4, 3, 2]
-    assert u_indices(5, 7) == [3]
-    assert u_indices(3, 11) == [3, 3, 2, 2, 2]
+def test_band_indices():
+    # The band form's subscripts in word order; synthesize stabilizes along
+    # those after the first n-1 (the base petal), largest first.
+    cases = {
+        (5, 8): ([2, 3, 4, 5, 2, 4], [4, 2]),
+        (5, 6): ([2, 3, 4, 5], []),
+        (5, 9): ([2, 3, 4, 5, 2, 3, 4], [4, 3, 2]),
+        (5, 7): ([2, 3, 4, 5, 3], [3]),
+        (3, 11): ([2, 3, 2, 3, 2, 3, 2], [3, 3, 2, 2, 2]),
+    }
+    for (n, s), (subscripts, stabilizations) in cases.items():
+        assert band_indices(n, s) == subscripts, (n, s)
+        assert sorted(band_indices(n, s)[n - 1 :], reverse=True) == stabilizations, (n, s)
+    assert band_indices(61, 150) == list(range(2, 62)) * 2 + band_indices(61, 28)
     with pytest.raises(ValueError, match="not coprime"):
-        u_indices(6, 9)
+        synthesize(6, 9)
 
 
-def test_u_indices_count():
+def test_band_indices_count():
     for n in range(2, 12):
         for s in range(n + 1, 30):
             if math.gcd(n, s) != 1:
                 continue
-            m = s // n
-            assert len(u_indices(n, s)) == s - n - m
+            assert len(band_indices(n, s)) == s - s // n - 1
 
 
 def test_synthesize_golden():
@@ -104,6 +113,21 @@ def test_synthesize_golden():
     s59 = synthesize(5, 9)
     assert s59.odd_part == (9, 8, 7, 6, 5, 4, 3, 2, 1)
     assert s59.even_part == (14, 13, 15, 12, 16, 11, 17, 10)
+
+
+def test_construction_digest():
+    # The petal permutation (n < s) and the band form of every coprime pair
+    # 2 <= n, s <= 60 with n != s, 2,084 rows, hashed together: both read
+    # band_indices, and this digest was taken when each derived its own.
+    rows = []
+    for n in range(2, 61):
+        for s in range(2, 61):
+            if n != s and math.gcd(n, s) == 1:
+                entries = list(synthesize(n, s).entries) if n < s else None
+                rows.append([n, s, entries, list(conjugate_band_braid(n, s).letters)])
+    assert len(rows) == 2084
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == "36c47c16d1aee77eec1afb69d422b380d8fecde8eebf11b2412f9efa8a2b6697"
 
 
 def test_synthesize_length_and_class_sweep():

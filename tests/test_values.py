@@ -8,10 +8,11 @@ import dataclasses
 import pickle
 
 import pytest
+from oracles import IndexSubset
 
 from petalgrid.braid import BraidWord, ConjugacyWitness, NormalForm
 from petalgrid.grid import GridDiagram, ValidationReport
-from petalgrid.perm import IndexSubset, Permutation
+from petalgrid.perm import Permutation
 from petalgrid.petal import PetalPermutation
 
 # (class, valid fields, other valid fields, invalid fields, their error message)
