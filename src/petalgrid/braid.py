@@ -495,7 +495,3 @@ def format_word(w: BraidWord) -> str:
     if not w.letters:
         return "<empty>"
     return " ".join(f"s{abs(g)}" if g > 0 else f"s{abs(g)}^-1" for g in w.letters)
-
-
-def word_to_json(w: BraidWord) -> dict:
-    return {"n": w.n, "letters": list(w.letters)}

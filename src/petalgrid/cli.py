@@ -21,12 +21,11 @@ from .braid import (
     left_normal_form,
     parse_word,
     torus_conjugacy_witness,
-    word_to_json,
     words_equal,
 )
-from .grid import build_petal_grid, render_ascii, write_svg
+from .grid import build_petal_grid, render_ascii, render_svg
 from .invariants import PIPELINES, certify
-from .petal import PetalPermutation, classify, length_bound, petal_to_json, synthesize
+from .petal import PetalPermutation, classify, length_bound, synthesize
 
 SCHEMA = 1
 
@@ -64,10 +63,18 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     pp = synthesize(args.n, args.s)
     bound = length_bound(args.n, args.s)
     if args.json:
-        payload = petal_to_json(pp, args.n, args.s)
-        payload["bound"] = bound
-        payload["classification"] = classify(pp)
-        _emit_json(payload)
+        _emit_json(
+            {
+                "n": args.n,
+                "s": args.s,
+                "length": pp.p,
+                "petal_permutation": list(pp.entries),
+                "odd": list(pp.odd_part),
+                "even": list(pp.even_part),
+                "bound": bound,
+                "classification": classify(pp),
+            }
+        )
     else:
         _out(f"petal permutation of T({args.n},{args.s}): {pp.entries}")
         _out(f"length {pp.p} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
@@ -119,8 +126,8 @@ def cmd_braid(args: argparse.Namespace) -> int:
             {
                 "n": n,
                 "power": k,
-                "conjugator": word_to_json(witness.conjugator),
-                "rhs": word_to_json(witness.rhs),
+                "conjugator": {"n": n, "letters": list(witness.conjugator.letters)},
+                "rhs": {"n": n, "letters": list(witness.rhs.letters)},
                 "verified": witness.verified,
             }
         )
@@ -143,7 +150,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     grid = build_petal_grid(pp)
     if args.svg:
         try:
-            write_svg(grid, args.svg)
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_svg(grid))
         except OSError as exc:  # here, not in main: TimeoutError and BrokenPipeError are OSErrors too
             return _fail(str(exc))
     else:

@@ -12,7 +12,9 @@ The grid of a petal permutation (a_1, ..., a_p) reads its columns off the
 doubled sequence a_1, ..., a_p, a_1, ..., a_p two entries at a time: column
 i runs from row a_{2i-1} to row a_{2i} (indices mod p).  Its middle column,
 x = (p+1)/2, is the unique inflection edge: the one whose two adjacent
-horizontal edges leave it on opposite sides.
+horizontal edges leave it on opposite sides.  So `validate_petal_grid`
+names no coordinates: it returns the petal grid conditions a grid breaks,
+as messages, and () for a petal grid.
 
 >>> g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
 >>> g.starts, g.ends
@@ -22,12 +24,8 @@ horizontal edges leave it on opposite sides.
 """
 from __future__ import annotations
 
-import os
-
 from .perm import Permutation, _Value
 from .petal import PetalPermutation
-
-Point = tuple[int, int]
 
 
 class GridDiagram(_Value):
@@ -62,33 +60,23 @@ class GridDiagram(_Value):
         return order
 
 
-class ValidationReport(_Value):
-    __slots__ = ("valid", "violations", "inflection_edge")
-
-    def __init__(
-        self, valid: bool, violations: tuple[str, ...], inflection_edge: tuple[Point, Point] | None
-    ):
-        object.__setattr__(self, "valid", valid)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "inflection_edge", inflection_edge)
-
-
 def build_petal_grid(pp: PetalPermutation) -> GridDiagram:
     """The petal grid diagram of a petal permutation."""
     heights = pp.entries * 2
     return GridDiagram(heights[0::2], heights[1::2])
 
 
-def validate_petal_grid(g: GridDiagram) -> ValidationReport:
-    """Check the petal grid conditions, reporting violations instead of raising.
+def validate_petal_grid(g: GridDiagram) -> tuple[str, ...]:
+    """The petal grid conditions that g breaks, one message each; () for a petal grid.
 
     A petal grid of size p = 2n+1 must have exactly one inflection edge
     whose adjacent horizontal edges both have length n, while every other
-    vertical edge has adjacent horizontal lengths n and n+1.
+    vertical edge has adjacent horizontal lengths n and n+1.  No coordinates
+    are returned: the inflection edge of a petal grid is its middle column.
     """
     p = g.size
     if p % 2 == 0 or p < 3:
-        return ValidationReport(False, (f"size {p} is not an odd integer >= 3",), None)
+        return (f"size {p} is not an odd integer >= 3",)
 
     bad: list[str] = []
     n = (p - 1) // 2
@@ -96,11 +84,11 @@ def validate_petal_grid(g: GridDiagram) -> ValidationReport:
     preceding = [0] * p
     for x, y in enumerate(following):
         preceding[y] = x
-    inflections: list[int] = []
+    inflections = 0
     for x in range(p):
         lengths = [abs(preceding[x] - x), abs(following[x] - x)]
         if (preceding[x] > x) != (following[x] > x):
-            inflections.append(x)
+            inflections += 1
             if lengths != [n, n]:
                 bad.append(
                     f"inflection edge x={x + 1} has horizontal lengths {lengths}, expected [{n}, {n}]"
@@ -109,13 +97,9 @@ def validate_petal_grid(g: GridDiagram) -> ValidationReport:
             bad.append(
                 f"vertical edge x={x + 1} has horizontal lengths {lengths}, expected {{{n}, {n + 1}}}"
             )
-    if len(inflections) != 1:
-        bad.append(f"found {len(inflections)} inflection edges, expected exactly 1")
-    inflection = None
-    if len(inflections) == 1:
-        x = inflections[0]
-        inflection = ((x + 1, g.starts[x]), (x + 1, g.ends[x]))
-    return ValidationReport(not bad, tuple(bad), inflection)
+    if inflections != 1:
+        bad.append(f"found {inflections} inflection edges, expected exactly 1")
+    return tuple(bad)
 
 
 # --- Rendering ----------------------------------------------------------------
@@ -189,8 +173,3 @@ def render_svg(g: GridDiagram) -> str:
         f"{body}\n"
         "</g>\n</svg>\n"
     )
-
-
-def write_svg(g: GridDiagram, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_svg(g))

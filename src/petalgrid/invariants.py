@@ -241,7 +241,7 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
 
             stage = "grid"
             grid = build_petal_grid(pp)
-            report["grid_valid"] = validate_petal_grid(grid).valid
+            report["grid_valid"] = not validate_petal_grid(grid)
             checks.append(report["grid_valid"])
 
             stage = "strongly_braided"

@@ -103,14 +103,3 @@ def synthesize(n: int, s: int) -> PetalPermutation:
     for k in sorted(band_indices(n, s)[n - 1 :], reverse=True):
         pp = stabilize(pp, k)
     return pp
-
-
-def petal_to_json(pp: PetalPermutation, n: int, s: int) -> dict:
-    return {
-        "n": n,
-        "s": s,
-        "length": pp.p,
-        "petal_permutation": list(pp.entries),
-        "odd": list(pp.odd_part),
-        "even": list(pp.even_part),
-    }

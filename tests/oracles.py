@@ -38,7 +38,7 @@ from petalgrid.braid import (
     round_trip_product,
     words_equal,
 )
-from petalgrid.grid import GridDiagram, Point
+from petalgrid.grid import GridDiagram
 from petalgrid.perm import Permutation, _Value
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
 from petalgrid.selftest import SuiteResult, _random_subset, _random_word
@@ -448,7 +448,7 @@ class NodeGrid:
     """
 
     size: int
-    nodes: tuple[Point, ...]
+    nodes: tuple[tuple[int, int], ...]
     h_edges: tuple[tuple[int, int], ...]
     v_edges: tuple[tuple[int, int], ...]
     cycles: tuple[tuple[tuple[int, int], ...], ...]
@@ -501,7 +501,7 @@ class Crossing:
     under_in_arc: int
     under_out_arc: int
     sign: int
-    position: Point  # (x of the vertical edge, y of the horizontal edge)
+    position: tuple[int, int]  # (x of the vertical edge, y of the horizontal edge)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,10 @@ import petalgrid.invariants as invariants
 import petalgrid.selftest as selftest
 from petalgrid.braid import delta, half_twist, round_trip, words_equal
 from petalgrid.cli import main
+from petalgrid.grid import build_petal_grid, render_svg
 from petalgrid.invariants import certify
+from petalgrid.petal import synthesize
+from test_grid import TREFOIL_SVG
 
 
 def run(capsys, *argv):
@@ -38,6 +41,13 @@ def test_synthesize_rejects_noncoprime(capsys):
     code, _, err = run(capsys, "synthesize", "4", "6")
     assert code == 2
     assert "not coprime" in err
+
+
+def test_pairs_out_of_order_are_usage_errors(capsys):
+    for argv in (("verify", "3", "2"), ("synthesize", "2", "2")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert "need 2 <= n < s" in err, argv
 
 
 def test_synthesize_human_readable(capsys):
@@ -125,6 +135,32 @@ def test_braid_nf_json_matches_the_golden_file(capsys):
         assert (code, out) == (0, expected), (n, word)
 
 
+def test_payloads_and_svg_files_match_the_golden_bytes(capsys, tmp_path):
+    """`synthesize n s --json` and `braid conjugacy n k --json` print the lines of
+    tests/golden/synthesize.jsonl and conjugacy.jsonl byte for byte, and
+    `render --svg` writes exactly what `render_svg` returns.
+
+    Each golden line names its own pair: n and s, or n and power.  The files
+    are regenerated only for an intended change of output, and that change
+    is logged in CHANGES.md.
+    """
+    files = (("synthesize", ("synthesize",), "s", 6), ("conjugacy", ("braid", "conjugacy"), "power", 5))
+    for name, argv, second, count in files:
+        golden = (Path(__file__).parent / "golden" / f"{name}.jsonl").read_text().splitlines(keepends=True)
+        assert len(golden) == count
+        for expected in golden:
+            line = json.loads(expected)
+            pair = (str(line["n"]), str(line[second]))
+            assert run(capsys, *argv, *pair, "--json")[:2] == (0, expected), (name, pair)
+
+    target = tmp_path / "t57.svg"
+    assert run(capsys, "render", "5", "7", "--svg", str(target))[:2] == (0, "")
+    assert target.read_bytes() == render_svg(build_petal_grid(synthesize(5, 7))).encode()
+    target = tmp_path / "trefoil.svg"
+    assert run(capsys, "render", "--perm", "3,5,2,4,1", "--svg", str(target))[:2] == (0, "")
+    assert target.read_bytes() == TREFOIL_SVG.encode()
+
+
 def test_verify_failed_stage_exits_1(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise ValueError("not divisible")
@@ -198,11 +234,11 @@ def test_verify_timeout(capsys):
 
 
 def test_verify_timeout_must_be_positive(capsys):
-    # Zero or a negative number of seconds is no deadline a run can meet.
-    for value in ("0", "-1"):
-        code, out, err = run(capsys, "verify", "3", "5", "--timeout", value, "--json")
+    # Zero, a negative number of seconds or no number is no deadline a run can meet.
+    for value in ("0", "-1", "abc"):
+        code, out, err = run(capsys, "verify", "5", "7", "--timeout", value, "--json")
         assert code == 2, value
-        assert out == "" and "positive number of seconds" in err
+        assert out == "" and err.endswith(f"must be a positive number of seconds, got {value}\n")
 
 
 @pytest.fixture

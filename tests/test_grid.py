@@ -6,7 +6,6 @@ import pytest
 from oracles import lattice_crossings, to_planar_diagram
 from petalgrid.grid import (
     GridDiagram,
-    ValidationReport,
     build_petal_grid,
     render_ascii,
     render_svg,
@@ -70,28 +69,35 @@ def test_grid_structure_randomized():
 
 def test_validate_petal_grid():
     g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
-    report = validate_petal_grid(g)
-    assert report.valid and not report.violations
-    assert report.inflection_edge == ((3, 1), (3, 3))  # nodes 5 and 6 of the figure
-
-    assert validate_petal_grid(build_petal_grid(synthesize(5, 7))).valid
+    assert validate_petal_grid(g) == ()
+    assert validate_petal_grid(build_petal_grid(synthesize(5, 7))) == ()
 
 
 def test_validate_rejects_corrupted_grid():
     g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
     ends = list(g.ends)
     ends[0], ends[1] = ends[1], ends[0]  # columns 1 and 2 trade their ends
-    report = validate_petal_grid(GridDiagram(g.starts, tuple(ends)))
-    assert not report.valid
-    assert report.violations == (
+    assert validate_petal_grid(GridDiagram(g.starts, tuple(ends))) == (
         "vertical edge x=1 has horizontal lengths [2, 4], expected {2, 3}",
         "vertical edge x=2 has horizontal lengths [2, 2], expected {2, 3}",
         "vertical edge x=4 has horizontal lengths [2, 2], expected {2, 3}",
         "vertical edge x=5 has horizontal lengths [4, 2], expected {2, 3}",
     )
 
-    report = validate_petal_grid(GridDiagram((1, 2, 3, 4), (2, 3, 4, 1)))
-    assert report == ValidationReport(False, ("size 4 is not an odd integer >= 3",), None)
+    assert validate_petal_grid(GridDiagram((1, 2, 3, 4), (2, 3, 4, 1))) == (
+        "size 4 is not an odd integer >= 3",
+    )
+
+    # The cyclic shift of size 5: every step but the wrap-around runs one
+    # column right, so columns 2-4 are all inflection edges of the wrong length.
+    assert validate_petal_grid(GridDiagram((1, 2, 3, 4, 5), (2, 3, 4, 5, 1))) == (
+        "vertical edge x=1 has horizontal lengths [4, 1], expected {2, 3}",
+        "inflection edge x=2 has horizontal lengths [1, 1], expected [2, 2]",
+        "inflection edge x=3 has horizontal lengths [1, 1], expected [2, 2]",
+        "inflection edge x=4 has horizontal lengths [1, 1], expected [2, 2]",
+        "vertical edge x=5 has horizontal lengths [1, 4], expected {2, 3}",
+        "found 3 inflection edges, expected exactly 1",
+    )
 
 
 def test_planar_diagram_trefoil():

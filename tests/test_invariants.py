@@ -891,6 +891,10 @@ def test_certify_report():
     report = certify(5, 9)
     assert report["all_match"] and report["length"] == 17
 
+    with pytest.raises(ValueError) as caught:
+        certify(5, 7, "grids")
+    assert str(caught.value) == "pipeline must be one of grid, burau, both, got 'grids'"
+
 
 def test_certify_large_pair():
     # p = 57: both pipelines, with the grid determinant of order 57.

@@ -1,0 +1,45 @@
+"""Where decisions live: the command line alone shapes output and touches files.
+
+`cli` decides every JSON payload (bar `certify`'s report, the library's
+result) and writes the SVG file; the other modules compute values and
+return them.  Read from each module's syntax tree, not by importing it.
+"""
+import ast
+from pathlib import Path
+
+import petalgrid
+
+SOURCES = {
+    path.stem: ast.parse(path.read_text(encoding="utf-8"))
+    for path in Path(petalgrid.__file__).parent.glob("*.py")
+}
+
+
+def test_only_cli_imports_json_or_opens_files():
+    offenders = set()
+    for name, tree in SOURCES.items():
+        if name == "cli":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) and any(alias.name == "json" for alias in node.names):
+                offenders.add((name, "import json"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                offenders.add((name, "from json import"))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "open":
+                offenders.add((name, "open()"))
+    assert "cli" in SOURCES and not offenders, sorted(offenders)
+
+
+def test_no_function_builds_a_json_payload_by_name():
+    named = sorted(
+        (name, node.name)
+        for name, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.endswith("_to_json")
+    )
+    assert not named, named
+
+
+def test_grid_defines_only_the_grid_diagram_class():
+    classes = [node.name for node in ast.walk(SOURCES["grid"]) if isinstance(node, ast.ClassDef)]
+    assert classes == ["GridDiagram"]

@@ -11,7 +11,7 @@ import pytest
 from oracles import IndexSubset
 
 from petalgrid.braid import BraidWord, ConjugacyWitness, NormalForm
-from petalgrid.grid import GridDiagram, ValidationReport
+from petalgrid.grid import GridDiagram
 from petalgrid.perm import Permutation
 from petalgrid.petal import PetalPermutation
 
@@ -40,13 +40,6 @@ CASES = [
         ((2, 3, 1), (3, 1, 2)),
         ((1, 2), (1, 3)),
         "not a permutation of 1..2: (1, 3)",
-    ),
-    (
-        ValidationReport,
-        (True, (), ((3, 1), (3, 5))),
-        (False, ("size 4 is not an odd integer >= 3",), None),
-        None,
-        None,
     ),
     (
         PetalPermutation,
