@@ -121,7 +121,10 @@ def round_trip_product(n: int, subscripts: Sequence[int]) -> BraidWord:
     """The product U_{k_1} U_{k_2} ... of round-trip bands, in the order given."""
     letters: list[int] = []
     for k in subscripts:
-        letters += round_trip(n, k).letters
+        if not 1 <= k <= n:
+            raise ValueError(f"k={k} out of range for braid index {n}")
+        letters += range(k - 1, 0, -1)
+        letters += range(1, k)
     return BraidWord(n, tuple(letters))
 
 
@@ -165,13 +168,14 @@ def permutation_braid(p: Permutation) -> BraidWord:
 # permutation braid of Y^-1 Delta followed by Delta^-1.  Appending a factor
 # combs it leftwards: each pair is left-weighted by one insertion pass, which
 # moves every crossing that can leave the head of the right factor into the
-# tail of the left one.
+# tail of the left one; a pass that moves nothing finds the pair
+# left-weighted already, and the factor is combed in.
 #
 # In the comb a factor is its 1-indexed images as a bytes object, so that the
 # work around each pass runs in C: the inverse of g is the table
 # bytes.maketrans(g, ident) read at 1..n, Delta-conjugation is one reverse
 # and one translate, and a factor is tested against Delta and the identity
-# with ==.  The pass itself scans and moves on list copies, whose indexing
+# with ==.  The pass itself tests and moves on list copies, whose indexing
 # CPython makes faster than that of bytes.  An image past 255 does not fit a
 # byte, so for n > 255 the same comb runs on tuples, with _maketrans and
 # _translate standing in for the two bytes methods.
@@ -296,9 +300,12 @@ class NormalForm(_Value):
         # into the tail of f (see _comb): no s with f(s) < f(s+1) at which g
         # starts, g^-1(s) > g^-1(s+1).
         for f, g in zip(factors, factors[1:]):
-            a, b = f.images, g.images
+            a = f.images
+            ginv = [0] * (n + 1)  # g^-1, 1-indexed
+            for i, v in enumerate(g.images, 1):
+                ginv[v] = i
             for s in range(1, n):
-                if a[s - 1] < a[s] and b.index(s) > b.index(s + 1):
+                if a[s - 1] < a[s] and ginv[s] > ginv[s + 1]:
                     raise ValueError("normal form factors are not left-weighted")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta_power", delta_power)
@@ -316,9 +323,10 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
     swaps the pairs at s and s+1; it is legal when s starts g (g^-1(s) >
     g^-1(s+1)) but does not finish f (f(s) < f(s+1)).  A slide changes no
     pair to the right of the one that moved, so the slides are done as one
-    insertion pass from the first legal one: the pair at i moves left past
-    every neighbour it may slide over, and i is never revisited.  A pair with
-    no legal slide is left-weighted, and combing the factor in stops there.
+    insertion pass over i = 1..n-1: the pair at i moves left past every
+    neighbour it may slide over, and i is never revisited.  A pass that
+    moves nothing has found no legal slide, so the pair is left-weighted, and
+    combing the factor in stops there.
     """
     if n < 256:
         pack, maketrans, translate = bytes, bytes.maketrans, bytes.translate
@@ -345,20 +353,19 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
         while j >= 0:
             fl = list(factors[j])
             ginv = list(maketrans(factors[j + 1], ident)[1:end])  # g^-1, 1-indexed
-            for i in range(1, n):  # the first legal slide; with none the pair is left-weighted
+            moved = False
+            for i in range(1, n):
                 if fl[i - 1] < fl[i] and ginv[i - 1] > ginv[i]:
-                    break
-            else:
-                break
-            for i in range(i, n):
-                x = fl[i]
-                y = ginv[i]
-                if fl[i - 1] < x and ginv[i - 1] > y:
+                    x = fl.pop(i)
+                    y = ginv.pop(i)
                     k = i - 1
                     while k and fl[k - 1] < x and ginv[k - 1] > y:
                         k -= 1
-                    fl.insert(k, fl.pop(i))
-                    ginv.insert(k, ginv.pop(i))
+                    fl.insert(k, x)
+                    ginv.insert(k, y)
+                    moved = True
+            if not moved:
+                break  # the pair is left-weighted
             g = maketrans(pack(ginv), ident)[1:end]  # the new g, from its inverse
             if g == ident:
                 del factors[j + 1]
@@ -461,15 +468,24 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     i -> k*i mod n, empty when k = 1 mod n.  The closure of either side is
     the (n, k) torus knot; verification is by normal-form equality of
     conjugator^-1 delta^k conjugator and the band form.
+
+    With k = mn + r, delta^k = Delta^(2m) delta^r, since delta^n = Delta^2
+    (Garside), and Delta^2 is central.  So the left side is Delta^(2m) times
+    conjugator^-1 delta^r conjugator, whose normal form is that of the
+    shorter word with 2m added to its Delta-power and the same factors; the
+    m copies of delta^n are counted, not combed.
     """
     if min(n, k) < 2:
         raise ValueError(f"need n, k >= 2, got n={n}, k={k}")
     if math.gcd(n, k) != 1:
         raise ValueError("not coprime")
-    conj = permutation_braid(residue_perm(n, k % n))
+    m, r = divmod(k, n)
+    conj = permutation_braid(residue_perm(n, r))
     rhs = conjugate_band_braid(n, k)
-    lhs = conj.inverse() * delta(n) ** k * conj
-    return ConjugacyWitness(n, conj, rhs, words_equal(lhs, rhs))
+    lhs = left_normal_form(conj.inverse() * delta(n) ** r * conj)
+    nf = left_normal_form(rhs)
+    verified = (lhs.delta_power + 2 * m, lhs.factors) == (nf.delta_power, nf.factors)
+    return ConjugacyWitness(n, conj, rhs, verified)
 
 
 # --- Text and JSON forms ------------------------------------------------------

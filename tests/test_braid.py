@@ -33,6 +33,7 @@ from petalgrid.braid import (
     torus_conjugacy_witness,
     words_equal,
 )
+import petalgrid.braid as braid
 from petalgrid.braid import _comb, _simple_runs
 from petalgrid.perm import Permutation, residue_perm
 
@@ -73,6 +74,27 @@ def test_round_trip_product_is_the_per_band_concatenation():
     for k in list(range(2, 62)) * 2 + band_indices(61, 28):
         expected = expected * round_trip(61, k)
     assert conjugate_band_braid(61, 150) == expected
+
+
+def test_round_trip_product_is_the_product_of_round_trips():
+    # 200 random subscript lists, with repeats and in any order.
+    rng = random.Random(200)
+    for _ in range(200):
+        n = rng.randint(1, 20)
+        subscripts = rng.choices(range(1, n + 1), k=rng.randint(0, 12))
+        expected = BraidWord.identity(n)
+        for k in subscripts:
+            expected = expected * round_trip(n, k)
+        assert round_trip_product(n, subscripts) == expected, (n, subscripts)
+    # A subscript out of range raises descending_run's message, wherever it sits.
+    for n in (1, 2, 5, 9):
+        for k in (0, n + 1):
+            message = f"^k={k} out of range for braid index {n}$"
+            with pytest.raises(ValueError, match=message):
+                descending_run(n, k)
+            for subscripts in ([k], [1, k], [k, n]):
+                with pytest.raises(ValueError, match=message):
+                    round_trip_product(n, subscripts)
 
 
 def test_half_twist_as_run_products():
@@ -624,6 +646,43 @@ def test_conjugacy_witnesses():
     for n, k in ((7, 1), (1, 7), (3, -2)):
         with pytest.raises(ValueError, match=f"^need n, k >= 2, got n={n}, k={k}$"):
             torus_conjugacy_witness(n, k)
+
+
+def test_delta_to_the_n_is_a_central_delta_squared():
+    # Garside: delta^n = Delta^2, which the witness counts instead of combing.
+    for n in range(2, 41):
+        assert left_normal_form(delta(n) ** n) == NormalForm(n, 2, ()), n
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (7, 3), (5, 7), (7, 10), (3, 100), (7, 50)])
+def test_witness_counts_delta_squared_exactly(n, k):
+    # m = 0 (k < n), m = 1, and m >= 5: the normal form of conj^-1 delta^r conj
+    # with 2m added to its Delta-power is that of the whole word conj^-1 delta^k conj.
+    m, r = divmod(k, n)
+    w = torus_conjugacy_witness(n, k)
+    conj = w.conjugator
+    short = left_normal_form(conj.inverse() * delta(n) ** r * conj)
+    whole = left_normal_form(conj.inverse() * delta(n) ** k * conj)
+    assert NormalForm(n, short.delta_power + 2 * m, short.factors) == whole
+    assert w.verified and left_normal_form(w.rhs) == whole
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (7, 10), (3, 100), (7, 50)])
+def test_witness_rejects_a_wrong_band_form(monkeypatch, n, k):
+    band = braid.conjugate_band_braid(n, k)
+    # One extra (U_2...U_n) block: the band form of k + n, off by exactly Delta^2.
+    extra = delta(n) * round_trip_product(n, list(range(2, n + 1)) + band_indices(n, k))
+    assert extra == braid.conjugate_band_braid(n, k + n)
+    nf = left_normal_form(band)
+    assert left_normal_form(extra) == NormalForm(n, nf.delta_power + 2, nf.factors)
+    # One letter's sign flipped.
+    letters = list(band.letters)
+    letters[len(letters) // 2] *= -1
+    flipped = BraidWord(n, tuple(letters))
+    for wrong in (extra, flipped):
+        monkeypatch.setattr(braid, "conjugate_band_braid", lambda n_, k_, wrong=wrong: wrong)
+        w = torus_conjugacy_witness(n, k)
+        assert w.rhs == wrong and w.verified is False, (n, k)
 
 
 def test_central_power_commutes():
