@@ -57,10 +57,6 @@ class BraidWord(_Value):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "letters", letters)
 
-    @staticmethod
-    def identity(n: int) -> BraidWord:
-        return BraidWord(n, ())
-
     def __mul__(self, other: BraidWord) -> BraidWord:
         if not isinstance(other, BraidWord):
             return NotImplemented
@@ -80,45 +76,17 @@ class BraidWord(_Value):
         return len(self.letters)
 
 
-def sigma(n: int, i: int) -> BraidWord:
-    """The generator sigma_i as a one-letter word in B_n."""
-    return BraidWord(n, (i,))
-
-
 def delta(n: int) -> BraidWord:
     """The descending cycle sigma_{n-1} sigma_{n-2} ... sigma_1."""
     return BraidWord(n, tuple(range(n - 1, 0, -1)))
 
 
-def half_twist(n: int) -> BraidWord:
-    """The half twist sigma_1 (sigma_2 sigma_1) ... (sigma_{n-1} ... sigma_1)."""
-    letters: list[int] = []
-    for k in range(2, n + 1):
-        letters.extend(range(k - 1, 0, -1))
-    return BraidWord(n, tuple(letters))
-
-
-def descending_run(n: int, k: int) -> BraidWord:
-    """The band word sigma_{k-1} ... sigma_2 sigma_1; empty when k = 1."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for braid index {n}")
-    return BraidWord(n, tuple(range(k - 1, 0, -1)))
-
-
-def ascending_run(n: int, k: int) -> BraidWord:
-    """The band word sigma_1 sigma_2 ... sigma_{k-1}; empty when k = 1."""
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for braid index {n}")
-    return BraidWord(n, tuple(range(1, k)))
-
-
-def round_trip(n: int, k: int) -> BraidWord:
-    """The round-trip band on the lowest k strands: descending then ascending run."""
-    return descending_run(n, k) * ascending_run(n, k)
-
-
 def round_trip_product(n: int, subscripts: Sequence[int]) -> BraidWord:
-    """The product U_{k_1} U_{k_2} ... of round-trip bands, in the order given."""
+    """The product U_{k_1} U_{k_2} ... of round-trip bands, in the order given.
+
+    U_k = sigma_{k-1} ... sigma_1 sigma_1 ... sigma_{k-1} is the round trip on
+    the lowest k strands; U_1 is empty.
+    """
     letters: list[int] = []
     for k in subscripts:
         if not 1 <= k <= n:
@@ -402,7 +370,7 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     power plus the bit is odd is conjugated first, and so are all factors at
     the end when it is.
 
-    >>> nf = left_normal_form(half_twist(4).inverse())
+    >>> nf = left_normal_form(BraidWord(4, (1, 2, 1, 3, 2, 1)).inverse())
     >>> nf.delta_power, nf.factors
     (-1, ())
     >>> left_normal_form(BraidWord(3, (1, 2, 2))).factors

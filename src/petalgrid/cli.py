@@ -1,6 +1,6 @@
 """
 Command-line interface: synthesis, verification, braid computations,
-rendering, and the identity self-test.
+rendering, and the self-test that certifies every coprime pair up to s = 20.
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage or
 input error, 3 timeout.  JSON payloads carry a top-level "schema": 1 and
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -160,20 +161,17 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
-    from . import selftest  # only this command needs the suites
-
+    """Certify, both pipelines, every coprime pair 2 <= n < s <= 20: 108 pairs."""
     t0 = time.monotonic()
-    results = selftest.run_all()
-    width = max(len(r.name) for r in results)
-    failed = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        _out(f"{status}  {r.name:<{width}}  {r.cases} cases")
-        if not r.passed:
-            failed.append(r)
-            for detail in r.failures[:3]:
-                _out(f"      {detail}")
-    _out(f"{len(results) - len(failed)}/{len(results)} suites passed in {time.monotonic() - t0:.1f}s")
+    pairs = [(n, s) for s in range(3, 21) for n in range(2, s) if math.gcd(n, s) == 1]
+    failed = 0
+    for n, s in pairs:
+        report = certify(n, s)
+        if not report["all_match"]:
+            failed += 1
+            if failed <= 3:
+                _out(f"FAIL  n={n}, s={s}: {report}")
+    _out(f"{len(pairs) - failed}/{len(pairs)} pairs certified in {time.monotonic() - t0:.1f}s")
     return EXIT_OK if not failed else EXIT_CHECK_FAILED
 
 
@@ -232,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--svg", metavar="PATH")
     p.set_defaults(func=cmd_render)
 
-    p = sub.add_parser("selftest", help="run the identity suites and print a table")
+    p = sub.add_parser("selftest", help="certify every coprime pair 2 <= n < s <= 20")
     p.set_defaults(func=cmd_selftest)
     return parser
 

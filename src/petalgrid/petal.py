@@ -25,9 +25,9 @@ class PetalPermutation(_Value):
     __slots__ = ("entries",)
 
     def __init__(self, entries: tuple[int, ...]):
-        Permutation(entries)  # bijectivity
         if len(entries) < 3 or len(entries) % 2 == 0:
             raise ValueError(f"petal permutation length must be odd >= 3, got {len(entries)}")
+        Permutation(entries)  # bijectivity
         object.__setattr__(self, "entries", entries)
 
     @property

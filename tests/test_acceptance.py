@@ -10,7 +10,6 @@ from contextlib import contextmanager
 
 import oracles
 from oracles import positive_words_agree_with_bfs, strongly_braided_stabilization_holds
-from petalgrid import selftest
 from petalgrid.braid import conjugate_band_braid, torus_conjugacy_witness
 from petalgrid.grid import build_petal_grid, validate_petal_grid
 from petalgrid.invariants import (
@@ -22,7 +21,7 @@ from petalgrid.invariants import (
 )
 from petalgrid.petal import STRONGLY_BRAIDED, classify, stabilize, synthesize
 
-SEED = selftest.DEFAULT_SEED
+SEED = oracles.SEED
 
 CERTIFICATION_PAIRS = [(2, 3), (2, 5), (2, 7), (3, 4), (3, 5), (3, 7), (4, 5), (5, 6), (5, 7)]
 
@@ -93,7 +92,7 @@ def test_criterion_5_identity_suite():
     with criterion(5, "identity-suite", budget=60.0):
         rng = random.Random(SEED)
         suites = [
-            (selftest.suite_band_relations(rng, 200, 9), 1000),
+            (oracles.suite_band_relations(rng, 200, 9), 1000),
             (oracles.suite_routing_composition(rng, 200, 9), 200),
             (oracles.suite_split_exchange(rng, 200, 9), 400),
             (oracles.suite_braid_splitting(rng, 200, 9), 200),
@@ -122,7 +121,7 @@ def test_criterion_7_property_suites():
     with criterion(7, "property-suites", budget=120.0):
         rng = random.Random(SEED)
 
-        rewrites = selftest.suite_normal_form_rewrites(rng, 1000, max_n=8)
+        rewrites = oracles.suite_normal_form_rewrites(rng, 1000, max_n=8)
         assert rewrites.cases == 1000 and rewrites.passed, rewrites.failures[:3]
 
         for n in (3, 4):

@@ -3,33 +3,37 @@ import random
 
 import pytest
 from oracles import (
+    SEED,
     IndexSubset,
     _letterwise_left_weight,
+    ascending_run,
     decompose_permutation_braid,
+    descending_run,
+    half_twist,
     inversions,
     letterwise_normal_form,
+    round_trip,
+    sigma,
     split,
     subset_braid,
+    suite_band_relations,
+    suite_normal_form_rewrites,
+    suite_residue_conjugacy,
     tau,
 )
 
 from petalgrid.braid import (
     NormalForm,
     BraidWord,
-    ascending_run,
     band_indices,
     conjugate_band_braid,
     delta,
-    descending_run,
     format_word,
-    half_twist,
     induced_permutation,
     left_normal_form,
     parse_word,
     permutation_braid,
-    round_trip,
     round_trip_product,
-    sigma,
     torus_conjugacy_witness,
     words_equal,
 )
@@ -66,7 +70,7 @@ def test_round_trip_product_is_the_per_band_concatenation():
     for n in range(2, 62):
         for _ in range(3):
             members = rng.sample(range(1, n + 1), rng.randint(0, n))  # in any order
-            expected = BraidWord.identity(n)
+            expected = BraidWord(n, ())
             for k in members:
                 expected = expected * round_trip(n, k)
             assert round_trip_product(n, members) == expected, (n, members)
@@ -82,7 +86,7 @@ def test_round_trip_product_is_the_product_of_round_trips():
     for _ in range(200):
         n = rng.randint(1, 20)
         subscripts = rng.choices(range(1, n + 1), k=rng.randint(0, 12))
-        expected = BraidWord.identity(n)
+        expected = BraidWord(n, ())
         for k in subscripts:
             expected = expected * round_trip(n, k)
         assert round_trip_product(n, subscripts) == expected, (n, subscripts)
@@ -99,10 +103,10 @@ def test_round_trip_product_is_the_product_of_round_trips():
 
 def test_half_twist_as_run_products():
     for n in range(2, 8):
-        descending = BraidWord.identity(n)
+        descending = BraidWord(n, ())
         for k in range(2, n + 1):
             descending = descending * descending_run(n, k)
-        ascending = BraidWord.identity(n)
+        ascending = BraidWord(n, ())
         for k in range(n, 1, -1):
             ascending = ascending * ascending_run(n, k)
         assert words_equal(descending, half_twist(n))
@@ -112,7 +116,7 @@ def test_half_twist_as_run_products():
 def test_induced_permutations():
     assert induced_permutation(delta(6)) == Permutation((6, 1, 2, 3, 4, 5))
     assert induced_permutation(half_twist(6)) == Permutation((6, 5, 4, 3, 2, 1))
-    assert induced_permutation(BraidWord.identity(4)) == Permutation.identity(4)
+    assert induced_permutation(BraidWord(4, ())) == Permutation.identity(4)
 
 
 def test_induced_permutation_is_homomorphic():
@@ -176,12 +180,12 @@ def test_subset_braid_barred_is_negative_mirror():
     b = IndexSubset.of(6, (3, 4))
     barred = subset_braid(b, a).inverse()
     assert all(g < 0 for g in barred.letters)
-    assert words_equal(barred * subset_braid(b, a), BraidWord.identity(6))
+    assert words_equal(barred * subset_braid(b, a), BraidWord(6, ()))
 
 
 def test_split():
     assert split(sigma(2, 1), sigma(2, 1)).letters == (1, 3)
-    assert split(BraidWord.identity(3), BraidWord.identity(4)) == BraidWord.identity(7)
+    assert split(BraidWord(3, ()), BraidWord(4, ())) == BraidWord(7, ())
     assert split(BraidWord(2, (-1,)), BraidWord(3, (2, -1))).letters == (-1, 4, -3)
 
 
@@ -198,7 +202,7 @@ def test_split_exchange_randomized():
 
 def test_tau():
     assert words_equal(tau(sigma(5, 1)), sigma(5, 2))
-    assert tau(BraidWord.identity(4)) == BraidWord.identity(4)
+    assert tau(BraidWord(4, ())) == BraidWord(4, ())
 
     x3 = permutation_braid(residue_perm(7, 3))
     d = induced_permutation(delta(7))
@@ -269,7 +273,7 @@ def test_braid_word_names_its_first_bad_letter():
 
 def test_normal_form_of_empty_words_and_b2():
     for n in range(0, 7):
-        assert left_normal_form(BraidWord.identity(n)) == NormalForm(n, 0, ())
+        assert left_normal_form(BraidWord(n, ())) == NormalForm(n, 0, ())
     for k in range(-6, 7):
         w = sigma(2, 1) ** k
         assert left_normal_form(w) == NormalForm(2, k, ())
@@ -698,7 +702,7 @@ def test_delta_power_factorization_exhaustive():
         for k in range(2, n + 1):
             low = IndexSubset.of(n, range(1, k + 1))
             top = IndexSubset.of(n, range(n - k + 1, n + 1))
-            twist = split(half_twist(k) ** 2, BraidWord.identity(n - k))
+            twist = split(half_twist(k) ** 2, BraidWord(n - k, ()))
             assert words_equal(delta(n) ** k, subset_braid(top, low) * twist), (n, k)
 
 
@@ -731,11 +735,27 @@ def test_residue_permutation_lemmas():
     assert checks == 38
 
 
+def test_band_relations_then_normal_form_rewrites_on_one_seeded_generator():
+    # One generator, drawn from by the two seeded identity suites in turn.
+    rng = random.Random(SEED)
+    for suite, cases in (
+        (suite_band_relations(rng, 200, 9), 1000),
+        (suite_normal_form_rewrites(rng, 200, 8), 200),
+    ):
+        assert suite.cases == cases, (suite.name, suite.cases)
+        assert suite.passed, (suite.name, suite.failures[:3])
+
+
+def test_residue_conjugacy_suite_up_to_9():
+    suite = suite_residue_conjugacy(9)
+    assert suite.cases == 65 and suite.passed, suite.failures[:3]
+
+
 def test_parse_and_format():
     w = parse_word(4, "s1 s2^-1 s1")
     assert w.letters == (1, -2, 1)
     assert format_word(w) == "s1 s2^-1 s1"
-    assert format_word(BraidWord.identity(3)) == "<empty>"
+    assert format_word(BraidWord(3, ())) == "<empty>"
     with pytest.raises(ValueError):
         parse_word(3, "s9")
     with pytest.raises(ValueError):

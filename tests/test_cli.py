@@ -1,7 +1,7 @@
 import argparse
 import json
 import os
-import random
+import re
 import signal
 import subprocess
 import sys
@@ -13,8 +13,7 @@ import pytest
 import petalgrid
 import petalgrid.cli as cli
 import petalgrid.invariants as invariants
-import petalgrid.selftest as selftest
-from petalgrid.braid import delta, half_twist, round_trip, words_equal
+from petalgrid.braid import delta
 from petalgrid.cli import main
 from petalgrid.grid import build_petal_grid, render_svg
 from petalgrid.invariants import certify
@@ -427,6 +426,13 @@ def test_render(capsys, tmp_path):
     code, _, err = run(capsys, "render", "--perm", "1,2")
     assert code == 2
 
+    # An empty or even-length list is named for its length, whether or not
+    # it is a permutation.
+    for perm, length in (("", 0), ("2,1,4,4", 4), ("2,1,4,3", 4)):
+        code, out, err = run(capsys, "render", "--perm", perm)
+        assert (code, out) == (2, ""), perm
+        assert err == f"error: petal permutation length must be odd >= 3, got {length}\n", perm
+
     code, _, err = run(capsys, "render")
     assert code == 2
 
@@ -446,17 +452,10 @@ def test_render_svg_to_a_missing_directory(capsys, tmp_path):
 
 
 def test_selftest_runs_the_shipped_suites(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    lines = out.splitlines()
-    rows = [line.split() for line in lines[:-1]]
-    assert rows == [
-        ["PASS", "band-relations", "1000", "cases"],
-        ["PASS", "residue-conjugacy", "65", "cases"],
-        ["PASS", "normal-form-rewrites", "200", "cases"],
-        ["PASS", "knot-certification", "108", "cases"],
-    ]
-    assert lines[-1].startswith("4/4 suites passed")
+    # Knot certification, both pipelines, on the 108 coprime pairs 2 <= n < s <= 20.
+    code, out, err = run(capsys, "selftest")
+    assert (code, err) == (0, "")
+    assert re.fullmatch(r"108/108 pairs certified in \d+\.\ds\n", out), out
 
 
 def test_selftest_takes_no_options(capsys):
@@ -491,7 +490,7 @@ def test_closed_stdout_keeps_the_exit_code():
 def test_start_up_loads_only_what_verify_needs():
     # A fresh process that imports the CLI and builds its parser, as every
     # command does, loads neither dataclasses (nor inspect behind it), nor
-    # the selftest suites, nor signal, which only --timeout uses.
+    # a selftest module, nor signal, which only --timeout uses.
     src = str(Path(petalgrid.__file__).resolve().parents[1])
     code = (
         "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
@@ -545,51 +544,36 @@ def test_main_reuses_one_parser_and_calls_stay_independent(capsys, monkeypatch):
     assert json.loads(shared[6][1])["length"] == 13
 
 
-def test_selftest_seed_defaults_to_the_suites_seed(monkeypatch):
-    # The seeded suites draw from a generator seeded with DEFAULT_SEED; the
-    # stubs draw nothing, so both see it fresh.
-    states = []
-
-    def draw(rng, trials, max_n):
-        states.append(rng.getstate())
-        return selftest.SuiteResult("drawn")
-
-    monkeypatch.setattr(selftest, "suite_band_relations", draw)
-    monkeypatch.setattr(selftest, "suite_normal_form_rewrites", draw)
-    monkeypatch.setattr(selftest, "suite_residue_conjugacy", lambda max_n: selftest.SuiteResult("r"))
-    monkeypatch.setattr(selftest, "suite_certification", lambda max_s: selftest.SuiteResult("c"))
-    selftest.run_all()
-    fresh = random.Random(70311).getstate()
-    assert states == [fresh, fresh]
-    assert selftest.DEFAULT_SEED == 70311
+def test_the_identity_suites_seed_lives_in_the_test_oracles_alone():
+    # The braid-identity suites and their seed are test code: the library
+    # names 70311 nowhere, and tests/oracles.py names it once, as SEED.
     sources = Path(petalgrid.__file__).parent.glob("*.py")
-    assert sum(path.read_text(encoding="utf-8").count("70311") for path in sources) == 1
-
-
-def test_selftest_fault_injection(capsys, monkeypatch):
-    # A deliberately false identity, as a negative control.
-    failing = selftest.SuiteResult("injected-fault")
-    failing.check(
-        words_equal(round_trip(3, 2), half_twist(3) ** 2),
-        "expected failure: a single band is not the full twist",
-    )
-    monkeypatch.setattr(selftest, "run_all", lambda: [failing])
-    code, out, _ = run(capsys, "selftest")
-    assert code == 1
-    assert "FAIL" in out and "injected-fault" in out
+    assert sum(path.read_text(encoding="utf-8").count("70311") for path in sources) == 0
+    assert (Path(__file__).parent / "oracles.py").read_text(encoding="utf-8").count("70311") == 1
 
 
 def test_selftest_fails_when_one_pair_fails_to_certify(capsys, monkeypatch):
-    # A negative control for the certification suite: T(3,5) alone fails.
+    # A negative control: T(3,5) alone fails, and the other 107 pairs still run.
     def certify_but_t35(n, s):
         report = certify(n, s)
         return {**report, "all_match": False} if (n, s) == (3, 5) else report
 
-    monkeypatch.setattr(selftest, "certify", certify_but_t35)
+    monkeypatch.setattr(cli, "certify", certify_but_t35)
     code, out, _ = run(capsys, "selftest")
     assert code == 1
-    assert "FAIL" in out and "n=3, s=5" in out
-    assert out.splitlines()[-1].startswith("3/4 suites passed")
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("FAIL  n=3, s=5: ")
+    assert lines[-1].startswith("107/108 pairs certified in ")
+    # When every pair fails, the first three are named and all are counted.
+    monkeypatch.setattr(cli, "certify", lambda n, s: {"all_match": False})
+    code, out, _ = run(capsys, "selftest")
+    assert code == 1
+    assert out.splitlines()[:3] == [
+        "FAIL  n=2, s=3: {'all_match': False}",
+        "FAIL  n=3, s=4: {'all_match': False}",
+        "FAIL  n=2, s=5: {'all_match': False}",
+    ]
+    assert len(out.splitlines()) == 4 and out.splitlines()[-1].startswith("0/108 pairs certified in ")
 
 
 def test_json_output_deterministic(capsys):

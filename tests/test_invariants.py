@@ -12,8 +12,11 @@ from oracles import (
     Laurent,
     burau_generator,
     fraction_free_det,
+    half_twist,
     naive_cofactor_det,
     reduced_burau_by_columns,
+    round_trip,
+    sigma,
     to_planar_diagram,
     torus_alexander_by_quotient,
     unit_pivot_remainder_by_dicts,
@@ -21,7 +24,7 @@ from oracles import (
     wirtinger_alexander,
 )
 from petalgrid import invariants, packed
-from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form, sigma
+from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
@@ -726,7 +729,7 @@ def test_reduced_burau():
     m = burau_matrix(sigma(2, 1))
     assert len(m) == 1 and m[0][0] == -T
 
-    ident = burau_matrix(BraidWord.identity(4))
+    ident = burau_matrix(BraidWord(4, ()))
     for i in range(3):
         for j in range(3):
             assert ident[i][j] == (ONE if i == j else Laurent.zero())
@@ -865,7 +868,6 @@ def test_band_insertion_closures_match_grids():
     # Stabilizing the base permutation along a descending band multiset gives
     # the closure of (full twist) * delta * (band product); the two Alexander
     # pipelines must agree even though these closures are rarely torus knots.
-    from petalgrid.braid import half_twist, round_trip
     from petalgrid.petal import base_petal, stabilize
 
     rng = random.Random(202)

@@ -43,3 +43,34 @@ def test_no_function_builds_a_json_payload_by_name():
 def test_grid_defines_only_the_grid_diagram_class():
     classes = [node.name for node in ast.walk(SOURCES["grid"]) if isinstance(node, ast.ClassDef)]
     assert classes == ["GridDiagram"]
+
+
+def test_braid_public_surface_is_the_certifiers():
+    # braid's public top-level names are the word, normal-form and witness
+    # code the certifier and the command line use; the named bands and
+    # generators (sigma, half_twist, descending_run, ascending_run,
+    # round_trip) are built in tests/oracles.py, and the empty word is
+    # BraidWord(n, ()).
+    body = SOURCES["braid"].body
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
+    assert {name for name in defined if not name.startswith("_")} == {
+        "BraidWord",
+        "delta",
+        "round_trip_product",
+        "induced_permutation",
+        "permutation_braid",
+        "NormalForm",
+        "left_normal_form",
+        "words_equal",
+        "ConjugacyWitness",
+        "check_pair",
+        "band_indices",
+        "conjugate_band_braid",
+        "torus_conjugacy_witness",
+        "parse_word",
+        "format_word",
+    }
+    (word,) = [node for node in body if isinstance(node, ast.ClassDef) and node.name == "BraidWord"]
+    methods = {node.name for node in word.body if isinstance(node, ast.FunctionDef)}
+    assert {name for name in methods if not name.startswith("_")} == {"inverse"}
