@@ -6,8 +6,9 @@ Artin generator sigma_{|g|} raised to the power sign(g).  Words multiply by
 concatenation and invert by reversing and negating letters.
 
 The induced permutation of a word records, for each right endpoint i, the
-left endpoint of the strand ending there; it is a homomorphism onto S_n for
-the left-action convention, i.e. induced(v w) = induced(v) * induced(w).
+left endpoint of the strand ending there, as a 1-indexed image tuple; it is
+a homomorphism onto S_n for the left action: the image of i under
+induced(v w) is the image of induced(w)[i-1] under induced(v).
 
 Positive words in which no pair of strands crosses twice (permutation
 braids) are in bijection with permutations, which makes the left-greedy
@@ -38,7 +39,7 @@ import math
 import re
 from collections.abc import Sequence
 
-from .perm import Permutation, _Value, residue_perm
+from .perm import _Value, check_permutation, residue_perm
 
 
 class BraidWord(_Value):
@@ -96,33 +97,35 @@ def round_trip_product(n: int, subscripts: Sequence[int]) -> BraidWord:
     return BraidWord(n, tuple(letters))
 
 
-def induced_permutation(w: BraidWord) -> Permutation:
+def induced_permutation(w: BraidWord) -> tuple[int, ...]:
     """The permutation of strand endpoints; signs of letters are ignored."""
     images = list(range(1, w.n + 1))
     for g in w.letters:
         i = abs(g)
         images[i - 1], images[i] = images[i], images[i - 1]
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
-def permutation_braid(p: Permutation) -> BraidWord:
+def permutation_braid(p: tuple[int, ...]) -> BraidWord:
     """The positive word with induced permutation p in which no strands cross twice.
 
     The word is emitted by a fixed descending-pass adjacent-transposition
     sort, so it is deterministic; its length equals the inversion count
     of p, hence the word is reduced and no pair of strands crosses twice.
     """
-    q = list(p.images)
+    check_permutation(p)
+    n = len(p)
+    q = list(p)
     swaps: list[int] = []
     changed = True
     while changed:
         changed = False
-        for i in range(p.n - 1, 0, -1):
+        for i in range(n - 1, 0, -1):
             if q[i - 1] > q[i]:
                 q[i - 1], q[i] = q[i], q[i - 1]
                 swaps.append(i)
                 changed = True
-    return BraidWord(p.n, tuple(reversed(swaps)))
+    return BraidWord(n, tuple(reversed(swaps)))
 
 
 # --- Garside left normal form ------------------------------------------------
@@ -255,25 +258,26 @@ class NormalForm(_Value):
 
     __slots__ = ("n", "delta_power", "factors")
 
-    def __init__(self, n: int, delta_power: int, factors: tuple[Permutation, ...]):
+    def __init__(self, n: int, delta_power: int, factors: tuple[tuple[int, ...], ...]):
         if n < 0:
             raise ValueError("braid index must be nonnegative")
-        w0 = tuple(range(n, 0, -1))
+        ident = tuple(range(1, n + 1))
+        w0 = ident[::-1]
         for f in factors:
-            if f.n != n:
-                raise ValueError(f"factor of degree {f.n} in a normal form of braid index {n}")
-            if f.is_identity() or f.images == w0:
+            if len(f) != n:
+                raise ValueError(f"factor of degree {len(f)} in a normal form of braid index {n}")
+            check_permutation(f)
+            if f == ident or f == w0:
                 raise ValueError("normal form factors must be proper")
         # A pair is left-weighted when no crossing can slide from the head of g
         # into the tail of f (see _comb): no s with f(s) < f(s+1) at which g
         # starts, g^-1(s) > g^-1(s+1).
         for f, g in zip(factors, factors[1:]):
-            a = f.images
             ginv = [0] * (n + 1)  # g^-1, 1-indexed
-            for i, v in enumerate(g.images, 1):
+            for i, v in enumerate(g, 1):
                 ginv[v] = i
             for s in range(1, n):
-                if a[s - 1] < a[s] and ginv[s] > ginv[s + 1]:
+                if f[s - 1] < f[s] and ginv[s] > ginv[s + 1]:
                     raise ValueError("normal form factors are not left-weighted")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "delta_power", delta_power)
@@ -353,7 +357,7 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
             j -= 1
     if (power + flip) % 2:
         factors = [translate(f[::-1], comp) for f in factors]
-    return NormalForm(n, power, tuple([Permutation(tuple(f)) for f in factors]))
+    return NormalForm(n, power, tuple([tuple(f) for f in factors]))
 
 
 def left_normal_form(w: BraidWord) -> NormalForm:
@@ -374,7 +378,7 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     >>> nf.delta_power, nf.factors
     (-1, ())
     >>> left_normal_form(BraidWord(3, (1, 2, 2))).factors
-    (Permutation(images=(2, 3, 1)), Permutation(images=(1, 3, 2)))
+    ((2, 3, 1), (1, 3, 2))
     """
     return _comb(w.n, _simple_runs(w))
 

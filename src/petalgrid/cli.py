@@ -109,7 +109,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_braid(args: argparse.Namespace) -> int:
     if args.braid_command == "nf":
         nf = left_normal_form(parse_word(args.n, args.word))
-        factors = [list(f.images) for f in nf.factors]
+        factors = [list(f) for f in nf.factors]
         if args.json:
             _emit_json({"n": nf.n, "delta_power": nf.delta_power, "factors": factors})
         else:

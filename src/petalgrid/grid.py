@@ -24,7 +24,7 @@ as messages, and () for a petal grid.
 """
 from __future__ import annotations
 
-from .perm import Permutation, _Value
+from .perm import _Value, check_permutation
 from .petal import PetalPermutation
 
 
@@ -34,7 +34,9 @@ class GridDiagram(_Value):
     __slots__ = ("starts", "ends")
 
     def __init__(self, starts: tuple[int, ...], ends: tuple[int, ...]):
-        if Permutation(starts).n != Permutation(ends).n:
+        check_permutation(starts)
+        check_permutation(ends)
+        if len(starts) != len(ends):
             raise ValueError("starts and ends must be permutations of the same degree")
         for x, (y1, y2) in enumerate(zip(starts, ends), 1):
             if y1 == y2:

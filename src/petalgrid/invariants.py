@@ -44,6 +44,7 @@ from .braid import conjugate_band_braid  # noqa: F401
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 # bareiss_determinant is kept importable here for perfbench/spans.py.
 from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401
+from .perm import is_single_cycle
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 
@@ -159,7 +160,7 @@ def alexander_from_closure(w: BraidWord) -> tuple[int, ...]:
     zero.  The sweep gives the determinant up to +-t^k, which the
     normalization absorbs.
     """
-    if not induced_permutation(w).is_single_cycle():
+    if not is_single_cycle(induced_permutation(w)):
         raise ValueError("closure has multiple components")
     det = determinant_up_to_units(*burau_minus_identity(*reduced_burau(w)))
     q = [a - b for a, b in zip(det + [0], [0] + det)]

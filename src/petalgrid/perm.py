@@ -1,10 +1,11 @@
 """
-Exact permutation calculus on {1, ..., n}.
+The immutable value base, the permutation check, and residue permutations.
 
-A permutation sending i to a_i is stored as the 1-indexed image tuple
-(a_1, ..., a_n).  Permutations act from the left, so composition satisfies
-(p * q)(i) = p(q(i)).  Everything here is an immutable value; composition
-allocates a new tuple.
+A permutation sending i to a_i is the plain 1-indexed image tuple
+(a_1, ..., a_n).  The values that hold one (a petal permutation, the two
+columns of a grid diagram, the factors of a normal form) and
+permutation_braid check it with check_permutation; the library composes
+no permutations.
 """
 from __future__ import annotations
 
@@ -49,71 +50,38 @@ class _Value:
         return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
 
 
-class Permutation(_Value):
-    """A bijection of {1, ..., n}, stored by its 1-indexed images.
+def check_permutation(images: tuple[int, ...]) -> None:
+    """Raise ValueError unless images is a permutation of 1..n for some n >= 1."""
+    n = len(images)
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {images}")
 
-    >>> p = Permutation((2, 3, 1))
-    >>> p(1), p(3)
-    (2, 1)
-    >>> p * p.inverse() == Permutation.identity(3)
-    True
+
+def is_single_cycle(images: tuple[int, ...]) -> bool:
+    """Whether the permutation is one n-cycle (so a braid closure is a knot).
+
+    >>> is_single_cycle((2, 3, 1)), is_single_cycle((2, 1, 3))
+    (True, False)
     """
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]):
-        n = len(images)
-        if n < 1:
-            raise ValueError("degree must be at least 1")
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a permutation of 1..{n}: {images}")
-        object.__setattr__(self, "images", images)
-
-    @property
-    def n(self) -> int:
-        return len(self.images)
-
-    @staticmethod
-    def identity(n: int) -> Permutation:
-        return Permutation(tuple(range(1, n + 1)))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    def __mul__(self, other: Permutation) -> Permutation:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError("degree mismatch")
-        return Permutation(tuple(self.images[j - 1] for j in other.images))
-
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, a in enumerate(self.images, start=1):
-            inv[a - 1] = i
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(a == i for i, a in enumerate(self.images, start=1))
-
-    def is_single_cycle(self) -> bool:
-        """Whether the permutation is one n-cycle (so a braid closure is a knot)."""
-        seen = 1
-        j = self.images[0]
-        while j != 1:
-            j = self.images[j - 1]
-            seen += 1
-        return seen == self.n
+    check_permutation(images)
+    seen = 1
+    j = images[0]
+    while j != 1:
+        j = images[j - 1]
+        seen += 1
+    return seen == len(images)
 
 
-def residue_perm(n: int, k: int) -> Permutation:
+def residue_perm(n: int, k: int) -> tuple[int, ...]:
     """The permutation i -> k*i mod n (representatives in 1..n, so n is fixed).
 
-    >>> residue_perm(7, 3).images
+    >>> residue_perm(7, 3)
     (3, 6, 2, 5, 1, 4, 7)
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     if math.gcd(n, k) != 1:
         raise ValueError("not coprime")
-    return Permutation(tuple((k * i - 1) % n + 1 for i in range(1, n + 1)))
+    return tuple((k * i - 1) % n + 1 for i in range(1, n + 1))

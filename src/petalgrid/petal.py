@@ -12,7 +12,7 @@ yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 from __future__ import annotations
 
 from .braid import band_indices, check_pair
-from .perm import Permutation, _Value
+from .perm import _Value, check_permutation
 
 GENERIC = "generic"
 BRAIDED = "braided"
@@ -27,7 +27,7 @@ class PetalPermutation(_Value):
     def __init__(self, entries: tuple[int, ...]):
         if len(entries) < 3 or len(entries) % 2 == 0:
             raise ValueError(f"petal permutation length must be odd >= 3, got {len(entries)}")
-        Permutation(entries)  # bijectivity
+        check_permutation(entries)
         object.__setattr__(self, "entries", entries)
 
     @property

@@ -7,7 +7,8 @@ normalization up to units on a Laurent ring of its own (the library keeps
 a polynomial as a bare coefficient tuple), the torus closed form as the
 quotient (t^{ns}-1)(t-1)/((t^n-1)(t^s-1)), determinants by cofactor
 expansion and by Bareiss on that ring, the unit-pivot sweep on
-exponent -> coefficient dicts, grid crossings
+exponent -> coefficient dicts, permutations composed and inverted as
+image tuples (the library composes none), grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
@@ -48,8 +49,26 @@ from petalgrid.braid import (
     words_equal,
 )
 from petalgrid.grid import GridDiagram
-from petalgrid.perm import Permutation, _Value, residue_perm
+from petalgrid.perm import _Value, residue_perm
 from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
+
+
+def identity(n: int) -> tuple[int, ...]:
+    return tuple(range(1, n + 1))
+
+
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """The image tuple of p after q: (p q)(i) = p(q(i)), the left action."""
+    if len(p) != len(q):
+        raise ValueError("degree mismatch")
+    return tuple([p[j - 1] for j in q])
+
+
+def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
+    inv = [0] * len(p)
+    for i, a in enumerate(p, 1):
+        inv[a - 1] = i
+    return tuple(inv)
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -173,7 +192,7 @@ def letterwise_normal_form(w: BraidWord) -> NormalForm:
         while factors and factors[0] == w0:
             del factors[0]
             power += 1
-    return NormalForm(n, power, tuple(Permutation(f) for f in factors))
+    return NormalForm(n, power, tuple(factors))
 
 
 # --- Laurent polynomials with ring arithmetic ---------------------------------
@@ -817,13 +836,13 @@ def suite_residue_conjugacy(max_n: int) -> SuiteResult:
             pk = residue_perm(n, k)
             a_members = band_indices(n, k)
             res.check(
-                sorted(pk(a) for a in a_members) == list(range(1, k)),
+                sorted(pk[a - 1] for a in a_members) == list(range(1, k)),
                 f"band indices do not map to the bottom at n={n}, k={k}",
             )
             dperm = induced_permutation(delta(n))
-            conjugated = dperm.inverse() * pk * dperm
+            conjugated = compose(inverse(dperm), compose(pk, dperm))
             res.check(
-                sorted(conjugated(a) for a in a_members) == list(range(n - k + 2, n + 1)),
+                sorted(conjugated[a - 1] for a in a_members) == list(range(n - k + 2, n + 1)),
                 f"conjugated band indices do not map to the top at n={n}, k={k}",
             )
             res.check(
@@ -904,15 +923,9 @@ class IndexSubset(_Value):
         return IndexSubset(n, tuple(sorted(set(members))))
 
 
-def inversions(p: Permutation) -> int:
+def inversions(p: tuple[int, ...]) -> int:
     """Number of pairs i < j with p(i) > p(j); the Coxeter length."""
-    images = p.images
-    return sum(
-        1
-        for i in range(len(images))
-        for j in range(i + 1, len(images))
-        if images[i] > images[j]
-    )
+    return sum(1 for i in range(len(p)) for j in range(i + 1, len(p)) if p[i] > p[j])
 
 
 def bottom_subset(n: int, k: int) -> IndexSubset:
@@ -930,7 +943,7 @@ def complement(a: IndexSubset) -> IndexSubset:
     return IndexSubset(a.n, tuple(i for i in range(1, a.n + 1) if i not in inside))
 
 
-def order_bijection(a: IndexSubset, b: IndexSubset) -> Permutation:
+def order_bijection(a: IndexSubset, b: IndexSubset) -> tuple[int, ...]:
     """The permutation sending b to a and the complements likewise, order-preservingly.
 
     The i-th smallest member of b maps to the i-th smallest member of a, and
@@ -946,7 +959,7 @@ def order_bijection(a: IndexSubset, b: IndexSubset) -> Permutation:
         images[src - 1] = dst
     for src, dst in zip(complement(b).members, complement(a).members):
         images[src - 1] = dst
-    return Permutation(tuple(images))
+    return tuple(images)
 
 
 def subset_braid(a: IndexSubset, b: IndexSubset) -> BraidWord:
@@ -975,7 +988,7 @@ def tau(w: BraidWord) -> BraidWord:
 
 
 def decompose_permutation_braid(
-    p: Permutation, k: int
+    p: tuple[int, ...], k: int
 ) -> tuple[BraidWord, BraidWord, IndexSubset]:
     """Split the permutation braid of p as a stacked pair times a routing braid.
 
@@ -983,17 +996,16 @@ def decompose_permutation_braid(
     such that the braid of p equals split(P1, P2) * subset_braid(L, A) for
     L = {1..k}.
     """
-    n = p.n
+    n = len(p)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for degree {n}")
-    pinv = p.inverse()
-    a = IndexSubset.of(n, (pinv(i) for i in range(1, k + 1)))
+    a = IndexSubset.of(n, inverse(p)[:k])
     low = bottom_subset(n, k)
-    q = p * order_bijection(a, low)
+    q = compose(p, order_bijection(a, low))
     # q preserves {1..k}, so it splits into block permutations.
-    p1 = permutation_braid(Permutation(q.images[:k]))
+    p1 = permutation_braid(q[:k])
     if k < n:
-        p2 = permutation_braid(Permutation(tuple(v - k for v in q.images[k:])))
+        p2 = permutation_braid(tuple(v - k for v in q[k:]))
     else:
         p2 = BraidWord(0, ())
     return p1, p2, a
@@ -1048,13 +1060,13 @@ def suite_braid_splitting(rng: random.Random, trials: int, max_n: int) -> SuiteR
         k = rng.randint(1, n)
         images = list(range(1, n + 1))
         rng.shuffle(images)
-        p = Permutation(tuple(images))
+        p = tuple(images)
         p1, p2, a = decompose_permutation_braid(p, k)
-        expected_a = tuple(sorted(p.inverse()(i) for i in range(1, k + 1)))
+        expected_a = tuple(sorted(inverse(p)[:k]))
         ok = a.members == expected_a and words_equal(
             permutation_braid(p), split(p1, p2) * subset_braid(bottom_subset(n, k), a)
         )
-        res.check(ok, f"splitting failed at n={n}, k={k}, p={p.images}")
+        res.check(ok, f"splitting failed at n={n}, k={k}, p={p}")
     return res
 
 

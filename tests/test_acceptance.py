@@ -91,8 +91,13 @@ def test_criterion_4_conjugacy_witnesses():
 def test_criterion_5_identity_suite():
     with criterion(5, "identity-suite", budget=60.0):
         rng = random.Random(SEED)
-        suites = [
-            (oracles.suite_band_relations(rng, 200, 9), 1000),
+        suites = [(oracles.suite_band_relations(rng, 200, 9), 1000)]
+        # The normal-form rewrites draw from a copy of the generator as the
+        # band suite left it, so the suites after them draw as they always did.
+        after_bands = random.Random()
+        after_bands.setstate(rng.getstate())
+        suites += [
+            (oracles.suite_normal_form_rewrites(after_bands, 200, 8), 200),
             (oracles.suite_routing_composition(rng, 200, 9), 200),
             (oracles.suite_split_exchange(rng, 200, 9), 400),
             (oracles.suite_braid_splitting(rng, 200, 9), 200),

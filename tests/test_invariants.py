@@ -1,5 +1,6 @@
 import ast
 import importlib
+import itertools
 import math
 import random
 import re
@@ -24,7 +25,7 @@ from oracles import (
     wirtinger_alexander,
 )
 from petalgrid import invariants, packed
-from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form
+from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form, permutation_braid
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
@@ -34,7 +35,8 @@ from petalgrid.invariants import (
     normalized,
     torus_alexander,
 )
-from petalgrid.petal import PetalPermutation, synthesize
+from petalgrid.perm import is_single_cycle
+from petalgrid.petal import PetalPermutation, length_bound, synthesize
 
 # The polynomials the tests build and compute on are the oracles' Laurent;
 # its up_to_units() is the library's form, a normalized coefficient tuple.
@@ -429,7 +431,7 @@ def test_laurent_polynomial_is_a_value_without_arithmetic():
         for node in ast.walk(ast.parse(path.read_text()))
     ]
     classes = [(name, node.name) for name, node in nodes if isinstance(node, ast.ClassDef)]
-    assert ("perm.py", "Permutation") in classes
+    assert ("braid.py", "BraidWord") in classes
     assert not [c for c in classes if re.search("polynomial|laurent", c[1], re.IGNORECASE)], classes
     defined = [
         (name, node.name)
@@ -667,7 +669,7 @@ def test_alexander_from_closure_matches_full_bareiss():
     while checked < 300:
         n = rng.randint(2, 8)
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 30))))
-        if not induced_permutation(w).is_single_cycle():
+        if not is_single_cycle(induced_permutation(w)):
             continue
         full = packed_det(burau_minus_identity(w))
         expected = (full * (ONE - T)).divide_exact(ONE - power(T, n))
@@ -702,7 +704,7 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
     monkeypatch.setattr(invariants, "burau_minus_identity", spy_build)
     for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
         w = BraidWord(3, (1, -2) * k)
-        assert induced_permutation(w).is_single_cycle()
+        assert is_single_cycle(induced_permutation(w))
         full = packed_det(burau_minus_identity(w))
         columns, _, b_width = packed.reduced_burau(w)
         b = [v for column in columns for v in column]
@@ -837,6 +839,17 @@ def test_alexander_from_closure():
         alexander_from_closure(BraidWord(3, (1,)))  # closure is a 2-component link
 
 
+def test_closures_of_fewer_than_two_strands_and_non_permutations_are_refused():
+    # B_0 has no permutation to be one cycle; B_1 closes to a knot but has no
+    # reduced Burau matrix.
+    with pytest.raises(ValueError, match="^degree must be at least 1$"):
+        alexander_from_closure(BraidWord(0, ()))
+    with pytest.raises(ValueError, match="^need braid index at least 2$"):
+        alexander_from_closure(BraidWord(1, ()))
+    with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(1, 1, 2\)$"):
+        permutation_braid((1, 1, 2))
+
+
 def test_alexander_mirror_invariance():
     word = BraidWord(3, (1, 1, 2, -1, 2, 2))
     a = alexander_from_closure(word)
@@ -845,12 +858,33 @@ def test_alexander_mirror_invariance():
 
 
 def test_every_three_petal_permutation_is_the_unknot():
-    import itertools
-
     for entries in itertools.permutations((1, 2, 3)):
         grid = build_petal_grid(PetalPermutation(entries))
         assert alexander_from_grid(grid) == (1,), entries
         assert wirtinger_alexander(to_planar_diagram(grid)) == (1,), entries
+
+
+def test_petal_numbers_of_the_six_smallest_torus_knots():
+    # Every petal permutation is a rotation of one whose first entry is 1, and
+    # rotation gives the same diagram, so the 746 of lengths 3, 5 and 7 that
+    # start at 1 draw every knot of petal number at most 7.  Delta is
+    # invariant under mirroring, so where Delta of T(n, s) is missing neither
+    # T(n, s) nor its mirror has a petal diagram of that length, and the
+    # length synthesize(n, s) realizes, the next odd one, is the petal number
+    # (certify checks that its diagram is T(n, s)):
+    # 5 for T(2,3), 7 for T(2,5) and T(3,4), 9 for T(2,7), T(3,5) and T(4,5).
+    found, drawn = {}, 0
+    for p in (3, 5, 7):
+        found[p] = set()
+        for rest in itertools.permutations(range(2, p + 1)):
+            found[p].add(alexander_from_grid(build_petal_grid(PetalPermutation((1, *rest)))))
+            drawn += 1
+    assert drawn == 746
+    for (n, s), petal in (((2, 3), 5), ((2, 5), 7), ((3, 4), 7), ((2, 7), 9), ((3, 5), 9), ((4, 5), 9)):
+        assert synthesize(n, s).p == length_bound(n, s) == petal, (n, s)
+        # Absent below the petal number, present from it on up to length 7.
+        lengths = [p for p in (3, 5, 7) if torus_alexander(n, s) in found[p]]
+        assert lengths == [p for p in (5, 7) if p >= petal], (n, s, lengths)
 
 
 def test_random_petal_knots_have_symmetric_alexander():

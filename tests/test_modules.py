@@ -40,6 +40,19 @@ def test_no_function_builds_a_json_payload_by_name():
     assert not named, named
 
 
+def test_permutations_are_plain_image_tuples():
+    # No module wraps a permutation in a class of its own: each is its
+    # 1-indexed image tuple, checked by perm.check_permutation.
+    found = sorted(
+        (name, node.name if isinstance(node, ast.ClassDef) else f".{node.attr}")
+        for name, tree in SOURCES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.ClassDef) and node.name == "Permutation")
+        or (isinstance(node, ast.Attribute) and node.attr == "images")
+    )
+    assert "perm" in SOURCES and not found, found
+
+
 def test_grid_defines_only_the_grid_diagram_class():
     classes = [node.name for node in ast.walk(SOURCES["grid"]) if isinstance(node, ast.ClassDef)]
     assert classes == ["GridDiagram"]
