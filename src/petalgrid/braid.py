@@ -396,10 +396,9 @@ def words_equal(w1: BraidWord, w2: BraidWord) -> bool:
 class ConjugacyWitness(_Value):
     """An explicit conjugator with both sides checked by normal form."""
 
-    __slots__ = ("n", "conjugator", "rhs", "verified")
+    __slots__ = ("conjugator", "rhs", "verified")
 
-    def __init__(self, n: int, conjugator: BraidWord, rhs: BraidWord, verified: bool):
-        object.__setattr__(self, "n", n)
+    def __init__(self, conjugator: BraidWord, rhs: BraidWord, verified: bool):
         object.__setattr__(self, "conjugator", conjugator)
         object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "verified", verified)
@@ -457,7 +456,7 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     lhs = left_normal_form(conj.inverse() * delta(n) ** r * conj)
     nf = left_normal_form(rhs)
     verified = (lhs.delta_power + 2 * m, lhs.factors) == (nf.delta_power, nf.factors)
-    return ConjugacyWitness(n, conj, rhs, verified)
+    return ConjugacyWitness(conj, rhs, verified)
 
 
 # --- Text and JSON forms ------------------------------------------------------
@@ -473,8 +472,6 @@ def parse_word(n: int, text: str) -> BraidWord:
         if not m:
             raise ValueError(f"cannot parse braid letter {token!r}")
         i = int(m.group(1))
-        if not 1 <= i <= n - 1:
-            raise ValueError(f"letter index {i} out of range for braid index {n}")
         letters.append(-i if m.group(2) else i)
     return BraidWord(n, tuple(letters))
 

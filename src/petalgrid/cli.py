@@ -26,7 +26,7 @@ from .braid import (
 )
 from .grid import build_petal_grid, render_ascii, render_svg
 from .invariants import PIPELINES, certify
-from .petal import PetalPermutation, classify, length_bound, synthesize
+from .petal import classify, length_bound, synthesize
 
 SCHEMA = 1
 
@@ -68,17 +68,17 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
             {
                 "n": args.n,
                 "s": args.s,
-                "length": pp.p,
-                "petal_permutation": list(pp.entries),
-                "odd": list(pp.odd_part),
-                "even": list(pp.even_part),
+                "length": len(pp),
+                "petal_permutation": list(pp),
+                "odd": list(pp[0::2]),
+                "even": list(pp[1::2]),
                 "bound": bound,
                 "classification": classify(pp),
             }
         )
     else:
-        _out(f"petal permutation of T({args.n},{args.s}): {pp.entries}")
-        _out(f"length {pp.p} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
+        _out(f"petal permutation of T({args.n},{args.s}): {pp}")
+        _out(f"length {len(pp)} = bound 2s - 2*floor(s/n) + 1 = {bound} ({classify(pp)})")
     return EXIT_OK
 
 
@@ -147,7 +147,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         if args.n is not None:
             return _fail("give either --perm or a coprime pair n s, not both")
-        pp = PetalPermutation(tuple(int(tok) for tok in args.perm.replace(",", " ").split()))
+        pp = tuple(int(tok) for tok in args.perm.replace(",", " ").split())
     grid = build_petal_grid(pp)
     if args.svg:
         try:

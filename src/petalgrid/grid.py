@@ -8,15 +8,15 @@ column x from row starts[x-1] to row ends[x-1], then along that row to the
 column that starts there.  Every row and column then holds exactly two
 nodes, joined by one edge.
 
-The grid of a petal permutation (a_1, ..., a_p) reads its columns off the
-doubled sequence a_1, ..., a_p, a_1, ..., a_p two entries at a time: column
-i runs from row a_{2i-1} to row a_{2i} (indices mod p).  Its middle column,
-x = (p+1)/2, is the unique inflection edge: the one whose two adjacent
-horizontal edges leave it on opposite sides.  So `validate_petal_grid`
-names no coordinates: it returns the petal grid conditions a grid breaks,
-as messages, and () for a petal grid.
+The grid of a petal permutation, the plain tuple (a_1, ..., a_p), reads
+its columns off the doubled sequence a_1, ..., a_p, a_1, ..., a_p two
+entries at a time: column i runs from row a_{2i-1} to row a_{2i} (indices
+mod p).  Its middle column, x = (p+1)/2, is the unique inflection edge:
+the one whose two adjacent horizontal edges leave it on opposite sides.
+So `validate_petal_grid` names no coordinates: it returns the petal grid
+conditions a grid breaks, as messages, and () for a petal grid.
 
->>> g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+>>> g = build_petal_grid((3, 5, 2, 4, 1))
 >>> g.starts, g.ends
 ((3, 2, 1, 5, 4), (5, 4, 3, 2, 1))
 >>> g.columns_in_order(2)
@@ -25,7 +25,7 @@ as messages, and () for a petal grid.
 from __future__ import annotations
 
 from .perm import _Value, check_permutation
-from .petal import PetalPermutation
+from .petal import check_petal_permutation
 
 
 class GridDiagram(_Value):
@@ -62,9 +62,10 @@ class GridDiagram(_Value):
         return order
 
 
-def build_petal_grid(pp: PetalPermutation) -> GridDiagram:
+def build_petal_grid(pp: tuple[int, ...]) -> GridDiagram:
     """The petal grid diagram of a petal permutation."""
-    heights = pp.entries * 2
+    check_petal_permutation(pp)
+    heights = pp * 2
     return GridDiagram(heights[0::2], heights[1::2])
 
 

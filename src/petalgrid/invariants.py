@@ -237,8 +237,8 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
             stage = "synthesize"
             pp = synthesize(n, s)
             bound = length_bound(n, s)
-            report.update(petal_permutation=list(pp.entries), length=pp.p, bound=bound)
-            checks.append(pp.p == bound)
+            report.update(petal_permutation=list(pp), length=len(pp), bound=bound)
+            checks.append(len(pp) == bound)
 
             stage = "grid"
             grid = build_petal_grid(pp)

@@ -2,10 +2,10 @@
 The immutable value base, the permutation check, and residue permutations.
 
 A permutation sending i to a_i is the plain 1-indexed image tuple
-(a_1, ..., a_n).  The values that hold one (a petal permutation, the two
-columns of a grid diagram, the factors of a normal form) and
-permutation_braid check it with check_permutation; the library composes
-no permutations.
+(a_1, ..., a_n).  The values that hold one (the two columns of a grid
+diagram, the factors of a normal form), permutation_braid and
+petal.check_petal_permutation check it with check_permutation; the library
+composes no permutations.
 """
 from __future__ import annotations
 

@@ -50,7 +50,7 @@ from petalgrid.braid import (
 )
 from petalgrid.grid import GridDiagram
 from petalgrid.perm import _Value, residue_perm
-from petalgrid.petal import STRONGLY_BRAIDED, PetalPermutation, classify, stabilize
+from petalgrid.petal import STRONGLY_BRAIDED, classify, stabilize
 
 
 def identity(n: int) -> tuple[int, ...]:
@@ -679,7 +679,7 @@ def winding_number_matrix(g: GridDiagram) -> list[list[Laurent]]:
     return [[Laurent.term(1, w - low) for w in row] for row in winding]
 
 
-def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:
+def strongly_braided_stabilization_holds(pp: tuple[int, ...], k: int) -> bool:
     """stabilize(pp, k) on a strongly braided pp, against its closed form.
 
     The result is strongly braided with length p + 2, which fixes its odd
@@ -687,14 +687,14 @@ def strongly_braided_stabilization_holds(pp: PetalPermutation, k: int) -> bool:
     entry raised by one and the new maximum p + 2 inserted k-th from the
     right.
     """
-    assert classify(pp) == STRONGLY_BRAIDED, pp.entries
+    assert classify(pp) == STRONGLY_BRAIDED, pp
     out = stabilize(pp, k)
-    even = [a + 1 for a in pp.even_part]
-    even.insert(len(even) - k + 1, pp.p + 2)
+    even = [a + 1 for a in pp[1::2]]
+    even.insert(len(even) - k + 1, len(pp) + 2)
     return (
         classify(out) == STRONGLY_BRAIDED
-        and out.p == pp.p + 2
-        and list(out.even_part) == even
+        and len(out) == len(pp) + 2
+        and list(out[1::2]) == even
     )
 
 

@@ -49,10 +49,10 @@ def coprime_pairs(n_max: int, s_max: int, s_min=None):
 
 def test_criterion_1_golden_permutations():
     with criterion(1, "golden-permutations", budget=1.0):
-        assert synthesize(2, 3).entries == (3, 5, 2, 4, 1)
-        assert synthesize(5, 7).entries == (7, 12, 6, 11, 5, 10, 4, 13, 3, 9, 2, 8, 1)
-        assert synthesize(5, 8).entries == (8, 13, 7, 12, 6, 14, 5, 11, 4, 10, 3, 15, 2, 9, 1)
-        assert synthesize(5, 9).entries == (
+        assert synthesize(2, 3) == (3, 5, 2, 4, 1)
+        assert synthesize(5, 7) == (7, 12, 6, 11, 5, 10, 4, 13, 3, 9, 2, 8, 1)
+        assert synthesize(5, 8) == (8, 13, 7, 12, 6, 14, 5, 11, 4, 10, 3, 15, 2, 9, 1)
+        assert synthesize(5, 9) == (
             9, 14, 8, 13, 7, 15, 6, 12, 5, 16, 4, 11, 3, 17, 2, 10, 1,
         )
 
@@ -62,7 +62,7 @@ def test_criterion_2_bound_realization():
         count = 0
         for n, s in coprime_pairs(29, 30):
             pp = synthesize(n, s)
-            assert pp.p == 2 * s - 2 * (s // n) + 1, (n, s)
+            assert len(pp) == 2 * s - 2 * (s // n) + 1, (n, s)
             assert classify(pp) == STRONGLY_BRAIDED, (n, s)
             violations = validate_petal_grid(build_petal_grid(pp))
             assert not violations, (n, s, violations)
@@ -76,7 +76,7 @@ def test_criterion_3_sharpness_range():
             for s in range(n + 1, 2 * n):
                 if math.gcd(n, s) != 1:
                     continue
-                assert synthesize(n, s).p == 2 * s - 1, (n, s)
+                assert len(synthesize(n, s)) == 2 * s - 1, (n, s)
 
 
 def test_criterion_4_conjugacy_witnesses():
@@ -137,9 +137,9 @@ def test_criterion_7_property_suites():
             n = rng.randint(2, 12)
             pp = synthesize(n, n + 1)
             for _ in range(rng.randint(0, 3)):
-                pp = stabilize(pp, rng.randint(1, pp.half))
-            k = rng.randint(1, pp.half)
-            assert strongly_braided_stabilization_holds(pp, k), (n, k, pp.entries)
+                pp = stabilize(pp, rng.randint(1, len(pp) // 2))
+            k = rng.randint(1, len(pp) // 2)
+            assert strongly_braided_stabilization_holds(pp, k), (n, k, pp)
 
         produced = []
         for n, s in CERTIFICATION_PAIRS:

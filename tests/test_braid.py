@@ -746,7 +746,7 @@ def test_parse_and_format():
     assert w.letters == (1, -2, 1)
     assert format_word(w) == "s1 s2^-1 s1"
     assert format_word(BraidWord(3, ())) == "<empty>"
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^letter 9 out of range for braid index 3$"):
         parse_word(3, "s9")
     with pytest.raises(ValueError):
         parse_word(3, "x1")

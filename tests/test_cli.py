@@ -375,6 +375,14 @@ def test_braid_equal(capsys):
     assert code == 2
 
 
+def test_braid_letters_out_of_range_are_usage_errors(capsys):
+    # The word's own check names the signed letter and the braid index.
+    for word, letter in (("s5", 5), ("s0", 0), ("s1 s3^-1", -3)):
+        code, out, err = run(capsys, "braid", "nf", "-n", "3", word)
+        assert (code, out) == (2, ""), word
+        assert err == f"error: letter {letter} out of range for braid index 3\n", word
+
+
 def test_braid_nf(capsys):
     code, out, _ = run(capsys, "braid", "nf", "-n", "5", "s1 s1^-1")
     assert code == 0
@@ -451,7 +459,7 @@ def test_render_svg_to_a_missing_directory(capsys, tmp_path):
     assert out == "" and err.startswith("error:")
 
 
-def test_selftest_runs_the_shipped_suites(capsys):
+def test_selftest_certifies_the_108_pairs(capsys):
     # Knot certification, both pipelines, on the 108 coprime pairs 2 <= n < s <= 20.
     code, out, err = run(capsys, "selftest")
     assert (code, err) == (0, "")

@@ -11,19 +11,19 @@ from petalgrid.grid import (
     render_svg,
     validate_petal_grid,
 )
-from petalgrid.petal import PetalPermutation, synthesize
+from petalgrid.petal import synthesize
 
 
 def random_petal(rng, max_p=21):
     p = rng.choice(range(3, max_p + 1, 2))
     entries = list(range(1, p + 1))
     rng.shuffle(entries)
-    return PetalPermutation(tuple(entries))
+    return tuple(entries)
 
 
 def test_build_petal_grid_figure_example():
     # Nodes (1,3) (1,5) (2,2) (2,4) (3,1) (3,3) (4,5) (4,2) (5,4) (5,1) of the figure.
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    g = build_petal_grid((3, 5, 2, 4, 1))
     assert g.starts == (3, 2, 1, 5, 4)
     assert g.ends == (5, 4, 3, 2, 1)
     assert g.size == 5
@@ -47,7 +47,7 @@ def test_horizontal_edge_lengths():
     for _ in range(50):
         pp = random_petal(rng)
         g = build_petal_grid(pp)
-        n = pp.half
+        n = len(pp) // 2
         following = g.next_columns()
         for c, y in enumerate(g.ends):
             target = c + n + 1 if c < n else c - n
@@ -60,21 +60,21 @@ def test_grid_structure_randomized():
     for _ in range(200):
         pp = random_petal(rng)
         g = build_petal_grid(pp)
-        assert sorted(g.starts) == sorted(g.ends) == list(range(1, pp.p + 1))
-        for first in range(pp.p):
+        assert sorted(g.starts) == sorted(g.ends) == list(range(1, len(pp) + 1))
+        for first in range(len(pp)):
             walk = g.columns_in_order(first)
             assert walk[0] == first
-            assert sorted(walk) == list(range(pp.p))  # one component through every column
+            assert sorted(walk) == list(range(len(pp)))  # one component through every column
 
 
 def test_validate_petal_grid():
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    g = build_petal_grid((3, 5, 2, 4, 1))
     assert validate_petal_grid(g) == ()
     assert validate_petal_grid(build_petal_grid(synthesize(5, 7))) == ()
 
 
 def test_validate_rejects_corrupted_grid():
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    g = build_petal_grid((3, 5, 2, 4, 1))
     ends = list(g.ends)
     ends[0], ends[1] = ends[1], ends[0]  # columns 1 and 2 trade their ends
     assert validate_petal_grid(GridDiagram(g.starts, tuple(ends))) == (
@@ -101,7 +101,7 @@ def test_validate_rejects_corrupted_grid():
 
 
 def test_planar_diagram_trefoil():
-    pd = to_planar_diagram(build_petal_grid(PetalPermutation((3, 5, 2, 4, 1))))
+    pd = to_planar_diagram(build_petal_grid((3, 5, 2, 4, 1)))
     assert pd.components == 1
     assert len(pd.crossings) == 3
     assert abs(sum(c.sign for c in pd.crossings)) == 3
@@ -109,7 +109,7 @@ def test_planar_diagram_trefoil():
 
 
 def test_planar_diagram_unknot():
-    pd = to_planar_diagram(build_petal_grid(PetalPermutation((2, 3, 1))))
+    pd = to_planar_diagram(build_petal_grid((2, 3, 1)))
     assert pd.components == 1
     assert pd.crossings == ()
     assert pd.n_arcs == 1
@@ -123,12 +123,12 @@ def test_crossings_match_lattice_oracle():
         pd = to_planar_diagram(g)
         assert {c.position for c in pd.crossings} == lattice_crossings(g)
         assert len(pd.crossings) == len(lattice_crossings(g))
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    g = build_petal_grid((3, 5, 2, 4, 1))
     assert lattice_crossings(g) == {(2, 3), (3, 2), (4, 4)}
 
 
 def test_render_ascii_box():
-    g = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    g = build_petal_grid((3, 5, 2, 4, 1))
     art = render_ascii(g)
     lines = art.split("\n")
     assert len(lines) <= 11 and max(len(line) for line in lines) <= 11
@@ -204,4 +204,4 @@ TREFOIL_SVG = """\
 def test_render_svg_golden_trefoil():
     # Paths run in knot order from the middle column; arrows point along the
     # knot, and horizontal paths gap 7 units either side of each crossing.
-    assert render_svg(build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))) == TREFOIL_SVG
+    assert render_svg(build_petal_grid((3, 5, 2, 4, 1))) == TREFOIL_SVG

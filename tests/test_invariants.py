@@ -36,7 +36,7 @@ from petalgrid.invariants import (
     torus_alexander,
 )
 from petalgrid.perm import is_single_cycle
-from petalgrid.petal import PetalPermutation, length_bound, synthesize
+from petalgrid.petal import length_bound, synthesize
 
 # The polynomials the tests build and compute on are the oracles' Laurent;
 # its up_to_units() is the library's form, a normalized coefficient tuple.
@@ -478,11 +478,11 @@ def test_perfbench_span_targets_resolve():
 
 
 def test_alexander_from_grid_examples():
-    unknot = build_petal_grid(PetalPermutation((2, 3, 1)))
+    unknot = build_petal_grid((2, 3, 1))
     assert alexander_from_grid(unknot) == (1,)
     assert wirtinger_alexander(to_planar_diagram(unknot)) == (1,)
 
-    trefoil = build_petal_grid(PetalPermutation((3, 5, 2, 4, 1)))
+    trefoil = build_petal_grid((3, 5, 2, 4, 1))
     assert alexander_from_grid(trefoil) == torus_alexander(2, 3)
     assert wirtinger_alexander(to_planar_diagram(trefoil)) == torus_alexander(2, 3)
 
@@ -497,7 +497,7 @@ def test_alexander_from_grid_matches_wirtinger_oracle():
         p = rng.choice(range(3, 16, 2))
         entries = list(range(1, p + 1))
         rng.shuffle(entries)
-        grid = build_petal_grid(PetalPermutation(tuple(entries)))
+        grid = build_petal_grid(tuple(entries))
         assert alexander_from_grid(grid) == wirtinger_alexander(to_planar_diagram(grid)), entries
 
 
@@ -510,7 +510,7 @@ def test_differenced_matrix_keeps_the_winding_determinant_less_its_1_minus_t_fac
         if trial % 2 == 0:
             entries = list(range(1, rng.choice(range(3, 18, 2)) + 1))
             rng.shuffle(entries)
-            grid = build_petal_grid(PetalPermutation(tuple(entries)))
+            grid = build_petal_grid(tuple(entries))
         else:
             starts = list(range(1, rng.randint(2, 16) + 1))
             ends = starts[:]
@@ -536,7 +536,7 @@ def test_unit_pivots_keep_the_differenced_determinant():
     for _ in range(300):
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
-        grid = build_petal_grid(PetalPermutation(tuple(entries)))
+        grid = build_petal_grid(tuple(entries))
         full = packed_det(decoded(invariants._differenced_grid_matrix(grid)))
         assert alexander_from_grid(grid) == full.up_to_units(), entries
 
@@ -550,7 +550,7 @@ def test_unit_pivots_match_the_dict_oracle():
     for _ in range(300):
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
-        rows = invariants._differenced_grid_matrix(build_petal_grid(PetalPermutation(tuple(entries))))
+        rows = invariants._differenced_grid_matrix(build_petal_grid(tuple(entries)))
         got = decoded(packed._unit_pivot_remainder(rows, 1, packed._DET_WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
@@ -859,32 +859,38 @@ def test_alexander_mirror_invariance():
 
 def test_every_three_petal_permutation_is_the_unknot():
     for entries in itertools.permutations((1, 2, 3)):
-        grid = build_petal_grid(PetalPermutation(entries))
+        grid = build_petal_grid(entries)
         assert alexander_from_grid(grid) == (1,), entries
         assert wirtinger_alexander(to_planar_diagram(grid)) == (1,), entries
 
 
-def test_petal_numbers_of_the_six_smallest_torus_knots():
+def test_petal_numbers_of_the_torus_knots_with_bound_at_most_11():
     # Every petal permutation is a rotation of one whose first entry is 1, and
-    # rotation gives the same diagram, so the 746 of lengths 3, 5 and 7 that
-    # start at 1 draw every knot of petal number at most 7.  Delta is
+    # rotation gives the same diagram, so the 41,066 of lengths 3, 5, 7 and 9
+    # that start at 1 draw every knot of petal number at most 9.  Delta is
     # invariant under mirroring, so where Delta of T(n, s) is missing neither
     # T(n, s) nor its mirror has a petal diagram of that length, and the
     # length synthesize(n, s) realizes, the next odd one, is the petal number
-    # (certify checks that its diagram is T(n, s)):
-    # 5 for T(2,3), 7 for T(2,5) and T(3,4), 9 for T(2,7), T(3,5) and T(4,5).
+    # (certify checks that its diagram is T(n, s)): 5 for T(2,3), 7 for T(2,5)
+    # and T(3,4), 9 for T(2,7), T(3,5) and T(4,5), 11 for T(2,9), T(3,7) and T(5,6).
     found, drawn = {}, 0
-    for p in (3, 5, 7):
+    for p in (3, 5, 7, 9):
         found[p] = set()
         for rest in itertools.permutations(range(2, p + 1)):
-            found[p].add(alexander_from_grid(build_petal_grid(PetalPermutation((1, *rest)))))
+            found[p].add(alexander_from_grid(build_petal_grid((1, *rest))))
             drawn += 1
-    assert drawn == 746
-    for (n, s), petal in (((2, 3), 5), ((2, 5), 7), ((3, 4), 7), ((2, 7), 9), ((3, 5), 9), ((4, 5), 9)):
-        assert synthesize(n, s).p == length_bound(n, s) == petal, (n, s)
-        # Absent below the petal number, present from it on up to length 7.
-        lengths = [p for p in (3, 5, 7) if torus_alexander(n, s) in found[p]]
-        assert lengths == [p for p in (5, 7) if p >= petal], (n, s, lengths)
+    assert drawn == 41066
+    petal_numbers = {
+        (2, 3): 5,
+        (2, 5): 7, (3, 4): 7,
+        (2, 7): 9, (3, 5): 9, (4, 5): 9,
+        (2, 9): 11, (3, 7): 11, (5, 6): 11,
+    }
+    for (n, s), petal in petal_numbers.items():
+        assert len(synthesize(n, s)) == length_bound(n, s) == petal, (n, s)
+        # Absent below the petal number, present from it on up to length 9.
+        lengths = [p for p in (3, 5, 7, 9) if torus_alexander(n, s) in found[p]]
+        assert lengths == [p for p in (5, 7, 9) if p >= petal], (n, s, lengths)
 
 
 def test_random_petal_knots_have_symmetric_alexander():
@@ -893,7 +899,7 @@ def test_random_petal_knots_have_symmetric_alexander():
         p = rng.choice((5, 7, 9, 11, 13))
         entries = list(range(1, p + 1))
         rng.shuffle(entries)
-        a = alexander_from_grid(build_petal_grid(PetalPermutation(tuple(entries))))
+        a = alexander_from_grid(build_petal_grid(tuple(entries)))
         assert a == a[::-1]
         assert abs(sum(a)) == 1
 

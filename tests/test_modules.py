@@ -42,15 +42,16 @@ def test_no_function_builds_a_json_payload_by_name():
 
 def test_permutations_are_plain_image_tuples():
     # No module wraps a permutation in a class of its own: each is its
-    # 1-indexed image tuple, checked by perm.check_permutation.
+    # 1-indexed image tuple, checked by perm.check_permutation, and a petal
+    # permutation is its entry tuple, checked by petal.check_petal_permutation.
     found = sorted(
         (name, node.name if isinstance(node, ast.ClassDef) else f".{node.attr}")
         for name, tree in SOURCES.items()
         for node in ast.walk(tree)
-        if (isinstance(node, ast.ClassDef) and node.name == "Permutation")
-        or (isinstance(node, ast.Attribute) and node.attr == "images")
+        if (isinstance(node, ast.ClassDef) and node.name in ("Permutation", "PetalPermutation"))
+        or (isinstance(node, ast.Attribute) and node.attr in ("images", "entries"))
     )
-    assert "perm" in SOURCES and not found, found
+    assert {"perm", "petal"} <= SOURCES.keys() and not found, found
 
 
 def test_grid_defines_only_the_grid_diagram_class():
