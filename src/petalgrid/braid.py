@@ -32,14 +32,65 @@ work: fewer runs are fewer factors to comb in.  So does the bookkeeping of
 Delta: a Delta that combing forms amid the factors is carried to whichever
 end of the list is nearer, conjugating (sigma_i -> sigma_{n-i}) only the
 factors on that side.
+
+The immutable value base of the word, the normal form, the witness and the
+grid diagram is here too, with check_permutation: a permutation sending i
+to a_i is the plain 1-indexed image tuple (a_1, ..., a_n), and each value
+that holds one checks it so; the library composes no permutations.
 """
 from __future__ import annotations
 
 import math
 import re
 from collections.abc import Sequence
+from operator import attrgetter
 
-from .perm import _Value, check_permutation, residue_perm
+
+class _Value:
+    """Base of the immutable value classes.
+
+    A subclass names its fields in __slots__ and sets them in its __init__
+    with object.__setattr__, each sequence field stored as a tuple.  Two
+    values are equal, and hash alike, when they are of the same class and
+    their fields are equal; they do not order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # The field tuple, or the field itself when there is one: either way a
+        # key that is equal exactly when all fields are.
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple([getattr(self, name) for name in self.__slots__])
+
+
+def check_permutation(images: tuple[int, ...]) -> None:
+    """Raise ValueError unless images is a permutation of 1..n for some n >= 1."""
+    n = len(images)
+    if n < 1:
+        raise ValueError("degree must be at least 1")
+    if sorted(images) != list(range(1, n + 1)):
+        raise ValueError(f"not a permutation of 1..{n}: {images}")
 
 
 class BraidWord(_Value):
@@ -47,7 +98,8 @@ class BraidWord(_Value):
 
     __slots__ = ("n", "letters")
 
-    def __init__(self, n: int, letters: tuple[int, ...]):
+    def __init__(self, n: int, letters: Sequence[int]):
+        letters = tuple(letters)
         if n < 0:
             raise ValueError("braid index must be nonnegative")
         # A letter is in range when 0 < |g| < n; the scan for the first bad
@@ -79,22 +131,7 @@ class BraidWord(_Value):
 
 def delta(n: int) -> BraidWord:
     """The descending cycle sigma_{n-1} sigma_{n-2} ... sigma_1."""
-    return BraidWord(n, tuple(range(n - 1, 0, -1)))
-
-
-def round_trip_product(n: int, subscripts: Sequence[int]) -> BraidWord:
-    """The product U_{k_1} U_{k_2} ... of round-trip bands, in the order given.
-
-    U_k = sigma_{k-1} ... sigma_1 sigma_1 ... sigma_{k-1} is the round trip on
-    the lowest k strands; U_1 is empty.
-    """
-    letters: list[int] = []
-    for k in subscripts:
-        if not 1 <= k <= n:
-            raise ValueError(f"k={k} out of range for braid index {n}")
-        letters += range(k - 1, 0, -1)
-        letters += range(1, k)
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, range(n - 1, 0, -1))
 
 
 def induced_permutation(w: BraidWord) -> tuple[int, ...]:
@@ -104,6 +141,21 @@ def induced_permutation(w: BraidWord) -> tuple[int, ...]:
         i = abs(g)
         images[i - 1], images[i] = images[i], images[i - 1]
     return tuple(images)
+
+
+def is_single_cycle(images: tuple[int, ...]) -> bool:
+    """Whether the permutation is one n-cycle (so a braid closure is a knot).
+
+    >>> is_single_cycle((2, 3, 1)), is_single_cycle((2, 1, 3))
+    (True, False)
+    """
+    check_permutation(images)
+    seen = 1
+    j = images[0]
+    while j != 1:
+        j = images[j - 1]
+        seen += 1
+    return seen == len(images)
 
 
 def permutation_braid(p: tuple[int, ...]) -> BraidWord:
@@ -125,7 +177,7 @@ def permutation_braid(p: tuple[int, ...]) -> BraidWord:
                 q[i - 1], q[i] = q[i], q[i - 1]
                 swaps.append(i)
                 changed = True
-    return BraidWord(n, tuple(reversed(swaps)))
+    return BraidWord(n, swaps[::-1])
 
 
 # --- Garside left normal form ------------------------------------------------
@@ -258,7 +310,8 @@ class NormalForm(_Value):
 
     __slots__ = ("n", "delta_power", "factors")
 
-    def __init__(self, n: int, delta_power: int, factors: tuple[tuple[int, ...], ...]):
+    def __init__(self, n: int, delta_power: int, factors: Sequence[Sequence[int]]):
+        factors = tuple([tuple(f) for f in factors])
         if n < 0:
             raise ValueError("braid index must be nonnegative")
         ident = tuple(range(1, n + 1))
@@ -357,7 +410,7 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
             j -= 1
     if (power + flip) % 2:
         factors = [translate(f[::-1], comp) for f in factors]
-    return NormalForm(n, power, tuple([tuple(f) for f in factors]))
+    return NormalForm(n, power, factors)
 
 
 def left_normal_form(w: BraidWord) -> NormalForm:
@@ -427,8 +480,16 @@ def band_indices(n: int, s: int) -> list[int]:
 
 
 def conjugate_band_braid(n: int, s: int) -> BraidWord:
-    """The band form delta U_{b_1} U_{b_2} ... over b = band_indices(n, s)."""
-    return delta(n) * round_trip_product(n, band_indices(n, s))
+    """The band form delta U_{b_1} U_{b_2} ... over b = band_indices(n, s).
+
+    U_k = sigma_{k-1} ... sigma_1 sigma_1 ... sigma_{k-1} is the round trip on
+    the lowest k strands.
+    """
+    letters = [*range(n - 1, 0, -1)]
+    for k in band_indices(n, s):
+        letters += range(k - 1, 0, -1)
+        letters += range(1, k)
+    return BraidWord(n, letters)
 
 
 def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
@@ -436,7 +497,8 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
 
     Any coprime n, k >= 2 with n != k is accepted, since T(n, k) = T(k, n).
     The conjugator is the permutation braid of the residue permutation
-    i -> k*i mod n, empty when k = 1 mod n.  The closure of either side is
+    i -> k*i mod n, with representatives in 1..n, so n is fixed; it is empty
+    when k = 1 mod n.  The closure of either side is
     the (n, k) torus knot; verification is by normal-form equality of
     conjugator^-1 delta^k conjugator and the band form.
 
@@ -451,7 +513,7 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     if math.gcd(n, k) != 1:
         raise ValueError("not coprime")
     m, r = divmod(k, n)
-    conj = permutation_braid(residue_perm(n, r))
+    conj = permutation_braid(tuple([(r * i - 1) % n + 1 for i in range(1, n + 1)]))
     rhs = conjugate_band_braid(n, k)
     lhs = left_normal_form(conj.inverse() * delta(n) ** r * conj)
     nf = left_normal_form(rhs)
@@ -473,7 +535,7 @@ def parse_word(n: int, text: str) -> BraidWord:
             raise ValueError(f"cannot parse braid letter {token!r}")
         i = int(m.group(1))
         letters.append(-i if m.group(2) else i)
-    return BraidWord(n, tuple(letters))
+    return BraidWord(n, letters)
 
 
 def format_word(w: BraidWord) -> str:

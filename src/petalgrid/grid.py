@@ -3,9 +3,10 @@ Petal grid diagrams: construction, validation and rendering.
 
 Coordinates are 1-indexed with x increasing rightward and y upward, and
 vertical edges always cross over horizontal ones.  A grid diagram of size p
-is two permutations of 1..p, one entry per column: the knot runs along
-column x from row starts[x-1] to row ends[x-1], then along that row to the
-column that starts there.  Every row and column then holds exactly two
+is two permutations of 1..p, one entry per column, stored as tuples and
+checked by braid.check_permutation: the knot runs along column x from row
+starts[x-1] to row ends[x-1], then along that row to the column that
+starts there.  Every row and column then holds exactly two
 nodes, joined by one edge.
 
 The grid of a petal permutation, the plain tuple (a_1, ..., a_p), reads
@@ -24,7 +25,9 @@ conditions a grid breaks, as messages, and () for a petal grid.
 """
 from __future__ import annotations
 
-from .perm import _Value, check_permutation
+from collections.abc import Sequence
+
+from .braid import _Value, check_permutation
 from .petal import check_petal_permutation
 
 
@@ -33,7 +36,8 @@ class GridDiagram(_Value):
 
     __slots__ = ("starts", "ends")
 
-    def __init__(self, starts: tuple[int, ...], ends: tuple[int, ...]):
+    def __init__(self, starts: Sequence[int], ends: Sequence[int]):
+        starts, ends = tuple(starts), tuple(ends)
         check_permutation(starts)
         check_permutation(ends)
         if len(starts) != len(ends):

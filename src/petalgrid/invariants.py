@@ -37,6 +37,7 @@ from .braid import (
     check_pair,
     format_word,
     induced_permutation,
+    is_single_cycle,
     torus_conjugacy_witness,
 )
 # conjugate_band_braid is kept importable here for perfbench/ladder.py and perfbench/spans.py.
@@ -44,7 +45,6 @@ from .braid import conjugate_band_braid  # noqa: F401
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 # bareiss_determinant is kept importable here for perfbench/spans.py.
 from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401
-from .perm import is_single_cycle
 from .petal import STRONGLY_BRAIDED, classify, length_bound, synthesize
 
 

@@ -3,8 +3,9 @@ Petal permutations and the torus-knot synthesizer.
 
 A petal permutation is a permutation of odd degree p = 2n+1, the plain
 tuple of loop heights (a_1, ..., a_p) read around the single multi-crossing
-of a petal diagram; check_petal_permutation checks one, and each function
-here that takes one calls it first.  Stabilization at k adds two loops
+of a petal diagram; check_petal_permutation checks one, its entries with
+braid.check_permutation, and each function here that takes one calls it
+first.  Stabilization at k adds two loops
 while multiplying the represented braid closure by the round-trip band U_k.
 The base permutation is the (n, n+1) torus knot, the closure of
 delta^(n+1) = delta U_2...U_n: the first n-1 subscripts of band_indices(n, s),
@@ -13,8 +14,7 @@ yields a petal permutation of T(n, s) with length 2s - 2*floor(s/n) + 1.
 """
 from __future__ import annotations
 
-from .braid import band_indices, check_pair
-from .perm import check_permutation
+from .braid import band_indices, check_pair, check_permutation
 
 GENERIC = "generic"
 BRAIDED = "braided"

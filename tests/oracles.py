@@ -19,7 +19,8 @@ stabilizations of strongly braided permutations from the closed form of
 their result.
 
 It also holds the named bands (sigma_i, the half twist, the descending,
-ascending and round-trip runs) and the braid-identity suites that check
+ascending and round-trip runs, products of round trips), residue
+permutations, and the braid-identity suites that check
 through the normal form: band-relations (shifts of generators through the
 runs, bands commuting, band products merging, U_2...U_n = Delta^2),
 residue-conjugacy (residue permutations against the band indices, the
@@ -39,17 +40,16 @@ from dataclasses import dataclass
 from petalgrid.braid import (
     BraidWord,
     NormalForm,
+    _Value,
     band_indices,
     delta,
     induced_permutation,
     left_normal_form,
     permutation_braid,
-    round_trip_product,
     torus_conjugacy_witness,
     words_equal,
 )
 from petalgrid.grid import GridDiagram
-from petalgrid.perm import _Value, residue_perm
 from petalgrid.petal import STRONGLY_BRAIDED, classify, stabilize
 
 
@@ -69,6 +69,18 @@ def inverse(p: tuple[int, ...]) -> tuple[int, ...]:
     for i, a in enumerate(p, 1):
         inv[a - 1] = i
     return tuple(inv)
+
+
+def residue_perm(n: int, k: int) -> tuple[int, ...]:
+    """The permutation i -> k*i mod n (representatives in 1..n, so n is fixed).
+
+    The witness builds its conjugator from the same map in place.
+    """
+    if not 1 <= k < n:
+        raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
+    if math.gcd(n, k) != 1:
+        raise ValueError("not coprime")
+    return tuple((k * i - 1) % n + 1 for i in range(1, n + 1))
 
 
 def rewrite_neighbors(word: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -700,10 +712,10 @@ def strongly_braided_stabilization_holds(pp: tuple[int, ...], k: int) -> bool:
 
 # --- Named bands and the seeded braid-identity suites ------------------------
 #
-# The certifier builds its band form as one letter list (round_trip_product),
-# so the single bands and generators are built here, for the identities the
-# normal form checks.  SEED seeds every draw of the suites below and of the
-# acceptance tests.
+# The certifier builds its band form as one letter list (conjugate_band_braid),
+# so the single bands, their products and the generators are built here, for
+# the identities the normal form checks.  SEED seeds every draw of the suites
+# below and of the acceptance tests.
 
 SEED = 70311
 
@@ -770,6 +782,14 @@ def round_trip(n: int, k: int) -> BraidWord:
     return descending_run(n, k) * ascending_run(n, k)
 
 
+def band_product(n: int, subscripts: Iterable[int]) -> BraidWord:
+    """U_{k_1} U_{k_2} ..., multiplied band by band in the order given."""
+    product = BraidWord(n, ())
+    for k in subscripts:
+        product = product * round_trip(n, k)
+    return product
+
+
 def suite_band_relations(rng: random.Random, trials: int, max_n: int) -> SuiteResult:
     """D/E/U band identities: shifts, commutation, merged products, full twist.
 
@@ -813,12 +833,12 @@ def suite_band_relations(rng: random.Random, trials: int, max_n: int) -> SuiteRe
         for a in reversed(members):
             merged = merged * ascending_run(n, a)
         res.check(
-            words_equal(round_trip_product(n, members), merged),
+            words_equal(band_product(n, members), merged),
             f"band product does not merge at n={n}, A={members}",
         )
     for _ in range(trials):  # the full band product is the full twist
         n = rng.randint(2, max_n)
-        full = round_trip_product(n, tuple(range(2, n + 1)))
+        full = band_product(n, tuple(range(2, n + 1)))
         res.check(
             words_equal(full, half_twist(n) ** 2) and words_equal(full, delta(n) ** n),
             f"U_2...U_n != Delta^2 at n={n}",
@@ -911,6 +931,7 @@ class IndexSubset(_Value):
     __slots__ = ("n", "members")
 
     def __init__(self, n: int, members: tuple[int, ...]):
+        members = tuple(members)
         if any(not 1 <= m <= n for m in members):
             raise ValueError(f"members must lie in 1..{n}: {members}")
         if any(a >= b for a, b in zip(members, members[1:])):
@@ -1095,7 +1116,7 @@ def suite_band_conjugation(rng: random.Random, trials: int, max_n: int) -> Suite
         )
         res.check(
             words_equal(
-                round_trip_product(n, a.members),
+                band_product(n, a.members),
                 subset_braid(a, low) * twist * twist * subset_braid(low, a),
             ),
             f"band product form failed at n={n}, A={a.members}",
@@ -1117,7 +1138,7 @@ def suite_band_to_delta(rng: random.Random, trials: int, max_n: int) -> SuiteRes
         low, top = bottom_subset(n, k), top_subset(n, k)
         rhs = subset_braid(top, a).inverse() * delta(n) ** k * subset_braid(low, a)
         res.check(
-            words_equal(round_trip_product(n, a.members), rhs),
+            words_equal(band_product(n, a.members), rhs),
             f"band-to-delta failed at n={n}, A={a.members}",
         )
     return res

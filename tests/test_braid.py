@@ -6,6 +6,7 @@ from oracles import (
     IndexSubset,
     _letterwise_left_weight,
     ascending_run,
+    band_product,
     compose,
     decompose_permutation_braid,
     descending_run,
@@ -14,6 +15,7 @@ from oracles import (
     inverse,
     inversions,
     letterwise_normal_form,
+    residue_perm,
     round_trip,
     sigma,
     split,
@@ -33,13 +35,11 @@ from petalgrid.braid import (
     left_normal_form,
     parse_word,
     permutation_braid,
-    round_trip_product,
     torus_conjugacy_witness,
     words_equal,
 )
 import petalgrid.braid as braid
 from petalgrid.braid import _comb, _simple_runs
-from petalgrid.perm import residue_perm
 
 
 def random_permutation(rng, n):
@@ -63,42 +63,19 @@ def test_named_braids():
         round_trip(4, 5)
 
 
-def test_round_trip_product_is_the_per_band_concatenation():
-    # One letter list for the whole product, the same letters as multiplying
-    # band by band; the band form of T(61,150) is delta (U_2...U_61)^2 U_a...
-    rng = random.Random(61)
-    for n in range(2, 62):
-        for _ in range(3):
-            members = rng.sample(range(1, n + 1), rng.randint(0, n))  # in any order
-            expected = BraidWord(n, ())
-            for k in members:
-                expected = expected * round_trip(n, k)
-            assert round_trip_product(n, members) == expected, (n, members)
+def test_band_form_is_delta_then_the_round_trips():
+    # One letter list for the whole band form, the same letters as
+    # multiplying band by band, for s below, at and past n; the band form of
+    # T(61,150) is delta (U_2...U_61)^2 U_a...
+    for n in range(2, 14):
+        for s in range(2, 4 * n):
+            if math.gcd(n, s) == 1:
+                expected = delta(n) * band_product(n, band_indices(n, s))
+                assert conjugate_band_braid(n, s) == expected, (n, s)
     expected = delta(61)
     for k in list(range(2, 62)) * 2 + band_indices(61, 28):
         expected = expected * round_trip(61, k)
     assert conjugate_band_braid(61, 150) == expected
-
-
-def test_round_trip_product_is_the_product_of_round_trips():
-    # 200 random subscript lists, with repeats and in any order.
-    rng = random.Random(200)
-    for _ in range(200):
-        n = rng.randint(1, 20)
-        subscripts = rng.choices(range(1, n + 1), k=rng.randint(0, 12))
-        expected = BraidWord(n, ())
-        for k in subscripts:
-            expected = expected * round_trip(n, k)
-        assert round_trip_product(n, subscripts) == expected, (n, subscripts)
-    # A subscript out of range raises descending_run's message, wherever it sits.
-    for n in (1, 2, 5, 9):
-        for k in (0, n + 1):
-            message = f"^k={k} out of range for braid index {n}$"
-            with pytest.raises(ValueError, match=message):
-                descending_run(n, k)
-            for subscripts in ([k], [1, k], [k, n]):
-                with pytest.raises(ValueError, match=message):
-                    round_trip_product(n, subscripts)
 
 
 def test_half_twist_as_run_products():
@@ -534,7 +511,7 @@ def test_normal_form_rejects_factors_of_another_degree_and_negative_indices():
 def test_words_equal_examples():
     assert words_equal(BraidWord(3, (1, 2, 1)), BraidWord(3, (2, 1, 2)))
     assert not words_equal(sigma(3, 1), sigma(3, 2))
-    u_all = round_trip_product(5, (2, 3, 4, 5))
+    u_all = band_product(5, (2, 3, 4, 5))
     assert words_equal(u_all, half_twist(5) ** 2)
     with pytest.raises(ValueError, match="index mismatch"):
         words_equal(sigma(3, 1), sigma(4, 1))
@@ -644,7 +621,7 @@ def test_conjugacy_witnesses():
 
     w = torus_conjugacy_witness(5, 6)
     assert w.verified and w.conjugator.letters == ()
-    expected = delta(5) * round_trip_product(5, (2, 3, 4, 5))
+    expected = delta(5) * band_product(5, (2, 3, 4, 5))
     assert w.rhs == expected
 
     assert torus_conjugacy_witness(7, 3).verified
@@ -658,6 +635,15 @@ def test_conjugacy_witnesses():
     for n, k in ((7, 1), (1, 7), (3, -2)):
         with pytest.raises(ValueError, match=f"^need n, k >= 2, got n={n}, k={k}$"):
             torus_conjugacy_witness(n, k)
+
+
+@pytest.mark.parametrize("n, k", [(300, 7), (257, 3)])
+def test_witness_past_a_byte_of_strands(n, k):
+    # Past 255 strands an image no longer fits a byte, so the comb runs on tuples.
+    w = torus_conjugacy_witness(n, k)
+    assert w.verified
+    assert w.conjugator == permutation_braid(residue_perm(n, k))
+    assert w.rhs.letters == delta(n).letters + band_product(n, band_indices(n, k)).letters
 
 
 def test_delta_to_the_n_is_a_central_delta_squared():
@@ -683,7 +669,7 @@ def test_witness_counts_delta_squared_exactly(n, k):
 def test_witness_rejects_a_wrong_band_form(monkeypatch, n, k):
     band = braid.conjugate_band_braid(n, k)
     # One extra (U_2...U_n) block: the band form of k + n, off by exactly Delta^2.
-    extra = delta(n) * round_trip_product(n, list(range(2, n + 1)) + band_indices(n, k))
+    extra = delta(n) * band_product(n, list(range(2, n + 1)) + band_indices(n, k))
     assert extra == braid.conjugate_band_braid(n, k + n)
     nf = left_normal_form(band)
     assert left_normal_form(extra) == NormalForm(n, nf.delta_power + 2, nf.factors)

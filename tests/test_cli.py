@@ -510,6 +510,15 @@ def test_start_up_loads_only_what_verify_needs():
     loaded = set(proc.stdout.split())
     assert "petalgrid.invariants" in loaded and "argparse" in loaded and "json" in loaded
     assert not loaded & {"dataclasses", "inspect", "petalgrid.selftest", "signal"}
+    # It loads every module of the package, so none is left that no command
+    # imports: the package, its five certifier modules and the command line.
+    package = {"petalgrid"} | {
+        f"petalgrid.{path.stem}" for path in Path(petalgrid.__file__).parent.glob("*.py") if path.stem != "__init__"
+    }
+    assert {name for name in loaded if name.split(".")[0] == "petalgrid"} == package
+    assert package == {f"petalgrid.{name}" for name in ("braid", "petal", "grid", "invariants", "packed", "cli")} | {
+        "petalgrid"
+    }
 
 
 def test_main_reuses_one_parser_and_calls_stay_independent(capsys, monkeypatch):

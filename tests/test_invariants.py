@@ -25,7 +25,15 @@ from oracles import (
     wirtinger_alexander,
 )
 from petalgrid import invariants, packed
-from petalgrid.braid import BraidWord, conjugate_band_braid, delta, induced_permutation, left_normal_form, permutation_braid
+from petalgrid.braid import (
+    BraidWord,
+    conjugate_band_braid,
+    delta,
+    induced_permutation,
+    is_single_cycle,
+    left_normal_form,
+    permutation_braid,
+)
 from petalgrid.grid import GridDiagram, build_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
@@ -35,7 +43,6 @@ from petalgrid.invariants import (
     normalized,
     torus_alexander,
 )
-from petalgrid.perm import is_single_cycle
 from petalgrid.petal import length_bound, synthesize
 
 # The polynomials the tests build and compute on are the oracles' Laurent;

@@ -42,7 +42,7 @@ def test_no_function_builds_a_json_payload_by_name():
 
 def test_permutations_are_plain_image_tuples():
     # No module wraps a permutation in a class of its own: each is its
-    # 1-indexed image tuple, checked by perm.check_permutation, and a petal
+    # 1-indexed image tuple, checked by braid.check_permutation, and a petal
     # permutation is its entry tuple, checked by petal.check_petal_permutation.
     found = sorted(
         (name, node.name if isinstance(node, ast.ClassDef) else f".{node.attr}")
@@ -51,7 +51,7 @@ def test_permutations_are_plain_image_tuples():
         if (isinstance(node, ast.ClassDef) and node.name in ("Permutation", "PetalPermutation"))
         or (isinstance(node, ast.Attribute) and node.attr in ("images", "entries"))
     )
-    assert {"perm", "petal"} <= SOURCES.keys() and not found, found
+    assert {"braid", "petal"} <= SOURCES.keys() and not found, found
 
 
 def test_grid_defines_only_the_grid_diagram_class():
@@ -69,10 +69,11 @@ def test_braid_public_surface_is_the_certifiers():
     defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     defined |= {target.id for node in body if isinstance(node, ast.Assign) for target in node.targets}
     assert {name for name in defined if not name.startswith("_")} == {
+        "check_permutation",
         "BraidWord",
         "delta",
-        "round_trip_product",
         "induced_permutation",
+        "is_single_cycle",
         "permutation_braid",
         "NormalForm",
         "left_normal_form",

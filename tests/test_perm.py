@@ -1,9 +1,9 @@
 import random
 
 import pytest
-from oracles import IndexSubset, compose, identity, inverse, order_bijection
+from oracles import IndexSubset, compose, identity, inverse, order_bijection, residue_perm
 
-from petalgrid.perm import check_permutation, is_single_cycle, residue_perm
+from petalgrid.braid import check_permutation, is_single_cycle
 
 
 def test_compose_involution_and_inverse():

@@ -11,7 +11,7 @@ import pytest
 from oracles import IndexSubset
 
 from petalgrid.braid import BraidWord, ConjugacyWitness, NormalForm
-from petalgrid.grid import GridDiagram
+from petalgrid.grid import GridDiagram, build_petal_grid
 
 # (class, valid fields, other valid fields, invalid fields, their error message)
 CASES = [
@@ -82,3 +82,35 @@ def test_value_semantics(cls, fields, other, bad, message):
 
     for clone in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(clone) is cls and clone == value
+
+
+# A field given as a list or another sequence is stored as a tuple before the
+# checks run; a tuple is stored as itself.
+
+
+def test_a_grid_built_from_a_list_equals_the_one_built_from_its_tuple():
+    pp = (3, 5, 2, 4, 1)
+    g = build_petal_grid(list(pp))
+    assert g == build_petal_grid(pp) and hash(g) == hash(build_petal_grid(pp))
+    assert type(g.starts) is tuple and type(g.ends) is tuple
+    starts, ends = (3, 2, 1, 5, 4), (5, 4, 3, 2, 1)
+    g = GridDiagram(starts, ends)
+    assert g.starts is starts and g.ends is ends
+    assert GridDiagram(list(starts), range(5, 0, -1)) == g
+
+
+def test_braid_words_of_lists_and_tuples_multiply():
+    assert BraidWord(3, [1, 2]) * BraidWord(3, (1,)) == BraidWord(3, (1, 2, 1))
+    letters = (1, -2)
+    assert BraidWord(3, letters).letters is letters
+    assert hash(BraidWord(3, [1, -2])) == hash(BraidWord(3, letters))
+
+
+def test_a_normal_form_factor_given_as_a_list_is_checked_as_a_tuple():
+    for factor in ([1, 2, 3], [3, 2, 1]):
+        with pytest.raises(ValueError, match="^normal form factors must be proper$"):
+            NormalForm(3, 0, (factor,))
+    factor = (2, 1, 3)
+    nf = NormalForm(3, 1, [list(factor)])
+    assert nf == NormalForm(3, 1, (factor,)) and nf.factors == (factor,)
+    assert NormalForm(3, 1, (factor,)).factors[0] is factor
