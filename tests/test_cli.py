@@ -117,6 +117,9 @@ BRAID_NF_CASES = [
     (6, "s3 s3 s1 s4^-1 s1 s3 s5^-1 s4^-1 s2 s3^-1 s4^-1 s5 s4^-1 s2 s1 s1 s2 s3^-1 s3^-1 s5 s1 s2^-1 s5 s1 s5 s3^-1 s3 s2^-1 s5^-1 s2^-1"),
     (9, "s7 s3 s6^-1 s2 s4 s3^-1 s2 s5 s6 s8^-1 s3 s8 s1^-1 s2 s6 s2^-1 s1^-1 s4 s1 s1 s5 s7 s2^-1 s2^-1 s4 s4 s5 s7 s2 s8^-1 s3 s5 s2^-1 s4^-1 s5^-1 s2 s5 s7 s5^-1 s8^-1"),
     (12, "s2 s4^-1 s9 s9 s1^-1 s5 s10^-1 s1 s4 s10 s10^-1 s10 s5^-1 s1^-1 s10 s9^-1 s7^-1 s1^-1 s2^-1 s6^-1 s4 s8^-1 s7^-1 s10 s6 s2 s1^-1 s8 s9 s5 s3 s6^-1 s1 s7 s4^-1 s7^-1 s9^-1 s10^-1 s11 s5^-1 s3^-1 s11^-1 s8 s6 s11^-1 s11 s5 s9 s6 s4^-1 s8^-1 s3 s5 s10 s3 s5^-1 s11 s2^-1 s5 s2^-1"),
+    (4, "s1^-1 s3 s1^-1 s1^-1 s3 s2^-1 s2^-1 s2^-1 s3"),
+    (5, "s1^-1 s1^-1 s1^-1 s3 s2^-1 s1^-1"),
+    (14, "s8 s1^-1 s3 s13^-1 s6^-1 s5 s13^-1 s12 s9^-1 s4 s11^-1 s7 s2^-1 s13^-1 s13^-1 s8^-1 s13 s12 s2^-1 s10 s11 s8^-1 s9 s11 s4^-1 s5^-1 s10^-1 s2 s2 s5^-1 s7 s4^-1 s10 s12 s4 s1 s9^-1 s6^-1 s9^-1 s5^-1 s11 s1^-1 s7 s2^-1 s4^-1 s10 s8^-1 s13^-1 s9 s8^-1 s12^-1 s2^-1 s12 s8^-1 s12^-1 s1 s9 s5 s4^-1 s9^-1 s6^-1 s7^-1 s10^-1 s5^-1 s11^-1 s8^-1 s12 s8^-1 s11^-1 s6^-1 s11^-1 s10 s12^-1 s6^-1 s8^-1 s5 s10 s1^-1 s1 s11 s6^-1 s10^-1 s4 s5 s7 s2^-1 s4^-1 s6 s3^-1 s10 s3^-1 s11 s12 s1 s8^-1 s11 s12 s10 s3 s11^-1"),
 ]
 
 
@@ -128,7 +131,7 @@ def test_braid_nf_json_matches_the_golden_file(capsys):
     output format, and that change is logged in CHANGES.md.
     """
     golden = (Path(__file__).parent / "golden" / "braid_nf.jsonl").read_text().splitlines(keepends=True)
-    assert len(golden) == len(BRAID_NF_CASES) == 20
+    assert len(golden) == len(BRAID_NF_CASES) == 23
     for (n, word), expected in zip(BRAID_NF_CASES, golden):
         code, out, _ = run(capsys, "braid", "nf", "-n", str(n), word, "--json")
         assert (code, out) == (0, expected), (n, word)
