@@ -28,10 +28,9 @@ braid (j = i when P fixes i and i+1).  Only braid relations are used, so
 the product of the runs is the word in B_n, and the normal form of a braid
 is unique (Thurston; Epstein et al., Word Processing in Groups, ch. 9):
 however the word is cut, the result is the same.  The cut only decides the
-work: fewer runs are fewer factors to comb in.  So does the bookkeeping of
-Delta: a Delta that combing forms amid the factors is carried to whichever
-end of the list is nearer, conjugating (sigma_i -> sigma_{n-i}) only the
-factors on that side.
+work: fewer runs are fewer factors to comb in.  Every Delta is carried to
+the right end of the factor list, conjugating (sigma_i -> sigma_{n-i}) the
+factors it passes.
 
 The immutable value base of the word, the normal form, the witness and the
 grid diagram is here too, with check_permutation: a permutation sending i
@@ -125,6 +124,7 @@ class BraidWord(_Value):
     def inverse(self) -> BraidWord:
         return BraidWord(self.n, tuple(-g for g in reversed(self.letters)))
 
+    # Kept for perfbench/spans.py, which counts each traced word's letters with len().
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -207,18 +207,13 @@ def permutation_braid(p: tuple[int, ...]) -> BraidWord:
 # end: a negative run's Delta^-1, and each Delta that combing fills a factor
 # up to.  Delta F = tau(F) Delta, where tau is the conjugation sigma_i ->
 # sigma_{n-i}, which maps the images of F to n+1-v in reverse order; tau^2 is
-# the identity, as Delta^2 is central.  So a Delta formed at index j and
-# carried right conjugates the factors after it, and the factors are stored
-# under one flip bit to make it cheap: a stored factor is tau^flip of the
-# factor it stands for with every Delta at the right end.  Flipping the bit
-# and conjugating the factors before j, which carries the Delta to the left
-# end instead, gives the same state as conjugating the factors after it, so a
-# formed Delta conjugates whichever side of the list is shorter.  tau keeps
-# pairs left-weighted, so combing works on the stored factors as they are.  A
-# run enters conjugated when power + flip is odd, and all factors leave
-# conjugated at the end when it is.  A negative run costs a nearly full factor
-# Y^-1 Delta that combing must move crossing by crossing, so every letter the
-# cut joins or cancels saves combing work.
+# the identity, as Delta^2 is central.  So a Delta formed at index j is
+# deleted and conjugates the factors after it, a run enters conjugated when
+# the power is odd, and all factors leave conjugated at the end when it is.
+# tau keeps pairs left-weighted, so combing works on the factors as they are.
+# A negative run costs a nearly full factor Y^-1 Delta that combing must move
+# crossing by crossing, so every letter the cut joins or cancels saves
+# combing work.
 
 
 def _maketrans(frm: Sequence[int], to: Sequence[int]) -> tuple[int, ...]:
@@ -336,6 +331,7 @@ class NormalForm(_Value):
         object.__setattr__(self, "delta_power", delta_power)
         object.__setattr__(self, "factors", factors)
 
+    # Kept for perfbench/spans.py, which records each traced normal form's canonical length.
     def canonical_length(self) -> int:
         return len(self.factors)
 
@@ -361,11 +357,11 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
     w0 = ident[::-1]
     comp = maketrans(ident, w0)  # v -> n + 1 - v
     end = n + 1
-    power = flip = 0
-    factors: list[Sequence[int]] = []  # each stored as tau^flip of the factor it stands for
+    power = 0
+    factors: list[Sequence[int]] = []  # with every Delta at the right end
     for negative, im in runs:
         g = pack(im[::-1] if negative else im)
-        if (power + flip) % 2:
+        if power % 2:
             g = translate(g[::-1], comp)
         power -= negative
         if g == w0:
@@ -400,15 +396,11 @@ def _comb(n: int, runs: list[tuple[bool, list[int]]]) -> NormalForm:
             if f == w0:
                 del factors[j]
                 power += 1
-                if 2 * j < len(factors):
-                    flip ^= 1
-                    factors[:j] = [translate(f[::-1], comp) for f in factors[:j]]
-                else:
-                    factors[j:] = [translate(f[::-1], comp) for f in factors[j:]]
+                factors[j:] = [translate(f[::-1], comp) for f in factors[j:]]
                 break
             factors[j] = f
             j -= 1
-    if (power + flip) % 2:
+    if power % 2:
         factors = [translate(f[::-1], comp) for f in factors]
     return NormalForm(n, power, factors)
 
@@ -422,10 +414,9 @@ def left_normal_form(w: BraidWord) -> NormalForm:
     followed by Delta^-1.  Each factor is combed in leftwards (_comb).  Every
     Delta^+-1 counts toward the delta power with its sign: a negative run's
     Delta^-1, and each Delta formed while combing a factor in, which is
-    deleted and conjugates the shorter side of the factor list by Delta
-    (sigma_i -> sigma_{n-i}) under one flip bit.  A run that enters while the
-    power plus the bit is odd is conjugated first, and so are all factors at
-    the end when it is.
+    deleted and carried to the right end, conjugating the factors after it
+    (sigma_i -> sigma_{n-i}).  A run that enters while the power is odd is
+    conjugated first, and so are all factors at the end when it is.
 
     >>> nf = left_normal_form(BraidWord(4, (1, 2, 1, 3, 2, 1)).inverse())
     >>> nf.delta_power, nf.factors

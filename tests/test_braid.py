@@ -443,16 +443,15 @@ def test_left_weight_matches_one_slide_oracle():
         assert filled >= 100 and emptied >= 100, n
 
 
-def test_a_delta_formed_mid_list_conjugates_the_shorter_side():
+def test_a_delta_formed_mid_list_conjugates_the_factors_after_it():
     # The last letter sigma_i^-1 enters as the nearly full factor sigma_i^-1
     # Delta, then Delta^-1.  Combing it in fills the factor at index 2 up to
     # Delta, which is deleted and cancels that Delta^-1: the delta power and
     # the factors before index 2 come out as without the letter, the factor
-    # at index 2 does not.  In B_4 five factors are left, so the Delta formed
-    # in the first half: the bit flips and the two stored factors before it
-    # are conjugated.  In B_5 four are left, so it formed in the second half,
-    # and the two stored factors from index 2 on are conjugated.
-    # Delta-conjugation moves each factor on the conjugated side.
+    # at index 2 does not.  The Delta is carried to the right end, so the
+    # factors after it are conjugated (sigma_i -> sigma_{n-i}): in B_4 the
+    # three from index 2 on, in B_5 the two.  Delta-conjugation moves each
+    # factor before index 2, so conjugating those instead would show.
     for n, letters, length in ((4, (-1, 3, -1, -1, 3, -2), 5), (5, (-1, -1, -1, 3, -2), 4)):
         w = BraidWord(n, letters)
         before, after = left_normal_form(BraidWord(n, letters[:-1])), left_normal_form(w)
@@ -461,18 +460,25 @@ def test_a_delta_formed_mid_list_conjugates_the_shorter_side():
         assert after.factors[:2] == before.factors[:2] and after.factors[2] != before.factors[2]
         assert after == letterwise_normal_form(w)
         w0 = tuple(range(n, 0, -1))
-        conjugated = after.factors[:2] if 2 * 2 < length else after.factors[2:]
-        assert all(compose(w0, compose(f, w0)) != f for f in conjugated)
-        # Runs enter after it under the bit, and the end conjugates by power + bit.
+        assert all(compose(w0, compose(f, w0)) != f for f in after.factors[:2])
+        # Runs enter after it conjugated while the power is odd, and the end
+        # conjugates every factor when it is.
         for tail in ((1,), (-1,), (2, -3, 1), (-2, -2, 3)):
             longer = BraidWord(n, letters + tail)
             assert left_normal_form(longer) == letterwise_normal_form(longer), longer.letters
 
 
+def deltas_formed_by_combing(w, nf):
+    """The power, plus one per negative run's Delta^-1, less the positive runs that are Delta already."""
+    w0 = list(range(w.n, 0, -1))
+    return nf.delta_power + sum(1 if negative else -(im == w0) for negative, im in _simple_runs(w))
+
+
 def test_normal_form_matches_letterwise_oracle_where_combing_forms_many_deltas():
     # In a balanced signed word each negative run enters as a nearly full
     # factor, which combing often fills up to Delta anywhere in the factor
-    # list, so the flip bit changes many times within one word.
+    # list, so a Delta formed amid the list conjugates the factors after it
+    # many times within one word.
     rng = random.Random(1313)
     formed = 0
     for _ in range(300):
@@ -480,11 +486,18 @@ def test_normal_form_matches_letterwise_oracle_where_combing_forms_many_deltas()
         w = random_word(rng, n, 120)
         nf = left_normal_form(w)
         assert nf == letterwise_normal_form(w), w.letters
-        # Deltas formed by combing: the power, plus one per negative run's
-        # Delta^-1, less the positive runs that are Delta already.
-        w0 = list(range(n, 0, -1))
-        formed += nf.delta_power + sum(1 if negative else -(im == w0) for negative, im in _simple_runs(w))
+        formed += deltas_formed_by_combing(w, nf)
     assert formed > 1500
+    # Past 255 strands the comb keeps tuples.  Letters at both ends of the
+    # index range meet their mirrors sigma_{n-i} there, so combing forms Delta.
+    rng = random.Random(257)
+    for n in (257, 300):
+        ends = (1, 2, n - 2, n - 1)
+        letters = [rng.choice((1, -1)) * rng.choice((*ends, rng.randint(1, n - 1))) for _ in range(rng.randint(60, 80))]
+        w = BraidWord(n, tuple(letters))
+        nf = left_normal_form(w)
+        assert nf == letterwise_normal_form(w), w.letters
+        assert deltas_formed_by_combing(w, nf) >= 2, n
 
 
 def test_normal_form_rejects_factors_of_another_degree_and_negative_indices():
