@@ -94,8 +94,7 @@ def _seconds(text: str) -> float:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    deadline = time.monotonic() + args.timeout if args.timeout is not None else None
-    report = certify(args.n, args.s, args.pipeline, deadline)
+    report = certify(args.n, args.s, args.pipeline, timeout=args.timeout)
     if args.json:
         _emit_json(report)
     else:

@@ -14,8 +14,8 @@ its columns off the doubled sequence a_1, ..., a_p, a_1, ..., a_p two
 entries at a time: column i runs from row a_{2i-1} to row a_{2i} (indices
 mod p).  Its middle column, x = (p+1)/2, is the unique inflection edge:
 the one whose two adjacent horizontal edges leave it on opposite sides.
-So `validate_petal_grid` names no coordinates: it returns the petal grid
-conditions a grid breaks, as messages, and () for a petal grid.
+So `validate_petal_grid` returns no coordinate values, only the petal grid
+conditions a grid breaks, as messages that name columns; () for a petal grid.
 
 >>> g = build_petal_grid((3, 5, 2, 4, 1))
 >>> g.starts, g.ends
@@ -76,10 +76,10 @@ def build_petal_grid(pp: tuple[int, ...]) -> GridDiagram:
 def validate_petal_grid(g: GridDiagram) -> tuple[str, ...]:
     """The petal grid conditions that g breaks, one message each; () for a petal grid.
 
-    A petal grid of size p = 2n+1 must have exactly one inflection edge
-    whose adjacent horizontal edges both have length n, while every other
-    vertical edge has adjacent horizontal lengths n and n+1.  No coordinates
-    are returned: the inflection edge of a petal grid is its middle column.
+    A petal grid of size p = 2n+1 has exactly one inflection edge, whose
+    adjacent horizontal edges both have length n; every other vertical edge
+    has adjacent lengths n and n+1.  The messages name columns, but no
+    coordinate values are returned: the inflection edge is the middle column.
     """
     p = g.size
     if p % 2 == 0 or p < 3:

@@ -29,7 +29,6 @@ End-to-end certification: certify(n, s) is the one certifier behind
 """
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 
 from .braid import (
@@ -177,16 +176,16 @@ PIPELINES = ("grid", "burau", "both")
 
 
 @contextmanager
-def _alarm(deadline: float | None):
-    """Raise TimeoutError in the block once the `time.monotonic()` deadline passes.
+def _alarm(timeout: float | None):
+    """Raise TimeoutError in the block once timeout seconds have passed.
 
-    One SIGALRM interval timer, armed for the time left clamped to [1 us,
+    One SIGALRM interval timer, armed for the timeout clamped to [1 us,
     1e9 s]: 0 would disarm it, and setitimer overflows past about 1e9 s.
     """
-    if deadline is None:
+    if timeout is None:
         yield
         return
-    import signal  # only a run with a deadline needs it
+    import signal  # only a run with a timeout needs it
 
     if not (hasattr(signal, "SIGALRM") and hasattr(signal, "setitimer")):
         raise ValueError("no POSIX interval timer (signal.SIGALRM, signal.setitimer)")
@@ -196,7 +195,7 @@ def _alarm(deadline: float | None):
 
     previous = signal.signal(signal.SIGALRM, ring)  # in before the timer is armed
     try:
-        signal.setitimer(signal.ITIMER_REAL, min(max(deadline - time.monotonic(), 1e-6), 1e9))
+        signal.setitimer(signal.ITIMER_REAL, min(max(timeout, 1e-6), 1e9))
         yield
     finally:
         try:
@@ -205,7 +204,7 @@ def _alarm(deadline: float | None):
             signal.signal(signal.SIGALRM, previous)
 
 
-def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = None) -> dict:
+def certify(n: int, s: int, pipeline: str = "both", *, timeout: float | None = None) -> dict:
     """Certify that the synthesized petal permutation represents T(n, s).
 
     Stages, in order: synthesize; build and validate the petal grid;
@@ -218,22 +217,24 @@ def certify(n: int, s: int, pipeline: str = "both", deadline: float | None = Non
     knots pairwise but is not a complete invariant.
 
     Returns the report `petalgrid verify --json` prints, without "schema".
-    An invalid pair or pipeline raises ValueError before any stage runs.
-    At the `time.monotonic()` deadline a SIGALRM timer interrupts whichever
-    stage is running, and the report so far is returned with "timeout":
-    True and no "all_match".  The timer needs a POSIX system and the main
-    thread; elsewhere a deadline fails the "timer" stage.  A stage that
-    raises ValueError or ArithmeticError fails the certificate: "error"
-    holds "<stage>: <message>" and "all_match" is False.
+    An invalid pair, pipeline or NaN timeout raises ValueError before any
+    stage runs.  After `timeout` seconds (at once if it is 0 or less) a
+    SIGALRM timer interrupts whichever stage is running, and the report so
+    far is returned with "timeout": True and no "all_match".  The timer needs
+    a POSIX system and the main thread; elsewhere a timeout fails the "timer"
+    stage.  A stage that raises ValueError or ArithmeticError fails the
+    certificate: "error" holds "<stage>: <message>" and "all_match" is False.
     """
     check_pair(n, s)
     if pipeline not in PIPELINES:
         raise ValueError(f"pipeline must be one of {', '.join(PIPELINES)}, got {pipeline!r}")
+    if timeout != timeout:  # only NaN is unequal to itself
+        raise ValueError("timeout must be a number of seconds, got nan")
     report: dict = {"n": n, "s": s, "pipeline": pipeline}
     checks: list[bool] = []
     stage = "timer"
     try:
-        with _alarm(deadline):
+        with _alarm(timeout):
             stage = "synthesize"
             pp = synthesize(n, s)
             bound = length_bound(n, s)

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     IndexSubset,
     _letterwise_left_weight,
+    _rewrite_once,
     ascending_run,
     band_product,
     compose,
@@ -488,16 +489,44 @@ def test_normal_form_matches_letterwise_oracle_where_combing_forms_many_deltas()
         assert nf == letterwise_normal_form(w), w.letters
         formed += deltas_formed_by_combing(w, nf)
     assert formed > 1500
-    # Past 255 strands the comb keeps tuples.  Letters at both ends of the
-    # index range meet their mirrors sigma_{n-i} there, so combing forms Delta.
+    # Past 255 strands the comb keeps tuples.
     rng = random.Random(257)
     for n in (257, 300):
-        ends = (1, 2, n - 2, n - 1)
-        letters = [rng.choice((1, -1)) * rng.choice((*ends, rng.randint(1, n - 1))) for _ in range(rng.randint(60, 80))]
-        w = BraidWord(n, tuple(letters))
+        w = wide_signed_word(rng, n)
         nf = left_normal_form(w)
         assert nf == letterwise_normal_form(w), w.letters
         assert deltas_formed_by_combing(w, nf) >= 2, n
+
+
+def wide_signed_word(rng, n):
+    """A signed word of 60-80 letters in B_n, n > 255, its letters biased to both ends of the index range.
+
+    Letters at both ends meet their mirrors sigma_{n-i} there, so combing forms Delta.
+    """
+    ends = (1, 2, n - 2, n - 1)
+    letters = [rng.choice((1, -1)) * rng.choice((*ends, rng.randint(1, n - 1))) for _ in range(rng.randint(60, 80))]
+    return BraidWord(n, tuple(letters))
+
+
+def test_tuple_comb_keeps_the_normal_form_under_relations_and_inverses():
+    # The letterwise oracle takes 0.8-1.9 s per such word, too slow for more than
+    # one per n: these words check the tuple comb against braid relation
+    # moves, a free insertion g g^-1 and the word times its inverse instead.
+    rng = random.Random(300)
+    for n in (257, 300):
+        for _ in range(4):
+            w = wide_signed_word(rng, n)
+            nf = left_normal_form(w)
+            assert deltas_formed_by_combing(w, nf) > 0, w.letters
+            v = w
+            for _ in range(5):
+                v = _rewrite_once(rng, v)
+            spot = rng.randint(0, len(v.letters))
+            g = rng.choice((1, -1)) * rng.randint(1, n - 1)
+            v = BraidWord(n, v.letters[:spot] + (g, -g) + v.letters[spot:])
+            assert left_normal_form(v) == nf, w.letters
+            trivial = left_normal_form(w * w.inverse())
+            assert trivial.delta_power == 0 and not trivial.factors, w.letters
 
 
 def test_normal_form_rejects_factors_of_another_degree_and_negative_indices():

@@ -236,8 +236,8 @@ def test_verify_timeout(capsys):
 
 
 def test_verify_timeout_must_be_positive(capsys):
-    # Zero, a negative number of seconds or no number is no deadline a run can meet.
-    for value in ("0", "-1", "abc"):
+    # Zero, a negative number of seconds, NaN or no number is no time limit a run can meet.
+    for value in ("0", "-1", "abc", "nan"):
         code, out, err = run(capsys, "verify", "5", "7", "--timeout", value, "--json")
         assert code == 2, value
         assert out == "" and err.endswith(f"must be a positive number of seconds, got {value}\n")
@@ -245,7 +245,7 @@ def test_verify_timeout_must_be_positive(capsys):
 
 @pytest.fixture
 def slow_determinant(monkeypatch):
-    """The determinant slowed down by 10 s, so that a deadline lands in it on any machine."""
+    """The determinant slowed down by 10 s, so that a timeout lands in it on any machine."""
     determinant = invariants.determinant_up_to_units
 
     def slow(*args):
@@ -256,7 +256,7 @@ def slow_determinant(monkeypatch):
 
 
 def test_verify_timeout_interrupts_the_determinant(capsys, slow_determinant):
-    # The slowed determinant holds the deadline on any machine (at T(41,100) it
+    # The slowed determinant outlasts the timeout on any machine (at T(41,100) it
     # takes about 0.6 s unslowed); the closed form is the last stage before the
     # grid's, so the timer rings inside it.
     t0 = time.monotonic()
@@ -306,7 +306,7 @@ def test_verify_timeout_interrupts_the_normal_form(capsys, monkeypatch):
 
 def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
     # The Burau product is slowed down here, since its real time is too short
-    # to land a deadline in: only the timer can stop it.
+    # to land a timeout in: only the timer can stop it.
     burau = invariants.reduced_burau
 
     def slow_burau(w):
@@ -331,19 +331,29 @@ def test_timer_leaves_nothing_behind(monkeypatch):
         raise ValueError("broken closed form")
 
     def finished():
-        return certify(3, 5, deadline=time.monotonic() + 60)["all_match"] is True
+        return certify(3, 5, timeout=60)["all_match"] is True
 
     def timed_out():
-        return certify(41, 100, deadline=time.monotonic() + 0.1).get("timeout") is True
+        return certify(41, 100, timeout=0.1).get("timeout") is True
 
-    def already_passed():  # the timer still rings, after its shortest interval
-        return certify(2, 3, deadline=time.monotonic() - 1).get("timeout") is True
+    def not_positive():  # the timer still rings, after its shortest interval
+        return certify(2, 3, timeout=-1).get("timeout") is True
 
     def failed():
         monkeypatch.setattr(invariants, "torus_alexander", broken)
-        return certify(3, 5, deadline=time.monotonic() + 60)["error"] == "closed_form: broken closed form"
+        return certify(3, 5, timeout=60)["error"] == "closed_form: broken closed form"
 
-    for case in (finished, timed_out, already_passed, failed):
+    def nan():
+        with pytest.raises(ValueError, match="^timeout must be a number of seconds, got nan$"):
+            certify(3, 5, timeout=float("nan"))
+        return True
+
+    def positional():  # keyword-only, so an absolute deadline passed by position cannot pass as seconds
+        with pytest.raises(TypeError):
+            certify(3, 5, "both", 60)
+        return True
+
+    for case in (finished, timed_out, not_positive, failed, nan, positional):
         assert case(), case.__name__
         assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0), case.__name__
         assert signal.getsignal(signal.SIGALRM) is handler, case.__name__
@@ -353,7 +363,7 @@ def test_deadline_without_an_interval_timer_fails_the_timer_stage(capsys, monkey
     # As on Windows, where signal has neither SIGALRM nor setitimer.
     monkeypatch.delattr(signal, "SIGALRM")
     monkeypatch.delattr(signal, "setitimer")
-    report = certify(3, 5, deadline=time.monotonic() + 60)
+    report = certify(3, 5, timeout=60)
     assert report["error"].startswith("timer:"), report["error"]
     assert report["all_match"] is False and "timeout" not in report
     code, out, _ = run(capsys, "verify", "3", "5", "--timeout", "5", "--json")
@@ -362,7 +372,7 @@ def test_deadline_without_an_interval_timer_fails_the_timer_stage(capsys, monkey
 
 
 def test_verify_timeout_past_the_timer_range(capsys):
-    # setitimer overflows past about 1e9 s; such a deadline is no deadline.
+    # setitimer overflows past about 1e9 s; such a timeout is no time limit.
     for value in ("inf", "1e12"):
         code, out, _ = run(capsys, "verify", "2", "3", "--timeout", value, "--json")
         assert code == 0, value
