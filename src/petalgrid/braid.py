@@ -476,7 +476,7 @@ def conjugate_band_braid(n: int, s: int) -> BraidWord:
     U_k = sigma_{k-1} ... sigma_1 sigma_1 ... sigma_{k-1} is the round trip on
     the lowest k strands.
     """
-    letters = [*range(n - 1, 0, -1)]
+    letters = [*delta(n).letters]
     for k in band_indices(n, s):
         letters += range(k - 1, 0, -1)
         letters += range(1, k)

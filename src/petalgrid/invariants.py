@@ -139,12 +139,12 @@ def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
     The p x p matrix (t^w), w the winding number around each cell centre,
     has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar),
     so _differenced_grid_matrix has determinant +-t^b Delta(t) itself.  Its
-    entries are units, of height 1 and packed alike at every width; given at
-    16 bits, the determinant's first width, they are not repacked.
+    entries are units, packed alike at every width; given at 16 bits, the
+    determinant's first width, they are not repacked.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return normalized(determinant_up_to_units(_differenced_grid_matrix(g), 1, 16))
+    return normalized(determinant_up_to_units(_differenced_grid_matrix(g), 16))
 
 
 # --- Alexander polynomial of a braid closure ----------------------------------

@@ -6,7 +6,7 @@ at t = X = 2^width, its lowest base-X digit nonzero, and a height bounds
 its coefficients, value's balanced base-X digits while that stays below
 X/2.  Integer arithmetic evaluates exactly, so a product is one
 multiplication and a sum one aligned addition.  Between layers a matrix is
-rows of pairs and one height for them all; Bareiss keeps a height per
+rows of pairs, which the determinant measures; Bareiss keeps a height per
 entry, the sweep per row and the Burau product per column.  A height is
 the operands' sum or product bound or, near the limit, the mask test's
 (_height), and the width doubles when exact heights reach the limit too.
@@ -92,7 +92,7 @@ def _digits(value: int, width: int) -> list[int]:
     return out
 
 
-def _height(values: tuple[int, ...] | list[int], width: int) -> int:
+def _height(values: set[int] | tuple[int, ...] | list[int], width: int) -> int:
     """_SMALL if every balanced base-X digit of the values lies in [-_SMALL, _SMALL), else the largest |digit|.
 
     The mask test: with d one more than the longest value's whole base-X
@@ -234,16 +234,16 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int)
     return [[row.get(j, (0, 0)) for j in kept] for row in rows.values()]
 
 
-def determinant_up_to_units(rows: list[dict[int, tuple]], height: int, width: int) -> list[int]:
+def determinant_up_to_units(rows: list[dict[int, tuple]], width: int) -> list[int]:
     """det(rows) times some +-t^k, as coefficients lowest first: unit pivots, then Bareiss on the remainder.
 
-    rows are sparse packed rows at width, whose coefficients height bounds.
-    The sweep and Bareiss start at the least width from _DET_WIDTH up at
-    which height stays below X/4, and start again at twice the width while
-    either raises _Narrow.  At a width other than their own the rows are
-    repacked (_repack); they are never changed.
+    rows are sparse packed rows at width, whose height one mask test
+    (_height) over their distinct values measures.  The sweep and Bareiss
+    start at the least width from _DET_WIDTH up at which it stays below
+    X/4, and again at twice the width while either raises _Narrow.  Rows at
+    another width are repacked (_repack); they are never changed.
     """
-    new = _DET_WIDTH
+    height, new = _height({v for row in rows for _, v in row.values()}, width), _DET_WIDTH
     while height >= 1 << (new - 2):
         new *= 2
     while True:
@@ -306,12 +306,12 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     return columns[1:-1], low[1:-1], width
 
 
-def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict], int, int]:
-    """B - I for the packed Burau matrix B (reduced_burau): (rows, height, width), as determinant_up_to_units takes.
+def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict], int]:
+    """B - I for the packed Burau matrix B (reduced_burau): (rows, width), as determinant_up_to_units takes.
 
-    The rows are sparse and packed at B's width; their height is one more
-    than B's, which one mask test measures.  A column held times a negative
-    power of t is raised to t^0, and every entry has its low zero digits stripped.
+    The rows are sparse and packed at B's width, and the determinant
+    measures their height.  A column held times a negative power of t is
+    raised to t^0, and every entry has its low zero digits stripped.
     """
     rows = [{} for _ in columns]
     for k, column in enumerate(columns):
@@ -320,4 +320,4 @@ def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -
             v = (v << -up * width) - (i == k and 1 << (low[k] - up) * width)
             if v:
                 rows[i][k] = _strip(up - low[k], v, width)
-    return rows, _height([v for column in columns for v in column], width) + 1, width
+    return rows, width

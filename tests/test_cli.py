@@ -179,12 +179,12 @@ def test_verify_burau_rescale_that_does_not_divide_exits_1(capsys, monkeypatch):
     # det(B - I) of a knot closure on n strands is Delta * (1 + t + ... + t^(n-1));
     # the braid pipeline refuses a determinant that this sum does not divide.
     dets = iter([[1, 2, 3, 2, 1], [1, 1, 1, 1], [1, 2, 3, 2, 2], [1, 2, 3, 2, 1, 1]])
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, height, width: next(dets))
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, width: next(dets))
     assert invariants.alexander_from_closure(delta(3) ** 5) == (1, 1, 1)  # (1 + t + t^2)^2
     for _ in range(3):
         with pytest.raises(ValueError, match="^not divisible$"):
             invariants.alexander_from_closure(delta(3) ** 5)
-    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, height, width: [1, 1])
+    monkeypatch.setattr(invariants, "determinant_up_to_units", lambda rows, width: [1, 1])
     code, out, _ = run(capsys, "verify", "3", "5", "--pipeline", "burau", "--json")
     assert code == 1
     payload = json.loads(out)
@@ -359,7 +359,7 @@ def test_timer_leaves_nothing_behind(monkeypatch):
         assert signal.getsignal(signal.SIGALRM) is handler, case.__name__
 
 
-def test_deadline_without_an_interval_timer_fails_the_timer_stage(capsys, monkeypatch):
+def test_timeout_without_an_interval_timer_fails_the_timer_stage(capsys, monkeypatch):
     # As on Windows, where signal has neither SIGALRM nor setitimer.
     monkeypatch.delattr(signal, "SIGALRM")
     monkeypatch.delattr(signal, "setitimer")

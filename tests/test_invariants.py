@@ -596,7 +596,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
     spy("bareiss_determinant", packed.bareiss_determinant)
     spy("_repack", packed._repack)
-    det = normalized(packed.determinant_up_to_units(*packed_rows(m, 32)))
+    rows, _, width = packed_rows(m, 32)
+    det = normalized(packed.determinant_up_to_units(rows, width))
     assert det == naive_cofactor_det(m).up_to_units()
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "bareiss_determinant"]
@@ -613,7 +614,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    det = normalized(packed.determinant_up_to_units(*packed_rows(m, 16)))
+    rows, _, width = packed_rows(m, 16)
+    det = normalized(packed.determinant_up_to_units(rows, width))
     assert det == naive_cofactor_det(m).up_to_units()
     sweeps = [(name, width) for name, width in calls if name != "_repack"]
     assert sweeps[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
@@ -623,11 +625,27 @@ def test_determinant_leaves_the_callers_rows_unchanged():
     # The restarts of the test above start again from the caller's rows,
     # repacked, so the rows come back as they went in and a second call on
     # them gives the same determinant.
-    rows, height, width = packed_rows(large_coefficient_matrix(), 32)
+    rows, _, width = packed_rows(large_coefficient_matrix(), 32)
     before = [dict(row) for row in rows]
-    det = packed.determinant_up_to_units(rows, height, width)
+    det = packed.determinant_up_to_units(rows, width)
     assert rows == before
-    assert packed.determinant_up_to_units(rows, height, width) == det
+    assert packed.determinant_up_to_units(rows, width) == det
+
+
+def test_determinant_measures_the_height_of_its_rows():
+    # The determinant bounds its rows' coefficients itself.  Swept at 16
+    # bits, as a height of 1 would start it, these rows' digits wrap 40000
+    # and 70000, which gives [-25536, 1], [-2, -4464] and, normalized,
+    # (4351, 4768), the last after a pivot on the unit 1.
+    cases = [
+        ([[Laurent.term(40000) + T]], (40000, 1)),
+        ([[Laurent.term(3) + Laurent.term(70000, 1), ONE], [ONE, ONE]], (2, 70000)),
+        ([[ONE, Laurent.term(70000) + T], [Laurent.term(70000), ONE]], (4899999999, 70000)),
+    ]
+    for m, expected in cases:
+        rows, _, width = packed_rows(m, 64)
+        det = normalized(packed.determinant_up_to_units(rows, width))
+        assert det == expected == naive_cofactor_det(m).up_to_units(), (det, expected)
 
 
 def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
@@ -688,23 +706,24 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
     # the sweep starts on B - I at 16, 32 bits or more by its height alone:
     # the least width from 16 up whose X/4 it stays below.  B - I comes at
-    # B's own width, and B's height is measured by one mask test over its
-    # entries however wide the determinant runs.
-    widths, given, decodes = [], [], []
+    # B's own width, and the determinant measures B - I's height, never B's,
+    # by one mask test over its distinct entries however often it restarts.
+    sweeps, given, measured = [], [], []
     sweep, build, height = packed._unit_pivot_remainder, invariants.burau_minus_identity, packed._height
 
     def spy(rows, height, width):
-        widths.append(width)
+        sweeps.append((height, width))
         return sweep(rows, height, width)
 
     def spy_build(columns, low, width):
         out = build(columns, low, width)
-        given.append(out[1:])
+        given.append(out)
         return out
 
     def spy_height(values, width):
-        decodes.append(list(values))
-        return height(values, width)
+        out = height(values, width)
+        measured.append((sorted(values), width, out))
+        return out
 
     monkeypatch.setattr(packed, "_unit_pivot_remainder", spy)
     monkeypatch.setattr(packed, "_height", spy_height)
@@ -712,19 +731,23 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
     for k, width in ((4, 16), (16, 32), (34, 64), (100, 256)):
         w = BraidWord(3, (1, -2) * k)
         assert is_single_cycle(induced_permutation(w))
-        full = packed_det(burau_minus_identity(w))
+        m = burau_minus_identity(w)
+        full = packed_det(m)
+        top = max(packed._SMALL, *(abs(c) for row in m for p in row for c in p.coeffs))
         columns, _, b_width = packed.reduced_burau(w)
-        b = [v for column in columns for v in column]
-        widths.clear()
+        b = sorted(v for column in columns for v in column)
+        sweeps.clear()
         given.clear()
-        decodes.clear()
+        measured.clear()
         assert alexander_from_closure(w) == (full * (ONE - T)).divide_exact(ONE - power(T, 3)).up_to_units(), k
-        assert widths[0] == width, (k, widths)
-        [(top, at)] = given
+        assert sweeps[0][1] == width and {h for h, _ in sweeps} == {top}, (k, sweeps, top)
+        [(rows, at)] = given
         assert at == b_width, (k, at, b_width)
+        entries = sorted({v for row in rows for _, v in row.values()})
+        assert [h for values, on, h in measured if values == entries and on == at] == [top], k
+        assert not any(values in (b, sorted(set(b))) for values, _, _ in measured), k
         narrower = [new for new in (16, 32, 64, 128) if new < width]
         assert all(top >= 1 << (new - 2) for new in narrower) and top < 1 << (width - 2), (k, top)
-        assert decodes.count(b) == 1, (k, decodes.count(b))
 
 
 def test_alexander_from_grid_rejects_links():
