@@ -490,14 +490,17 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     The conjugator is the permutation braid of the residue permutation
     i -> k*i mod n, with representatives in 1..n, so n is fixed; it is empty
     when k = 1 mod n.  The closure of either side is
-    the (n, k) torus knot; verification is by normal-form equality of
-    conjugator^-1 delta^k conjugator and the band form.
+    the (n, k) torus knot.
 
     With k = mn + r, delta^k = Delta^(2m) delta^r, since delta^n = Delta^2
-    (Garside), and Delta^2 is central.  So the left side is Delta^(2m) times
-    conjugator^-1 delta^r conjugator, whose normal form is that of the
-    shorter word with 2m added to its Delta-power and the same factors; the
-    m copies of delta^n are counted, not combed.
+    (Garside), and Delta^2 is central.  The band form is delta, m blocks
+    U_2...U_n of n(n-1) letters each, then the bands of its tail
+    conjugate_band_braid(n, r) = delta U_{a_1}...U_{a_(r-1)}.  Verification
+    cuts it so: every block must equal the first, whose normal form must be
+    Delta^2 with no factors (checked only when m >= 1), so the band form is
+    Delta^(2m) times the tail; and the normal forms of conjugator^-1 delta^r
+    conjugator and of the tail must be equal.  The m full twists are
+    counted on both sides, not combed.
     """
     if min(n, k) < 2:
         raise ValueError(f"need n, k >= 2, got n={n}, k={k}")
@@ -506,9 +509,15 @@ def torus_conjugacy_witness(n: int, k: int) -> ConjugacyWitness:
     m, r = divmod(k, n)
     conj = permutation_braid(tuple([(r * i - 1) % n + 1 for i in range(1, n + 1)]))
     rhs = conjugate_band_braid(n, k)
-    lhs = left_normal_form(conj.inverse() * delta(n) ** r * conj)
-    nf = left_normal_form(rhs)
-    verified = (lhs.delta_power + 2 * m, lhs.factors) == (nf.delta_power, nf.factors)
+    end = n - 1 + m * n * (n - 1)  # where the blocks end
+    blocks = rhs.letters[n - 1 : end]
+    twist = blocks[: n * (n - 1)]
+    verified = (
+        blocks == twist * m
+        and (not m or left_normal_form(BraidWord(n, twist)) == NormalForm(n, 2, ()))
+        and left_normal_form(conj.inverse() * delta(n) ** r * conj)
+        == left_normal_form(BraidWord(n, rhs.letters[: n - 1] + rhs.letters[end:]))
+    )
     return ConjugacyWitness(conj, rhs, verified)
 
 

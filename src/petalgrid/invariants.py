@@ -34,13 +34,12 @@ from contextlib import contextmanager
 from .braid import (
     BraidWord,
     check_pair,
+    conjugate_band_braid,
     format_word,
     induced_permutation,
     is_single_cycle,
     torus_conjugacy_witness,
 )
-# conjugate_band_braid is kept importable here for perfbench/ladder.py and perfbench/spans.py.
-from .braid import conjugate_band_braid  # noqa: F401
 from .grid import GridDiagram, build_petal_grid, validate_petal_grid
 # bareiss_determinant is kept importable here for perfbench/spans.py.
 from .packed import bareiss_determinant, burau_minus_identity, determinant_up_to_units, reduced_burau  # noqa: F401
@@ -150,18 +149,28 @@ def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
 # --- Alexander polynomial of a braid closure ----------------------------------
 
 
-def alexander_from_closure(w: BraidWord) -> tuple[int, ...]:
-    """The normalized Alexander polynomial of the closure of the braid.
+def alexander_from_closure(w: BraidWord, full_twists: int = 0) -> tuple[int, ...]:
+    """The normalized Alexander polynomial of the closure of w Delta^(2 full_twists).
 
-    Computed as det(reduced Burau - I) * (1-t)/(1-t^n) on the determinant's
-    coefficient list: one difference for 1-t, then the running sum
-    q_k += q_(k-n) for 1/(1-t^n), exact exactly when its last n entries are
-    zero.  The sweep gives the determinant up to +-t^k, which the
-    normalization absorbs.
+    Delta^2 = U_2...U_n is the full twist.  It is central and the reduced
+    Burau representation is irreducible, so its image is a scalar lambda;
+    the determinant gives lambda^(n-1) = t^(n(n-1)), and at t = 1 Delta^2
+    acts trivially, so lambda = t^n.  So B = t^(n full_twists) times the
+    Burau matrix of w alone: the product runs on w, and the scalar is
+    applied by lowering every column's offset by n full_twists.
+
+    Computed as det(B - I) * (1-t)/(1-t^n) on the determinant's coefficient
+    list: one difference for 1-t, then the running sum q_k += q_(k-n) for
+    1/(1-t^n), exact exactly when its last n entries are zero.  The sweep
+    gives the determinant up to +-t^k, which the normalization absorbs.  On
+    one strand B - I is the empty matrix, of determinant 1, and the closure
+    is the unknot.
     """
     if not is_single_cycle(induced_permutation(w)):
         raise ValueError("closure has multiple components")
-    det = determinant_up_to_units(*burau_minus_identity(*reduced_burau(w)))
+    columns, low, width = reduced_burau(w)
+    shift = w.n * full_twists
+    det = determinant_up_to_units(*burau_minus_identity(columns, [e - shift for e in low], width))
     q = [a - b for a, b in zip(det + [0], [0] + det)]
     for k in range(w.n, len(q)):
         q[k] += q[k - w.n]
@@ -210,8 +219,12 @@ def certify(n: int, s: int, pipeline: str = "both", *, timeout: float | None = N
     Stages, in order: synthesize; build and validate the petal grid;
     check strong braidedness; verify the conjugacy witness carrying delta^s
     to its band form; the torus closed form; then the Alexander polynomial
-    of the grid ("grid" or "both") and of the witness's band-form closure
-    ("burau" or "both"), each compared with the closed form up to units.
+    of the grid ("grid" or "both") and of the band form's closure ("burau"
+    or "both"), each compared with the closed form up to units.  With
+    s = nm + k, the band form is delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}},
+    and each block U_2...U_n is Delta^2, whose reduced Burau image is t^n I
+    (alexander_from_closure): the Burau product runs on the tail
+    conjugate_band_braid(n, k), and the m full twists are counted.
     Alexander agreement plus the explicit conjugacy witness is the
     certification standard; the Alexander polynomial alone separates torus
     knots pairwise but is not a complete invariant.
@@ -268,7 +281,7 @@ def certify(n: int, s: int, pipeline: str = "both", *, timeout: float | None = N
                 checks.append(from_grid == closed_form)
             if pipeline in ("burau", "both"):
                 stage = "alexander_braid"
-                from_braid = alexander_from_closure(witness.rhs)
+                from_braid = alexander_from_closure(conjugate_band_braid(n, s % n), s // n)
                 report["alexander_from_braid"] = format_polynomial(from_braid)
                 checks.append(from_braid == closed_form)
     except TimeoutError:

@@ -276,10 +276,11 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     if g < 0 (columns past the edges read as zero); low keeps every power
     of t nonnegative, so a row costs three shifts and two additions, and
     the height is the sum of the three read.  Before a height would reach X/2 every column is tightened
-    (_tighten); the width doubles only if the heights still need it.
+    (_tighten); the width doubles only if the heights still need it.  The
+    matrix is (n-1) x (n-1), so on one strand it is empty.
     """
-    if w.n < 2:
-        raise ValueError("need braid index at least 2")
+    if w.n < 1:
+        raise ValueError("need braid index at least 1")
     size, width = w.n - 1, _WIDTH
     columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
     low = [0] * (size + 2)

@@ -67,12 +67,15 @@ def test_named_braids():
 def test_band_form_is_delta_then_the_round_trips():
     # One letter list for the whole band form, the same letters as
     # multiplying band by band, for s below, at and past n; the band form of
-    # T(61,150) is delta (U_2...U_61)^2 U_a...
+    # T(61,150) is delta (U_2...U_61)^2 U_a...  Past n, the subscripts are m
+    # blocks 2..n, then those of the tail conjugate_band_braid(n, s % n): the
+    # cut the witness reads.
     for n in range(2, 14):
         for s in range(2, 4 * n):
             if math.gcd(n, s) == 1:
                 expected = delta(n) * band_product(n, band_indices(n, s))
                 assert conjugate_band_braid(n, s) == expected, (n, s)
+                assert band_indices(n, s) == list(range(2, n + 1)) * (s // n) + band_indices(n, s % n), (n, s)
     expected = delta(61)
     for k in list(range(2, 62)) * 2 + band_indices(61, 28):
         expected = expected * round_trip(61, k)
@@ -723,6 +726,57 @@ def test_witness_rejects_a_wrong_band_form(monkeypatch, n, k):
         monkeypatch.setattr(braid, "conjugate_band_braid", lambda n_, k_, wrong=wrong: wrong)
         w = torus_conjugacy_witness(n, k)
         assert w.rhs == wrong and w.verified is False, (n, k)
+
+
+def test_the_full_twist_block_is_delta_squared():
+    # U_2...U_n, the block the band form repeats m times, is Delta^2 with no
+    # factors: the witness checks this once for all m blocks.
+    for n in range(2, 41):
+        twist = band_product(n, range(2, n + 1))
+        assert conjugate_band_braid(n, n + 1) == delta(n) * twist, n
+        assert left_normal_form(twist) == NormalForm(n, 2, ()), n
+
+
+def _band_form_with(n, twists, bands):
+    """delta, then the given twist blocks, then U_b for each b in bands."""
+    return BraidWord(n, delta(n).letters + tuple(g for block in twists for g in block) + band_product(n, bands).letters)
+
+
+@pytest.mark.parametrize("n, k", [(5, 7), (7, 10), (5, 12), (3, 100), (7, 50), (17, 40)])
+def test_witness_rejects_a_wrong_full_twist(monkeypatch, n, k):
+    m, r = divmod(k, n)
+    twist = band_product(n, range(2, n + 1)).letters
+    bands = band_indices(n, r)
+    assert braid.conjugate_band_braid(n, k) == _band_form_with(n, [twist] * m, bands)
+    wrong = {
+        # Every block one letter short: the twist word loses its last letter.
+        "short": _band_form_with(n, [twist[:-1]] * m, bands),
+        # Every block with its last letter s_(n-1) made s_(n-2): the blocks
+        # still agree, but none is Delta^2.
+        "changed": _band_form_with(n, [twist[:-1] + (n - 2,)] * m, bands),
+    }
+    if m >= 2:
+        # The second block one letter short, the first whole.
+        wrong["second short"] = _band_form_with(n, [twist, twist[:-1]] + [twist] * (m - 2), bands)
+    for name, word in wrong.items():
+        monkeypatch.setattr(braid, "conjugate_band_braid", lambda n_, k_, word=word: word)
+        w = torus_conjugacy_witness(n, k)
+        assert w.rhs == word and w.verified is False, (n, k, name)
+
+
+@pytest.mark.parametrize("n, k", [(5, 4), (7, 3), (5, 7), (7, 10), (5, 12), (3, 100), (7, 50), (17, 40)])
+def test_witness_rejects_a_tail_one_band_off(monkeypatch, n, k):
+    m = k // n
+    good = band_indices(n, k)
+    twists, bands = good[: m * (n - 1)], good[m * (n - 1) :]
+    wrong = {"extra": bands + [2]}
+    if bands:
+        wrong["dropped"] = bands[:-1]
+        wrong["moved"] = [bands[0] + 1 if bands[0] < n else bands[0] - 1] + bands[1:]
+    for name, tail in wrong.items():
+        monkeypatch.setattr(braid, "band_indices", lambda n_, k_, tail=tail: twists + tail)
+        w = torus_conjugacy_witness(n, k)
+        assert w.rhs == delta(n) * band_product(n, twists + tail) and w.verified is False, (n, k, name)
 
 
 def test_delta_power_factorization_exhaustive():

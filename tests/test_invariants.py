@@ -869,15 +869,79 @@ def test_alexander_from_closure():
         alexander_from_closure(BraidWord(3, (1,)))  # closure is a 2-component link
 
 
-def test_closures_of_fewer_than_two_strands_and_non_permutations_are_refused():
-    # B_0 has no permutation to be one cycle; B_1 closes to a knot but has no
-    # reduced Burau matrix.
+def test_closures_of_no_strands_and_non_permutations_are_refused():
+    # B_0 has no permutation to be one cycle, and no reduced Burau matrix.
     with pytest.raises(ValueError, match="^degree must be at least 1$"):
         alexander_from_closure(BraidWord(0, ()))
-    with pytest.raises(ValueError, match="^need braid index at least 2$"):
-        alexander_from_closure(BraidWord(1, ()))
+    with pytest.raises(ValueError, match="^need braid index at least 1$"):
+        packed.reduced_burau(BraidWord(0, ()))
     with pytest.raises(ValueError, match=r"^not a permutation of 1\.\.3: \(1, 1, 2\)$"):
         permutation_braid((1, 1, 2))
+
+
+def test_the_closure_of_the_one_strand_braid_is_the_unknot():
+    # The reduced Burau matrix of B_1 is 0 x 0, so B - I is empty, of
+    # determinant 1, and 1 * (1-t)/(1-t) is the unknot's polynomial.
+    assert packed.reduced_burau(BraidWord(1, ())) == ([], [], packed._WIDTH)
+    for m in (0, 1, 3):
+        assert alexander_from_closure(BraidWord(1, ()), m) == (1,), m
+
+
+def full_twist(n):
+    """U_2...U_n, the band form's repeated block, which is Delta^2."""
+    return BraidWord(n, conjugate_band_braid(n, n + 1).letters[n - 1 :])
+
+
+def test_the_full_twist_acts_on_the_reduced_burau_module_as_t_to_the_n():
+    for n in range(2, 41):
+        scalar = Laurent.term(1, n)
+        b = burau_matrix(full_twist(n))
+        assert all(b[i][j] == (scalar if i == j else Laurent.zero()) for i in range(n - 1) for j in range(n - 1)), n
+
+
+def test_counted_full_twists_give_the_closure_with_them_multiplied():
+    # alexander_from_closure(w, m) is the polynomial of the closure of w (U_2...U_n)^m.
+    rng = random.Random(3838)
+    for n in range(2, 10):
+        checked = 0
+        while checked < 6:
+            w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 24))))
+            if not is_single_cycle(induced_permutation(w)):
+                continue
+            for m in range(4):
+                assert alexander_from_closure(w, m) == alexander_from_closure(w * full_twist(n) ** m), (w.letters, m)
+            checked += 1
+    # The 108 selftest pairs and the benchmark ladder's: the band form's tail with
+    # its full twists counted, against the band form multiplied out.
+    selftest = [(n, s) for s in range(3, 21) for n in range(2, s) if math.gcd(n, s) == 1]
+    ladder = [(2, 3), (5, 7), (7, 10), (7, 15), (9, 20), (11, 25), (13, 30), (17, 40)]
+    assert len(selftest) == 108
+    for n, s in selftest + ladder:
+        got = alexander_from_closure(conjugate_band_braid(n, s % n), s // n)
+        assert got == alexander_from_closure(conjugate_band_braid(n, s)) == torus_alexander(n, s), (n, s)
+
+
+@pytest.mark.parametrize("n, s", [(5, 12), (17, 40)])
+def test_a_full_twist_count_one_off_is_another_knot(n, s):
+    m, r = divmod(s, n)
+    for wrong in (m - 1, m + 1):
+        assert alexander_from_closure(conjugate_band_braid(n, r), wrong) != torus_alexander(n, s), (n, s, wrong)
+        assert alexander_from_closure(conjugate_band_braid(n, r), wrong) == torus_alexander(n, wrong * n + r)
+
+
+def test_certify_runs_the_burau_product_on_the_tail_alone(monkeypatch):
+    # T(17,40) = delta (U_2...U_17)^2 U_a...: the product sees delta U_a... only.
+    seen = []
+    burau = invariants.reduced_burau
+
+    def spy(w):
+        seen.append(w)
+        return burau(w)
+
+    monkeypatch.setattr(invariants, "reduced_burau", spy)
+    assert certify(17, 40, "burau")["all_match"]
+    assert seen == [conjugate_band_braid(17, 6)]
+    assert len(seen[0].letters) == 96 and len(conjugate_band_braid(17, 40).letters) == 640
 
 
 def test_alexander_mirror_invariance():
