@@ -138,12 +138,11 @@ def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
     The p x p matrix (t^w), w the winding number around each cell centre,
     has determinant +-t^a (1-t)^(p-1) Delta(t) (Manolescu-Ozsvath-Sarkar),
     so _differenced_grid_matrix has determinant +-t^b Delta(t) itself.  Its
-    entries are units, packed alike at every width; given at 16 bits, the
-    determinant's first width, they are not repacked.
+    entries are units, packed alike at every width.
     """
     if len(g.columns_in_order()) != g.size:
         raise ValueError("not a knot")
-    return normalized(determinant_up_to_units(_differenced_grid_matrix(g), 16))
+    return normalized(determinant_up_to_units(_differenced_grid_matrix(g)))
 
 
 # --- Alexander polynomial of a braid closure ----------------------------------
@@ -152,13 +151,8 @@ def alexander_from_grid(g: GridDiagram) -> tuple[int, ...]:
 def alexander_from_closure(w: BraidWord, full_twists: int = 0) -> tuple[int, ...]:
     """The normalized Alexander polynomial of the closure of w Delta^(2 full_twists).
 
-    Delta^2 = U_2...U_n is the full twist.  It is central and the reduced
-    Burau representation is irreducible, so its image is a scalar lambda;
-    the determinant gives lambda^(n-1) = t^(n(n-1)), and at t = 1 Delta^2
-    acts trivially, so lambda = t^n.  So B = t^(n full_twists) times the
-    Burau matrix of w alone: the product runs on w, and the scalar is
-    applied by lowering every column's offset by n full_twists.
-
+    B is the reduced Burau matrix of that braid (reduced_burau, which counts
+    each full twist Delta^2 as the scalar t^n and multiplies out w alone).
     Computed as det(B - I) * (1-t)/(1-t^n) on the determinant's coefficient
     list: one difference for 1-t, then the running sum q_k += q_(k-n) for
     1/(1-t^n), exact exactly when its last n entries are zero.  The sweep
@@ -168,9 +162,7 @@ def alexander_from_closure(w: BraidWord, full_twists: int = 0) -> tuple[int, ...
     """
     if not is_single_cycle(induced_permutation(w)):
         raise ValueError("closure has multiple components")
-    columns, low, width = reduced_burau(w)
-    shift = w.n * full_twists
-    det = determinant_up_to_units(*burau_minus_identity(columns, [e - shift for e in low], width))
+    det = determinant_up_to_units(*burau_minus_identity(*reduced_burau(w, full_twists)))
     q = [a - b for a, b in zip(det + [0], [0] + det)]
     for k in range(w.n, len(q)):
         q[k] += q[k - w.n]
@@ -223,7 +215,7 @@ def certify(n: int, s: int, pipeline: str = "both", *, timeout: float | None = N
     or "both"), each compared with the closed form up to units.  With
     s = nm + k, the band form is delta (U_2...U_n)^m U_{a_1}...U_{a_{k-1}},
     and each block U_2...U_n is Delta^2, whose reduced Burau image is t^n I
-    (alexander_from_closure): the Burau product runs on the tail
+    (reduced_burau): the Burau product runs on the tail
     conjugate_band_braid(n, k), and the m full twists are counted.
     Alexander agreement plus the explicit conjugacy witness is the
     certification standard; the Alexander polynomial alone separates torus

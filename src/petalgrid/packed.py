@@ -10,8 +10,8 @@ rows of pairs, which the determinant measures; Bareiss keeps a height per
 entry, the sweep per row and the Burau product per column.  A height is
 the operands' sum or product bound or, near the limit, the mask test's
 (_height), and the width doubles when exact heights reach the limit too.
-The Burau product starts at 64-bit digits, the determinants at 16, and
-the determinant repacks rows at another width, B - I's among them, by
+Every matrix starts at 16-bit digits and only widens: the Burau product
+repacks its columns, and the determinant its rows, at twice the width by
 _repack, which copies digits as bytes.
 
 Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
@@ -33,9 +33,8 @@ import sys
 from .braid import BraidWord
 
 _ZERO = (0, 0, 0)  # the zero polynomial in Bareiss, with its height
-# The determinants' first width, the Burau product's, and the height the mask
-# test proves.
-_DET_WIDTH, _WIDTH, _SMALL = 16, 64, 4
+# The first width of every packed matrix, and the height the mask test proves.
+_WIDTH, _SMALL = 16, 4
 # The widths that are machine words, whose digits a long value yields at once.
 _WORDS = {8: "B", 16: "H", 32: "I", 64: "Q"} if sys.byteorder == "little" else {}
 
@@ -49,21 +48,19 @@ def _repunit(length: int, width: int) -> int:
     return ((1 << length * width) - 1) // ((1 << width) - 1)
 
 
-def _repack(value: int, width: int, new: int) -> int:
-    """The value with its balanced base-2^width digits moved to base 2^new (both multiples of 8).
+def _repack(value: int, width: int) -> int:
+    """The value with its balanced base-2^width digits moved to base 2^(2 width) (width a multiple of 8).
 
-    Each digit must fit the narrower width, as every digit does when
-    widening.  Offset by half the narrower base, the digits are bytes, which
-    are copied across in place of a shift per digit.
+    Offset by half the base, the digits are bytes, which are copied across
+    in place of a shift per digit.
     """
     # + 2, not + 1: top digits 1, -X/2 over negative ones are a bit short of their length.
-    narrow, length = min(width, new), value.bit_length() // width + 2
-    half = 1 << (narrow - 1)
-    data = (value + half * _repunit(length, width)).to_bytes(length * width // 8, "little")
-    out = bytearray(length * new // 8)
-    for k in range(narrow // 8):
-        out[k :: new // 8] = data[k :: width // 8]
-    return int.from_bytes(out, "little") - half * _repunit(length, new)
+    half, length, step = 1 << (width - 1), value.bit_length() // width + 2, width // 8
+    data = (value + half * _repunit(length, width)).to_bytes(length * step, "little")
+    out = bytearray(2 * length * step)
+    for k in range(step):
+        out[k :: 2 * step] = data[k::step]
+    return int.from_bytes(out, "little") - half * _repunit(length, 2 * width)
 
 
 def _digits(value: int, width: int) -> list[int]:
@@ -234,25 +231,24 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int)
     return [[row.get(j, (0, 0)) for j in kept] for row in rows.values()]
 
 
-def determinant_up_to_units(rows: list[dict[int, tuple]], width: int) -> list[int]:
+def determinant_up_to_units(rows: list[dict[int, tuple]], width: int = _WIDTH) -> list[int]:
     """det(rows) times some +-t^k, as coefficients lowest first: unit pivots, then Bareiss on the remainder.
 
     rows are sparse packed rows at width, whose height one mask test
     (_height) over their distinct values measures.  The sweep and Bareiss
-    start at the least width from _DET_WIDTH up at which it stays below
-    X/4, and again at twice the width while either raises _Narrow.  Rows at
-    another width are repacked (_repack); they are never changed.
+    run at width, and at twice the width, the rows repacked (_repack), while
+    the height reaches X/4 or either raises _Narrow.  rows are never changed.
     """
-    height, new = _height({v for row in rows for _, v in row.values()}, width), _DET_WIDTH
-    while height >= 1 << (new - 2):
-        new *= 2
+    height = _height({v for row in rows for _, v in row.values()}, width)
     while True:
-        at = rows if new == width else [{j: (low, _repack(v, width, new)) for j, (low, v) in row.items()} for row in rows]
         try:
-            _, value = bareiss_determinant(_unit_pivot_remainder(at, height, new), new)
-            return _digits(value, new)
+            if height >= 1 << (width - 2):
+                raise _Narrow
+            _, value = bareiss_determinant(_unit_pivot_remainder(rows, height, width), width)
+            return _digits(value, width)
         except _Narrow:
-            new *= 2
+            rows = [{j: (low, _repack(v, width)) for j, (low, v) in row.items()} for row in rows]
+            width *= 2
 
 
 def _tighten(columns: list[list[int]], low: list[int], height: list[int], width: int) -> None:
@@ -266,8 +262,10 @@ def _tighten(columns: list[list[int]], low: list[int], height: list[int], width:
         height[k] = _height(column, width)
 
 
-def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
-    """The reduced Burau matrix of a word, packed: (columns, low, width); multiplicative over concatenation.
+def reduced_burau(w: BraidWord, full_twists: int = 0) -> tuple[list[list[int]], list[int], int]:
+    """The reduced Burau matrix of w Delta^(2 full_twists), packed: (columns, low, width).
+
+    Without full twists it is multiplicative over concatenation.
 
     Entry (i, k) is columns[k][i] at X = 2^width times t^-low[k].  While
     the product runs, column k-1 is columns[k], between two zero columns.
@@ -278,12 +276,19 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
     the height is the sum of the three read.  Before a height would reach X/2 every column is tightened
     (_tighten); the width doubles only if the heights still need it.  The
     matrix is (n-1) x (n-1), so on one strand it is empty.
+
+    Delta^2 = U_2...U_n is the full twist.  It is central and the reduced
+    Burau representation is irreducible, so its image is a scalar lambda;
+    the determinant gives lambda^(n-1) = t^(n(n-1)), and at t = 1 Delta^2
+    acts trivially, so lambda = t^n.  So the matrix is t^(n full_twists)
+    times w's: the identity columns start at offset -n full_twists, and as
+    every letter and tightening moves the offsets alike, nothing else changes.
     """
     if w.n < 1:
         raise ValueError("need braid index at least 1")
     size, width = w.n - 1, _WIDTH
     columns = [[0] * size] + [[int(i == j) for i in range(size)] for j in range(size)] + [[0] * size]
-    low = [0] * (size + 2)
+    low = [-w.n * full_twists] * (size + 2)
     height = [0] + [1] * size + [0]
     for g in w.letters:
         j = abs(g)
@@ -292,7 +297,7 @@ def reduced_burau(w: BraidWord) -> tuple[list[list[int]], list[int], int]:
             _tighten(columns, low, height, width)
             bound = height[j - 1] + height[j] + height[j + 1]
             while bound >= 1 << (width - 1):
-                columns = [[_repack(v, width, 2 * width) for v in column] for column in columns]
+                columns = [[_repack(v, width) for v in column] for column in columns]
                 width *= 2
         # c[j-1], c[j] and c[j+1] enter times t^up, t^(2up-1) and t^(up-1),
         # and each needs the new offset to be at least its own less that power.

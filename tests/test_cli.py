@@ -309,9 +309,9 @@ def test_verify_timeout_interrupts_the_burau_stage(capsys, monkeypatch):
     # to land a timeout in: only the timer can stop it.
     burau = invariants.reduced_burau
 
-    def slow_burau(w):
+    def slow_burau(w, full_twists):
         time.sleep(10)
-        return burau(w)
+        return burau(w, full_twists)
 
     monkeypatch.setattr(invariants, "reduced_burau", slow_burau)
     t0 = time.monotonic()

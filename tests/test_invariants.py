@@ -238,7 +238,7 @@ def packed_rows(matrix, width):
     return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], height, width
 
 
-def decoded(matrix, width=packed._DET_WIDTH):
+def decoded(matrix, width=packed._WIDTH):
     """Packed rows, sparse (dicts) or dense (lists), as a Laurent matrix."""
     dense = [row if isinstance(row, list) else [row.get(j, (0, 0)) for j in range(len(matrix))] for row in matrix]
     return [[Laurent.from_coeffs(low, DIGITS(value, width)) for low, value in row] for row in dense]
@@ -247,11 +247,11 @@ def decoded(matrix, width=packed._DET_WIDTH):
 def packed_det(matrix):
     """The determinant of a polynomial matrix by the packed Bareiss kernel.
 
-    The entries are packed at the determinants' first width whose X/4
+    The entries are packed at the least width from packed._WIDTH up whose X/4
     exceeds every coefficient, and packed again at twice the width while
     the kernel raises _Narrow.
     """
-    top, width = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0), packed._DET_WIDTH
+    top, width = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0), packed._WIDTH
     while top >= 1 << (width - 2):
         width *= 2
     while True:
@@ -264,9 +264,9 @@ def packed_det(matrix):
             width *= 2
 
 
-def burau_matrix(w):
-    """The packed reduced_burau(w) as a Laurent matrix."""
-    columns, low, width = packed.reduced_burau(w)
+def burau_matrix(w, full_twists=0):
+    """The packed reduced_burau(w, full_twists) as a Laurent matrix."""
+    columns, low, width = packed.reduced_burau(w, full_twists)
     return [[Laurent.from_coeffs(-low[k], DIGITS(v, width)) for k, v in enumerate(row)] for row in zip(*columns)]
 
 
@@ -350,29 +350,29 @@ def test_mask_test_and_decoding():
     # Top digits 1, -X/2 over negative ones make a value one bit short of its length.
     digits = [-1] * 20 + [-(1 << 31), 1]
     assert packed._digits(pack(digits, 32), 32) == digits
-    assert packed._repack(pack(digits, 32), 32, 64) == pack(digits, 64)
+    assert packed._repack(pack(digits, 32), 32) == pack(digits, 64)
 
 
 def test_repack_moves_digits_between_widths():
-    # Widening keeps every digit; narrowing keeps those that fit the new width.
+    # Doubling the width keeps every digit.
     rng = random.Random(919)
     for trial in range(600):
-        width, new = rng.choice((8, 16, 32, 64, 128)), rng.choice((8, 16, 32, 64, 128, 256))
-        top = 1 << (min(width, new) - 1)
+        width = rng.choice((8, 16, 32, 64, 128))
+        top = 1 << (width - 1)
         digits = [rng.choice((0, 1, -1, top - 1, -top, rng.randint(-top, top - 1))) for _ in range(rng.randint(0, 40))]
         while digits and not digits[-1]:
             digits.pop()
         value = pack(digits, width)
-        assert packed._repack(value, width, new) == pack(digits, new), (width, new, digits)
-    # Values of 1-20 digits, either sign, between 16, 32 and 64 bits both
-    # ways, with the narrower width's extreme digits at the top and inside.
-    for width, new in ((w, v) for w in (16, 32, 64) for v in (16, 32, 64) if w != v):
-        top = 1 << (min(width, new) - 1)
+        assert packed._repack(value, width) == pack(digits, 2 * width), (width, digits)
+    # Values of 1-20 digits, either sign, from 16 to 32 and from 32 to 64
+    # bits, with the width's extreme digits at the top and inside.
+    for width in (16, 32):
+        top = 1 << (width - 1)
         for length in range(1, 21):
             for last in (1, -1, top - 1, -top):
                 digits = [rng.choice((0, 1, -1, top - 1, -top, rng.randint(-top, top - 1))) for _ in range(length - 1)]
                 digits.append(last)
-                assert packed._repack(pack(digits, width), width, new) == pack(digits, new), (width, new, digits)
+                assert packed._repack(pack(digits, width), width) == pack(digits, 2 * width), (width, digits)
 
 
 def test_pipelines_reach_the_kernels_by_their_public_names(monkeypatch):
@@ -393,13 +393,13 @@ def test_pipelines_reach_the_kernels_by_their_public_names(monkeypatch):
                     if value is kernel:
                         monkeypatch.setattr(module, attr, run)
 
-    spy(packed.reduced_burau, lambda w: ("reduced_burau", w.n))
+    spy(packed.reduced_burau, lambda w, full_twists: ("reduced_burau", w.n, full_twists))
     spy(packed.bareiss_determinant, lambda matrix, width: ("bareiss_determinant", len(matrix), width))
     assert alexander_from_grid(build_petal_grid(synthesize(5, 7))) == torus_alexander(5, 7)
-    assert seen == [("bareiss_determinant", 4, packed._DET_WIDTH)], seen
+    assert seen == [("bareiss_determinant", 4, packed._WIDTH)], seen
     seen.clear()
     assert alexander_from_closure(conjugate_band_braid(5, 7)) == torus_alexander(5, 7)
-    assert seen == [("reduced_burau", 5), ("bareiss_determinant", 1, packed._DET_WIDTH)], seen
+    assert seen == [("reduced_burau", 5, 0), ("bareiss_determinant", 1, packed._WIDTH)], seen
 
 
 def imports(module):
@@ -558,7 +558,7 @@ def test_unit_pivots_match_the_dict_oracle():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         rows = invariants._differenced_grid_matrix(build_petal_grid(tuple(entries)))
-        got = decoded(packed._unit_pivot_remainder(rows, 1, packed._DET_WIDTH))
+        got = decoded(packed._unit_pivot_remainder(rows, 1, packed._WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
              for n in (rng.randint(2, 8) for _ in range(300))]
@@ -578,11 +578,12 @@ def large_coefficient_matrix():
 
 
 def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
-    # Coefficients near 2^25 reach X/4 at 16 bits, so the determinant starts
-    # at 32 without trying 16.  Their products do not fit 32: the sweep
-    # restarts at 64, and Bareiss on its 2 x 2 remainder, whose determinant
-    # reaches about 2^100, needs more digits still, so the caller's rows are
-    # repacked again and the sweep and Bareiss run again together at 128.
+    # Coefficients near 2^25, given at 32 bits, stay below X/4 there, so the
+    # determinant starts at 32.  Their products do not fit 32: the rows are
+    # repacked from 32 and the sweep restarts at 64, and Bareiss on its 2 x 2
+    # remainder, whose determinant reaches about 2^100, needs more digits
+    # still, so the rows are repacked from 64 and the sweep and Bareiss run
+    # again together at 128.
     m = large_coefficient_matrix()
     calls = []
 
@@ -602,7 +603,7 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
     bareiss = [width for name, width in calls if name == "bareiss_determinant"]
     repacks = sorted({width for name, width in calls if name == "_repack"})
-    assert sweeps == [32, 64, 128] and bareiss == [64, 128] and repacks == [64, 128], calls
+    assert sweeps == [32, 64, 128] and bareiss == [64, 128] and repacks == [32, 64], calls
 
     calls.clear()
     assert packed_det(m) == naive_cofactor_det(m)
@@ -610,7 +611,8 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
 
     # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
     # which only a bound that counts the factor's length sees at 32 bits.  The
-    # rows are packed at 16 bits, which their height fits but not below X/4.
+    # rows are packed at 16 bits, which their height fits but not below X/4,
+    # so they are repacked before any sweep.
     p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
@@ -633,19 +635,22 @@ def test_determinant_leaves_the_callers_rows_unchanged():
 
 
 def test_determinant_measures_the_height_of_its_rows():
-    # The determinant bounds its rows' coefficients itself.  Swept at 16
-    # bits, as a height of 1 would start it, these rows' digits wrap 40000
-    # and 70000, which gives [-25536, 1], [-2, -4464] and, normalized,
-    # (4351, 4768), the last after a pivot on the unit 1.
-    cases = [
+    # The determinant bounds its rows' coefficients itself.  These rows come
+    # at 16 bits with coefficients of 20000, past X/4 there: swept at 16, as
+    # a height of 1 would let them be, the row operation's 40000 wraps to
+    # [-25536, 2].
+    cases16 = [([[ONE, Laurent.term(20000) + T], [-ONE, Laurent.term(20000)]], (40000, 1))]
+    # Rows given at 64 bits are swept at 64, where these fit.
+    cases64 = [
         ([[Laurent.term(40000) + T]], (40000, 1)),
         ([[Laurent.term(3) + Laurent.term(70000, 1), ONE], [ONE, ONE]], (2, 70000)),
         ([[ONE, Laurent.term(70000) + T], [Laurent.term(70000), ONE]], (4899999999, 70000)),
     ]
-    for m, expected in cases:
-        rows, _, width = packed_rows(m, 64)
-        det = normalized(packed.determinant_up_to_units(rows, width))
-        assert det == expected == naive_cofactor_det(m).up_to_units(), (det, expected)
+    for bits, cases in ((16, cases16), (64, cases64)):
+        for m, expected in cases:
+            rows, _, width = packed_rows(m, bits)
+            det = normalized(packed.determinant_up_to_units(rows, width))
+            assert det == expected == naive_cofactor_det(m).up_to_units(), (det, expected)
 
 
 def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
@@ -656,7 +661,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = packed._unit_pivot_remainder(differenced, 1, packed._DET_WIDTH)
+            remainder = packed._unit_pivot_remainder(differenced, 1, packed._WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -665,7 +670,7 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = decoded(packed._unit_pivot_remainder(differenced, 1, packed._DET_WIDTH))
+    remainder = decoded(packed._unit_pivot_remainder(differenced, 1, packed._WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
@@ -704,10 +709,10 @@ def test_alexander_from_closure_matches_full_bareiss():
 
 def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
-    # the sweep starts on B - I at 16, 32 bits or more by its height alone:
-    # the least width from 16 up whose X/4 it stays below.  B - I comes at
-    # B's own width, and the determinant measures B - I's height, never B's,
-    # by one mask test over its distinct entries however often it restarts.
+    # B comes at 16, 32 bits or more, and B - I at B's own width.  The
+    # determinant measures B - I's height, never B's, by one mask test over
+    # its distinct entries however often it restarts, and here the sweep
+    # starts at B's width: the least width from 16 up whose X/4 it stays below.
     sweeps, given, measured = [], [], []
     sweep, build, height = packed._unit_pivot_remainder, invariants.burau_minus_identity, packed._height
 
@@ -814,9 +819,9 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
             small = all(-packed._SMALL <= c < packed._SMALL for c in coeffs)
             assert height[k] == (packed._SMALL if small else max(map(abs, coeffs))), (width, k)
 
-    def spy_repack(value, width, new):
-        widened.append(new)
-        return repack(value, width, new)
+    def spy_repack(value, width):
+        widened.append(2 * width)
+        return repack(value, width)
 
     monkeypatch.setattr(packed, "_tighten", spy_tighten)
     monkeypatch.setattr(packed, "_repack", spy_repack)
@@ -826,28 +831,29 @@ def test_reduced_burau_matches_the_column_oracle(monkeypatch):
         w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 300))))
         assert burau_matrix(w) == reduced_burau_by_columns(w), w.letters
 
-    # Coefficients of 203 bits: the 64-bit digits must widen twice.
+    # Coefficients of 203 bits: the 16-bit digits must widen four times.
     tightened.clear()
+    widened.clear()
     w = BraidWord(3, (1, -2) * 150)
     expected = reduced_burau_by_columns(w)
     assert burau_matrix(w) == expected
     assert max(abs(c) for row in expected for p in row for c in p.coeffs).bit_length() == 203
-    assert set(widened) == {128, 256} and tightened[-1] == 128
+    assert set(widened) == {32, 64, 128, 256} and tightened[-1] == 128
 
-    # The twist on strands 4-6 pushes its bounds past 2^63 while the columns
+    # The twist on strands 4-6 pushes its bounds past 2^15 while the columns
     # the prefix wrote hold coefficients in [-4, 5] and [-7, 7]: the first
     # must keep its height 5, not the bound _SMALL = 4.
     tightened.clear()
     w = BraidWord(6, (1, -2) * 4 + (4, 5) * 60)
     assert burau_matrix(w) == reduced_burau_by_columns(w)
-    assert tightened == [64]
+    assert tightened == [16] * 6, tightened
 
-    # Long one-sign words: the bounds pass 2^63 and every column is tightened.
+    # Long one-sign words: the bounds pass 2^15 and every column is tightened.
     for n, s in ((17, 40), (29, 70)):
         for w in (conjugate_band_braid(n, s), mirror(conjugate_band_braid(n, s))):
             tightened.clear()
             assert burau_matrix(w) == reduced_burau_by_columns(w), (n, s, w.letters[0])
-            assert tightened and set(tightened) == {64}, (n, s)
+            assert tightened and set(tightened) == {16}, (n, s, tightened)
 
 
 def test_alexander_from_closure_of_a_long_negative_word():
@@ -934,14 +940,53 @@ def test_certify_runs_the_burau_product_on_the_tail_alone(monkeypatch):
     seen = []
     burau = invariants.reduced_burau
 
-    def spy(w):
-        seen.append(w)
-        return burau(w)
+    def spy(w, full_twists):
+        seen.append((w, full_twists))
+        return burau(w, full_twists)
 
     monkeypatch.setattr(invariants, "reduced_burau", spy)
     assert certify(17, 40, "burau")["all_match"]
-    assert seen == [conjugate_band_braid(17, 6)]
-    assert len(seen[0].letters) == 96 and len(conjugate_band_braid(17, 40).letters) == 640
+    assert seen == [(conjugate_band_braid(17, 6), 2)]
+    assert len(seen[0][0].letters) == 96 and len(conjugate_band_braid(17, 40).letters) == 640
+
+
+def test_reduced_burau_counts_full_twists_as_t_to_the_n_m():
+    # reduced_burau(w, m) is t^(nm) times w's matrix, m below zero included:
+    # its identity columns start at offset -nm, and the product moves all
+    # offsets alike.
+    rng = random.Random(4141)
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        w = BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 60))))
+        expected = reduced_burau_by_columns(w)
+        for m in range(-1, 4):
+            scalar = Laurent.term(1, n * m)
+            assert burau_matrix(w, m) == [[scalar * p for p in row] for row in expected], (w.letters, m)
+
+
+def test_certify_sweeps_b_minus_i_once_at_16_bits(monkeypatch):
+    # Every packed matrix starts at 16-bit digits and only widens.  On the
+    # certify-braid workload's pairs (n in 11, 13, 14, 15 and s in 23..31,
+    # and T(17,40)) and at T(29,70) and T(41,100), B comes from the product
+    # at 16 bits and B - I's height stays below X/4 there: nothing is
+    # repacked, and the determinant runs one sweep, at 16 bits.
+    calls = []
+
+    def spy(name, kernel):
+        def run(*args):
+            calls.append((name, args[-1]))
+            return kernel(*args)
+
+        monkeypatch.setattr(packed, name, run)
+
+    spy("_repack", packed._repack)
+    spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
+    pairs = [(n, s) for n in (11, 13, 14, 15) for s in range(23, 32) if math.gcd(n, s) == 1]
+    assert len(pairs) == 27
+    for n, s in pairs + [(17, 40), (29, 70), (41, 100)]:
+        calls.clear()
+        assert certify(n, s, "burau")["all_match"], (n, s)
+        assert calls == [("_unit_pivot_remainder", 16)], (n, s, calls)
 
 
 def test_alexander_mirror_invariance():
