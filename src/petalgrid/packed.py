@@ -6,10 +6,13 @@ at t = X = 2^width, its lowest base-X digit nonzero, and a height bounds
 its coefficients, value's balanced base-X digits while that stays below
 X/2.  Integer arithmetic evaluates exactly, so a product is one
 multiplication and a sum one aligned addition.  Between layers a matrix is
-rows of pairs, which the determinant measures; Bareiss keeps a height per
-entry, the sweep per row and the Burau product per column.  A height is
-the operands' sum or product bound or, near the limit, the mask test's
-(_height), and the width doubles when exact heights reach the limit too.
+rows of pairs, and each stage measures what it is given: the sweep its
+rows and Bareiss its entries, each by the mask test (_height), and then
+keeps a height per row or per entry, as the Burau product keeps one per
+column.  Only Bareiss's own step, _bareiss_update, takes heights from its
+caller.  A height is the operands' sum or product bound or, near the
+limit, the mask test's, and the width doubles when exact heights reach the
+limit too.
 Every matrix starts at 16-bit digits and only widens: the Burau product
 repacks its columns, and the determinant its rows, at twice the width by
 _repack, which copies digits as bytes.
@@ -169,26 +172,30 @@ def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int
     return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
 
 
-def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int) -> list[list[tuple]]:
+def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:
     """A square packed matrix whose determinant is det(rows) times some +-t^k.
 
-    Row i of rows maps each column to its nonzero packed entry, height
-    bounds them all, and rows is not changed.  For each column j, left to
-    right, the remaining row with a unit +-t^k there (packed value +-1) and
-    the fewest nonzero entries, the lowest on a tie, is the pivot: every
-    other row with an entry a there loses a*(+-t^-k) times it, and the
-    pivot's row and column are dropped.  This is plain row reduction, so
-    the determinant changes only by the pivot's unit and a sign.  Columns
-    with no unit stay, in order, with the rows never taken; a zero entry is
-    (0, 0).  A touched entry costs a multiplication and an aligned
-    addition.  Each row's height starts at height; a row operation adds the
+    Row i of rows maps each column to its nonzero packed entry, and rows is
+    not changed.  For each column j, left to right, the remaining row with
+    a unit +-t^k there (packed value +-1) and the fewest nonzero entries,
+    the lowest on a tie, is the pivot: every other row with an entry a
+    there loses a*(+-t^-k) times it, and the pivot's row and column are
+    dropped.  This is plain row reduction, so the determinant changes only
+    by the pivot's unit and a sign.  Columns with no unit stay, in order,
+    with the rows never taken; a zero entry is (0, 0).  A touched entry
+    costs a multiplication and an aligned addition.  Every row's height
+    starts at one mask test (_height) over the rows' distinct values, and
+    _Narrow is raised at once if that reaches X/4; a row operation adds the
     factor's weight, the sum of its digits' sizes, times the pivot row's
     height.  A height that would reach X/4 is remade from the mask tests of
     the row and the pivot row, and _Narrow is raised if it still would.
     """
+    height, limit = _height({v for row in rows for _, v in row.values()}, width), 1 << (width - 2)
+    if height >= limit:
+        raise _Narrow
     bound = dict.fromkeys(range(len(rows)), height)
     rows = {i: dict(row) for i, row in enumerate(rows)}
-    limit, digit = 1 << (width - 2), (1 << width) - 1
+    digit = (1 << width) - 1
     kept = []
     for j in range(len(rows)):
         units = [i for i, row in rows.items() if j in row and row[j][1] in (1, -1)]
@@ -234,17 +241,14 @@ def _unit_pivot_remainder(rows: list[dict[int, tuple]], height: int, width: int)
 def determinant_up_to_units(rows: list[dict[int, tuple]], width: int = _WIDTH) -> list[int]:
     """det(rows) times some +-t^k, as coefficients lowest first: unit pivots, then Bareiss on the remainder.
 
-    rows are sparse packed rows at width, whose height one mask test
-    (_height) over their distinct values measures.  The sweep and Bareiss
-    run at width, and at twice the width, the rows repacked (_repack), while
-    the height reaches X/4 or either raises _Narrow.  rows are never changed.
+    rows are sparse packed rows at width, and each stage measures the rows
+    it is given.  The sweep and Bareiss run at width, and at twice the
+    width, the rows repacked (_repack), while either raises _Narrow.  rows
+    are never changed.
     """
-    height = _height({v for row in rows for _, v in row.values()}, width)
     while True:
         try:
-            if height >= 1 << (width - 2):
-                raise _Narrow
-            _, value = bareiss_determinant(_unit_pivot_remainder(rows, height, width), width)
+            _, value = bareiss_determinant(_unit_pivot_remainder(rows, width), width)
             return _digits(value, width)
         except _Narrow:
             rows = [{j: (low, _repack(v, width)) for j, (low, v) in row.items()} for row in rows]
@@ -315,8 +319,8 @@ def reduced_burau(w: BraidWord, full_twists: int = 0) -> tuple[list[list[int]], 
 def burau_minus_identity(columns: list[list[int]], low: list[int], width: int) -> tuple[list[dict], int]:
     """B - I for the packed Burau matrix B (reduced_burau): (rows, width), as determinant_up_to_units takes.
 
-    The rows are sparse and packed at B's width, and the determinant
-    measures their height.  A column held times a negative power of t is
+    The rows are sparse and packed at B's width, and the sweep measures
+    their height.  A column held times a negative power of t is
     raised to t^0, and every entry has its low zero digits stripped.
     """
     rows = [{} for _ in columns]

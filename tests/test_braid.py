@@ -560,6 +560,11 @@ def test_words_equal_examples():
     assert words_equal(u_all, half_twist(5) ** 2)
     with pytest.raises(ValueError, match="index mismatch"):
         words_equal(sigma(3, 1), sigma(4, 1))
+    # Multiplication checks the index itself, and takes only braid words.
+    with pytest.raises(ValueError, match="^index mismatch$"):
+        BraidWord(3, (1,)) * BraidWord(4, (1,))
+    with pytest.raises(TypeError):
+        BraidWord(3, (1,)) * 2
 
 
 def test_normal_form_of_inverse_pairs():

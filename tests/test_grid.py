@@ -73,6 +73,21 @@ def test_validate_petal_grid():
     assert validate_petal_grid(build_petal_grid(synthesize(5, 7))) == ()
 
 
+def test_every_petal_grid_steps_by_half_its_size_and_is_valid():
+    # Column x (from 0) ends at row a_{2x+2}, indices mod p, and column
+    # x + (p+1)/2 starts there: the knot steps from each column to the one
+    # (p+1)/2 to its right, counted cyclically.  So the middle column is
+    # the one inflection edge, every other edge has lengths (p-1)/2 and
+    # (p+1)/2, and every permutation build_petal_grid accepts is valid.
+    rng = random.Random(79)
+    for p in range(3, 80, 2):
+        for _ in range(100):
+            pp = tuple(rng.sample(range(1, p + 1), p))
+            g = build_petal_grid(pp)
+            assert g.next_columns() == [(x + (p + 1) // 2) % p for x in range(p)], pp
+            assert validate_petal_grid(g) == (), pp
+
+
 def test_validate_rejects_corrupted_grid():
     g = build_petal_grid((3, 5, 2, 4, 1))
     ends = list(g.ends)

@@ -34,7 +34,7 @@ from petalgrid.braid import (
     left_normal_form,
     permutation_braid,
 )
-from petalgrid.grid import GridDiagram, build_petal_grid
+from petalgrid.grid import GridDiagram, build_petal_grid, validate_petal_grid
 from petalgrid.invariants import (
     alexander_from_closure,
     alexander_from_grid,
@@ -232,10 +232,10 @@ def pack(coeffs, width):
 
 
 def packed_rows(matrix, width):
-    """A polynomial matrix as (rows, height, width): sparse packed rows at this width, as the determinant takes."""
+    """A polynomial matrix as (rows, width): sparse packed rows at this width, as the determinant and the sweep take."""
     height = max((abs(c) for row in matrix for p in row for c in p.coeffs), default=0)
     assert height < 1 << (width - 1), "a coefficient is not one balanced digit"
-    return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], height, width
+    return [{j: (p.min_exp, pack(p.coeffs, width)) for j, p in enumerate(row) if p.coeffs} for row in matrix], width
 
 
 def decoded(matrix, width=packed._WIDTH):
@@ -558,7 +558,7 @@ def test_unit_pivots_match_the_dict_oracle():
         entries = list(range(1, rng.choice(range(3, 26, 2)) + 1))
         rng.shuffle(entries)
         rows = invariants._differenced_grid_matrix(build_petal_grid(tuple(entries)))
-        got = decoded(packed._unit_pivot_remainder(rows, 1, packed._WIDTH))
+        got = decoded(packed._unit_pivot_remainder(rows, packed._WIDTH))
         assert got == unit_pivot_remainder_by_dicts(decoded(rows)), entries
     words = [BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(rng.randint(0, 120))))
              for n in (rng.randint(2, 8) for _ in range(300))]
@@ -577,13 +577,26 @@ def large_coefficient_matrix():
     return [[ONE, big(), big()]] + [[big() + Laurent.term(2), big(), big()] for _ in range(2)]
 
 
+def entered_sweeps(calls):
+    """The widths of the sweeps in calls that get past their entry check.
+
+    calls holds ("_unit_pivot_remainder", width) for each sweep, and
+    ("_height", width, height) for each mask test as it returns.  A sweep
+    first measures its rows by one mask test at its own width, and goes on
+    only if that height is below X/4.
+    """
+    entries = [(call[1], entry) for call, entry in zip(calls, calls[1:]) if call[0] == "_unit_pivot_remainder"]
+    assert all(entry[:2] == ("_height", width) for width, entry in entries), calls
+    return [width for width, entry in entries if entry[2] < 1 << (width - 2)]
+
+
 def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
     # Coefficients near 2^25, given at 32 bits, stay below X/4 there, so the
-    # determinant starts at 32.  Their products do not fit 32: the rows are
-    # repacked from 32 and the sweep restarts at 64, and Bareiss on its 2 x 2
-    # remainder, whose determinant reaches about 2^100, needs more digits
-    # still, so the rows are repacked from 64 and the sweep and Bareiss run
-    # again together at 128.
+    # sweep at 32 gets past its entry check.  Their products do not fit 32:
+    # the rows are repacked from 32 and the sweep restarts at 64, and
+    # Bareiss on its 2 x 2 remainder, whose determinant reaches about 2^100,
+    # needs more digits still, so the rows are repacked from 64 and the
+    # sweep and Bareiss run again together at 128.
     m = large_coefficient_matrix()
     calls = []
 
@@ -594,40 +607,60 @@ def test_large_coefficients_restart_the_sweep_and_bareiss(monkeypatch):
 
         monkeypatch.setattr(packed, name, run)
 
+    def spy_height(values, width, height=packed._height):
+        out = height(values, width)
+        calls.append(("_height", width, out))
+        return out
+
     spy("_unit_pivot_remainder", packed._unit_pivot_remainder)
     spy("bareiss_determinant", packed.bareiss_determinant)
     spy("_repack", packed._repack)
-    rows, _, width = packed_rows(m, 32)
+    monkeypatch.setattr(packed, "_height", spy_height)
+    rows, width = packed_rows(m, 32)
     det = normalized(packed.determinant_up_to_units(rows, width))
     assert det == naive_cofactor_det(m).up_to_units()
-    sweeps = [width for name, width in calls if name == "_unit_pivot_remainder"]
-    bareiss = [width for name, width in calls if name == "bareiss_determinant"]
-    repacks = sorted({width for name, width in calls if name == "_repack"})
-    assert sweeps == [32, 64, 128] and bareiss == [64, 128] and repacks == [32, 64], calls
+    sweeps = [width for name, width, *_ in calls if name == "_unit_pivot_remainder"]
+    bareiss = [width for name, width, *_ in calls if name == "bareiss_determinant"]
+    repacks = sorted({width for name, width, *_ in calls if name == "_repack"})
+    assert sweeps == entered_sweeps(calls) == [32, 64, 128] and bareiss == [64, 128] and repacks == [32, 64], calls
 
     calls.clear()
     assert packed_det(m) == naive_cofactor_det(m)
-    assert calls == [("bareiss_determinant", 32), ("bareiss_determinant", 64), ("bareiss_determinant", 128)], calls
+    kernels = [call for call in calls if call[0] != "_height"]
+    assert kernels == [("bareiss_determinant", 32), ("bareiss_determinant", 64), ("bareiss_determinant", 128)], calls
 
     # Eight coefficients 23170 < 2^15: a product's coefficients reach 8 * 23170^2 > 2^32,
     # which only a bound that counts the factor's length sees at 32 bits.  The
     # rows are packed at 16 bits, which their height fits but not below X/4,
-    # so they are repacked before any sweep.
+    # so the sweep at 16 measures 23171, the constant of p + 1, and raises
+    # at its entry check, before any row operation.
     p = sum((Laurent.term(23170, e) for e in range(8)), Laurent.zero())
     m = [[ONE, p, p], [p, p, -p], [p, -p, p + ONE]]
     calls.clear()
-    rows, _, width = packed_rows(m, 16)
+    rows, width = packed_rows(m, 16)
     det = normalized(packed.determinant_up_to_units(rows, width))
     assert det == naive_cofactor_det(m).up_to_units()
-    sweeps = [(name, width) for name, width in calls if name != "_repack"]
-    assert sweeps[:2] == [("_unit_pivot_remainder", 32), ("_unit_pivot_remainder", 64)], calls
+    assert calls[:3] == [("_unit_pivot_remainder", 16), ("_height", 16, 23171), ("_repack", 16)], calls
+    assert entered_sweeps(calls)[:2] == [32, 64], calls
+
+
+def test_the_sweep_measures_its_own_rows():
+    # At 16 bits these rows hold 30000, past X/4 = 16384.  A sweep seeded
+    # with a height of 1 would subtract one row from the other and return
+    # -60000, whose 16-bit digits read 5536 - t, with no error.  The sweep
+    # measures its rows instead, and raises _Narrow at its entry, so the
+    # determinant repacks them at 32 bits, where -60000 is one digit.
+    rows = [{0: (0, 1), 1: (0, 30000)}, {0: (0, 1), 1: (0, -30000)}]
+    with pytest.raises(packed._Narrow):
+        packed._unit_pivot_remainder(rows, 16)
+    assert packed.determinant_up_to_units(rows) == [-60000]
 
 
 def test_determinant_leaves_the_callers_rows_unchanged():
     # The restarts of the test above start again from the caller's rows,
     # repacked, so the rows come back as they went in and a second call on
     # them gives the same determinant.
-    rows, _, width = packed_rows(large_coefficient_matrix(), 32)
+    rows, width = packed_rows(large_coefficient_matrix(), 32)
     before = [dict(row) for row in rows]
     det = packed.determinant_up_to_units(rows, width)
     assert rows == before
@@ -648,7 +681,7 @@ def test_determinant_measures_the_height_of_its_rows():
     ]
     for bits, cases in ((16, cases16), (64, cases64)):
         for m, expected in cases:
-            rows, _, width = packed_rows(m, bits)
+            rows, width = packed_rows(m, bits)
             det = normalized(packed.determinant_up_to_units(rows, width))
             assert det == expected == naive_cofactor_det(m).up_to_units(), (det, expected)
 
@@ -661,7 +694,7 @@ def test_unit_pivots_leave_a_remainder_of_order_n_minus_1():
             if math.gcd(n, s) != 1:
                 continue
             differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(n, s)))
-            remainder = packed._unit_pivot_remainder(differenced, 1, packed._WIDTH)
+            remainder = packed._unit_pivot_remainder(differenced, packed._WIDTH)
             assert len(remainder) == n - 1 and all(len(row) == n - 1 for row in remainder), (n, s)
 
 
@@ -670,7 +703,7 @@ def test_unit_pivots_take_the_sparsest_row():
     # T(17,40) holds 1302 nonzero terms; the lowest candidate row gives 2378,
     # the highest 1440 and the fullest 30880, and Bareiss's cost follows.
     differenced = invariants._differenced_grid_matrix(build_petal_grid(synthesize(17, 40)))
-    remainder = decoded(packed._unit_pivot_remainder(differenced, 1, packed._WIDTH))
+    remainder = decoded(packed._unit_pivot_remainder(differenced, packed._WIDTH))
     assert sum(c != 0 for row in remainder for entry in row for c in entry.coeffs) <= 1302
 
 
@@ -709,16 +742,17 @@ def test_alexander_from_closure_matches_full_bareiss():
 
 def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monkeypatch):
     # Powers of sigma_1 sigma_2^-1 grow B's coefficients exponentially, so
-    # B comes at 16, 32 bits or more, and B - I at B's own width.  The
-    # determinant measures B - I's height, never B's, by one mask test over
-    # its distinct entries however often it restarts, and here the sweep
-    # starts at B's width: the least width from 16 up whose X/4 it stays below.
+    # B comes at 16, 32 bits or more, and B - I at B's own width.  Each
+    # sweep measures the rows it is given, B - I's, never B's, by one mask
+    # test over their distinct values at its own width, however often the
+    # determinant restarts; here the first sweep that gets past that check
+    # runs at B's width: the least width from 16 up whose X/4 it stays below.
     sweeps, given, measured = [], [], []
     sweep, build, height = packed._unit_pivot_remainder, invariants.burau_minus_identity, packed._height
 
-    def spy(rows, height, width):
-        sweeps.append((height, width))
-        return sweep(rows, height, width)
+    def spy(rows, width):
+        sweeps.append((width, sorted({v for row in rows for _, v in row.values()}), len(measured)))
+        return sweep(rows, width)
 
     def spy_build(columns, low, width):
         out = build(columns, low, width)
@@ -745,10 +779,14 @@ def test_alexander_from_closure_packs_b_minus_i_as_wide_as_its_coefficients(monk
         given.clear()
         measured.clear()
         assert alexander_from_closure(w) == (full * (ONE - T)).divide_exact(ONE - power(T, 3)).up_to_units(), k
-        assert sweeps[0][1] == width and {h for h, _ in sweeps} == {top}, (k, sweeps, top)
         [(rows, at)] = given
         assert at == b_width, (k, at, b_width)
         entries = sorted({v for row in rows for _, v in row.values()})
+        # One mask test opens each sweep, over its rows' distinct values at its width.
+        assert all(measured[i] == (values, on, top) for on, values, i in sweeps), (k, sweeps, top)
+        assert sweeps[0][:2] == (at, entries), (k, sweeps[0][:2])
+        entered = [on for on, _, i in sweeps if measured[i][2] < 1 << (on - 2)]
+        assert entered[0] == width == at, (k, sweeps, top)
         assert [h for values, on, h in measured if values == entries and on == at] == [top], k
         assert not any(values in (b, sorted(set(b))) for values, _, _ in measured), k
         narrower = [new for new in (16, 32, 64, 128) if new < width]
@@ -1012,11 +1050,14 @@ def test_petal_numbers_of_the_torus_knots_with_bound_at_most_11():
     # length synthesize(n, s) realizes, the next odd one, is the petal number
     # (certify checks that its diagram is T(n, s)): 5 for T(2,3), 7 for T(2,5)
     # and T(3,4), 9 for T(2,7), T(3,5) and T(4,5), 11 for T(2,9), T(3,7) and T(5,6).
+    # Each grid also steps from column x to x + (p+1)/2 mod p and is valid.
     found, drawn = {}, 0
     for p in (3, 5, 7, 9):
-        found[p] = set()
+        found[p], rotation = set(), [(x + (p + 1) // 2) % p for x in range(p)]
         for rest in itertools.permutations(range(2, p + 1)):
-            found[p].add(alexander_from_grid(build_petal_grid((1, *rest))))
+            grid = build_petal_grid((1, *rest))
+            assert grid.next_columns() == rotation and validate_petal_grid(grid) == (), rest
+            found[p].add(alexander_from_grid(grid))
             drawn += 1
     assert drawn == 41066
     petal_numbers = {
