@@ -12,10 +12,9 @@ nodes, joined by one edge.
 The grid of a petal permutation, the plain tuple (a_1, ..., a_p), reads
 its columns off the doubled sequence a_1, ..., a_p, a_1, ..., a_p two
 entries at a time: column i runs from row a_{2i-1} to row a_{2i} (indices
-mod p).  Its middle column, x = (p+1)/2, is the unique inflection edge:
-the one whose two adjacent horizontal edges leave it on opposite sides.
-So `validate_petal_grid` returns no coordinate values, only the petal grid
-conditions a grid breaks, as messages that name columns; () for a petal grid.
+mod p), and column i + (p+1)/2 starts where it ends: the knot steps
+(p+1)/2 columns right, counted cyclically.  `validate_petal_grid` checks
+that step and names each column that breaks it; () for a petal grid.
 
 >>> g = build_petal_grid((3, 5, 2, 4, 1))
 >>> g.starts, g.ends
@@ -74,39 +73,32 @@ def build_petal_grid(pp: tuple[int, ...]) -> GridDiagram:
 
 
 def validate_petal_grid(g: GridDiagram) -> tuple[str, ...]:
-    """The petal grid conditions that g breaks, one message each; () for a petal grid.
+    """One message per column of g whose step breaks the petal grid condition; () for a petal grid.
 
-    A petal grid of size p = 2n+1 has exactly one inflection edge, whose
-    adjacent horizontal edges both have length n; every other vertical edge
-    has adjacent lengths n and n+1.  The messages name columns, but no
-    coordinate values are returned: the inflection edge is the middle column.
+    Column x steps to the column that starts on the row it ends on.  A grid
+    of size p = 2n+1 is a petal grid when every step is n or n+1 columns
+    right mod p, which is the paper's edge-length and inflection condition:
+    - That condition gives every vertical edge horizontal lengths in
+      {n, n+1}, and such an edge, right or left, steps n or n+1 mod p.
+    - The steps of a permutation sum to 0 mod p.  If k of them are n and
+      p-k are n+1, they sum to p(n+1) - k = -k mod p, so k is 0 or p: every
+      step is the same.
+    - Rotating every column by n, or every column by n+1, gives exactly one
+      inflection edge, the middle column, with lengths n and n; every other
+      edge has lengths n and n+1.
+    So GridDiagram(g.ends, g.starts), g drawn backwards, steps by n and is
+    a petal grid too.  The messages name columns, not coordinate values.
     """
     p = g.size
     if p % 2 == 0 or p < 3:
         return (f"size {p} is not an odd integer >= 3",)
-
-    bad: list[str] = []
-    n = (p - 1) // 2
-    following = g.next_columns()
-    preceding = [0] * p
-    for x, y in enumerate(following):
-        preceding[y] = x
-    inflections = 0
-    for x in range(p):
-        lengths = [abs(preceding[x] - x), abs(following[x] - x)]
-        if (preceding[x] > x) != (following[x] > x):
-            inflections += 1
-            if lengths != [n, n]:
-                bad.append(
-                    f"inflection edge x={x + 1} has horizontal lengths {lengths}, expected [{n}, {n}]"
-                )
-        elif sorted(lengths) != [n, n + 1]:
-            bad.append(
-                f"vertical edge x={x + 1} has horizontal lengths {lengths}, expected {{{n}, {n + 1}}}"
-            )
-    if inflections != 1:
-        bad.append(f"found {inflections} inflection edges, expected exactly 1")
-    return tuple(bad)
+    n = p // 2
+    steps = [(y - x) % p for x, y in enumerate(g.next_columns())]
+    return tuple(
+        f"column x={x} steps {step} columns right mod {p}, expected {n + 1} or {n}"
+        for x, step in enumerate(steps, 1)
+        if step not in (n, n + 1)
+    )
 
 
 # --- Rendering ----------------------------------------------------------------

@@ -219,10 +219,12 @@ def certify(n: int, s: int, pipeline: str = "both", *, timeout: float | None = N
     conjugate_band_braid(n, k), and the m full twists are counted.
     Alexander agreement plus the explicit conjugacy witness is the
     certification standard; the Alexander polynomial alone separates torus
-    knots pairwise but is not a complete invariant.  "grid_valid" holds for
-    every permutation build_petal_grid accepts, whose knot steps from
-    column x to x + (p+1)/2 mod p, so it checks how the grid is drawn;
-    what ties the grid to T(n, s) is Alexander agreement.
+    knots pairwise but is not a complete invariant.  "grid_valid" says that
+    every column of the grid steps (p+1)/2 or (p-1)/2 columns right mod p
+    (validate_petal_grid); it holds for every permutation build_petal_grid
+    accepts, whose knot steps from column x to x + (p+1)/2 mod p, so it
+    checks how the grid is drawn; what ties the grid to T(n, s) is
+    Alexander agreement.
 
     Returns the report `petalgrid verify --json` prints, without "schema".
     An invalid pair, pipeline or NaN timeout raises ValueError before any

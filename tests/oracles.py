@@ -12,9 +12,11 @@ image tuples (the library composes none), grid crossings
 by scanning lattice points, Alexander polynomials of small diagrams from
 the Wirtinger presentation of the crossings of their planar diagrams (both
 read a grid as its 2p nodes and their own walk of its cycles), the
-undifferenced winding-number matrix of a grid, the
-reduced Burau images of generators from their written-out matrices and of
-words by one column update per letter on polynomial entries, and
+undifferenced winding-number matrix of a grid, the petal grid conditions
+as the paper states them (horizontal edge lengths and one inflection
+edge), the reduced Burau images of generators from their written-out
+matrices and of words by one column update per letter on polynomial
+entries, and
 stabilizations of strongly braided permutations from the closed form of
 their result.
 
@@ -689,6 +691,42 @@ def winding_number_matrix(g: GridDiagram) -> list[list[Laurent]]:
                 winding[i][j] += step
     low = min(map(min, winding))
     return [[Laurent.term(1, w - low) for w in row] for row in winding]
+
+
+def petal_grid_violations_by_edge_lengths(g: GridDiagram) -> tuple[str, ...]:
+    """The petal grid conditions that g breaks, one message each; () for a petal grid.
+
+    A petal grid of size p = 2n+1 has exactly one inflection edge, whose
+    adjacent horizontal edges both have length n; every other vertical edge
+    has adjacent lengths n and n+1.  The messages name columns, but no
+    coordinate values are returned: the inflection edge is the middle column.
+    """
+    p = g.size
+    if p % 2 == 0 or p < 3:
+        return (f"size {p} is not an odd integer >= 3",)
+
+    bad: list[str] = []
+    n = (p - 1) // 2
+    following = g.next_columns()
+    preceding = [0] * p
+    for x, y in enumerate(following):
+        preceding[y] = x
+    inflections = 0
+    for x in range(p):
+        lengths = [abs(preceding[x] - x), abs(following[x] - x)]
+        if (preceding[x] > x) != (following[x] > x):
+            inflections += 1
+            if lengths != [n, n]:
+                bad.append(
+                    f"inflection edge x={x + 1} has horizontal lengths {lengths}, expected [{n}, {n}]"
+                )
+        elif sorted(lengths) != [n, n + 1]:
+            bad.append(
+                f"vertical edge x={x + 1} has horizontal lengths {lengths}, expected {{{n}, {n + 1}}}"
+            )
+    if inflections != 1:
+        bad.append(f"found {inflections} inflection edges, expected exactly 1")
+    return tuple(bad)
 
 
 def strongly_braided_stabilization_holds(pp: tuple[int, ...], k: int) -> bool:

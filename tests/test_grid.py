@@ -1,9 +1,14 @@
+import itertools
 import random
 import xml.etree.ElementTree as ET
 
 import pytest
 
-from oracles import lattice_crossings, to_planar_diagram
+from oracles import (
+    lattice_crossings,
+    petal_grid_violations_by_edge_lengths,
+    to_planar_diagram,
+)
 from petalgrid.grid import (
     GridDiagram,
     build_petal_grid,
@@ -76,9 +81,9 @@ def test_validate_petal_grid():
 def test_every_petal_grid_steps_by_half_its_size_and_is_valid():
     # Column x (from 0) ends at row a_{2x+2}, indices mod p, and column
     # x + (p+1)/2 starts there: the knot steps from each column to the one
-    # (p+1)/2 to its right, counted cyclically.  So the middle column is
-    # the one inflection edge, every other edge has lengths (p-1)/2 and
-    # (p+1)/2, and every permutation build_petal_grid accepts is valid.
+    # (p+1)/2 to its right, counted cyclically, so every permutation
+    # build_petal_grid accepts is valid.  Drawn backwards, the same grid
+    # steps (p-1)/2 to the right and is valid too.
     rng = random.Random(79)
     for p in range(3, 80, 2):
         for _ in range(100):
@@ -86,6 +91,43 @@ def test_every_petal_grid_steps_by_half_its_size_and_is_valid():
             g = build_petal_grid(pp)
             assert g.next_columns() == [(x + (p + 1) // 2) % p for x in range(p)], pp
             assert validate_petal_grid(g) == (), pp
+            backwards = GridDiagram(g.ends, g.starts)
+            assert backwards.next_columns() == [(x + (p - 1) // 2) % p for x in range(p)], pp
+            assert validate_petal_grid(backwards) == (), pp
+
+
+def test_step_check_accepts_exactly_the_grids_of_the_edge_length_conditions():
+    # Every grid of sizes 3 and 5, then seeded grids of odd sizes 7-21: a
+    # third rotate random starts by n or n+1 (petal grids), a third are such
+    # rotations with two columns' ends traded, and a third are random.
+    grids = [
+        GridDiagram(starts, ends)
+        for p in (3, 5)
+        for starts in itertools.permutations(range(1, p + 1))
+        for ends in itertools.permutations(range(1, p + 1))
+        if all(a != b for a, b in zip(starts, ends))
+    ]
+    assert len(grids) == 12 + 5280
+    rng = random.Random(43)
+    for p in range(7, 22, 2):
+        for i in range(240):
+            starts = rng.sample(range(1, p + 1), p)
+            if i % 3 == 2:
+                ends = rng.sample(range(1, p + 1), p)
+            else:
+                step = p // 2 + rng.randrange(2)
+                ends = [starts[(x + step) % p] for x in range(p)]
+                if i % 3 == 1:
+                    a, b = rng.sample(range(p), 2)
+                    ends[a], ends[b] = ends[b], ends[a]
+            if all(a != b for a, b in zip(starts, ends)):
+                grids.append(GridDiagram(starts, ends))
+    accepted = 0
+    for g in grids:
+        valid = validate_petal_grid(g) == ()
+        assert valid == (petal_grid_violations_by_edge_lengths(g) == ()), g
+        accepted += valid
+    assert accepted > len(grids) // 10
 
 
 def test_validate_rejects_corrupted_grid():
@@ -93,25 +135,16 @@ def test_validate_rejects_corrupted_grid():
     ends = list(g.ends)
     ends[0], ends[1] = ends[1], ends[0]  # columns 1 and 2 trade their ends
     assert validate_petal_grid(GridDiagram(g.starts, tuple(ends))) == (
-        "vertical edge x=1 has horizontal lengths [2, 4], expected {2, 3}",
-        "vertical edge x=2 has horizontal lengths [2, 2], expected {2, 3}",
-        "vertical edge x=4 has horizontal lengths [2, 2], expected {2, 3}",
-        "vertical edge x=5 has horizontal lengths [4, 2], expected {2, 3}",
+        "column x=1 steps 4 columns right mod 5, expected 3 or 2",
     )
 
     assert validate_petal_grid(GridDiagram((1, 2, 3, 4), (2, 3, 4, 1))) == (
         "size 4 is not an odd integer >= 3",
     )
 
-    # The cyclic shift of size 5: every step but the wrap-around runs one
-    # column right, so columns 2-4 are all inflection edges of the wrong length.
-    assert validate_petal_grid(GridDiagram((1, 2, 3, 4, 5), (2, 3, 4, 5, 1))) == (
-        "vertical edge x=1 has horizontal lengths [4, 1], expected {2, 3}",
-        "inflection edge x=2 has horizontal lengths [1, 1], expected [2, 2]",
-        "inflection edge x=3 has horizontal lengths [1, 1], expected [2, 2]",
-        "inflection edge x=4 has horizontal lengths [1, 1], expected [2, 2]",
-        "vertical edge x=5 has horizontal lengths [1, 4], expected {2, 3}",
-        "found 3 inflection edges, expected exactly 1",
+    # The cyclic shift of size 5: every column steps one column right.
+    assert validate_petal_grid(GridDiagram((1, 2, 3, 4, 5), (2, 3, 4, 5, 1))) == tuple(
+        f"column x={x} steps 1 columns right mod 5, expected 3 or 2" for x in range(1, 6)
     )
 
 

@@ -973,6 +973,18 @@ def test_a_full_twist_count_one_off_is_another_knot(n, s):
         assert alexander_from_closure(conjugate_band_braid(n, r), wrong) == torus_alexander(n, wrong * n + r)
 
 
+@pytest.mark.parametrize("n, s", [(5, 7), (11, 25), (13, 30), (17, 40)])
+def test_reversed_band_form_tails_give_the_torus_polynomial(n, s):
+    # The inverse of the tail with -m full twists closes to the mirror image of
+    # T(n, s) reversed, and the tail read backwards with m twists to T(n, s)
+    # reversed; Delta is the same for both.  These are the counted-twist words
+    # whose B - I the unit-pivot sweep leaves a remainder larger than order 1.
+    m, k = divmod(s, n)
+    tail = conjugate_band_braid(n, k)
+    assert alexander_from_closure(tail.inverse(), -m) == torus_alexander(n, s)
+    assert alexander_from_closure(BraidWord(n, tail.letters[::-1]), m) == torus_alexander(n, s)
+
+
 def test_certify_runs_the_burau_product_on_the_tail_alone(monkeypatch):
     # T(17,40) = delta (U_2...U_17)^2 U_a...: the product sees delta U_a... only.
     seen = []
