@@ -18,13 +18,13 @@ non-identity, non-Delta permutation, and each adjacent pair is left-weighted
 exactly when their normal forms coincide.
 
 The word reaches the normal form as a product of same-sign runs, each a
-permutation braid or the inverse of one.  A letter slides left past runs
-of the other sign, and joins the first run of its sign that it adds a
-crossing to, or cancels (sigma_i sigma_i^-1 = 1) against a run of the other
-sign that ends in its inverse.  sigma_i passes a permutation braid P whose
-strands at i and i+1 start adjacent, at j and j+1, as sigma_j: P sigma_i and
-sigma_j P are reduced words of one permutation, so the same permutation
-braid (j = i when P fixes i and i+1).  Only braid relations are used, so
+permutation braid or the inverse of one.  A letter slides left past runs,
+and joins the first run of its sign that it adds a crossing to, or cancels
+(sigma_i sigma_i^-1 = 1) against a run of the other sign that ends in its
+inverse.  sigma_i passes a permutation braid P whose strands at i and i+1
+start adjacent, crossed or not, as sigma_j, where j is the lower of the two
+starts: P sigma_i = sigma_j P (_simple_runs proves it, for runs of either
+sign).  Only braid relations are used, so
 the product of the runs is the word in B_n, and the normal form of a braid
 is unique (Thurston; Epstein et al., Word Processing in Groups, ch. 9):
 however the word is cut, the result is the same.  The cut only decides the
@@ -184,8 +184,9 @@ def permutation_braid(p: tuple[int, ...]) -> BraidWord:
 #
 # A word is cut into same-sign runs whose induced permutations stay simple
 # (no two strands cross twice): each letter extends the last run, or slides
-# left past the runs it can pass to join a run of its sign or cancel a
-# crossing of a run of the other sign, or starts a new run (_simple_runs).
+# left past the runs whose strands at its index start adjacent, to join a run
+# of its sign or cancel a crossing of a run of the other sign, or starts a new
+# run (_simple_runs).
 # Runs are 1-indexed image lists.  Each run enters the comb as one factor: a
 # positive run Y as the permutation braid of Y, a negative run Y^-1 as the
 # permutation braid of Y^-1 Delta followed by Delta^-1.  Appending a factor
@@ -243,20 +244,23 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
     - a run of the other sign whose strands at i and i+1 have crossed ends
       in the inverse letter, and gives that crossing back (cancel); a run
       emptied so is dropped;
-    - a run P of the other sign whose strands at i and i+1 start adjacent,
-      at j and j+1 (images[i-1] = j, images[i] = j+1), is passed (slide):
-      the letter goes on as sigma_j^+-1, because P sigma_i and sigma_j P
-      are reduced words of one permutation, so one permutation braid, and
-      the mirror sigma_k -> sigma_k^-1 carries this to either sign.  j = i
-      when P fixes i and i+1, and then the letter commutes with P;
+    - a run P whose strands at i and i+1 start adjacent, at a and b with
+      |a - b| = 1, is passed (slide): the letter goes on as
+      sigma_j^+-1 with j = min(a, b), because P sigma_i = sigma_j P, and
+      the mirror sigma_k -> sigma_k^-1 carries this to negative runs.  In a
+      run of the other sign the strands are uncrossed, a = j and b = j+1,
+      and P sigma_i and sigma_j P are reduced words of one permutation, so
+      one permutation braid (j = i when P fixes i and i+1, and then the
+      letter commutes with P).  In a run of the letter's sign they are
+      crossed, a = j+1 and b = j, so sigma_j left-divides P, P = sigma_j Q,
+      and in Q they start at j and j+1: P sigma_i = sigma_j Q sigma_i =
+      sigma_j sigma_j Q = sigma_j P;
     - any other run stops the slide, and the letter, with its own index i,
       starts a new run at the end; so does a letter that passes every run.
 
-    A run of the letter's sign either takes it or stops it, so a slide only
-    passes runs of the other sign, and a one-sign word is cut as it always
-    was: into maximal runs, each letter extending the last or starting the
-    next.  A slide reads at most every run, O(1) each, per letter: no more
-    than combing a factor in through every factor before it.
+    So the full twist U_2...U_n, Delta^2, is cut into two runs, each Delta.
+    A slide reads at most every run, O(1) each, per letter: no more than
+    combing a factor in through every factor before it.
 
     >>> _simple_runs(BraidWord(6, (1, -4, 2, -5)))  # sigma_2 slides past sigma_4^-1 and joins
     [(False, [2, 3, 1, 4, 5, 6]), (True, [1, 2, 3, 5, 6, 4])]
@@ -281,15 +285,16 @@ def _simple_runs(w: BraidWord) -> list[tuple[bool, list[int]]]:
         k = len(runs) - 1
         while k >= 0:
             sign, im = runs[k]
-            a = im[j - 1]
-            if (a > im[j]) != (sign == negative):
+            a, b = im[j - 1], im[j]
+            if (a > b) != (sign == negative):
                 break  # it joins or cancels here
-            # A run of the letter's sign gets here only with the strands
-            # crossed, im[j] < a, so it stops the letter.
-            if im[j] != a + 1:
+            # Here the strands are uncrossed in a run of the other sign, or
+            # crossed in a run of the letter's sign; either is passed when
+            # they start adjacent.
+            if a - b not in (1, -1):
                 k = -1  # it stops
             else:
-                j, k = a, k - 1  # it slides past as sigma_a
+                j, k = a if a < b else b, k - 1  # it slides past as sigma_min(a, b)
         if k < 0:
             j, sign, im = i, negative, identity[:]
             runs.append((sign, im))
