@@ -17,14 +17,17 @@ Every matrix starts at 16-bit digits and only widens: the Burau product
 repacks its columns, and the determinant its rows, at twice the width by
 _repack, which copies digits as bytes.
 
-Each Bareiss update (x*pivot - a*y) / prev is one integer division at X;
-a nonzero remainder means it is not exact.  Two facts make an integer
-quotient q the polynomial quotient: the numerator's height stays below
-X/4, and q is accepted only when its height from the mask test gives
+Bareiss runs on polynomials: it takes each row out of its least power of
+t once, on entry, so every entry is a plain value at X with no low, and
+each update (x*pivot - a*y) / prev is one integer division at X; a nonzero
+remainder means it is not exact.  Every integer is a polynomial at X, by
+its balanced digits, and two facts make an integer quotient q the
+polynomial quotient: the numerator's height stays below X/4, and q is
+accepted only when its height from the mask test gives
 min(len q, len prev) * height(q) * height(prev) < X/2.  Then q*prev minus
-the numerator has coefficients below X in size and the root X; a nonzero
-integer polynomial with root X is (t - X) times another, with a
-coefficient of size at least X, so q*prev equals the numerator.
+the numerator is a polynomial with coefficients below X in size and the
+root X; a nonzero integer polynomial with root X is (t - X) times another,
+with a coefficient of size at least X, so q*prev equals the numerator.
 
 Four names are public: reduced_burau, burau_minus_identity,
 determinant_up_to_units and its Bareiss kernel bareiss_determinant.
@@ -35,7 +38,7 @@ import sys
 
 from .braid import BraidWord
 
-_ZERO = (0, 0, 0)  # the zero polynomial in Bareiss, with its height
+_ZERO = (0, 0)  # the zero polynomial in Bareiss, with its height
 # The first width of every packed matrix, and the height the mask test proves.
 _WIDTH, _SMALL = 16, 4
 # The widths that are machine words, whose digits a long value yields at once.
@@ -116,32 +119,32 @@ def _strip(low: int, value: int, width: int) -> tuple[int, int]:
 
 
 def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, width: int) -> tuple:
-    """The packed quotient (x*pivot - a*y) / prev of one Bareiss step, proved exact (module docstring).
+    """The quotient (x*pivot - a*y) / prev of one Bareiss step on polynomials, proved exact (module docstring).
 
-    Raises _Narrow when the numerator's height reaches X/4 or the test rejects
-    the quotient, ValueError("not divisible") once Mignotte's bound shows it is not exact.
+    Each operand is (value, height): a polynomial's value at X and a bound
+    on its coefficients.  Raises _Narrow when the numerator's height reaches
+    X/4 or the test rejects the quotient, ValueError("not divisible") once
+    Mignotte's bound shows it is not exact.
     """
-    (xl, xv, xh), (pl, pv, ph), (al, av, ah), (yl, yv, yh), (ql, qv, qh) = x, pivot, a, y, prev
+    (xv, xh), (pv, ph), (av, ah), (yv, yh), (qv, qh) = x, pivot, a, y, prev
     xn, pn, an, yn, qn = (v.bit_length() // width + 1 for v in (xv, pv, av, yv, qv))
     left, right = xv and min(xn, pn) * xh * ph, av and yv and min(an, yn) * ah * yh
     if not (left or right):
         return _ZERO
     if left + right >= 1 << (width - 2):
         raise _Narrow
-    low = min(xl + pl if left else al + yl, al + yl if right else xl + pl)
-    num = (xv * pv << width * (xl + pl - low) if left else 0) - (av * yv << width * (al + yl - low) if right else 0)
+    num = xv * pv - av * yv
     if not num:
         return _ZERO
     quotient, remainder = divmod(num, qv)
     if remainder:
         raise ValueError("not divisible")
-    low, quotient = _strip(low - ql, quotient, width)
     height = _height((quotient,), width)
     if min(quotient.bit_length() // width + 1, qn) * height * qh < 1 << (width - 1):
-        return low, quotient, height
+        return quotient, height
     # A bound on the numerator's length, and so on an exact quotient's; by
     # Mignotte, |quotient| <= 2^(length-1) * sqrt(length) * (left + right).
-    length = xn + pn + an + yn + abs(xl + pl - al - yl)
+    length = xn + pn + an + yn
     if 1 << (width - 1) > min(length, qn) * ((left + right) * length * qh << (length - 1)):
         raise ValueError("not divisible")
     raise _Narrow
@@ -150,16 +153,21 @@ def _bareiss_update(x: tuple, pivot: tuple, a: tuple, y: tuple, prev: tuple, wid
 def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int]:
     """The determinant (low, value) of a square matrix of packed (low, value) entries.
 
-    Step k replaces each entry (i, j) below and right of the pivot by
+    Row i is first taken out of t^b_i, b_i the least low among its nonzero
+    entries, which leaves every entry a polynomial, held as (value, height)
+    with its height from the mask test (_height); the determinant is
+    t^(b_1 + ... + b_n) times theirs, stripped once (_strip).  Step k
+    replaces each entry (i, j) below and right of the pivot by
     (m_ij*m_kk - m_ik*m_kj) / prev, prev the step's previous pivot; by
-    Sylvester's identity every such quotient is exact.  Each entry's height
-    comes from the mask test (_height).  Raises _Narrow as _bareiss_update does.
+    Sylvester's identity every such quotient is an exact polynomial.
+    Raises _Narrow as _bareiss_update does.
     """
-    m = [[(low, v, _height((v,), width)) for low, v in row] for row in matrix]
-    size, sign, prev = len(m), 1, (0, 1, 1)
+    lows = [min((low for low, v in row if v), default=0) for row in matrix]
+    m = [[(v and v << (low - b) * width, _height((v,), width)) for low, v in row] for b, row in zip(lows, matrix)]
+    size, sign, prev = len(m), 1, (1, 1)
     for k in range(size - 1):
-        if not m[k][k][1]:
-            swap = next((i for i in range(k + 1, size) if m[i][k][1]), None)
+        if not m[k][k][0]:
+            swap = next((i for i in range(k + 1, size) if m[i][k][0]), None)
             if swap is None:
                 return 0, 0
             m[k], m[swap] = m[swap], m[k]
@@ -169,7 +177,8 @@ def bareiss_determinant(matrix: list[list[tuple]], width: int) -> tuple[int, int
             for j in range(k + 1, size):
                 row[j] = _bareiss_update(row[j], top[k], row[k], top[j], prev, width)
         prev = top[k]
-    return (m[-1][-1][0], sign * m[-1][-1][1]) if m else (0, 1)
+    value = sign * m[-1][-1][0] if m else 1
+    return _strip(sum(lows), value, width) if value else (0, 0)
 
 
 def _unit_pivot_remainder(rows: list[dict[int, tuple]], width: int) -> list[list[tuple]]:

@@ -761,6 +761,27 @@ def test_witness_counts_delta_squared_exactly(n, k):
     assert w.verified and left_normal_form(w.rhs) == whole
 
 
+@pytest.mark.parametrize("n, k, more", [(3, 20, 2000), (2, 21, 2001), (7, 10, 703)])
+def test_witness_combs_as_many_letters_whatever_the_full_twists(monkeypatch, n, k, more):
+    # k and more have the same tail and at least one full twist; the extra
+    # twists of more are counted, not combed, so the witness hands the normal
+    # form the same letters for both.
+    combed = []
+
+    def spy(w, left_normal_form=braid.left_normal_form):
+        combed.append(len(w))
+        return left_normal_form(w)
+
+    monkeypatch.setattr(braid, "left_normal_form", spy)
+    letters = []
+    for power in (k, more):
+        assert power // n >= 1 and power % n == k % n
+        combed.clear()
+        assert torus_conjugacy_witness(n, power).verified
+        letters.append(sum(combed))
+    assert letters[0] == letters[1], (n, k, more, letters)
+
+
 @pytest.mark.parametrize("n, k", [(5, 4), (7, 10), (3, 100), (7, 50)])
 def test_witness_rejects_a_wrong_band_form(monkeypatch, n, k):
     band = braid.conjugate_band_braid(n, k)

@@ -271,29 +271,30 @@ def burau_matrix(w, full_twists=0):
 
 
 def divide_step(x, pivot, a, y, prev, width=8):
-    """(x*pivot - a*y) / prev through one update of the Bareiss kernel, the width doubling as it asks."""
+    """(x*pivot - a*y) / prev of polynomials through one update of the Bareiss kernel, the width doubling as it asks."""
     operands = (x, pivot, a, y, prev)
+    assert all(p.min_exp >= 0 for p in operands if p.coeffs), "the kernel's operands are polynomials"
     while max(abs(c) for p in operands for c in p.coeffs) >= 1 << (width - 2):
         width *= 2
     while True:
-        entries = [(p.min_exp, pack(p.coeffs, width), max(map(abs, p.coeffs), default=0)) for p in operands]
+        entries = [(pack(p.coeffs, width) << p.min_exp * width, max(map(abs, p.coeffs), default=0)) for p in operands]
         try:
-            low, value, height = packed._bareiss_update(*entries, width)
+            value, height = packed._bareiss_update(*entries, width)
         except packed._Narrow:
             width *= 2
             continue
         coeffs = DIGITS(value, width)
         small = all(-packed._SMALL <= c < packed._SMALL for c in coeffs)
         assert height == (packed._SMALL if small else max(map(abs, coeffs))) if coeffs else height == 0
-        return Laurent.from_coeffs(low, coeffs)
+        return Laurent.from_coeffs(0, coeffs)
 
 
 def test_bareiss_update_divides_exactly():
     zero = Laurent.zero()
     assert divide_step(T * T, ONE, ONE, ONE, T - ONE) == T + ONE  # (t^2-1)/(t-1)
     assert divide_step(T - ONE, T - ONE, zero, zero, ONE) == poly((1, 2), (-2, 1), (1, 0))
-    # Laurent exponents: (t^-3 - t^-1) / (t^-2 + t^-1) = t^-1 - 1.
-    assert divide_step(poly((1, -3)), ONE, poly((1, -1)), ONE, poly((1, -2), (1, -1))) == poly((1, -1), (-1, 0))
+    # (1 - t^2) / (1 + t) = 1 - t: a numerator whose two products start at different powers.
+    assert divide_step(ONE, ONE, T * T, ONE, ONE + T) == ONE - T
     assert divide_step(T, ONE, T, ONE, T + ONE).is_zero()
     with pytest.raises(ValueError, match="not divisible"):
         divide_step(T, ONE, zero, zero, Laurent.term(2))  # t / 2
@@ -325,6 +326,23 @@ def test_bareiss_update_widens_until_the_quotient_is_proved(monkeypatch):
     with pytest.raises(ValueError, match="not divisible"):
         divide_step(T + ONE, ONE, ONE, ONE, Laurent.term(2))
     assert len(widths) > 1
+
+
+def test_bareiss_takes_each_row_out_of_its_least_power():
+    # Least powers -2, 0 and 3 by row; row 2's zero entry stays zero, not
+    # shifted down by 3.  Taken out of those powers every row has a multiple
+    # of t in column 2, so the kernel's determinant has a zero lowest digit
+    # until it is stripped.
+    m = [
+        [poly((1, -2), (2, 0)), poly((-1, -1)), poly((3, -1))],
+        [poly((1, 0), (1, 1)), poly((2, 2)), poly((-1, 1))],
+        [poly((1, 3)), Laurent.zero(), poly((2, 4), (-1, 5))],
+    ]
+    width = packed._WIDTH
+    low, value = packed.bareiss_determinant([[(p.min_exp, pack(p.coeffs, width)) for p in row] for row in m], width)
+    expected = naive_cofactor_det(m)
+    assert not expected.is_zero() and value % (1 << width), "the lowest base-X digit is nonzero"
+    assert Laurent.from_coeffs(low, DIGITS(value, width)) == expected
 
 
 def test_mask_test_and_decoding():
